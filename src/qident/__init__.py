@@ -45,6 +45,7 @@ from .series import (
     LeadingCoefficientError,
     Mismatch,
     PuiseuxSeries,
+    SlotBudgetError,
 )
 from .verify import Identity, VerificationReport, report_json, verify, verify_many
 
@@ -53,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicNumber", "ZERO", "ONE", "SQRT2",
     "PuiseuxSeries", "Mismatch",
-    "InsufficientPrecisionError", "LeadingCoefficientError",
+    "InsufficientPrecisionError", "LeadingCoefficientError", "SlotBudgetError",
     "PochSpec", "ThetaSpec", "EtaQuotient", "SineRatioTable",
     "pochhammer", "theta_sum", "theta_product", "eta", "eta_quotient",
     "gamma_k", "sine_ratio_table", "b_value", "theta1_normalized",

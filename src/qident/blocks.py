@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import ONE, SQRT2, AlgebraicNumber
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, dense_slots
 
 _FR = Fraction
 
@@ -105,7 +105,7 @@ def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
     den = (spec.offset.denominator * spec.step.denominator) // math.gcd(
         spec.offset.denominator, spec.step.denominator
     )
-    n = math.ceil(order * den)
+    n = dense_slots(order * den)
     coeffs = [0] * n
     coeffs[0] = 1
     sign = spec.sign
@@ -220,7 +220,7 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
         return PuiseuxSeries.zero(order)
     s = int(BETA[k].irr)  # beta_k = s*sqrt2 with s in {-1, 0, 1}
     den = r.denominator
-    n = math.ceil(order * den)
+    n = dense_slots(order * den)
     rp = [0] * n
     ip = [0] * n
     rp[0] = 1

@@ -7,7 +7,8 @@ expression), `cf` (continued-fraction vs series table) and `parse`
 
 Exit codes: 0 all requested checks verified (possibly with a recorded
 sign flip), 1 on any mismatch or failed evaluation, 2 on usage or parse
-errors.  All configuration is by flags; no environment variables.
+errors, including an order or exponent grid too large to expand.  All
+configuration is by flags; no environment variables.
 """
 
 from __future__ import annotations
@@ -23,21 +24,14 @@ from .catalog import catalog
 from .cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
 from .dsl import ParseError, parse_expression, parse_identity_file
 from .expr import evaluate_to_order
-from .series import InsufficientPrecisionError, LeadingCoefficientError
+from .series import InsufficientPrecisionError, LeadingCoefficientError, SlotBudgetError
 from .verify import Identity, report_json, verify
 
 GOLDEN_REPORT_PATH = pathlib.Path("tests/golden/verify_all_order24.json")
 
-_DUMP_BLOCKS = {
-    "qq": lambda order: blocks.pochhammer(blocks.PochSpec(-1, 1, 1), order),
-    "phi": lambda order: blocks.phi(1, order),
-    "psi": lambda order: blocks.psi(1, order),
-    "gamma1": lambda order: blocks.gamma_k(1, order),
-    "gamma2": lambda order: blocks.gamma_k(2, order),
-    "gamma3": lambda order: blocks.gamma_k(3, order),
-    "h": lambda order: blocks.h_series(order),
-    "i": lambda order: blocks.i_series(order),
-}
+# Named series for `dump`, each short for a DSL expression.
+_DUMP_BLOCKS = {"qq": "poch(-,1,1)", "phi": "phi(1)", "psi": "psi(1)", "gamma1": "G1(1)",
+                "gamma2": "G2(1)", "gamma3": "G3(1)", "h": "H(1)", "i": "I(1)"}
 
 
 def _parse_order(text: str) -> Fraction:
@@ -63,7 +57,16 @@ def _describe(report) -> str:
     return "INSUFFICIENT PRECISION (evaluation failed)"
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        # an order or exponent grid too large to expand is a usage error
+        try:
+            return super().invoke(ctx)
+        except SlotBudgetError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact q-series identity verification."""
 
@@ -128,21 +131,18 @@ def dump_cmd(ctx, block, order_text):
     expression such as 'eta(8)/eta(2)'.
     """
     order = _parse_order(order_text)
-    if block in _DUMP_BLOCKS:
-        series = _DUMP_BLOCKS[block](order)
-    else:
-        try:
-            node = parse_expression(block)
-            series = evaluate_to_order(node, order)
-        except ParseError as exc:
-            raise click.UsageError(
-                f"{block!r} is not a named block ({', '.join(_DUMP_BLOCKS)}) "
-                f"and does not parse as an expression: {exc}"
-            )
-        except (InsufficientPrecisionError, LeadingCoefficientError,
-                ZeroDivisionError) as exc:
-            click.echo(f"evaluation failed: {exc}", err=True)
-            ctx.exit(1)
+    try:
+        node = parse_expression(_DUMP_BLOCKS.get(block, block))
+        series = evaluate_to_order(node, order)
+    except ParseError as exc:
+        raise click.UsageError(
+            f"{block!r} is not a named block ({', '.join(_DUMP_BLOCKS)}) "
+            f"and does not parse as an expression: {exc}"
+        )
+    except (InsufficientPrecisionError, LeadingCoefficientError,
+            ZeroDivisionError) as exc:
+        click.echo(f"evaluation failed: {exc}", err=True)
+        ctx.exit(1)
     click.echo(series.truncated(order).dump())
 
 

@@ -7,59 +7,49 @@ Grammar (whitespace insignificant, '#' starts a comment):
     term     := factor { ("*"|"/") factor }
     factor   := atom [ "^" "(" rational ")" ]
     atom     := "q" "^" "(" rational ")" | rational | "sqrt2"
-              | "eta" "(" rational ")"
-              | "poch" "(" sign "," rational "," rational ")"
-              | "f" "(" sign "q^" rational "," sign "q^" rational ")"
-              | "fsum" "(" ... same as f ... ")"
-              | "phi" | "psi" | "H" | "I" | "G1" | "G2" | "G3"
-                  -- each "(" rational ")", the argument r meaning q -> q^r
-              | "T1N" "(" int ")" | "btable" "(" int ")"
-              | "lambert" "(" int "," int "," signedexps "," int
-                             [ "," ( "m" | "legendre" "(" int ")" ) ] ")"
-              | "psi11lhs" "(" rational "," rational "," rational ")"
-              | "psi11rhs" "(" rational "," rational "," rational ")"
+              | name "(" argument ")"        -- a primitive, see below
               | "root" "(" expr "," int ")"
               | "subst" "(" expr "," rational ")"
               | "(" expr ")"
     rational := ["-"] int [ "/" int ] ;  sign := "+" | "-"
-    signedexps := sign int { sign int }
 
-`fsum`, `btable`, `lambert`, `psi11lhs/rhs` and `subst` extend the core
-grammar so that every built-in catalog entry has a textual form.
+The primitives are the entries of :data:`qident.expr.PRIMITIVES`; this
+table is :func:`atom_table`.  `r` is a positive rational and the atom is
+the series at q -> q^r; `k` is 1, 2 or 3; `a`, `b`, `s`, `alpha`, `beta`
+are positive rationals; `+a1-a2...` lists signed integer exponents.
+
+| atom | argument | meaning |
+|---|---|---|
+| `eta` | `r` | `eta(r tau) = q^(r/24) (q^r;q^r)_inf` |
+| `poch` | `sign,a,b` | `prod_{j>=0} (1 + sign q^(a+jb))` |
+| `f` | `sign q^a,sign q^b` | theta `f(sign q^a, sign q^b)`, triple-product form |
+| `fsum` | `sign q^a,sign q^b` | the same theta function as a bilateral sum |
+| `phi` | `r` | `phi(q^r) = f(q^r, q^r)` |
+| `psi` | `r` | `psi(q^r) = f(q^r, q^3r)` |
+| `H` | `r` | Gollnitz-Gordon fraction product side `h(q^r)` |
+| `I` | `r` | order-four fraction product side `i(q^r)` |
+| `G1` | `r` | `prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))` |
+| `G2` | `r` | `prod_{n>=1} (1 + q^(2rn))` |
+| `G3` | `r` | `prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))` |
+| `T1N` | `k` | `theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))` |
+| `btable` | `k` | difference-table polynomial `sum_{j<32} B_k(j) q^j` |
+| `lambert` | `s,r,+a1-a2...,b[,w]` | `sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1, `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`) |
+| `psi11lhs` | `s,alpha,beta` | 1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s` |
+| `psi11rhs` | `s,alpha,beta` | 1psi1 product side of the same sum |
+
 Constant subexpressions fold at parse time, so rendering and reparsing
 an expression reproduces it node for node.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .blocks import PochSpec, ThetaSpec
 from .expr import (
-    Add,
-    BTable,
-    CFracH,
-    CFracI,
-    Const,
-    Div,
-    Eta,
-    Gamma,
-    Lambert,
-    Mul,
-    Node,
-    Phi,
-    Poch,
-    Pow,
-    Psi,
-    Psi11Lhs,
-    Psi11Rhs,
-    QPow,
-    Root,
-    Sub,
-    Subst,
-    Theta,
-    Theta1N,
+    PRIMITIVES, Add, Const, Div, Mul, Node, Pow, Prim, QPow, Root, Sub, Subst,
 )
 from .field import SQRT2, AlgebraicNumber
 from .lambert import BilateralSpec, LambertSpec
@@ -232,7 +222,6 @@ class Parser:
         if tok.kind != "name":
             self._error("expected an operand")
         name = self._next().text
-        handler = getattr(self, f"_atom_{name}", None)
         if name == "q":
             self._expect("^")
             self._expect("(")
@@ -241,6 +230,17 @@ class Parser:
             return QPow(e)
         if name == "sqrt2":
             return Const(SQRT2)
+        if name in PRIMITIVES:
+            self._expect("(")
+            try:
+                arg = getattr(self, f"_arg_{PRIMITIVES[name].kind}")()
+            except ParseError:
+                raise
+            except ValueError as exc:  # a spec rejected its fields
+                self._error(str(exc), tok)
+            self._expect(")")
+            return Prim(name, arg)
+        handler = getattr(self, f"_atom_{name}", None)
         if handler is None:
             self._error(f"unknown function {name!r}", tok)
         return handler(tok)
@@ -284,36 +284,6 @@ class Parser:
             return -1
         self._error("expected a sign (+ or -)")
 
-    def _substitution_arg(self) -> Fraction:
-        self._expect("(")
-        tok = self._peek()
-        r = self._rational()
-        if r <= 0:
-            self._error("substitution exponent must be positive", tok)
-        self._expect(")")
-        return r
-
-    def _spec_error(self, exc: ValueError, tok: _Token):
-        self._error(str(exc), tok)
-
-    def _atom_eta(self, tok):
-        m = self._substitution_arg()
-        return Eta(m)
-
-    def _atom_poch(self, tok):
-        self._expect("(")
-        sign = self._sign()
-        self._expect(",")
-        offset = self._rational()
-        self._expect(",")
-        step = self._rational()
-        self._expect(")")
-        try:
-            spec = PochSpec(sign, offset, step)
-        except ValueError as exc:
-            self._spec_error(exc, tok)
-        return Poch(spec)
-
     def _theta_arg(self) -> tuple[int, Fraction]:
         sign = self._sign()
         tok = self._peek()
@@ -328,59 +298,6 @@ class Parser:
         else:
             e = self._rational()
         return sign, e
-
-    def _theta(self, tok, use_sum: bool):
-        self._expect("(")
-        s1, a = self._theta_arg()
-        self._expect(",")
-        s2, b = self._theta_arg()
-        self._expect(")")
-        try:
-            spec = ThetaSpec(s1, s2, a, b)
-        except ValueError as exc:
-            self._spec_error(exc, tok)
-        return Theta(spec, use_sum=use_sum)
-
-    def _atom_f(self, tok):
-        return self._theta(tok, use_sum=False)
-
-    def _atom_fsum(self, tok):
-        return self._theta(tok, use_sum=True)
-
-    def _atom_phi(self, tok):
-        return Phi(self._substitution_arg())
-
-    def _atom_psi(self, tok):
-        return Psi(self._substitution_arg())
-
-    def _atom_H(self, tok):
-        return CFracH(self._substitution_arg())
-
-    def _atom_I(self, tok):
-        return CFracI(self._substitution_arg())
-
-    def _atom_G1(self, tok):
-        return Gamma(1, self._substitution_arg())
-
-    def _atom_G2(self, tok):
-        return Gamma(2, self._substitution_arg())
-
-    def _atom_G3(self, tok):
-        return Gamma(3, self._substitution_arg())
-
-    def _small_index(self, tok):
-        self._expect("(")
-        k = self._int()
-        if k not in (1, 2, 3):
-            self._error("index must be 1, 2 or 3", tok)
-        self._expect(")")
-        return k
-
-    def _atom_T1N(self, tok):
-        return Theta1N(self._small_index(tok))
-
-    def _atom_btable(self, tok):
-        return BTable(self._small_index(tok))
 
     def _atom_root(self, tok):
         self._expect("(")
@@ -402,8 +319,36 @@ class Parser:
         self._expect(")")
         return Subst(base, r)
 
-    def _atom_lambert(self, tok):
-        self._expect("(")
+    # -- primitive arguments, one parser per kind ----------------------
+
+    def _arg_r(self) -> Fraction:
+        tok = self._peek()
+        r = self._rational()
+        if r <= 0:
+            self._error("substitution exponent must be positive", tok)
+        return r
+
+    def _arg_k(self) -> int:
+        tok = self._peek()
+        k = self._int()
+        if k not in (1, 2, 3):
+            self._error("index must be 1, 2 or 3", tok)
+        return k
+
+    def _arg_poch(self) -> PochSpec:
+        sign = self._sign()
+        self._expect(",")
+        offset = self._rational()
+        self._expect(",")
+        return PochSpec(sign, offset, self._rational())
+
+    def _arg_theta(self) -> ThetaSpec:
+        s1, a = self._theta_arg()
+        self._expect(",")
+        s2, b = self._theta_arg()
+        return ThetaSpec(s1, s2, a, b)
+
+    def _arg_lambert(self) -> LambertSpec:
         modulus = self._int()
         self._expect(",")
         residue = self._int()
@@ -413,7 +358,7 @@ class Parser:
             sign = self._sign()
             numerators.append((sign, self._int()))
         if not numerators:
-            self._error("expected signed exponents like +1-3", tok)
+            self._error("expected signed exponents like +1-3")
         self._expect(",")
         denom = self._int()
         weight, p = "unit", 0
@@ -430,32 +375,14 @@ class Parser:
                 self._expect("(")
                 p = self._int()
                 self._expect(")")
-        self._expect(")")
-        try:
-            spec = LambertSpec(modulus, residue, tuple(numerators), denom,
-                               weight, p)
-        except ValueError as exc:
-            self._spec_error(exc, tok)
-        return Lambert(spec)
+        return LambertSpec(modulus, residue, tuple(numerators), denom, weight, p)
 
-    def _psi11_spec(self, tok) -> BilateralSpec:
-        self._expect("(")
+    def _arg_bilateral(self) -> BilateralSpec:
         s = self._rational()
         self._expect(",")
         alpha = self._rational()
         self._expect(",")
-        beta = self._rational()
-        self._expect(")")
-        try:
-            return BilateralSpec(s, alpha, beta)
-        except ValueError as exc:
-            self._spec_error(exc, tok)
-
-    def _atom_psi11lhs(self, tok):
-        return Psi11Lhs(self._psi11_spec(tok))
-
-    def _atom_psi11rhs(self, tok):
-        return Psi11Rhs(self._psi11_spec(tok))
+        return BilateralSpec(s, alpha, self._rational())
 
 
 def parse_identity(text: str, line_offset: int = 0) -> tuple[Node, Node]:
@@ -516,7 +443,36 @@ def _render_const(v: AlgebraicNumber) -> tuple[str, int]:
     return f"{a}{'+' if b > 0 else '-'}{irr}", _ADD
 
 
+def _render_lambert(s: LambertSpec) -> str:
+    exps = "".join(f"{_sgn(c)}{a}" for c, a in s.numerators)
+    tail = {"unit": "", "linear": ",m", "legendre": f",legendre({s.legendre_p})"}
+    return f"{s.modulus},{s.residue},{exps},{s.denom_exponent}{tail[s.weight]}"
+
+
+# argument kind -> (its syntax in the atom table, renderer of an argument)
+_ARG_KINDS = {
+    "r": ("r", str),
+    "k": ("k", str),
+    "poch": ("sign,a,b", lambda s: f"{_sgn(s.sign)},{s.offset},{s.step}"),
+    "theta": ("sign q^a,sign q^b",
+              lambda s: f"{_sgn(s.sign1)}q^{s.a},{_sgn(s.sign2)}q^{s.b}"),
+    "lambert": ("s,r,+a1-a2...,b[,w]", _render_lambert),
+    "bilateral": ("s,alpha,beta", lambda s: f"{s.base},{s.x_exp},{s.z_exp}"),
+}
+
+
+def atom_table() -> str:
+    """The primitive atoms as a Markdown table: name, argument, meaning."""
+    rows = ["| atom | argument | meaning |", "|---|---|---|"]
+    for name, prim in PRIMITIVES.items():
+        rows.append(f"| `{name}` | `{_ARG_KINDS[prim.kind][0]}` | {prim.meaning} |")
+    return "\n".join(rows)
+
+
 def _render_node(node: Node) -> tuple[str, int]:
+    if isinstance(node, Prim):
+        arg = _ARG_KINDS[PRIMITIVES[node.name].kind][1](node.arg)
+        return f"{node.name}({arg})", _ATOM
     if isinstance(node, Add):
         return f"{_render(node.left, _ADD)} + {_render(node.right, _MUL)}", _ADD
     if isinstance(node, Sub):
@@ -524,58 +480,25 @@ def _render_node(node: Node) -> tuple[str, int]:
     if isinstance(node, Mul):
         return f"{_render(node.left, _MUL)}*{_render(node.right, _POW)}", _MUL
     if isinstance(node, Div):
-        return f"{_render(node.left, _MUL)}/{_render(node.right, _POW)}", _MUL
+        right = _render(node.right, _POW)
+        if right[0].isdigit():
+            # after "x*3" a bare "/4" would reparse as the rational 3/4
+            right = f"({right})"
+        return f"{_render(node.left, _MUL)}/{right}", _MUL
     if isinstance(node, Pow):
-        base, exp = node.base, _FR(node.n)
-        if isinstance(base, Root):
-            exp = _FR(node.n, base.n)
-            base = base.base
-        return f"{_render(base, _ATOM)}^({exp})", _POW
+        base = node.base
+        if not isinstance(base, Root):
+            return f"{_render(base, _ATOM)}^({node.n})", _POW
+        if math.gcd(node.n, base.n) == 1:
+            return f"{_render(base.base, _ATOM)}^({_FR(node.n, base.n)})", _POW
+        # a reduced exponent would reparse as a different tree
+        return f"root({render(base.base)},{base.n})^({node.n})", _POW
     if isinstance(node, Root):
         return f"{_render(node.base, _ATOM)}^(1/{node.n})", _POW
     if isinstance(node, QPow):
         return f"q^({node.exponent})", _ATOM
     if isinstance(node, Const):
         return _render_const(node.value)
-    if isinstance(node, Eta):
-        return f"eta({node.multiplier})", _ATOM
-    if isinstance(node, Poch):
-        s = node.spec
-        return f"poch({_sgn(s.sign)},{s.offset},{s.step})", _ATOM
-    if isinstance(node, Theta):
-        s = node.spec
-        name = "fsum" if node.use_sum else "f"
-        return (f"{name}({_sgn(s.sign1)}q^{s.a},{_sgn(s.sign2)}q^{s.b})", _ATOM)
-    if isinstance(node, Phi):
-        return f"phi({node.r})", _ATOM
-    if isinstance(node, Psi):
-        return f"psi({node.r})", _ATOM
-    if isinstance(node, CFracH):
-        return f"H({node.r})", _ATOM
-    if isinstance(node, CFracI):
-        return f"I({node.r})", _ATOM
-    if isinstance(node, Gamma):
-        return f"G{node.k}({node.r})", _ATOM
-    if isinstance(node, Theta1N):
-        return f"T1N({node.k})", _ATOM
-    if isinstance(node, BTable):
-        return f"btable({node.i})", _ATOM
-    if isinstance(node, Lambert):
-        s = node.spec
-        exps = "".join(f"{_sgn(c)}{a}" for c, a in s.numerators)
-        tail = ""
-        if s.weight == "linear":
-            tail = ",m"
-        elif s.weight == "legendre":
-            tail = f",legendre({s.legendre_p})"
-        return (f"lambert({s.modulus},{s.residue},{exps},"
-                f"{s.denom_exponent}{tail})", _ATOM)
-    if isinstance(node, Psi11Lhs):
-        s = node.spec
-        return f"psi11lhs({s.base},{s.x_exp},{s.z_exp})", _ATOM
-    if isinstance(node, Psi11Rhs):
-        s = node.spec
-        return f"psi11rhs({s.base},{s.x_exp},{s.z_exp})", _ATOM
     if isinstance(node, Subst):
         return f"subst({render(node.base)},{node.r})", _ATOM
     raise TypeError(f"cannot render {type(node).__name__}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import blocks
 from . import lambert as lam
@@ -66,161 +67,79 @@ class Const(Node):
         return _FR(0)
 
 
-@dataclass(frozen=True)
-class Eta(Node):
-    multiplier: Fraction
-
-    def evaluate(self, order):
-        return blocks.eta(self.multiplier, order)
-
-    def hint(self):
-        return self.multiplier / 24
+def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
+    # a polynomial is exact at every order
+    return PuiseuxSeries(dict(s.terms), max(_fr(order), s.trunc))
 
 
 @dataclass(frozen=True)
-class Theta(Node):
-    """f(sign1 q^a, sign2 q^b); product form unless `use_sum`."""
+class Primitive:
+    """One named series of the DSL, taking exactly one argument.
 
-    spec: blocks.ThetaSpec
-    use_sum: bool = False
+    `kind` names the argument: "r" (a substitution exponent), "k" (an
+    index 1..3), or a spec: "poch", "theta", "lambert", "bilateral".
+    `build(arg, order)` expands the series, `meaning` is its line in the
+    DSL atom table and `hint(arg)` its structural leading exponent.
+    """
 
-    def evaluate(self, order):
-        fn = blocks.theta_sum if self.use_sum else blocks.theta_product
-        return fn(self.spec, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Poch(Node):
-    spec: blocks.PochSpec
-
-    def evaluate(self, order):
-        return blocks.pochhammer(self.spec, order)
-
-    def hint(self):
-        return _FR(0)
+    kind: str
+    build: Callable[[object, object], PuiseuxSeries]
+    meaning: str
+    hint: Callable[[object], Fraction] = lambda arg: _FR(0)
 
 
-@dataclass(frozen=True)
-class Phi(Node):
-    r: Fraction
-
-    def evaluate(self, order):
-        return blocks.phi(self.r, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Psi(Node):
-    r: Fraction
-
-    def evaluate(self, order):
-        return blocks.psi(self.r, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class CFracH(Node):
-    """Gollnitz-Gordon fraction product side h(q^r); leading q^{r/2}."""
-
-    r: Fraction
-
-    def evaluate(self, order):
-        return blocks.h_series(order, self.r)
-
-    def hint(self):
-        return self.r / 2
+# Builders look their block up at call time, so that a function rebound on
+# `blocks` or `lambert` from outside (a tracer) is the one that runs.
+PRIMITIVES: dict[str, Primitive] = {
+    "eta": Primitive("r", lambda m, o: blocks.eta(m, o),
+                     "`eta(r tau) = q^(r/24) (q^r;q^r)_inf`", lambda m: m / 24),
+    "poch": Primitive("poch", lambda s, o: blocks.pochhammer(s, o),
+                      "`prod_{j>=0} (1 + sign q^(a+jb))`"),
+    "f": Primitive("theta", lambda s, o: blocks.theta_product(s, o),
+                   "theta `f(sign q^a, sign q^b)`, triple-product form"),
+    "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
+                      "the same theta function as a bilateral sum"),
+    "phi": Primitive("r", lambda r, o: blocks.phi(r, o), "`phi(q^r) = f(q^r, q^r)`"),
+    "psi": Primitive("r", lambda r, o: blocks.psi(r, o), "`psi(q^r) = f(q^r, q^3r)`"),
+    "H": Primitive("r", lambda r, o: blocks.h_series(o, r),
+                   "Gollnitz-Gordon fraction product side `h(q^r)`", lambda r: r / 2),
+    "I": Primitive("r", lambda r, o: blocks.i_series(o, r),
+                   "order-four fraction product side `i(q^r)`"),
+    "G1": Primitive("r", lambda r, o: blocks.gamma_k(1, o, r),
+                    "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`"),
+    "G2": Primitive("r", lambda r, o: blocks.gamma_k(2, o, r),
+                    "`prod_{n>=1} (1 + q^(2rn))`"),
+    "G3": Primitive("r", lambda r, o: blocks.gamma_k(3, o, r),
+                    "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`"),
+    "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
+                     "`theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))`"),
+    "btable": Primitive("k", lambda k, o: _polynomial(blocks.b_table_series(k, 32), o),
+                        "difference-table polynomial `sum_{j<32} B_k(j) q^j`"),
+    "lambert": Primitive(
+        "lambert", lambda s, o: lam.lambert_sum(s, o),
+        "`sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1,"
+        " `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`)",
+        lambda s: _FR(s.leading_exponent())),
+    "psi11lhs": Primitive(
+        "bilateral", lambda s, o: lam.bilateral_1psi1_lhs(s, o),
+        "1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s`"),
+    "psi11rhs": Primitive("bilateral", lambda s, o: lam.bilateral_1psi1_rhs(s, o),
+                          "1psi1 product side of the same sum"),
+}
 
 
 @dataclass(frozen=True)
-class CFracI(Node):
-    """Order-four fraction product side i(q^r); unit leading term."""
+class Prim(Node):
+    """A named primitive series from :data:`PRIMITIVES` at its argument."""
 
-    r: Fraction
-
-    def evaluate(self, order):
-        return blocks.i_series(order, self.r)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Gamma(Node):
-    k: int
-    r: Fraction
+    name: str
+    arg: object
 
     def evaluate(self, order):
-        return blocks.gamma_k(self.k, order, self.r)
+        return PRIMITIVES[self.name].build(self.arg, order)
 
     def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Theta1N(Node):
-    k: int
-
-    def evaluate(self, order):
-        return blocks.theta1_normalized(self.k, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class BTable(Node):
-    """The degree-31 polynomial sum_{k=0}^{31} B_i(k) q^k (four periods)."""
-
-    i: int
-
-    def evaluate(self, order):
-        order = _fr(order)
-        s = blocks.b_table_series(self.i, 32)
-        # a polynomial is exact at every order
-        return PuiseuxSeries(dict(s.terms), max(order, _FR(32)))
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Lambert(Node):
-    spec: lam.LambertSpec
-
-    def evaluate(self, order):
-        return lam.lambert_sum(self.spec, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Psi11Lhs(Node):
-    spec: lam.BilateralSpec
-
-    def evaluate(self, order):
-        return lam.bilateral_1psi1_lhs(self.spec, order)
-
-    def hint(self):
-        return _FR(0)
-
-
-@dataclass(frozen=True)
-class Psi11Rhs(Node):
-    spec: lam.BilateralSpec
-
-    def evaluate(self, order):
-        return lam.bilateral_1psi1_rhs(self.spec, order)
-
-    def hint(self):
-        return _FR(0)
+        return PRIMITIVES[self.name].hint(self.arg)
 
 
 # -- composites ----------------------------------------------------------

@@ -77,6 +77,18 @@ class LambertSpec:
         if self.weight == "legendre" and not _is_odd_prime(self.legendre_p):
             raise ValueError("legendre weight needs an odd prime modulus")
 
+    def leading_exponent(self) -> int:
+        """a_min * m for the least m of the class with a nonzero weight.
+
+        Exact unless the numerators with exponent a_min cancel.  A Legendre
+        weight vanishes only at multiples of p; if the first m is one, the
+        next is not, unless p divides the modulus and the whole sum is 0.
+        """
+        m = self.residue or self.modulus
+        if self.weight == "legendre" and m % self.legendre_p == 0:
+            m += self.modulus
+        return min(a for _, a in self.numerators) * m
+
 
 def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
     """Expand the congruence-restricted Lambert sum below `order`.

@@ -26,6 +26,9 @@ from .field import ONE, ZERO, AlgebraicNumber
 # dense convolution also bails out when the common grid is too long.
 _SPARSE_CUTOFF = 8
 _DENSE_SLOT_CAP = 500_000
+# No dense coefficient array built from an order and an exponent grid
+# (block expansions, inverse and root recurrences) may be longer than this.
+MAX_DENSE_SLOTS = 1_000_000
 
 
 class InsufficientPrecisionError(Exception):
@@ -34,6 +37,22 @@ class InsufficientPrecisionError(Exception):
 
 class LeadingCoefficientError(ValueError):
     """Root extraction requires a leading coefficient of exactly 1."""
+
+
+class SlotBudgetError(ValueError):
+    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS`."""
+
+
+def dense_slots(span) -> int:
+    """ceil(span) slots, checked against the budget before any allocation."""
+    n = math.ceil(span)
+    if n > MAX_DENSE_SLOTS:
+        raise SlotBudgetError(
+            f"expansion needs {n} dense coefficient slots, more than the "
+            f"limit of {MAX_DENSE_SLOTS}; lower the order or the exponent "
+            "denominators"
+        )
+    return n
 
 
 class Mismatch(NamedTuple):
@@ -288,7 +307,7 @@ class PuiseuxSeries:
             q = (e - m).denominator
             den = den * q // math.gcd(den, q)
         span = (self.trunc - m) * den
-        nout = max(math.ceil(span), 1)
+        nout = max(dense_slots(span), 1)
         inv0 = c0.inverse()
         nonzero = []
         for e, c in sorted(self.terms.items()):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -131,6 +132,21 @@ class TestDumpCommand:
         result = runner.invoke(main, ["dump", "nope(", "--order", "4"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dump", "poch(-,1/1000000000,1)", "--order", "1"],
+            ["dump", "qq", "--order", "1000000000"],
+            ["verify", "prodK", "--order", "1000000000"],
+        ],
+    )
+    def test_oversized_expansion_exit_2_quickly(self, runner, args):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "dense coefficient slots" in result.output
+        assert time.perf_counter() - t0 < 5
+
 
 class TestCFCommand:
     def test_h_table(self, runner):
@@ -150,6 +166,13 @@ class TestCFCommand:
 
 
 class TestParseCommand:
+    def test_oversized_expansion_exit_2(self, runner, tmp_path):
+        path = tmp_path / "huge.qid"
+        path.write_text("G1(1/1000000000) == G1(1/1000000000)\n")
+        result = runner.invoke(main, ["parse", str(path), "--order", "2"])
+        assert result.exit_code == 2
+        assert "dense coefficient slots" in result.output
+
     def test_verifies_user_file(self, runner, tmp_path):
         path = tmp_path / "user.qid"
         path.write_text(

@@ -1,13 +1,16 @@
 """DSL grammar, error reporting, and render round-trips."""
 
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
 from qident.blocks import PochSpec, ThetaSpec
 from qident.catalog import catalog
+import qident.dsl
 from qident.dsl import (
     ParseError,
+    atom_table,
     parse_expression,
     parse_identity,
     parse_identity_file,
@@ -15,8 +18,8 @@ from qident.dsl import (
     render_identity,
 )
 from qident.expr import (
-    BTable, CFracH, CFracI, Const, Div, Eta, Gamma, Lambert, Mul, Phi, Poch,
-    Pow, Psi, Psi11Lhs, Psi11Rhs, QPow, Root, Sub, Subst, Theta, Theta1N,
+    PRIMITIVES, Const, Div, Mul, Pow, Prim, QPow, Root, Sub, Subst,
+    evaluate_to_order,
 )
 from qident.field import AlgebraicNumber as A
 from qident.lambert import BilateralSpec, LambertSpec
@@ -27,56 +30,58 @@ class TestGrammar:
         lhs, rhs = parse_identity(
             "eta(8)/eta(2) * q^(-1/4) == poch(-,8,8)/poch(-,2,2)"
         )
-        assert lhs == Mul(Div(Eta(F(8)), Eta(F(2))), QPow(F(-1, 4)))
-        assert rhs == Div(Poch(PochSpec(-1, 8, 8)), Poch(PochSpec(-1, 2, 2)))
+        assert lhs == Mul(Div(Prim("eta", F(8)), Prim("eta", F(2))), QPow(F(-1, 4)))
+        assert rhs == Div(
+            Prim("poch", PochSpec(-1, 8, 8)), Prim("poch", PochSpec(-1, 2, 2))
+        )
 
     def test_root_atom(self):
-        assert parse_expression("root(I(1),4)") == Root(CFracI(F(1)), 4)
+        assert parse_expression("root(I(1),4)") == Root(Prim("I", F(1)), 4)
 
     def test_power_lowering(self):
-        assert parse_expression("G1(1)^(2)") == Pow(Gamma(1, F(1)), 2)
-        assert parse_expression("H(1)^(1/2)") == Root(CFracH(F(1)), 2)
-        assert parse_expression("eta(2)^(3/4)") == Pow(Root(Eta(F(2)), 4), 3)
-        assert parse_expression("eta(2)^(-3/4)") == Pow(Root(Eta(F(2)), 4), -3)
+        assert parse_expression("G1(1)^(2)") == Pow(Prim("G1", F(1)), 2)
+        assert parse_expression("H(1)^(1/2)") == Root(Prim("H", F(1)), 2)
+        assert parse_expression("eta(2)^(3/4)") == Pow(Root(Prim("eta", F(2)), 4), 3)
+        assert parse_expression("eta(2)^(-3/4)") == Pow(Root(Prim("eta", F(2)), 4), -3)
 
     def test_theta_arguments(self):
         node = parse_expression("f(-q^2,-q^14)")
-        assert node == Theta(ThetaSpec(-1, -1, 2, 14))
-        assert parse_expression("fsum(+q^1/2,-q^7/2)") == Theta(
-            ThetaSpec(1, -1, F(1, 2), F(7, 2)), use_sum=True
+        assert node == Prim("f", ThetaSpec(-1, -1, 2, 14))
+        assert parse_expression("fsum(+q^1/2,-q^7/2)") == Prim(
+            "fsum", ThetaSpec(1, -1, F(1, 2), F(7, 2))
         )
         # parenthesized exponents tolerated
-        assert parse_expression("f(-q^(2),-q^(14))") == Theta(
-            ThetaSpec(-1, -1, 2, 14)
+        assert parse_expression("f(-q^(2),-q^(14))") == Prim(
+            "f", ThetaSpec(-1, -1, 2, 14)
         )
 
     def test_substitution_atoms(self):
-        assert parse_expression("phi(2)") == Phi(F(2))
-        assert parse_expression("psi(1/2)") == Psi(F(1, 2))
-        assert parse_expression("H(2)") == CFracH(F(2))
-        assert parse_expression("G3(1/2)") == Gamma(3, F(1, 2))
-        assert parse_expression("T1N(2)") == Theta1N(2)
-        assert parse_expression("btable(3)") == BTable(3)
-        assert parse_expression("subst(G1(1),1/2)") == Subst(Gamma(1, F(1)), F(1, 2))
+        assert parse_expression("phi(2)") == Prim("phi", F(2))
+        assert parse_expression("psi(1/2)") == Prim("psi", F(1, 2))
+        assert parse_expression("H(2)") == Prim("H", F(2))
+        assert parse_expression("G3(1/2)") == Prim("G3", F(1, 2))
+        assert parse_expression("T1N(2)") == Prim("T1N", 2)
+        assert parse_expression("btable(3)") == Prim("btable", 3)
+        assert parse_expression("subst(G1(1),1/2)") == Subst(Prim("G1", F(1)), F(1, 2))
 
     def test_lambert_atoms(self):
         node = parse_expression("lambert(2,1,+1+3-5-7,8)")
-        assert node == Lambert(
-            LambertSpec(2, 1, ((1, 1), (1, 3), (-1, 5), (-1, 7)), 8)
+        assert node == Prim(
+            "lambert", LambertSpec(2, 1, ((1, 1), (1, 3), (-1, 5), (-1, 7)), 8)
         )
-        assert parse_expression("lambert(1,0,+1,8,m)") == Lambert(
-            LambertSpec(1, 0, ((1, 1),), 8, "linear")
+        assert parse_expression("lambert(1,0,+1,8,m)") == Prim(
+            "lambert", LambertSpec(1, 0, ((1, 1),), 8, "linear")
         )
-        assert parse_expression("lambert(1,0,+1,8,legendre(3))") == Lambert(
-            LambertSpec(1, 0, ((1, 1),), 8, "legendre", 3)
+        assert parse_expression("lambert(1,0,+1,8,legendre(3))") == Prim(
+            "lambert", LambertSpec(1, 0, ((1, 1),), 8, "legendre", 3)
         )
 
     def test_psi11_atoms(self):
-        assert parse_expression("psi11lhs(16,8,2)") == Psi11Lhs(
-            BilateralSpec(16, 8, 2)
+        assert parse_expression("psi11lhs(16,8,2)") == Prim(
+            "psi11lhs", BilateralSpec(16, 8, 2)
         )
-        assert parse_expression("psi11rhs(16,8,6)") == Psi11Rhs(
-            BilateralSpec(16, 8, 6)
+        assert parse_expression("psi11rhs(16,8,6)") == Prim(
+            "psi11rhs", BilateralSpec(16, 8, 6)
         )
 
     def test_constant_folding(self):
@@ -88,12 +93,12 @@ class TestGrammar:
         assert parse_expression("sqrt2^(2)") == Const(A(2))
 
     def test_division_not_confused_with_fraction_bar(self):
-        assert parse_expression("1/H(1)") == Div(Const(A(1)), CFracH(F(1)))
+        assert parse_expression("1/H(1)") == Div(Const(A(1)), Prim("H", F(1)))
         assert parse_expression("1/2") == Const(A(F(1, 2)))
 
     def test_associativity_shape(self):
         node = parse_expression("G1(1) - G3(1) - G2(1)")
-        assert node == Sub(Sub(Gamma(1, F(1)), Gamma(3, F(1))), Gamma(2, F(1)))
+        assert node == Sub(Sub(Prim("G1", F(1)), Prim("G3", F(1))), Prim("G2", F(1)))
 
     def test_whitespace_and_comments(self):
         a = parse_identity("T1N(1)==poch(-,1,1)*G1(1)")
@@ -183,8 +188,40 @@ class TestRoundTrip:
             "f(-q^1/2,-q^7/2)",
             "2 - (3 - G1(1))",
             "G1(1)/(G2(1)/G3(1))",
+            "root(G1(1),4)^(2)",
+            "root(G1(1),4)^(4)",
+            "G1(1)*3/(4)",
+            "G1(1)/3/(4)",
         ],
     )
     def test_assorted_expressions(self, text):
         node = parse_expression(text)
         assert parse_expression(render(node)) == node
+
+
+# one argument text per argument kind of the primitive registry
+ARG_SAMPLES = {
+    "r": "1/2",
+    "k": "2",
+    "poch": "-,1/2,3/2",
+    "theta": "-q^1/2,+q^3/2",
+    "lambert": "4,1,+1-3,8,m",
+    "bilateral": "16,8,2",
+}
+
+
+class TestPrimitives:
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_parse_render_evaluate_hint(self, name):
+        node = parse_expression(f"{name}({ARG_SAMPLES[PRIMITIVES[name].kind]})")
+        assert isinstance(node, Prim) and node.name == name
+        assert parse_expression(render(node)) == node
+        series = evaluate_to_order(node, 8)
+        assert series.trunc >= 8
+        if series:
+            assert node.hint() == series.leading()[0]
+
+    def test_atom_table_is_documented(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        assert atom_table() in qident.dsl.__doc__
+        assert atom_table() in readme.read_text(encoding="utf-8")

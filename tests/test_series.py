@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
+from qident.blocks import PochSpec, gamma_k, pochhammer
 from qident.series import (
+    MAX_DENSE_SLOTS,
     InsufficientPrecisionError,
     LeadingCoefficientError,
     PuiseuxSeries as P,
+    SlotBudgetError,
 )
 
 
@@ -140,6 +143,24 @@ class TestInverse:
         order = s.trunc
         prod = s * s.inverse()
         assert prod.first_mismatch(P.one(order), order) is None
+
+
+class TestSlotBudget:
+    """Dense arrays sized by an order and an exponent grid are capped."""
+
+    def test_block_expansions(self):
+        assert issubclass(SlotBudgetError, ValueError)
+        with pytest.raises(SlotBudgetError):
+            pochhammer(PochSpec(-1, F(1, 10**9), 1), 1)
+        with pytest.raises(SlotBudgetError):
+            gamma_k(1, MAX_DENSE_SLOTS + 1)
+
+    def test_inverse_and_root(self):
+        s = P({0: 1, F(1, 10**7): 1}, 1)
+        with pytest.raises(SlotBudgetError):
+            s.inverse()
+        with pytest.raises(SlotBudgetError):
+            s.nth_root(2)
 
 
 class TestNthRoot:
