@@ -114,7 +114,8 @@ PRIMITIVES: dict[str, Primitive] = {
     "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
                      "`theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))`"),
     "btable": Primitive("k", lambda k, o: _polynomial(blocks.b_table_series(k, 32), o),
-                        "difference-table polynomial `sum_{j<32} B_k(j) q^j`"),
+                        "difference-table polynomial `sum_{j<32} B_k(j) q^j`",
+                        lambda k: _FR(1 if k == 1 else 0)),  # B_1(0) = 0
     "lambert": Primitive(
         "lambert", lambda s, o: lam.lambert_sum(s, o),
         "`sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1,"

@@ -9,11 +9,12 @@ infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import PochSpec, pochhammer
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, dense_slots
 
 _FR = Fraction
 
@@ -98,6 +99,7 @@ def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
     q^{a_i m} + q^{a_i m + b m} + ...
     """
     order = _fr(order)
+    dense_slots(order)  # one dict entry per integer exponent below order
     a_min = min(a for _, a in spec.numerators)
     acc: dict[int, int] = {}
     m = spec.residue if spec.residue >= 1 else spec.modulus
@@ -170,6 +172,9 @@ def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     direction stops at the first empty term.
     """
     order = _fr(order)
+    den = math.lcm(spec.base.denominator, spec.x_exp.denominator,
+                   spec.z_exp.denominator)
+    dense_slots(order * den)  # one term per grid exponent below order
     out = PuiseuxSeries.zero(order)
     j = 0
     while True:

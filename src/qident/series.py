@@ -22,9 +22,8 @@ from typing import NamedTuple, Optional
 from . import backend
 from .field import ONE, ZERO, AlgebraicNumber
 
-# Below this many terms on either side, multiplication stays sparse;
-# dense convolution also bails out when the common grid is too long.
-_SPARSE_CUTOFF = 8
+# Products convolve on the common 1/lcm exponent grid; past this many grid
+# slots (widely differing exponent denominators) they multiply term by term.
 _DENSE_SLOT_CAP = 500_000
 # No dense coefficient array built from an order and an exponent grid
 # (block expansions, inverse and root recurrences) may be longer than this.
@@ -193,14 +192,13 @@ class PuiseuxSeries:
         trunc = min(self.trunc + m2, other.trunc + m1)
         if not self.terms or not other.terms:
             return PuiseuxSeries.zero(trunc)
-        if min(len(self.terms), len(other.terms)) <= _SPARSE_CUTOFF:
-            return self._mul_sparse(other, trunc)
         dense = self._mul_dense(other, trunc)
         return dense if dense is not None else self._mul_sparse(other, trunc)
 
     __rmul__ = __mul__
 
     def _mul_sparse(self, other, trunc):
+        """Term-by-term product: the fallback past the dense slot cap."""
         small, large = self, other
         if len(small.terms) > len(large.terms):
             small, large = large, small

@@ -138,6 +138,8 @@ class TestDumpCommand:
             ["dump", "poch(-,1/1000000000,1)", "--order", "1"],
             ["dump", "qq", "--order", "1000000000"],
             ["verify", "prodK", "--order", "1000000000"],
+            ["dump", "lambert(1,0,+1,1)", "--order", "100000000"],
+            ["dump", "psi11lhs(16,8,2)", "--order", "100000000"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):

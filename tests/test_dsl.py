@@ -199,27 +199,28 @@ class TestRoundTrip:
         assert parse_expression(render(node)) == node
 
 
-# one argument text per argument kind of the primitive registry
+# argument texts for each argument kind of the primitive registry
 ARG_SAMPLES = {
-    "r": "1/2",
-    "k": "2",
-    "poch": "-,1/2,3/2",
-    "theta": "-q^1/2,+q^3/2",
-    "lambert": "4,1,+1-3,8,m",
-    "bilateral": "16,8,2",
+    "r": ("1/2", "3"),
+    "k": ("1", "2", "3"),
+    "poch": ("-,1/2,3/2", "+,1,2"),
+    "theta": ("-q^1/2,+q^3/2", "+q^1,+q^3"),
+    "lambert": ("4,1,+1-3,8,m", "5,2,+1,1,legendre(5)"),
+    "bilateral": ("16,8,2", "5,1,3"),
 }
 
 
 class TestPrimitives:
     @pytest.mark.parametrize("name", PRIMITIVES)
     def test_parse_render_evaluate_hint(self, name):
-        node = parse_expression(f"{name}({ARG_SAMPLES[PRIMITIVES[name].kind]})")
-        assert isinstance(node, Prim) and node.name == name
-        assert parse_expression(render(node)) == node
-        series = evaluate_to_order(node, 8)
-        assert series.trunc >= 8
-        if series:
-            assert node.hint() == series.leading()[0]
+        for arg in ARG_SAMPLES[PRIMITIVES[name].kind]:
+            node = parse_expression(f"{name}({arg})")
+            assert isinstance(node, Prim) and node.name == name
+            assert parse_expression(render(node)) == node
+            series = evaluate_to_order(node, 8)
+            assert series.trunc >= 8
+            if series:
+                assert node.hint() == series.leading()[0], arg
 
     def test_atom_table_is_documented(self):
         readme = pathlib.Path(__file__).parents[1] / "README.md"

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import PochSpec, gamma_k, pochhammer
@@ -109,12 +109,22 @@ class TestMul:
         b = P({3: 1}, 7)
         assert (a * b).trunc == min(10 + 3, 7 + 2)
 
-    def test_dense_and_sparse_paths_agree(self):
-        a = P({n: (n % 3) - 1 for n in range(30)}, 30)
-        b = P({F(n, 2): A(1, n % 2) for n in range(25)}, 20)
-        sparse = a._mul_sparse(b, F(45, 2))
-        dense = a._mul_dense(b, F(45, 2))
-        assert sparse == dense
+    @example(P({n: (n % 3) - 1 for n in range(30)}, 30),
+             P({F(n, 2): A(1, n % 2) for n in range(25)}, 20))
+    @given(series(min_trunc=0), series(min_trunc=0))
+    def test_dense_and_sparse_paths_agree(self, a, b):
+        product = a * b
+        assert product == a._mul_sparse(b, product.trunc)
+
+    def test_grid_past_the_slot_cap_multiplies_term_by_term(self):
+        a = P({0: 1, F(1, 999983): 1}, 1)
+        b = P({0: 1, F(1, 1000003): 1}, 1)
+        assert a._mul_dense(b, 1) is None
+        assert a * b == P(
+            {0: 1, F(1, 999983): 1, F(1, 1000003): 1,
+             F(1, 999983) + F(1, 1000003): 1},
+            1,
+        )
 
 
 class TestInverse:
