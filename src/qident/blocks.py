@@ -105,7 +105,14 @@ def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
     den = (spec.offset.denominator * spec.step.denominator) // math.gcd(
         spec.offset.denominator, spec.step.denominator
     )
-    n = dense_slots(order * den)
+    first, step = int(spec.offset * den), int(spec.step * den)
+
+    # factor j, at slot offset first + j*step < n, visits n - offset slots
+    def steps(n):
+        factors = max(0, -(-(n - first) // step))
+        return factors * (n - first) - step * factors * (factors - 1) // 2
+
+    n = dense_slots(order * den, steps)
     coeffs = [0] * n
     coeffs[0] = 1
     sign = spec.sign
@@ -220,7 +227,13 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
         return PuiseuxSeries.zero(order)
     s = int(BETA[k].irr)  # beta_k = s*sqrt2 with s in {-1, 0, 1}
     den = r.denominator
-    n = dense_slots(order * den)
+
+    # factor m, at slot offset m*r*den < n, visits n - offset slots
+    def steps(n):
+        factors = (n - 1) // r.numerator
+        return factors * n - r.numerator * factors * (factors + 1) // 2
+
+    n = dense_slots(order * den, steps)
     rp = [0] * n
     ip = [0] * n
     rp[0] = 1

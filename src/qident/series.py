@@ -26,8 +26,11 @@ from .field import ONE, ZERO, AlgebraicNumber
 # slots (widely differing exponent denominators) they multiply term by term.
 _DENSE_SLOT_CAP = 500_000
 # No dense coefficient array built from an order and an exponent grid
-# (block expansions, inverse and root recurrences) may be longer than this.
+# (block expansions, inverse and root recurrences) may be longer than this,
 MAX_DENSE_SLOTS = 1_000_000
+# nor may the loop that fills it take more inner steps (slot updates): the
+# slot cap bounds memory, this bounds time.
+MAX_SLOT_STEPS = 20_000_000
 
 
 class InsufficientPrecisionError(Exception):
@@ -39,17 +42,29 @@ class LeadingCoefficientError(ValueError):
 
 
 class SlotBudgetError(ValueError):
-    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS`."""
+    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS`, or
+    filling it would take more than :data:`MAX_SLOT_STEPS` steps."""
 
 
-def dense_slots(span) -> int:
-    """ceil(span) slots, checked against the budget before any allocation."""
+def dense_slots(span, steps=None) -> int:
+    """ceil(span) slots, checked against the budgets before any allocation.
+
+    `steps`, if given, maps the slot count to the number of inner-loop
+    steps that fill the array, which must not exceed MAX_SLOT_STEPS.
+    """
     n = math.ceil(span)
     if n > MAX_DENSE_SLOTS:
         raise SlotBudgetError(
             f"expansion needs {n} dense coefficient slots, more than the "
             f"limit of {MAX_DENSE_SLOTS}; lower the order or the exponent "
             "denominators"
+        )
+    work = steps(n) if steps is not None else 0
+    if work > MAX_SLOT_STEPS:
+        raise SlotBudgetError(
+            f"expansion needs {work} steps over its {n} dense coefficient "
+            f"slots, more than the limit of {MAX_SLOT_STEPS}; lower the "
+            "order or the exponent denominators"
         )
     return n
 
@@ -291,28 +306,69 @@ class PuiseuxSeries:
 
     # -- inversion and roots ----------------------------------------------
 
-    def _unit_dense(self):
-        """Leading-term data plus dense unit-part coefficients.
+    def _unit_dense(self, extra=1):
+        """Leading-term data plus the unit part as scaled Z[sqrt2] pairs.
 
-        Writes the series as c0 * q**m * u with u = 1 + ..., and returns
-        (m, c0, den, nonzero unit terms, slot count) where u's exponents
-        live on the 1/den grid and `nonzero` maps slot -> coefficient.
+        Writes the series as c0 * q**m * u with u = 1 + sum u_j t**j on the
+        grid t = q**(1/den), and picks an integer L with den(u_j) | L**j for
+        every j (den of a Q(sqrt2) value: the lcm of its two parts'
+        denominators).  Each small prime p of D = lcm_j den(u_j) enters L as
+        p**ceil(max_j v_p(den u_j) / j); the part of D free of the primes
+        tried enters once, which is enough because every den(u_j) divides D.
+        (L = D would do too, but D**j outgrows the coefficients by far.)
+
+        Returns (m, den, nout, scale, units, inv) with scale = L * extra,
+        units the tuples (j, r, i, 2*i) with r + i*sqrt2 = u_j * scale**j
+        for the nonzero u_j, 0 < j < nout, ascending in j, and inv = (x, y,
+        w) with 1/c0 = (x + y*sqrt2) / w.
         """
         m = self._least()
         c0 = self.terms[m]
         den = 1
         for e in self.terms:
-            q = (e - m).denominator
-            den = den * q // math.gcd(den, q)
-        span = (self.trunc - m) * den
-        nout = max(dense_slots(span), 1)
-        inv0 = c0.inverse()
-        nonzero = []
-        for e, c in sorted(self.terms.items()):
-            off = int((e - m) * den)
-            if 0 < off < nout:
-                nonzero.append((off, c * inv0))
-        return m, c0, den, nonzero, nout
+            den = math.lcm(den, (e - m).denominator)
+        offs = [int((e - m) * den) for e in self.terms]
+        nout = max(dense_slots(
+            (self.trunc - m) * den,
+            steps=lambda n: sum(n - j for j in offs if 0 < j < n),
+        ), 1)
+        norm = c0.rat * c0.rat - 2 * c0.irr * c0.irr
+        x, y = c0.rat / norm, -c0.irr / norm
+        fracs = []
+        lcm_den = 1
+        for e, c in self.terms.items():
+            j = int((e - m) * den)
+            if 0 < j < nout:
+                ur = c.rat * x + 2 * c.irr * y
+                ui = c.rat * y + c.irr * x
+                d = math.lcm(ur.denominator, ui.denominator)
+                fracs.append((j, ur.numerator * (d // ur.denominator),
+                              ui.numerator * (d // ui.denominator), d))
+                lcm_den = math.lcm(lcm_den, d)
+        fracs.sort()
+        scale = extra
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            if lcm_den % p:
+                continue
+            while lcm_den % p == 0:
+                lcm_den //= p
+            need = 0
+            for j, _, _, d in fracs:
+                v = 0
+                while d % p == 0:
+                    d //= p
+                    v += 1
+                need = max(need, -(-v // j))
+            scale *= p**need
+        scale *= lcm_den  # the cofactor free of the trial primes
+        units = []
+        for j, r, i, d in fracs:
+            f = scale**j // d
+            units.append((j, r * f, i * f, 2 * i * f))
+        w = math.lcm(x.denominator, y.denominator)
+        inv = (x.numerator * (w // x.denominator),
+               y.numerator * (w // y.denominator), w)
+        return m, den, nout, scale, units, inv
 
     def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse up to the available truncation.
@@ -320,25 +376,40 @@ class PuiseuxSeries:
         With leading term c*q^m and bound t, the result has leading term
         (1/c)*q^-m and bound t - 2m (the standard recursive coefficient
         formula consumes one copy of the unit part's precision).
+
+        The recurrence v_k = -sum_j u_j v_{k-j} for 1/u runs on integer
+        pairs.  With the scale L of :meth:`_unit_dense`, U_j = u_j L**j is
+        in Z[sqrt2], and V_k = v_k L**k satisfies V_k = -sum_j U_j V_{k-j};
+        by induction from V_0 = 1 every V_k is in Z[sqrt2].  Each v_k =
+        V_k / L**k (times 1/c) becomes a field element once, at the end.
         """
         if not self.terms:
             raise ZeroDivisionError("inverse of the zero series")
-        m, c0, den, nonzero, nout = self._unit_dense()
-        v = [ZERO] * nout
-        v[0] = ONE
+        m, den, nout, scale, units, inv = self._unit_dense()
+        vr = [0] * nout
+        vi = [0] * nout
+        vr[0] = 1
+        live = 0
         for k in range(1, nout):
-            acc = ZERO
-            for off, u in nonzero:
-                if off > k:
-                    break
-                acc = acc + u * v[k - off]
-            if acc:
-                v[k] = -acc
-        inv0 = c0.inverse()
+            while live < len(units) and units[live][0] <= k:
+                live += 1
+            r = i = 0
+            for j, ur, ui, ui2 in units[:live]:
+                a = vr[k - j]
+                b = vi[k - j]
+                r += ur * a + ui2 * b
+                i += ur * b + ui * a
+            vr[k] = -r
+            vi[k] = -i
+        x, y, d = inv
         out = {}
         for k in range(nout):
-            if v[k]:
-                out[Fraction(k, den) - m] = v[k] * inv0
+            r, i = vr[k], vi[k]
+            if r or i:
+                out[Fraction(k, den) - m] = AlgebraicNumber(
+                    Fraction(r * x + 2 * i * y, d), Fraction(r * y + i * x, d)
+                )
+            d *= scale
         return PuiseuxSeries(out, self.trunc - 2 * m)
 
     def __truediv__(self, other):
@@ -351,9 +422,21 @@ class PuiseuxSeries:
     def nth_root(self, n: int) -> "PuiseuxSeries":
         """n-th root of a series with leading coefficient exactly 1.
 
-        Coefficients come from the power recurrence for u**(1/n) on the
-        normalized unit part (k*p_k = sum ((1/n+1)j - k) u_j p_{k-j});
+        Coefficients come from the power recurrence for p = u**(1/n) on the
+        normalized unit part, n*k*p_k = sum_j ((n+1)j - n*k) u_j p_{k-j};
         the leading exponent m becomes m/n.
+
+        The recurrence runs on integer pairs.  With the scale L of
+        :meth:`_unit_dense` and U_j = u_j (L n**2)**j in Z[sqrt2], the values
+        P_k = p_k (L n**2)**k satisfy
+        n*k*P_k = sum_j ((n+1)j - n*k) U_j P_{k-j}.  They lie in Z[sqrt2]:
+        p_k = sum_i binom(1/n, i) [t**k](u - 1)**i over i <= k, each product
+        of i unit coefficients u_{j_1}...u_{j_i} with j_1 + ... + j_i = k
+        times L**k is a product of U's, and n**(2k) binom(1/n, i) =
+        n**(2(k-i)) * n**(2i) binom(1/n, i) is an integer (for p not
+        dividing n the numerator prod_{l<i} (1 - l*n) holds every p of i!;
+        for p | n, v_p(i!) < i).  So the division by n*k is exact, and a
+        remainder raises ArithmeticError.
         """
         if n < 1:
             raise ValueError("root index must be a positive integer")
@@ -365,23 +448,39 @@ class PuiseuxSeries:
             )
         if n == 1:
             return self
-        m, _, den, nonzero, nout = self._unit_dense()
-        alpha = Fraction(1, n)
-        p = [ZERO] * nout
-        p[0] = ONE
+        m, den, nout, scale, units, _ = self._unit_dense(n * n)
+        pr = [0] * nout
+        pi = [0] * nout
+        pr[0] = 1
+        n1 = n + 1
+        live = 0
         for k in range(1, nout):
-            acc = ZERO
-            for off, u in nonzero:
-                if off > k:
-                    break
-                acc = acc + ((alpha + 1) * off - k) * u * p[k - off]
-            if acc:
-                p[k] = acc * Fraction(1, k)
+            while live < len(units) and units[live][0] <= k:
+                live += 1
+            r = i = 0
+            nk = n * k
+            for j, ur, ui, ui2 in units[:live]:
+                c = n1 * j - nk
+                a = pr[k - j]
+                b = pi[k - j]
+                r += c * (ur * a + ui2 * b)
+                i += c * (ur * b + ui * a)
+            pr[k], rem_r = divmod(r, nk)
+            pi[k], rem_i = divmod(i, nk)
+            if rem_r or rem_i:
+                raise ArithmeticError(
+                    f"root recurrence: slot {k} is not divisible by {nk}"
+                )
         shift = m / n
         out = {}
+        d = 1
         for k in range(nout):
-            if p[k]:
-                out[Fraction(k, den) + shift] = p[k]
+            r, i = pr[k], pi[k]
+            if r or i:
+                out[Fraction(k, den) + shift] = AlgebraicNumber(
+                    Fraction(r, d), Fraction(i, d)
+                )
+            d *= scale
         return PuiseuxSeries(out, (self.trunc - m) + shift)
 
     # -- substitution and comparison ----------------------------------------

@@ -140,6 +140,9 @@ class TestDumpCommand:
             ["verify", "prodK", "--order", "1000000000"],
             ["dump", "lambert(1,0,+1,1)", "--order", "100000000"],
             ["dump", "psi11lhs(16,8,2)", "--order", "100000000"],
+            ["dump", "qq", "--order", "20000"],
+            ["dump", "1/phi(1/1000)", "--order", "500"],
+            ["dump", "root(phi(1/1000),2)", "--order", "500"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):

@@ -1,14 +1,17 @@
 """Puiseux series arithmetic: truncation bookkeeping and exactness."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qident import series as series_mod
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import PochSpec, gamma_k, pochhammer
 from qident.series import (
     MAX_DENSE_SLOTS,
+    MAX_SLOT_STEPS,
     InsufficientPrecisionError,
     LeadingCoefficientError,
     PuiseuxSeries as P,
@@ -37,6 +40,60 @@ def partition_counts(n_max):
     return counts
 
 
+def _oracle_unit_part(s):
+    """(m, c0, den, [(slot, u_j)], slot count) with s = c0 q^m (1 + ...)."""
+    m = min(s.terms)
+    c0 = s.terms[m]
+    den = 1
+    for e in s.terms:
+        den = math.lcm(den, (e - m).denominator)
+    nout = max(math.ceil((s.trunc - m) * den), 1)
+    inv0 = c0.inverse()
+    nonzero = []
+    for e, c in sorted(s.terms.items()):
+        off = int((e - m) * den)
+        if 0 < off < nout:
+            nonzero.append((off, c * inv0))
+    return m, c0, den, nonzero, nout
+
+
+def oracle_inverse(s):
+    """1/s by the recurrence v_k = -sum u_j v_{k-j} on field objects."""
+    m, c0, den, nonzero, nout = _oracle_unit_part(s)
+    v = [ZERO] * nout
+    v[0] = ONE
+    for k in range(1, nout):
+        acc = ZERO
+        for off, u in nonzero:
+            if off > k:
+                break
+            acc = acc + u * v[k - off]
+        if acc:
+            v[k] = -acc
+    inv0 = c0.inverse()
+    out = {F(k, den) - m: v[k] * inv0 for k in range(nout) if v[k]}
+    return P(out, s.trunc - 2 * m)
+
+
+def oracle_nth_root(s, n):
+    """s**(1/n) by k p_k = sum ((1/n + 1) j - k) u_j p_{k-j} on field
+    objects."""
+    m, _, den, nonzero, nout = _oracle_unit_part(s)
+    alpha = F(1, n)
+    p = [ZERO] * nout
+    p[0] = ONE
+    for k in range(1, nout):
+        acc = ZERO
+        for off, u in nonzero:
+            if off > k:
+                break
+            acc = acc + ((alpha + 1) * off - k) * u * p[k - off]
+        if acc:
+            p[k] = acc * F(1, k)
+    out = {F(k, den) + m / n: p[k] for k in range(nout) if p[k]}
+    return P(out, (s.trunc - m) + m / n)
+
+
 small_exponents = st.fractions(min_value=F(-2), max_value=F(6), max_denominator=4)
 small_coeffs = st.builds(
     A,
@@ -61,6 +118,29 @@ def series(draw, min_trunc=4):
 def unit_series(draw):
     s = draw(series())
     return P({**{e: c for e, c in s.terms.items() if e > 0}, F(0): ONE}, s.trunc)
+
+
+# Denominators with high powers of small primes, and primes (101, 999983)
+# past any trial-division list, so the integer recurrences need every kind
+# of per-slot scale.
+wide_dens = st.sampled_from(
+    [1, 2, 3, 4, 6, 8, 9, 25, 27, 64, 101, 2**5 * 101, 999983, 3 * 999983]
+)
+wide_rationals = st.builds(F, st.integers(-9, 9), wide_dens)
+wide_coeffs = st.builds(A, wide_rationals, wide_rationals)
+
+
+@st.composite
+def wide_series(draw, unit=False):
+    """Series on a fractional grid q^(1/g) with a possibly non-unit lead."""
+    grid = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    m = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    span = draw(st.integers(1, 24))
+    trunc = m + F(span, grid) + draw(st.sampled_from([0, F(1, 5)]))
+    slots = draw(st.sets(st.integers(1, span + 2), max_size=8))
+    terms = {m + F(j, grid): draw(wide_coeffs) for j in slots}
+    lead = ONE if unit else draw(wide_coeffs.filter(bool))
+    return P({**terms, m: lead}, trunc)
 
 
 class TestMonomial:
@@ -155,6 +235,61 @@ class TestInverse:
         assert prod.first_mismatch(P.one(order), order) is None
 
 
+class TestRecurrencesMatchOracle:
+    """The integer-pair recurrences equal the field-object ones exactly."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.terms == want.terms
+        assert got.trunc == want.trunc
+
+    @example(P({0: A(F(1, 3), F(1, 101)), F(1, 2): A(F(2, 999983)),
+                F(3, 2): A(1, F(1, 2**7))}, 5))
+    @example(gamma_k(3, 12, F(1, 2)).scale(A(F(-2, 9), F(1, 101))))
+    @settings(max_examples=150, deadline=None)
+    @given(wide_series())
+    def test_inverse(self, s):
+        self.assert_same(s.inverse(), oracle_inverse(s))
+
+    @example(P({0: 1, F(1, 3): A(F(1, 999983), 2), 1: A(F(-5, 64))}, 7), 12)
+    @settings(max_examples=150, deadline=None)
+    @given(wide_series(unit=True), st.sampled_from([2, 3, 4, 5, 6, 8, 12]))
+    def test_nth_root(self, s, n):
+        self.assert_same(s.nth_root(n), oracle_nth_root(s, n))
+
+
+class TestRecurrenceHotPath:
+    """inverse and nth_root do O(slots) field arithmetic, not O(slots*nnz)."""
+
+    @pytest.fixture()
+    def field_calls(self, monkeypatch):
+        calls = [0]
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            def counted(*args, _fn=getattr(A, name)):
+                calls[0] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(A, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "op, oracle",
+        [
+            (lambda s: s.inverse(), oracle_inverse),
+            (lambda s: s.nth_root(2), lambda s: oracle_nth_root(s, 2)),
+        ],
+        ids=["inverse", "nth_root"],
+    )
+    def test_field_calls_linear_in_slots(self, field_calls, op, oracle):
+        s = gamma_k(1, 96, F(1, 2))  # unit series, 192 slots, 190 terms
+        slots = 192
+        expected = op(s)
+        assert field_calls[0] <= slots
+        field_calls[0] = 0
+        assert oracle(s) == expected
+        assert field_calls[0] > 20 * slots  # the guard tells the paths apart
+
+
 class TestSlotBudget:
     """Dense arrays sized by an order and an exponent grid are capped."""
 
@@ -171,6 +306,40 @@ class TestSlotBudget:
             s.inverse()
         with pytest.raises(SlotBudgetError):
             s.nth_root(2)
+
+    def test_step_budget(self):
+        # far below the slot cap, but slots x factors (or slots x terms)
+        # inner steps is more than MAX_SLOT_STEPS
+        with pytest.raises(SlotBudgetError, match="steps"):
+            pochhammer(PochSpec(-1, 1, 1), 20000)
+        with pytest.raises(SlotBudgetError, match="steps"):
+            gamma_k(2, 20000)
+        s = P({F(j * j, 1000): 1 for j in range(100)}, 500)
+        assert sum(500_000 - j * j for j in range(1, 100)) > MAX_SLOT_STEPS
+        with pytest.raises(SlotBudgetError, match="steps"):
+            s.inverse()
+        with pytest.raises(SlotBudgetError, match="steps"):
+            s.nth_root(2)
+
+    @pytest.mark.parametrize(
+        "expand, steps",
+        [
+            # factors at slots 1..9 of 10 visit 9 + 8 + ... + 1 slots
+            (lambda: pochhammer(PochSpec(-1, 1, 1), 10), 45),
+            (lambda: gamma_k(1, 10), 45),
+            # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
+            (lambda: pochhammer(PochSpec(1, F(3, 2), 1), 4), 9),
+            # unit terms at slots 1 and 3 of 10 enter 9 + 7 recurrence steps
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
+        ],
+    )
+    def test_step_count_is_exact(self, monkeypatch, expand, steps):
+        monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", steps)
+        expand()
+        monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", steps - 1)
+        with pytest.raises(SlotBudgetError):
+            expand()
 
 
 class TestNthRoot:
