@@ -192,8 +192,8 @@ def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
 def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
     """Realize prod eta(m tau)^p as q^{sum p*m/24} times Pochhammer powers.
 
-    Fractional powers act on the unit series (q^m;q^m)_inf, whose leading
-    coefficient is 1, via nth_root followed by an integer power.
+    Each rational power p acts on the unit series (q^m;q^m)_inf, whose
+    leading coefficient is 1.
     """
     order = _fr(order)
     lead = eq.leading_exponent()
@@ -202,10 +202,7 @@ def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
         return PuiseuxSeries.zero(order)
     out = PuiseuxSeries.one(unit_order)
     for m, p in eq.factors:
-        base = pochhammer(PochSpec(-1, m, m), unit_order)
-        if p.denominator != 1:
-            base = base.nth_root(p.denominator)
-        out = out * base ** p.numerator
+        out = out * pochhammer(PochSpec(-1, m, m), unit_order) ** p
     return out.shift(lead)
 
 

@@ -43,13 +43,12 @@ an expression reproduces it node for node.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .blocks import PochSpec, ThetaSpec
 from .expr import (
-    PRIMITIVES, Add, Const, Div, Mul, Node, Pow, Prim, QPow, Root, Sub, Subst,
+    PRIMITIVES, Add, Const, Div, Mul, Node, Pow, Prim, QPow, Sub, Subst,
 )
 from .field import SQRT2, AlgebraicNumber
 from .lambert import BilateralSpec, LambertSpec
@@ -195,20 +194,17 @@ class Parser:
 
     def _factor(self) -> Node:
         node = self._atom()
-        if self._at("^"):
-            self._next()
-            self._expect("(")
-            r = self._rational()
-            self._expect(")")
-            if r.denominator != 1:
-                node = Root(node, r.denominator)
-            p = r.numerator
-            if p != 1:
-                if isinstance(node, Const):
-                    node = Const(node.value ** p)
-                else:
-                    node = Pow(node, p)
-        return node
+        if not self._at("^"):
+            return node
+        tok = self._next()
+        self._expect("(")
+        r = self._rational()
+        self._expect(")")
+        if not isinstance(node, Const) or r.denominator != 1:
+            return node if r == 1 else Pow(node, r)
+        if not node.value and r < 0:
+            self._error("division by zero in constant expression", tok)
+        return Const(node.value ** int(r))
 
     def _atom(self) -> Node:
         tok = self._peek()
@@ -307,7 +303,7 @@ class Parser:
         if n < 1:
             self._error("root index must be >= 1", tok)
         self._expect(")")
-        return base if n == 1 else Root(base, n)
+        return base if n == 1 else Pow(base, _FR(1, n))
 
     def _atom_subst(self, tok):
         self._expect("(")
@@ -486,15 +482,7 @@ def _render_node(node: Node) -> tuple[str, int]:
             right = f"({right})"
         return f"{_render(node.left, _MUL)}/{right}", _MUL
     if isinstance(node, Pow):
-        base = node.base
-        if not isinstance(base, Root):
-            return f"{_render(base, _ATOM)}^({node.n})", _POW
-        if math.gcd(node.n, base.n) == 1:
-            return f"{_render(base.base, _ATOM)}^({_FR(node.n, base.n)})", _POW
-        # a reduced exponent would reparse as a different tree
-        return f"root({render(base.base)},{base.n})^({node.n})", _POW
-    if isinstance(node, Root):
-        return f"{_render(node.base, _ATOM)}^(1/{node.n})", _POW
+        return f"{_render(node.base, _ATOM)}^({node.r})", _POW
     if isinstance(node, QPow):
         return f"q^({node.exponent})", _ATOM
     if isinstance(node, Const):

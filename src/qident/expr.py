@@ -3,11 +3,14 @@
 Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
 requested guarantee order.  Evaluation propagates per-node targets top
 down: multiplicative nodes pad their children by the co-factor's
-structural leading exponent (`hint`), divisions and roots add the extra
-amount their truncation rules consume.  Hints are exact unless a
-subtraction cancels a leading term inside a denominator or root, which
-no built-in identity does; :func:`evaluate_to_order` re-runs with a
-larger target (at most 3 retries) if a result still falls short.
+structural leading exponent (`hint`), divisions add the extra amount
+inversion consumes, and a power ``Pow(base, r)`` of any rational r --
+integer powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike --
+pads its base to ``order + (1 - r) * hint(base)``.  Hints are exact
+unless a subtraction cancels a leading term inside a denominator or a
+power, which no built-in identity does; :func:`evaluate_to_order`
+re-runs with a larger target (at most 3 retries) if a result still falls
+short.
 """
 
 from __future__ import annotations
@@ -204,36 +207,22 @@ class Div(Node):
 
 @dataclass(frozen=True)
 class Pow(Node):
+    """base ** r for a rational r; unless r is an integer the base's
+    leading coefficient must be exactly 1."""
+
     base: Node
-    n: int
+    r: Fraction
 
     def evaluate(self, order):
+        # a power keeps the bound of its base's unit part and moves the
+        # leading exponent from m to r*m, so the base needs order + (1-r)*m
         order = _fr(order)
-        bh = self.base.hint()
-        if self.n == 0:
+        if not self.r:
             return PuiseuxSeries.one(max(order, _FR(1)))
-        if self.n > 0:
-            target = order - (self.n - 1) * bh
-        else:
-            target = order + (-self.n + 1) * bh
-        return self.base.evaluate(target) ** self.n
+        return self.base.evaluate(order + (1 - self.r) * self.base.hint()) ** self.r
 
     def hint(self):
-        return self.n * self.base.hint()
-
-
-@dataclass(frozen=True)
-class Root(Node):
-    base: Node
-    n: int
-
-    def evaluate(self, order):
-        order = _fr(order)
-        bh = self.base.hint()
-        return self.base.evaluate(order + bh - bh / self.n).nth_root(self.n)
-
-    def hint(self):
-        return self.base.hint() / self.n
+        return self.r * self.base.hint()
 
 
 @dataclass(frozen=True)
@@ -250,20 +239,24 @@ class Subst(Node):
         return self.base.hint() * self.r
 
 
-def evaluate_to_order(node: Node, order, max_retries: int = 3) -> PuiseuxSeries:
+_MAX_RETRIES = 3
+
+
+def evaluate_to_order(node: Node, order) -> PuiseuxSeries:
     """Evaluate with automatic padding until trunc >= order.
 
     The first pass usually lands exactly; a hint thrown off by leading
-    cancellation shows up as a short result and triggers a padded retry.
+    cancellation shows up as a short result and triggers a padded retry,
+    at most :data:`_MAX_RETRIES` of them.
     """
     order = _fr(order)
     target = order
-    for _ in range(max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         s = node.evaluate(target)
         if s.trunc >= order:
             return s
         target = target + 2 * (order - s.trunc)
     raise InsufficientPrecisionError(
-        f"could not reach order {order} after {max_retries} padded retries "
+        f"could not reach order {order} after {_MAX_RETRIES} padded retries "
         f"(best truncation {s.trunc})"
     )

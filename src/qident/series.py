@@ -38,7 +38,8 @@ class InsufficientPrecisionError(Exception):
 
 
 class LeadingCoefficientError(ValueError):
-    """Root extraction requires a leading coefficient of exactly 1."""
+    """A power other than a negative integer (a root, say) requires a
+    leading coefficient of exactly 1."""
 
 
 class SlotBudgetError(ValueError):
@@ -287,11 +288,19 @@ class PuiseuxSeries:
                 has_irr = True
         return ra, ia, d, has_irr
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
+    def __pow__(self, r):
+        """self ** r for an int or Fraction r.
+
+        Positive integer powers square repeatedly (each product keeps the
+        term-by-term fallback past the dense slot cap); every other power
+        runs the recurrence of :meth:`_power`, which needs a leading
+        coefficient of exactly 1 when r is not an integer.
+        """
+        if not isinstance(r, (int, Fraction)):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
+        if r.denominator != 1 or r < 0:
+            return self._power(r.numerator, r.denominator)
+        n = int(r)
         if n == 0:
             return PuiseuxSeries.one(self.trunc)
         out = None
@@ -304,9 +313,9 @@ class PuiseuxSeries:
                 base = base * base
         return out
 
-    # -- inversion and roots ----------------------------------------------
+    # -- inversion, roots and rational powers ------------------------------
 
-    def _unit_dense(self, extra=1):
+    def _unit_dense(self, extra):
         """Leading-term data plus the unit part as scaled Z[sqrt2] pairs.
 
         Writes the series as c0 * q**m * u with u = 1 + sum u_j t**j on the
@@ -321,17 +330,19 @@ class PuiseuxSeries:
         units the tuples (j, r, i, 2*i) with r + i*sqrt2 = u_j * scale**j
         for the nonzero u_j, 0 < j < nout, ascending in j, and inv = (x, y,
         w) with 1/c0 = (x + y*sqrt2) / w.
+
+        The recurrence over the nout slots is checked against the budgets
+        before anything is allocated: each of its inner steps counts as
+        ceil(B / 64) steps (at least 1), B = (nout - 1) * log2(scale)
+        bounding the bits of the largest scaled value, so a fine grid with
+        a large scale is refused even when its plain step count is small.
         """
-        m = self._least()
-        c0 = self.terms[m]
+        m, c0 = self.leading()
         den = 1
         for e in self.terms:
             den = math.lcm(den, (e - m).denominator)
-        offs = [int((e - m) * den) for e in self.terms]
-        nout = max(dense_slots(
-            (self.trunc - m) * den,
-            steps=lambda n: sum(n - j for j in offs if 0 < j < n),
-        ), 1)
+        span = (self.trunc - m) * den
+        nout = math.ceil(span)
         norm = c0.rat * c0.rat - 2 * c0.irr * c0.irr
         x, y = c0.rat / norm, -c0.irr / norm
         fracs = []
@@ -361,6 +372,9 @@ class PuiseuxSeries:
                 need = max(need, -(-v // j))
             scale *= p**need
         scale *= lcm_den  # the cofactor free of the trial primes
+        dense_slots(span, steps=lambda n: max(
+            1, math.ceil((n - 1) * math.log2(scale) / 64)
+        ) * sum(n - j for j, *_ in fracs))
         units = []
         for j, r, i, d in fracs:
             f = scale**j // d
@@ -370,47 +384,96 @@ class PuiseuxSeries:
                y.numerator * (w // y.denominator), w)
         return m, den, nout, scale, units, inv
 
-    def inverse(self) -> "PuiseuxSeries":
-        """Multiplicative inverse up to the available truncation.
+    def _power(self, a: int, n: int) -> "PuiseuxSeries":
+        """self ** (a/n), a/n in lowest terms with n >= 1, up to the
+        available truncation.
 
-        With leading term c*q^m and bound t, the result has leading term
-        (1/c)*q^-m and bound t - 2m (the standard recursive coefficient
-        formula consumes one copy of the unit part's precision).
+        With leading term c*q^m and bound t the result has leading term
+        c**(a/n) * q**(a*m/n) and bound (t - m) + a*m/n: the unit part's
+        precision carries over.  Unless a/n is a negative integer, c must
+        be exactly 1.
 
-        The recurrence v_k = -sum_j u_j v_{k-j} for 1/u runs on integer
-        pairs.  With the scale L of :meth:`_unit_dense`, U_j = u_j L**j is
-        in Z[sqrt2], and V_k = v_k L**k satisfies V_k = -sum_j U_j V_{k-j};
-        by induction from V_0 = 1 every V_k is in Z[sqrt2].  Each v_k =
-        V_k / L**k (times 1/c) becomes a field element once, at the end.
+        Coefficients come from the power recurrence for p = u**(a/n) on
+        the normalized unit part, n*k*p_k = sum_j ((a+n)j - n*k) u_j
+        p_{k-j}, run on integer pairs.  With the scale L of
+        :meth:`_unit_dense` and U_j = u_j (L n**2)**j in Z[sqrt2], the
+        values P_k = p_k (L n**2)**k satisfy
+        n*k*P_k = sum_j ((a+n)j - n*k) U_j P_{k-j}.  They lie in Z[sqrt2]:
+        p_k = sum_i binom(a/n, i) [t**k](u - 1)**i over i <= k, each product
+        of i unit coefficients u_{j_1}...u_{j_i} with j_1 + ... + j_i = k
+        times L**k is a product of U's, and n**(2k) binom(a/n, i) =
+        n**(2(k-i)) * n**(2i) binom(a/n, i) is an integer: n**(2i)
+        binom(a/n, i) = n**i prod_{l<i} (a - l*n) / i!, and for p not
+        dividing n the i factors a - l*n form a progression with a step
+        prime to p, so they hold every p of i!, while for p | n,
+        v_p(i!) < i.  So the division by n*k is exact, and a remainder
+        raises ArithmeticError.  At a/n = -1 the sum has no j-weighted
+        part and the recurrence is P_k = -sum_j U_j P_{k-j}.  Each
+        coefficient becomes a field element once, at the end.
         """
-        if not self.terms:
-            raise ZeroDivisionError("inverse of the zero series")
-        m, den, nout, scale, units, inv = self._unit_dense()
-        vr = [0] * nout
-        vi = [0] * nout
-        vr[0] = 1
+        lead = self.leading()
+        if lead is None and a < 0:
+            raise ZeroDivisionError("negative power of the zero series")
+        if lead is None or (a > 0 or n > 1) and lead[1] != ONE:
+            raise LeadingCoefficientError(
+                f"power {a}/{n} needs leading coefficient exactly 1"
+                + ("" if lead else " (zero series)")
+            )
+        m, den, nout, scale, units, inv = self._unit_dense(n * n)
+        pr = [0] * nout
+        pi = [0] * nout
+        pr[0] = 1
+        an = a + n
         live = 0
         for k in range(1, nout):
             while live < len(units) and units[live][0] <= k:
                 live += 1
             r = i = 0
-            for j, ur, ui, ui2 in units[:live]:
-                a = vr[k - j]
-                b = vi[k - j]
-                r += ur * a + ui2 * b
-                i += ur * b + ui * a
-            vr[k] = -r
-            vi[k] = -i
-        x, y, d = inv
+            if an:
+                nk = n * k
+                for j, ur, ui, ui2 in units[:live]:
+                    c = an * j - nk
+                    x = pr[k - j]
+                    y = pi[k - j]
+                    r += c * (ur * x + ui2 * y)
+                    i += c * (ur * y + ui * x)
+                pr[k], rem_r = divmod(r, nk)
+                pi[k], rem_i = divmod(i, nk)
+                if rem_r or rem_i:
+                    raise ArithmeticError(
+                        f"power recurrence: slot {k} is not divisible by {nk}"
+                    )
+            else:
+                for j, ur, ui, ui2 in units[:live]:
+                    x = pr[k - j]
+                    y = pi[k - j]
+                    r += ur * x + ui2 * y
+                    i += ur * y + ui * x
+                pr[k] = -r
+                pi[k] = -i
+        ix, iy, iw = inv
+        x, y, d = 1, 0, 1
+        for _ in range(-a):  # c0**a = (x + y*sqrt2) / d; c0 = 1 unless a < 0
+            x, y, d = x * ix + 2 * y * iy, x * iy + y * ix, d * iw
+        shift = m * a / n
         out = {}
         for k in range(nout):
-            r, i = vr[k], vi[k]
+            r, i = pr[k], pi[k]
             if r or i:
-                out[Fraction(k, den) - m] = AlgebraicNumber(
+                out[Fraction(k, den) + shift] = AlgebraicNumber(
                     Fraction(r * x + 2 * i * y, d), Fraction(r * y + i * x, d)
                 )
             d *= scale
-        return PuiseuxSeries(out, self.trunc - 2 * m)
+        return PuiseuxSeries(out, (self.trunc - m) + shift)
+
+    def inverse(self) -> "PuiseuxSeries":
+        """Multiplicative inverse up to the available truncation.
+
+        With leading term c*q^m and bound t, the result has leading term
+        (1/c)*q^-m and bound t - 2m (the recurrence consumes one copy of
+        the unit part's precision); see :meth:`_power`.
+        """
+        return self._power(-1, 1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
@@ -420,68 +483,11 @@ class PuiseuxSeries:
         return self * other.inverse()
 
     def nth_root(self, n: int) -> "PuiseuxSeries":
-        """n-th root of a series with leading coefficient exactly 1.
-
-        Coefficients come from the power recurrence for p = u**(1/n) on the
-        normalized unit part, n*k*p_k = sum_j ((n+1)j - n*k) u_j p_{k-j};
-        the leading exponent m becomes m/n.
-
-        The recurrence runs on integer pairs.  With the scale L of
-        :meth:`_unit_dense` and U_j = u_j (L n**2)**j in Z[sqrt2], the values
-        P_k = p_k (L n**2)**k satisfy
-        n*k*P_k = sum_j ((n+1)j - n*k) U_j P_{k-j}.  They lie in Z[sqrt2]:
-        p_k = sum_i binom(1/n, i) [t**k](u - 1)**i over i <= k, each product
-        of i unit coefficients u_{j_1}...u_{j_i} with j_1 + ... + j_i = k
-        times L**k is a product of U's, and n**(2k) binom(1/n, i) =
-        n**(2(k-i)) * n**(2i) binom(1/n, i) is an integer (for p not
-        dividing n the numerator prod_{l<i} (1 - l*n) holds every p of i!;
-        for p | n, v_p(i!) < i).  So the division by n*k is exact, and a
-        remainder raises ArithmeticError.
-        """
+        """n-th root of a series with leading coefficient exactly 1; the
+        leading exponent m becomes m/n.  See :meth:`_power`."""
         if n < 1:
             raise ValueError("root index must be a positive integer")
-        lead = self.leading()
-        if lead is None or lead[1] != ONE:
-            raise LeadingCoefficientError(
-                "nth_root needs leading coefficient exactly 1"
-                + ("" if lead else " (zero series)")
-            )
-        if n == 1:
-            return self
-        m, den, nout, scale, units, _ = self._unit_dense(n * n)
-        pr = [0] * nout
-        pi = [0] * nout
-        pr[0] = 1
-        n1 = n + 1
-        live = 0
-        for k in range(1, nout):
-            while live < len(units) and units[live][0] <= k:
-                live += 1
-            r = i = 0
-            nk = n * k
-            for j, ur, ui, ui2 in units[:live]:
-                c = n1 * j - nk
-                a = pr[k - j]
-                b = pi[k - j]
-                r += c * (ur * a + ui2 * b)
-                i += c * (ur * b + ui * a)
-            pr[k], rem_r = divmod(r, nk)
-            pi[k], rem_i = divmod(i, nk)
-            if rem_r or rem_i:
-                raise ArithmeticError(
-                    f"root recurrence: slot {k} is not divisible by {nk}"
-                )
-        shift = m / n
-        out = {}
-        d = 1
-        for k in range(nout):
-            r, i = pr[k], pi[k]
-            if r or i:
-                out[Fraction(k, den) + shift] = AlgebraicNumber(
-                    Fraction(r, d), Fraction(i, d)
-                )
-            d *= scale
-        return PuiseuxSeries(out, (self.trunc - m) + shift)
+        return self._power(1, n)
 
     # -- substitution and comparison ----------------------------------------
 

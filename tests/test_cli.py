@@ -102,6 +102,14 @@ class TestExitCodeContract:
         result = runner.invoke(main, ["parse", str(bad)])
         assert result.exit_code == 2
 
+    def test_zero_constant_to_negative_power_is_two(self, runner, tmp_path):
+        bad = tmp_path / "zero.qid"
+        bad.write_text("0^(-1) == 1\n")
+        for args in (["parse", str(bad)], ["dump", "0^(-1)"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert "line 1, column 2: division by zero" in result.output
+
 
 class TestListCommand:
     def test_lists_all_ids_with_refs(self, runner):
@@ -143,6 +151,8 @@ class TestDumpCommand:
             ["dump", "qq", "--order", "20000"],
             ["dump", "1/phi(1/1000)", "--order", "500"],
             ["dump", "root(phi(1/1000),2)", "--order", "500"],
+            # 1.1e7 steps, but on integers of ~10^5 bits
+            ["dump", "root(phi(1/1000),2)", "--order", "50"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):

@@ -18,7 +18,7 @@ from qident.dsl import (
     render_identity,
 )
 from qident.expr import (
-    PRIMITIVES, Const, Div, Mul, Pow, Prim, QPow, Root, Sub, Subst,
+    PRIMITIVES, Const, Div, Mul, Pow, Prim, QPow, Sub, Subst,
     evaluate_to_order,
 )
 from qident.field import AlgebraicNumber as A
@@ -36,13 +36,13 @@ class TestGrammar:
         )
 
     def test_root_atom(self):
-        assert parse_expression("root(I(1),4)") == Root(Prim("I", F(1)), 4)
+        assert parse_expression("root(I(1),4)") == Pow(Prim("I", F(1)), F(1, 4))
 
     def test_power_lowering(self):
-        assert parse_expression("G1(1)^(2)") == Pow(Prim("G1", F(1)), 2)
-        assert parse_expression("H(1)^(1/2)") == Root(Prim("H", F(1)), 2)
-        assert parse_expression("eta(2)^(3/4)") == Pow(Root(Prim("eta", F(2)), 4), 3)
-        assert parse_expression("eta(2)^(-3/4)") == Pow(Root(Prim("eta", F(2)), 4), -3)
+        assert parse_expression("G1(1)^(2)") == Pow(Prim("G1", F(1)), F(2))
+        assert parse_expression("H(1)^(1/2)") == Pow(Prim("H", F(1)), F(1, 2))
+        assert parse_expression("eta(2)^(3/4)") == Pow(Prim("eta", F(2)), F(3, 4))
+        assert parse_expression("eta(2)^(-3/4)") == Pow(Prim("eta", F(2)), F(-3, 4))
 
     def test_theta_arguments(self):
         node = parse_expression("f(-q^2,-q^14)")
@@ -147,6 +147,14 @@ class TestErrors:
         with pytest.raises(ParseError, match="zero denominator"):
             parse_expression("1/0")
 
+    def test_constant_zero_to_negative_power(self):
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_expression("0^(-1)")
+        assert (err.value.line, err.value.column) == (1, 2)
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_expression("(2-2)^(-3)")
+        assert parse_expression("(2-2)^(3)") == Const(A(0))
+
 
 class TestFileParsing:
     def test_multiple_lines_with_comments(self):
@@ -192,11 +200,29 @@ class TestRoundTrip:
             "root(G1(1),4)^(4)",
             "G1(1)*3/(4)",
             "G1(1)/3/(4)",
+            "(G1(1)^(1/4))^(2)",
+            "eta(2)^(-3/4)",
         ],
     )
     def test_assorted_expressions(self, text):
         node = parse_expression(text)
         assert parse_expression(render(node)) == node
+
+
+class TestPowPadding:
+    """Pow pads its base to order + (1 - r) * hint(base) for every rational r."""
+
+    @pytest.mark.parametrize("r", ["-2", "-3/4", "-1/2", "1/4", "3/4", "3/2", "2"])
+    @pytest.mark.parametrize(
+        "base", ["eta(2)", "H(1)", "I(1)", "G1(1/2)", "phi(1)", "f(-q^1,-q^3)"]
+    )
+    def test_first_pass_reaches_the_order(self, base, r):
+        node = parse_expression(f"{base}^({r})")
+        assert isinstance(node, Pow) and node.r == F(r)
+        order = 10
+        first = node.evaluate(order)  # no padded retry
+        assert first.trunc >= order
+        assert first.truncated(order) == node.evaluate(order + 3).truncated(order)
 
 
 # argument texts for each argument kind of the primitive registry

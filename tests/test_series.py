@@ -94,6 +94,18 @@ def oracle_nth_root(s, n):
     return P(out, (s.trunc - m) + m / n)
 
 
+def oracle_power(s, r):
+    """s**r as the oracle root (r not an integer) or inverse (r < 0),
+    then repeated multiplication."""
+    base = oracle_nth_root(s, r.denominator) if r.denominator > 1 else s
+    if r < 0:
+        base = oracle_inverse(base)
+    out = base
+    for _ in range(abs(r.numerator) - 1):
+        out = out * base
+    return out
+
+
 small_exponents = st.fractions(min_value=F(-2), max_value=F(6), max_denominator=4)
 small_coeffs = st.builds(
     A,
@@ -257,9 +269,24 @@ class TestRecurrencesMatchOracle:
     def test_nth_root(self, s, n):
         self.assert_same(s.nth_root(n), oracle_nth_root(s, n))
 
+    @example(P({0: 1, F(1, 3): A(F(1, 999983), 2), 1: A(F(-5, 64))}, 7), -3, 4)
+    @example(P({F(-1, 3): A(F(1, 3), F(1, 101)), F(1, 2): A(F(2, 9))}, 4), -2, 1)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wide_series(),
+        st.sampled_from([-3, -2, -1, 1, 2, 3, 5]),
+        st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
+    )
+    def test_power(self, s, a, n):
+        r = F(a, n)
+        if r.denominator > 1:  # a fractional power needs a unit lead
+            s = P({**s.terms, min(s.terms): ONE}, s.trunc)
+        self.assert_same(s ** r, oracle_power(s, r))
+
 
 class TestRecurrenceHotPath:
-    """inverse and nth_root do O(slots) field arithmetic, not O(slots*nnz)."""
+    """inverse, nth_root and rational powers do O(slots) field arithmetic,
+    not O(slots*nnz)."""
 
     @pytest.fixture()
     def field_calls(self, monkeypatch):
@@ -277,8 +304,10 @@ class TestRecurrenceHotPath:
         [
             (lambda s: s.inverse(), oracle_inverse),
             (lambda s: s.nth_root(2), lambda s: oracle_nth_root(s, 2)),
+            (lambda s: s ** F(3, 4), lambda s: oracle_power(s, F(3, 4))),
+            (lambda s: s ** -2, lambda s: oracle_power(s, F(-2))),
         ],
-        ids=["inverse", "nth_root"],
+        ids=["inverse", "nth_root", "pow_3/4", "pow_-2"],
     )
     def test_field_calls_linear_in_slots(self, field_calls, op, oracle):
         s = gamma_k(1, 96, F(1, 2))  # unit series, 192 slots, 190 terms
@@ -320,6 +349,12 @@ class TestSlotBudget:
             s.inverse()
         with pytest.raises(SlotBudgetError, match="steps"):
             s.nth_root(2)
+        # phi(q^(1/1000)) to order 5: 5000 slots and 70 unit terms are few
+        # steps, but the root's scale 4 makes its 5000th value ~10^4 bits
+        phi = P({0: 1, **{F(j * j, 1000): 2 for j in range(1, 71)}}, 5)
+        assert sum(5000 - j * j for j in range(1, 71)) < MAX_SLOT_STEPS // 50
+        with pytest.raises(SlotBudgetError, match="steps"):
+            phi.nth_root(2)
 
     @pytest.mark.parametrize(
         "expand, steps",
@@ -332,6 +367,7 @@ class TestSlotBudget:
             # unit terms at slots 1 and 3 of 10 enter 9 + 7 recurrence steps
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** F(-3, 4), 16),
         ],
     )
     def test_step_count_is_exact(self, monkeypatch, expand, steps):
@@ -361,6 +397,8 @@ class TestNthRoot:
     def test_requires_unit_leading_coefficient(self):
         with pytest.raises(LeadingCoefficientError):
             P({0: 2, 1: 1}, 5).nth_root(2)
+        with pytest.raises(LeadingCoefficientError):
+            P({0: 2, 1: 1}, 5) ** F(-3, 2)
         with pytest.raises(LeadingCoefficientError):
             P.zero(5).nth_root(3)
 
