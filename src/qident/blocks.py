@@ -7,16 +7,23 @@ and triple-product forms), eta quotients realized purely as q-expansions
 the trinomial products G_k, exact sine-ratio tables, the normalized
 theta_1 specializations, and the two continued-fraction product sides
 h and i.
+
+Every product or quotient of Pochhammer families -- a single Pochhammer,
+the triple-product form of f, h, i, and the 1psi1 product side in
+:mod:`qident.lambert` -- is filled in place on one dense int array by
+:func:`poch_quotient`, one factor pass at a time, with no series product,
+no inverse and no Fraction per intermediate slot.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import ONE, SQRT2, AlgebraicNumber
-from .series import PuiseuxSeries, dense_slots
+from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
 
 _FR = Fraction
 
@@ -92,41 +99,60 @@ class SineRatioTable:
     values: tuple[AlgebraicNumber, ...]
 
 
-def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
-    """Expand prod (1 + sign*q^{offset+j*step}) below `order`.
+def poch_quotient(families, order) -> PuiseuxSeries:
+    """prod of pochhammer(spec)**power over (spec, power) pairs, below `order`.
 
-    Exactly the factors with exponent < order are multiplied in; later
-    factors are congruent to 1 at this truncation.  Intermediate
-    coefficients are integers, so the expansion runs on a dense int array.
+    The whole product or quotient fills one dense int array on the common
+    grid of every offset and step, starting from 1; equal specs with
+    opposite powers cancel first.  Each factor (1 + sign*q^e) with e below
+    `order`, at slot off, enters |power| times.  Multiplying by it is the
+    descending pass c[k] += sign*c[k - off], run as one slice update on the
+    old values; dividing by it is the ascending pass
+    c[k] -= sign*c[k - off] on the new ones.  The array starts with 1, so
+    every coefficient stays an integer.  Each pass visits n - off of the n
+    slots; their total is summed in closed form per family and checked
+    against the budgets before the array is allocated.
     """
     order = _fr(order)
     if order <= 0:
         return PuiseuxSeries.zero(order)
-    den = (spec.offset.denominator * spec.step.denominator) // math.gcd(
-        spec.offset.denominator, spec.step.denominator
-    )
-    first, step = int(spec.offset * den), int(spec.step * den)
+    powers: dict[PochSpec, int] = {}
+    for spec, p in families:
+        powers[spec] = powers.get(spec, 0) + p
+    den = math.lcm(1, *(x.denominator for spec in powers
+                        for x in (spec.offset, spec.step)))
+    grid = [(spec.sign, int(spec.offset * den), int(spec.step * den), p)
+            for spec, p in powers.items() if p]
 
-    # factor j, at slot offset first + j*step < n, visits n - offset slots
+    # the factors at slots first + j*step < n visit n - first - j*step slots
     def steps(n):
-        factors = max(0, -(-(n - first) // step))
-        return factors * (n - first) - step * factors * (factors - 1) // 2
+        work = 0
+        for _, first, step, p in grid:
+            f = max(0, -(-(n - first) // step))
+            work += abs(p) * (f * (n - first) - step * f * (f - 1) // 2)
+        return work
 
     n = dense_slots(order * den, steps)
-    coeffs = [0] * n
-    coeffs[0] = 1
-    sign = spec.sign
-    e = spec.offset
-    while e < order:
-        off = int(e * den)
-        for k in range(n - 1 - off, -1, -1):
-            c = coeffs[k]
-            if c:
-                coeffs[k + off] += sign * c
-        e += spec.step
-    return PuiseuxSeries(
-        {_FR(k, den): c for k, c in enumerate(coeffs) if c}, order
-    )
+    c = [0] * n
+    c[0] = 1
+    for sign, first, step, p in grid:
+        op = operator.add if sign > 0 else operator.sub
+        for off in range(first, n, step):
+            for _ in range(p):
+                c[off:] = list(map(op, c[off:], c))
+            for _ in range(-p):
+                for k in range(off, n):
+                    c[k] -= sign * c[k - off]
+    return PuiseuxSeries({_FR(k, den): v for k, v in enumerate(c) if v}, order)
+
+
+def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
+    """Expand prod (1 + sign*q^{offset+j*step}) below `order`.
+
+    Exactly the factors with exponent < order enter; later factors are
+    congruent to 1 at this truncation.  One family of :func:`poch_quotient`.
+    """
+    return poch_quotient([(spec, 1)], order)
 
 
 def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
@@ -134,10 +160,13 @@ def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
 
     With both exponents positive the term exponent a*j(j+1)/2 + b*j(j-1)/2
     is strictly increasing in |j| in each direction, so each direction
-    stops at the first term at or above the truncation.
+    stops at the first term at or above the truncation.  It exceeds
+    (a+b)(|j| - 1)^2 / 2, which bounds the term count before the loop.
     """
     order = _fr(order)
     a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
+    terms = 2 * math.isqrt(max(0, math.floor(2 * order / (a + b)))) + 3
+    check_steps(TERM_STEP_WEIGHT * terms, f"theta sum of up to {terms} terms")
     acc: dict[Fraction, int] = {}
 
     def add(j):
@@ -159,34 +188,27 @@ def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     return PuiseuxSeries(acc, order)
 
 
-def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
-    """Triple-product form: (-g; gd)(-d; gd)(gd; gd) as Pochhammers.
+def _triple_product(spec: ThetaSpec, power: int) -> list:
+    """f(spec) as Pochhammer families (-g; gd)(-d; gd)(gd; gd), each to `power`.
 
     A negative product base gd (mixed argument signs) makes the factor
     signs alternate with the index, so each of the three products splits
     into its even- and odd-index halves over the doubled step.
     """
-    a, b = spec.a, spec.b
-    step = a + b
-    if spec.sign1 * spec.sign2 == 1:
-        parts = [
-            (spec.sign1, a, step),
-            (spec.sign2, b, step),
-            (-1, step, step),
-        ]
+    a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
+    st = a + b
+    if s1 * s2 == 1:
+        parts = [(s1, a, st), (s2, b, st), (-1, st, st)]
     else:
-        parts = [
-            (spec.sign1, a, 2 * step),
-            (-spec.sign1, a + step, 2 * step),
-            (spec.sign2, b, 2 * step),
-            (-spec.sign2, b + step, 2 * step),
-            (1, step, 2 * step),
-            (-1, 2 * step, 2 * step),
-        ]
-    out = PuiseuxSeries.one(_fr(order))
-    for sign, offset, st in parts:
-        out = out * pochhammer(PochSpec(sign, offset, st), order)
-    return out
+        parts = [(s1, a, 2 * st), (-s1, a + st, 2 * st), (s2, b, 2 * st),
+                 (-s2, b + st, 2 * st), (1, st, 2 * st), (-1, 2 * st, 2 * st)]
+    return [(PochSpec(sign, offset, st), power) for sign, offset, st in parts]
+
+
+def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
+    """Triple-product form of f(spec): its Pochhammer families filled in
+    one array by :func:`poch_quotient`, independent of :func:`theta_sum`."""
+    return poch_quotient(_triple_product(spec, 1), order)
 
 
 def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
@@ -306,6 +328,9 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
     by the product expansion it must match (q;q)_inf * G_k(q).
     """
     order = _fr(order)
+    # j(j+1)/2 < order needs j^2 < 2*order
+    terms = math.isqrt(max(0, math.floor(2 * order))) + 1
+    check_steps(TERM_STEP_WEIGHT * terms, f"theta_1 sum of up to {terms} terms")
     exps = []
     j = 0
     while _FR(j * (j + 1), 2) < order:
@@ -319,24 +344,31 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
 
 
 def h_series(order, r=1) -> PuiseuxSeries:
-    """h(q^r) = q^{r/2} f(-q^r, -q^{7r}) / f(-q^{3r}, -q^{5r})."""
-    order = _fr(order)
+    """h(q^r) = q^{r/2} f(-q^r, -q^{7r}) / f(-q^{3r}, -q^{5r}).
+
+    Both triple products go into one :func:`poch_quotient`, the divisor's
+    families with power -1; their common (q^{8r}; q^{8r}) cancels.
+    """
     r = _fr(r)
-    unit_order = order - r / 2
-    if unit_order <= 0:
-        return PuiseuxSeries.zero(order)
-    num = theta_product(ThetaSpec(-1, -1, r, 7 * r), unit_order)
-    den = theta_product(ThetaSpec(-1, -1, 3 * r, 5 * r), unit_order)
-    return (num * den.inverse()).shift(r / 2)
+    return poch_quotient(
+        _triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
+        + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1),
+        _fr(order) - r / 2,
+    ).shift(r / 2)
 
 
 def i_series(order, r=1) -> PuiseuxSeries:
-    """i(q^r) = f(-q^r, -q^{3r}) / f(-q^{2r}, -q^{2r})."""
-    order = _fr(order)
+    """i(q^r) = f(-q^r, -q^{3r}) / f(-q^{2r}, -q^{2r}).
+
+    One :func:`poch_quotient` as for :func:`h_series`; the common
+    (q^{4r}; q^{4r}) cancels.
+    """
     r = _fr(r)
-    num = theta_product(ThetaSpec(-1, -1, r, 3 * r), order)
-    den = theta_product(ThetaSpec(-1, -1, 2 * r, 2 * r), order)
-    return num * den.inverse()
+    return poch_quotient(
+        _triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
+        + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1),
+        order,
+    )
 
 
 def phi(r, order) -> PuiseuxSeries:

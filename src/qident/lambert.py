@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import PochSpec, pochhammer
+from .blocks import PochSpec, poch_quotient
 from .series import PuiseuxSeries, dense_slots
 
 _FR = Fraction
@@ -194,7 +194,11 @@ def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
 
 
 def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:
-    """(xz, q/xz, q, q; q)_inf / (x, q/x, z, q/z; q)_inf over base q^s."""
+    """(xz, q/xz, q, q; q)_inf / (x, q/x, z, q/z; q)_inf over base q^s.
+
+    The four products over the four quotients fill one array in
+    :func:`~qident.blocks.poch_quotient`, the divisors with power -1.
+    """
     s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
     offsets_num = (alpha + beta, s - alpha - beta, s, s)
     offsets_den = (alpha, s - alpha, beta, s - beta)
@@ -204,10 +208,8 @@ def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:
                 f"Pochhammer offset {off} not positive; spec outside the "
                 "product form's validity window"
             )
-    order = _fr(order)
-    out = PuiseuxSeries.one(order)
-    for off in offsets_num:
-        out = out * pochhammer(PochSpec(-1, off, s), order)
-    for off in offsets_den:
-        out = out * pochhammer(PochSpec(-1, off, s), order).inverse()
-    return out
+    return poch_quotient(
+        [(PochSpec(-1, off, s), 1) for off in offsets_num]
+        + [(PochSpec(-1, off, s), -1) for off in offsets_den],
+        order,
+    )

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.blocks import (
     BETA,
@@ -19,6 +20,7 @@ from qident.blocks import (
     h_series,
     i_series,
     phi,
+    poch_quotient,
     pochhammer,
     psi,
     sine_ratio_table,
@@ -27,6 +29,7 @@ from qident.blocks import (
     theta_sum,
 )
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
+from qident.lambert import BilateralSpec, bilateral_1psi1_rhs
 from qident.series import PuiseuxSeries as P
 
 QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
@@ -44,6 +47,151 @@ def pentagonal_numbers(limit):
                 out[n] = sign
         k += 1
     return out
+
+
+# -- oracle: each Pochhammer expanded on its own, then multiplied --------
+
+
+def oracle_pochhammer(spec, order):
+    """One family by its own int array, one factor pass at a time."""
+    order = F(order)
+    if order <= 0:
+        return P.zero(order)
+    den = math.lcm(spec.offset.denominator, spec.step.denominator)
+    n = math.ceil(order * den)
+    coeffs = [0] * n
+    coeffs[0] = 1
+    e = spec.offset
+    while e < order:
+        off = int(e * den)
+        for k in range(n - 1 - off, -1, -1):
+            if coeffs[k]:
+                coeffs[k + off] += spec.sign * coeffs[k]
+        e += spec.step
+    return P({F(k, den): c for k, c in enumerate(coeffs) if c}, order)
+
+
+def oracle_quotient(families, order):
+    """Pochhammer expansions multiplied through series products, each
+    divisor through inverse()."""
+    out = P.one(order)
+    for spec, power in families:
+        poch = oracle_pochhammer(spec, order)
+        factor = poch if power > 0 else poch.inverse()
+        for _ in range(abs(power)):
+            out = out * factor
+    return out
+
+
+def oracle_theta_product(spec, order):
+    """(-g; gd)(-d; gd)(gd; gd), the base's sign split over a doubled step."""
+    a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
+    st_ = a + b
+    if s1 * s2 == 1:
+        parts = [(s1, a, st_), (s2, b, st_), (-1, st_, st_)]
+    else:
+        parts = [(s1, a, 2 * st_), (-s1, a + st_, 2 * st_),
+                 (s2, b, 2 * st_), (-s2, b + st_, 2 * st_),
+                 (1, st_, 2 * st_), (-1, 2 * st_, 2 * st_)]
+    out = P.one(order)
+    for sign, offset, step in parts:
+        out = out * oracle_pochhammer(PochSpec(sign, offset, step), order)
+    return out
+
+
+def oracle_h(order, r):
+    unit_order = F(order) - F(r) / 2
+    if unit_order <= 0:
+        return P.zero(order)
+    num = oracle_theta_product(ThetaSpec(-1, -1, r, 7 * r), unit_order)
+    den = oracle_theta_product(ThetaSpec(-1, -1, 3 * r, 5 * r), unit_order)
+    return (num * den.inverse()).shift(F(r) / 2)
+
+
+def oracle_i(order, r):
+    num = oracle_theta_product(ThetaSpec(-1, -1, r, 3 * r), order)
+    den = oracle_theta_product(ThetaSpec(-1, -1, 2 * r, 2 * r), order)
+    return num * den.inverse()
+
+
+def oracle_psi11rhs(spec, order):
+    s, a, b = spec.base, spec.x_exp, spec.z_exp
+    return oracle_quotient(
+        [(PochSpec(-1, off, s), 1) for off in (a + b, s - a - b, s, s)]
+        + [(PochSpec(-1, off, s), -1) for off in (a, s - a, b, s - b)],
+        order,
+    )
+
+
+GRIDS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def grid_exponent(draw, max_units=3):
+    """A positive exponent k/g on one of the grids q^(1/g), at most max_units."""
+    g = draw(st.sampled_from(GRIDS))
+    return F(draw(st.integers(1, max_units * g)), g)
+
+
+@st.composite
+def families(draw):
+    return draw(st.lists(
+        st.tuples(
+            st.builds(PochSpec, st.sampled_from([1, -1]), grid_exponent(),
+                      grid_exponent()),
+            st.sampled_from([1, -1]),
+        ),
+        min_size=1, max_size=5,
+    ))
+
+
+@st.composite
+def theta_specs(draw, max_units=3):
+    signs = st.sampled_from([1, -1])
+    return ThetaSpec(draw(signs), draw(signs), draw(grid_exponent(max_units)),
+                     draw(grid_exponent(max_units)))
+
+
+orders = st.builds(F, st.integers(1, 96), st.sampled_from([1, 2, 3]))
+
+
+def assert_same(got, want):
+    assert got.trunc == want.trunc
+    assert got.terms == want.terms
+
+
+class TestBuilderMatchesOracle:
+    """poch_quotient, and every block built on it, against the old path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(families(), orders)
+    def test_factor_lists(self, fams, order):
+        assert_same(poch_quotient(fams, order), oracle_quotient(fams, order))
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta_specs(), orders)
+    def test_theta_product(self, spec, order):
+        assert_same(theta_product(spec, order), oracle_theta_product(spec, order))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([F(1), F(2), F(1, 2), F(1, 3)]), orders)
+    def test_h_and_i(self, r, order):
+        assert_same(h_series(order, r), oracle_h(order, r))
+        assert_same(i_series(order, r), oracle_i(order, r))
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_exponent(4), grid_exponent(4), grid_exponent(2), orders)
+    def test_psi11rhs(self, alpha, beta, extra, order):
+        spec = BilateralSpec(alpha + beta + extra, alpha, beta)
+        assert_same(bilateral_1psi1_rhs(spec, order), oracle_psi11rhs(spec, order))
+
+    def test_one_family_is_pochhammer(self):
+        spec = PochSpec(1, F(2, 3), F(3, 2))
+        assert_same(pochhammer(spec, 40), oracle_pochhammer(spec, 40))
+
+    def test_cancelled_families_leave_one(self):
+        spec = PochSpec(-1, 1, 2)
+        assert poch_quotient([(spec, 1), (spec, -1)], 10) == P.one(10)
 
 
 class TestPochhammer:
@@ -117,6 +265,11 @@ class TestTheta:
         assert theta_sum(spec, 24).first_mismatch(
             theta_product(spec, 24), 24
         ) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta_specs(max_units=4), st.sampled_from([24, 48]))
+    def test_triple_product_property(self, spec, order):
+        assert_same(theta_sum(spec, order), theta_product(spec, order))
 
     def test_product_form_as_explicit_pochhammers(self):
         # f(-q,-q^7) = (q;q^8)(q^7;q^8)(q^8;q^8)

@@ -162,6 +162,34 @@ class TestDumpCommand:
         assert "dense coefficient slots" in result.output
         assert time.perf_counter() - t0 < 5
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # 3163 x 3163 terms on grids past the dense slot cap
+            ["dump", "phi(1/999983)*phi(1/999979)", "--order", "10"],
+            # about 6.3*10^7 terms each
+            ["dump", "phi(1/1000000000000)", "--order", "1000"],
+            ["dump", "fsum(+q^(1/1000000000000),+q^(1/1000000000000))",
+             "--order", "1000"],
+            ["dump", "T1N(1)", "--order", "10000000000"],
+        ],
+    )
+    def test_term_loops_exit_2_quickly(self, runner, args):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "steps, more than the limit" in result.output
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize(
+        "expr", ["q^(30)*f(-q^1,-q^3)", "q^(30)*I(1)", "q^(30)*psi11rhs(8,1,3)"]
+    )
+    def test_factor_at_order_below_zero(self, runner, expr):
+        # the product side is evaluated to order 10 - 30 = -20
+        result = runner.invoke(main, ["dump", expr, "--order", "10"])
+        assert result.exit_code == 0
+        assert result.output.strip() == ""
+
 
 class TestCFCommand:
     def test_h_table(self, runner):

@@ -248,6 +248,15 @@ class TestPrimitives:
             if series:
                 assert node.hint() == series.leading()[0], arg
 
+    @pytest.mark.parametrize("name", [n for n in PRIMITIVES if n != "btable"])
+    @pytest.mark.parametrize("order", [0, -5])
+    def test_order_at_most_zero_is_the_zero_series(self, name, order):
+        # btable is an exact polynomial, known at every order
+        for arg in ARG_SAMPLES[PRIMITIVES[name].kind]:
+            series = parse_expression(f"{name}({arg})").evaluate(order)
+            assert not series, arg
+            assert series.trunc == order, arg
+
     def test_atom_table_is_documented(self):
         readme = pathlib.Path(__file__).parents[1] / "README.md"
         assert atom_table() in qident.dsl.__doc__

@@ -1,6 +1,9 @@
 """Lambert/Eisenstein sums and the bilateral 1psi1 summation."""
 
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.blocks import PochSpec, pochhammer
 from qident.field import AlgebraicNumber as A
@@ -109,6 +112,23 @@ class TestBilateral:
         lhs = bilateral_1psi1_lhs(spec, 48)
         rhs = bilateral_1psi1_rhs(spec, 48)
         assert lhs.first_mismatch(rhs, 48) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_ramanujan_summation_property(self, data):
+        # 1psi1 at random 0 < alpha, beta with alpha + beta < s, each
+        # exponent on its own grid q^(1/g), g <= 4
+        def exponent():
+            g = data.draw(st.sampled_from([1, 2, 3, 4]))
+            return F(data.draw(st.integers(1, 3 * g)), g)
+
+        alpha, beta = exponent(), exponent()
+        s = alpha + beta + exponent()
+        spec = BilateralSpec(s, alpha, beta)
+        lhs = bilateral_1psi1_lhs(spec, 24)
+        rhs = bilateral_1psi1_rhs(spec, 24)
+        assert lhs.trunc == rhs.trunc == 24
+        assert lhs.terms == rhs.terms
 
     def test_rhs_explicit_pochhammer_composition(self):
         # (q^10,q^6,q^16,q^16;q^16) / (q^8,q^8,q^2,q^14;q^16)

@@ -8,10 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident import series as series_mod
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
-from qident.blocks import PochSpec, gamma_k, pochhammer
+from qident.blocks import (
+    PochSpec,
+    ThetaSpec,
+    gamma_k,
+    i_series,
+    pochhammer,
+    theta_product,
+    theta_sum,
+)
 from qident.series import (
     MAX_DENSE_SLOTS,
     MAX_SLOT_STEPS,
+    TERM_STEP_WEIGHT,
     InsufficientPrecisionError,
     LeadingCoefficientError,
     PuiseuxSeries as P,
@@ -364,6 +373,17 @@ class TestSlotBudget:
             (lambda: gamma_k(1, 10), 45),
             # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
             (lambda: pochhammer(PochSpec(1, F(3, 2), 1), 4), 9),
+            # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7: 6+3 + 5+2 + 4+1
+            (lambda: theta_product(ThetaSpec(1, 1, 1, 2), 7), 21),
+            # i(q) to q^9 = (q;q^4)(q^3;q^4) / (q^2;q^4)^2 once (q^4;q^4)
+            # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
+            (lambda: i_series(9), 40),
+            # grids 1/999983 and 1/999979 are past the dense slot cap: the
+            # term-by-term product weighs its 3 x 4 term pairs
+            (lambda: P({F(j, 999983): 1 for j in range(3)}, 1)
+             * P({F(j, 999979): 1 for j in range(4)}, 1), 12 * TERM_STEP_WEIGHT),
+            # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9
+            (lambda: theta_sum(ThetaSpec(1, 1, 1, 1), 10), 9 * TERM_STEP_WEIGHT),
             # unit terms at slots 1 and 3 of 10 enter 9 + 7 recurrence steps
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
