@@ -25,7 +25,7 @@ from .cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
 from .dsl import ParseError, parse_expression, parse_identity_file
 from .expr import evaluate_to_order
 from .series import InsufficientPrecisionError, LeadingCoefficientError, SlotBudgetError
-from .verify import Identity, report_json, verify
+from .verify import Identity, report_json, verify, verify_many
 
 GOLDEN_REPORT_PATH = pathlib.Path("tests/golden/verify_all_order24.json")
 
@@ -102,7 +102,7 @@ def verify_cmd(ctx, ids, order_text, as_json, output, bless):
                 hint = f"; did you mean {', '.join(near)}?" if near else ""
                 raise click.UsageError(f"unknown identity id {ident!r}{hint}")
             selected.append(by_id[ident])
-    reports = [verify(idy, order) for idy in selected]
+    reports = verify_many(selected, order)
     payload = report_json(reports)
     if as_json:
         click.echo(payload.decode("utf-8"))

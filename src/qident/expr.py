@@ -11,13 +11,24 @@ unless a subtraction cancels a leading term inside a denominator or a
 power, which no built-in identity does; :func:`evaluate_to_order`
 re-runs with a larger target (at most 3 retries) if a result still falls
 short.
+
+Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
+enters for its whole batch) every evaluation goes through one
+:class:`SharedEvaluations` cache keyed on the exact ``(node, order)`` pair.
+Nodes are frozen dataclasses that compare by structure, so the same
+subexpression in two identities is expanded once.  Only nodes that occur
+at least twice in the batch are stored, and each entry is dropped after
+its node's last occurrence.  Outside that block nothing is cached.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 from . import blocks
 from . import lambert as lam
@@ -37,6 +48,13 @@ class Node:
     __slots__ = ()
 
     def evaluate(self, order) -> PuiseuxSeries:
+        """This node's series, guaranteed below `order`."""
+        shared = _SHARED.get()
+        if shared is None:
+            return self._evaluate(order)
+        return shared.evaluate(self, order)
+
+    def _evaluate(self, order) -> PuiseuxSeries:
         raise NotImplementedError
 
     def hint(self) -> Fraction:
@@ -51,7 +69,7 @@ class Node:
 class QPow(Node):
     exponent: Fraction
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         order = _fr(order)
         return PuiseuxSeries.monomial(ONE, self.exponent, max(order, self.exponent + 1))
 
@@ -63,7 +81,7 @@ class QPow(Node):
 class Const(Node):
     value: AlgebraicNumber
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         return PuiseuxSeries.monomial(self.value, 0, max(_fr(order), _FR(1)))
 
     def hint(self):
@@ -139,7 +157,7 @@ class Prim(Node):
     name: str
     arg: object
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         return PRIMITIVES[self.name].build(self.arg, order)
 
     def hint(self):
@@ -154,7 +172,7 @@ class Add(Node):
     left: Node
     right: Node
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         return self.left.evaluate(order) + self.right.evaluate(order)
 
     def hint(self):
@@ -166,7 +184,7 @@ class Sub(Node):
     left: Node
     right: Node
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         return self.left.evaluate(order) - self.right.evaluate(order)
 
     def hint(self):
@@ -178,7 +196,7 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         order = _fr(order)
         lh, rh = self.left.hint(), self.right.hint()
         return self.left.evaluate(order - rh) * self.right.evaluate(order - lh)
@@ -192,7 +210,7 @@ class Div(Node):
     left: Node
     right: Node
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         # num * inv(den): inversion costs 2*m_den of truncation, the
         # product another m_num / (-m_den)
         order = _fr(order)
@@ -213,7 +231,7 @@ class Pow(Node):
     base: Node
     r: Fraction
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         # a power keeps the bound of its base's unit part and moves the
         # leading exponent from m to r*m, so the base needs order + (1-r)*m
         order = _fr(order)
@@ -232,11 +250,77 @@ class Subst(Node):
     base: Node
     r: Fraction
 
-    def evaluate(self, order):
+    def _evaluate(self, order):
         return self.base.evaluate(_fr(order) / self.r).substitute(self.r)
 
     def hint(self):
         return self.base.hint() * self.r
+
+
+def _occurrences(node: Node) -> Iterator[Node]:
+    """Every node of the tree under `node`, once per position."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(v for v in vars(n).values() if isinstance(v, Node))
+
+
+class SharedEvaluations:
+    """Evaluation results shared across the expression trees of one batch.
+
+    `remaining` counts, per node, the occurrences in the batch's trees that
+    have not been evaluated yet.  Each evaluation counts its node down, and
+    a hit also counts down the subtree whose evaluation it skips.  A node
+    that occurred at least twice is stored under ``(node, order)`` until
+    its count reaches 0.  Results never depend on the counts: a count
+    that is off (a padded retry, an evaluation that raised) costs a hit or
+    keeps an entry a little longer.
+    """
+
+    def __init__(self, roots):
+        self.remaining = Counter(n for root in roots for n in _occurrences(root))
+        self.entries: dict[Node, dict[Fraction, PuiseuxSeries]] = {}
+
+    def evaluate(self, node: Node, order) -> PuiseuxSeries:
+        key = _fr(order)
+        found = self.entries.get(node, {}).get(key)
+        if found is not None:
+            for n in _occurrences(node):
+                self._use(n)
+            return found
+        result = node._evaluate(order)
+        if self._use(node) > 0:
+            self.entries.setdefault(node, {})[key] = result
+        return result
+
+    def _use(self, node: Node) -> int:
+        """Count down one occurrence of `node`; drop it after the last."""
+        left = self.remaining.get(node, 0) - 1
+        if left > 0:
+            self.remaining[node] = left
+        else:
+            self.remaining.pop(node, None)
+            self.entries.pop(node, None)
+        return left
+
+
+_SHARED: ContextVar[Optional[SharedEvaluations]] = ContextVar(
+    "qident_shared_evaluations", default=None)
+
+
+@contextmanager
+def shared_evaluations(roots):
+    """Share node evaluations among the trees `roots` inside the block.
+
+    The cache belongs to the current context (thread or task) only and is
+    gone when the block exits, by an exception too.
+    """
+    token = _SHARED.set(SharedEvaluations(roots))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 _MAX_RETRIES = 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import PochSpec, poch_quotient
-from .series import PuiseuxSeries, dense_slots
+from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
 
 _FR = Fraction
 
@@ -91,19 +91,16 @@ class LambertSpec:
         return min(a for _, a in self.numerators) * m
 
 
-def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
-    """Expand the congruence-restricted Lambert sum below `order`.
+def _lambert_progressions(spec: LambertSpec, n: int):
+    """(head, step, coefficient) of every geometric tail below q^n.
 
-    m runs over its residue class until min_i(a_i) * m reaches the
-    truncation; each term contributes the geometric tail
-    q^{a_i m} + q^{a_i m + b m} + ...
+    m runs over its residue class until min_i(a_i) * m reaches n; each m
+    of nonzero weight w(m) gives, per numerator (c_i, a_i), the tail
+    c_i w(m) (q^{a_i m} + q^{a_i m + b m} + ...).
     """
-    order = _fr(order)
-    dense_slots(order)  # one dict entry per integer exponent below order
     a_min = min(a for _, a in spec.numerators)
-    acc: dict[int, int] = {}
     m = spec.residue if spec.residue >= 1 else spec.modulus
-    while a_min * m < order:
+    while a_min * m < n:
         if spec.weight == "unit":
             w = 1
         elif spec.weight == "linear":
@@ -111,14 +108,26 @@ def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
         else:
             w = legendre_symbol(m, spec.legendre_p)
         if w:
-            bm = spec.denom_exponent * m
             for c, a in spec.numerators:
-                e = a * m
-                cw = c * w
-                while e < order:
-                    acc[e] = acc.get(e, 0) + cw
-                    e += bm
+                yield a * m, spec.denom_exponent * m, c * w
         m += spec.modulus
+
+
+def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
+    """Expand the congruence-restricted Lambert sum below `order`.
+
+    Every term of every geometric tail is one dict update, counted before
+    the loop at TERM_STEP_WEIGHT steps each.
+    """
+    order = _fr(order)
+    n = dense_slots(order)  # the integer exponents below order are e < n
+    terms = sum(len(range(head, n, step))
+                for head, step, _ in _lambert_progressions(spec, n))
+    check_steps(TERM_STEP_WEIGHT * terms, f"Lambert sum of {terms} terms")
+    acc: dict[int, int] = {}
+    for head, step, c in _lambert_progressions(spec, n):
+        for e in range(head, n, step):
+            acc[e] = acc.get(e, 0) + c
     return PuiseuxSeries(acc, order)
 
 
@@ -140,22 +149,24 @@ class BilateralSpec:
             raise ValueError("need 0 < z exponent < base exponent")
 
 
-def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
-    """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`.
+def _summand(s, alpha, beta, j):
+    """(head, step, sign) of the index-j summand: sign * sum_t q^(head + t step).
 
-    For j >= 0 the reciprocal expands directly.  For j = -j' < 0 the
-    exponent alpha - s j' is negative, and
+    For j >= 0 the reciprocal 1 / (1 - q^{alpha + s j}) expands directly.
+    For j = -j' < 0 the exponent alpha - s j' is negative, and
     1 / (1 - q^{-u}) = -q^u / (1 - q^u) for u = s j' - alpha > 0, so the
-    term is -q^{-j' beta} q^{j's - alpha} sum_{t>=0} q^{(j's - alpha) t}.
+    summand is -q^{-j' beta} q^{j's - alpha} sum_{t>=0} q^{(j's - alpha) t}.
     """
-    order = _fr(order)
-    s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
     if j >= 0:
-        head, step, sign = beta * j, alpha + s * j, 1
-    else:
-        jp = -j
-        step = s * jp - alpha
-        head, sign = -beta * jp + step, -1
+        return beta * j, alpha + s * j, 1
+    step = -s * j - alpha
+    return beta * j + step, step, -1
+
+
+def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
+    """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`."""
+    order = _fr(order)
+    head, step, sign = _summand(spec.base, spec.x_exp, spec.z_exp, j)
     acc: dict[Fraction, int] = {}
     e = head
     while e < order:
@@ -164,33 +175,42 @@ def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
     return PuiseuxSeries(acc, order)
 
 
+def _bilateral_progressions(s: int, alpha: int, beta: int, n: int):
+    """The nonempty summands below q^n, as _summand triples on one grid.
+
+    The head of the j-th summand is beta*j for j >= 0 and
+    j'(s - beta) - alpha for j = -j', both strictly increasing, so each
+    direction stops at the first summand with head >= n.
+    """
+    for j, direction in ((0, 1), (-1, -1)):
+        while True:
+            head, step, sign = _summand(s, alpha, beta, j)
+            if head >= n:
+                break
+            yield head, step, sign
+            j += direction
+
+
 def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     """Sum the bilateral series term by term below `order`.
 
-    The least exponent of the j-th term is beta*j for j >= 0 and
-    j'(s - beta) - alpha for j = -j', both strictly increasing, so each
-    direction stops at the first empty term.
+    All exponents lie on the grid 1/den of the spec; the summands are
+    accumulated there in one dict, each term one update, counted before
+    the loop at TERM_STEP_WEIGHT steps each.
     """
     order = _fr(order)
     den = math.lcm(spec.base.denominator, spec.x_exp.denominator,
                    spec.z_exp.denominator)
-    dense_slots(order * den)  # one term per grid exponent below order
-    out = PuiseuxSeries.zero(order)
-    j = 0
-    while True:
-        t = bilateral_term(spec, j, order)
-        if not t:
-            break
-        out = out + t
-        j += 1
-    j = -1
-    while True:
-        t = bilateral_term(spec, j, order)
-        if not t:
-            break
-        out = out + t
-        j -= 1
-    return out
+    n = dense_slots(order * den)  # grid exponents below order are e < n
+    grid = [int(x * den) for x in (spec.base, spec.x_exp, spec.z_exp)]
+    terms = sum(len(range(head, n, step))
+                for head, step, _ in _bilateral_progressions(*grid, n))
+    check_steps(TERM_STEP_WEIGHT * terms, f"1psi1 sum of {terms} terms")
+    acc: dict[int, int] = {}
+    for head, step, sign in _bilateral_progressions(*grid, n):
+        for e in range(head, n, step):
+            acc[e] = acc.get(e, 0) + sign
+    return PuiseuxSeries({_FR(e, den): c for e, c in acc.items()}, order)
 
 
 def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expr import Node, evaluate_to_order
+from .expr import Node, evaluate_to_order, shared_evaluations
 from .field import AlgebraicNumber
 from .series import (
     InsufficientPrecisionError,
@@ -94,8 +94,19 @@ def verify(identity: Identity, order=None) -> VerificationReport:
 
 
 def verify_many(identities, order=None) -> list[VerificationReport]:
-    """Verify in the given order; aggregation is deterministic by position."""
-    return [verify(idy, order) for idy in identities]
+    """Verify in the given order; aggregation is deterministic by position.
+
+    Unlike one :func:`verify` call per entry, the batch shares its node
+    evaluations (:func:`~qident.expr.shared_evaluations`): a subexpression
+    that recurs across or within entries, requested at the same order, is
+    expanded once and dropped after its last occurrence.  The reports are
+    those of :func:`verify` one by one; entries with different default
+    orders stay apart, because the order is part of the key.
+    """
+    identities = list(identities)
+    with shared_evaluations([side for idy in identities
+                             for side in (idy.lhs, idy.rhs)]):
+        return [verify(idy, order) for idy in identities]
 
 
 def report_json(reports) -> bytes:

@@ -172,6 +172,9 @@ class TestDumpCommand:
             ["dump", "fsum(+q^(1/1000000000000),+q^(1/1000000000000))",
              "--order", "1000"],
             ["dump", "T1N(1)", "--order", "10000000000"],
+            # 178,744 terms of the bilateral sum, 5,221,424 of the Lambert sum
+            ["dump", "psi11lhs(16,8,2)", "--order", "100000"],
+            ["dump", "lambert(1,0,+1,1)", "--order", "400000"],
         ],
     )
     def test_term_loops_exit_2_quickly(self, runner, args):

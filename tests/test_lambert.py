@@ -16,9 +16,54 @@ from qident.lambert import (
     lambert_sum,
     legendre_symbol,
 )
+from qident.series import PuiseuxSeries
 
 # Theorem-style level-8 sum over odd m: (q^m + q^3m - q^5m - q^7m)/(1-q^8m)
 ODD8 = LambertSpec(2, 1, ((1, 1), (1, 3), (-1, 5), (-1, 7)), 8)
+
+
+def oracle_lambert_sum(spec, order):
+    """The Lambert sum's former loop: m by m, each tail into one dict."""
+    order = F(order)
+    a_min = min(a for _, a in spec.numerators)
+    acc = {}
+    m = spec.residue if spec.residue >= 1 else spec.modulus
+    while a_min * m < order:
+        if spec.weight == "unit":
+            w = 1
+        elif spec.weight == "linear":
+            w = m
+        else:
+            w = legendre_symbol(m, spec.legendre_p)
+        if w:
+            for c, a in spec.numerators:
+                e = a * m
+                while e < order:
+                    acc[e] = acc.get(e, 0) + c * w
+                    e += spec.denom_exponent * m
+        m += spec.modulus
+    return PuiseuxSeries(acc, order)
+
+
+def oracle_psi11lhs(spec, order):
+    """The 1psi1 sum's former loop: summand series added one by one, each
+    direction up to the first empty summand."""
+    order = F(order)
+    out = PuiseuxSeries.zero(order)
+    for j, direction in ((0, 1), (-1, -1)):
+        while True:
+            t = bilateral_term(spec, j, order)
+            if not t:
+                break
+            out = out + t
+            j += direction
+    return out
+
+
+def _exponent(data, top):
+    # a positive rational on a grid q^(1/g), g <= 4
+    g = data.draw(st.sampled_from([1, 2, 3, 4]))
+    return F(data.draw(st.integers(1, top * g)), g)
 
 
 class TestLegendre:
@@ -75,6 +120,28 @@ class TestLambertSum:
                 assert c.irr == 0
                 assert c.rat.denominator == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        weight = data.draw(st.sampled_from(["unit", "linear", "legendre"]))
+        modulus = data.draw(st.integers(1, 4))
+        numerators = data.draw(st.lists(
+            st.tuples(st.sampled_from([1, -1]), st.integers(1, 8)),
+            min_size=1, max_size=4))
+        spec = LambertSpec(modulus, data.draw(st.integers(0, modulus - 1)),
+                           numerators, data.draw(st.integers(1, 9)), weight,
+                           data.draw(st.sampled_from([3, 5, 7]))
+                           if weight == "legendre" else 0)
+        order = F(data.draw(st.integers(-4, 80)), data.draw(st.integers(1, 3)))
+        got, want = lambert_sum(spec, order), oracle_lambert_sum(spec, order)
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+
+    def test_order_5000_runs(self):
+        # sum_m q^m/(1 - q^m) = sum_n d(n) q^n, d the number of divisors
+        s = lambert_sum(LambertSpec(1, 0, ((1, 1),), 1), 5000)
+        assert s.trunc == 5000
+        assert [s.coefficient(n) for n in (4999, 4096, 4620)] == [A(2), A(13), A(48)]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LambertSpec(0, 0, ((1, 1),), 8)
@@ -118,17 +185,33 @@ class TestBilateral:
     def test_ramanujan_summation_property(self, data):
         # 1psi1 at random 0 < alpha, beta with alpha + beta < s, each
         # exponent on its own grid q^(1/g), g <= 4
-        def exponent():
-            g = data.draw(st.sampled_from([1, 2, 3, 4]))
-            return F(data.draw(st.integers(1, 3 * g)), g)
-
-        alpha, beta = exponent(), exponent()
-        s = alpha + beta + exponent()
+        alpha, beta = _exponent(data, 3), _exponent(data, 3)
+        s = alpha + beta + _exponent(data, 3)
         spec = BilateralSpec(s, alpha, beta)
         lhs = bilateral_1psi1_lhs(spec, 24)
         rhs = bilateral_1psi1_rhs(spec, 24)
         assert lhs.trunc == rhs.trunc == 24
         assert lhs.terms == rhs.terms
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_lhs_matches_oracle(self, data):
+        # any 0 < alpha, beta < s, alpha + beta >= s included, at orders
+        # off the grid and at or below 0
+        s = _exponent(data, 12)
+        alpha = _exponent(data, 12) % s or s / 2
+        beta = _exponent(data, 12) % s or s / 3
+        spec = BilateralSpec(s, alpha, beta)
+        order = F(data.draw(st.integers(-6, 60)), data.draw(st.integers(1, 3)))
+        got, want = bilateral_1psi1_lhs(spec, order), oracle_psi11lhs(spec, order)
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+
+    def test_lhs_at_large_order(self):
+        # quadratic in the order before terms went into one dict
+        spec = BilateralSpec(16, 8, 2)
+        lhs = bilateral_1psi1_lhs(spec, 2000)
+        assert lhs.first_mismatch(bilateral_1psi1_rhs(spec, 2000), 2000) is None
+        assert bilateral_1psi1_lhs(spec, 8000).truncated(2000) == lhs
 
     def test_rhs_explicit_pochhammer_composition(self):
         # (q^10,q^6,q^16,q^16;q^16) / (q^8,q^8,q^2,q^14;q^16)

@@ -1,0 +1,150 @@
+"""Shared evaluations in `verify_many`: the same reports as `verify` one
+entry at a time, one expansion per distinct (node, order), and nothing
+kept once the batch is over."""
+
+import dataclasses
+import threading
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from qident import blocks, expr
+from qident.catalog import catalog, get
+from qident.dsl import parse_identity
+from qident.expr import Add, QPow
+from qident.series import SlotBudgetError
+from qident.verify import Identity, verify, verify_many
+
+THM31 = [idy for idy in catalog() if idy.id.startswith("thm31-")]
+
+
+def _verdicts(reports):
+    return [(r.id, r.order, r.status, r.resolved_sign, r.first_mismatch)
+            for r in reports]
+
+
+def _one_by_one(batch, order=None):
+    return _verdicts([verify(idy, order) for idy in batch])
+
+
+class TestSameReports:
+    @pytest.mark.parametrize("order", [F(8), F(24), None])
+    def test_whole_catalog(self, order):
+        batch = catalog()
+        assert _verdicts(verify_many(batch, order)) == _one_by_one(batch, order)
+
+    def test_repeated_entries(self):
+        batch = [get("thm31-i"), get("hcf-plus"), get("thm31-i"),
+                 get("diff-313"), THM31[3], get("thm31-i")]
+        assert _verdicts(verify_many(batch, F(24))) == _one_by_one(batch, F(24))
+
+    @pytest.mark.parametrize("k", [F(0), F(5), F(47, 2)])
+    def test_perturbed_copy_mismatches_at_k(self, k):
+        # each copy shares every subtree with its original but its root
+        copies = [Identity(f"{idy.id}+q^{k}", idy.lhs, Add(idy.rhs, QPow(k)),
+                           idy.default_order)
+                  for idy in THM31[1:]]  # the entries that verify with +1
+        batch = [x for pair in zip(THM31[1:], copies) for x in pair]
+        reports = verify_many(batch, F(24))
+        assert _verdicts(reports) == _one_by_one(batch, F(24))
+        assert [r.status for r in reports[0::2]] == ["verified"] * 5
+        assert [r.status for r in reports[1::2]] == ["mismatch"] * 5
+        assert {r.first_mismatch.exponent for r in reports[1::2]} == {k}
+
+    def test_sign_tolerant_entries(self):
+        batch = [get("diff-313"), get("thm31-i"), get("sum-318")]
+        reports = verify_many(batch, F(20))
+        assert [(r.status, r.resolved_sign) for r in reports] == [
+            ("verified_with_sign_flip", -1), ("verified_with_sign_flip", -1),
+            ("verified", 1)]
+        assert _verdicts(reports) == _one_by_one(batch, F(20))
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Count every primitive build by (name, argument, order)."""
+    counts = Counter()
+    for name, prim in expr.PRIMITIVES.items():
+        def build(arg, order, name=name, inner=prim.build):
+            counts[name, arg, F(order)] += 1
+            return inner(arg, order)
+        monkeypatch.setitem(expr.PRIMITIVES, name,
+                            dataclasses.replace(prim, build=build))
+    return counts
+
+
+class TestSharing:
+    def test_gamma_blocks_built_once_for_thm31(self, monkeypatch):
+        calls = Counter()
+        gamma_k = blocks.gamma_k
+
+        def spy(k, order, r=1):
+            calls[k, order, r] += 1
+            return gamma_k(k, order, r)
+
+        monkeypatch.setattr(blocks, "gamma_k", spy)
+        verify_many(THM31)
+        assert calls == {(1, 20, F(1, 2)): 1, (3, 20, F(1, 2)): 1}
+        calls.clear()
+        for idy in THM31:
+            verify(idy)
+        assert sum(calls.values()) == 24
+
+    @pytest.mark.parametrize("order", [F(24), None])
+    def test_every_block_built_once_per_argument_and_order(self, builds, order):
+        verify_many(catalog(), order)
+        assert builds and set(builds.values()) == {1}
+
+
+class TestLifetime:
+    def test_cache_only_inside_the_batch(self, monkeypatch):
+        seen = []
+        build = expr.PRIMITIVES["H"].build
+
+        def look(arg, order):
+            seen.append(expr._SHARED.get())
+            other = threading.Thread(target=lambda: seen.append(expr._SHARED.get()))
+            other.start()
+            other.join()
+            return build(arg, order)
+
+        monkeypatch.setitem(expr.PRIMITIVES, "H", dataclasses.replace(
+            expr.PRIMITIVES["H"], build=look))
+        verify_many([get("hcf-plus")])
+        assert seen[0] is not None and seen[1] is None  # not in another thread
+        assert expr._SHARED.get() is None
+        seen.clear()
+        verify(get("hcf-plus"))
+        assert seen and not any(seen)
+
+    def test_cache_reset_when_a_batch_raises(self):
+        lhs, rhs = parse_identity("phi(1/999983)*phi(1/999979) == phi(1)")
+        batch = [get("hcf-plus"), Identity("huge", lhs, rhs, F(10))]
+        with pytest.raises(SlotBudgetError):
+            verify_many(batch, F(10))
+        assert expr._SHARED.get() is None
+
+    def test_entries_dropped_after_last_use(self, monkeypatch):
+        caches = []
+
+        class Recording(expr.SharedEvaluations):
+            def __init__(self, roots):
+                super().__init__(roots)
+                self.occurrences = Counter(self.remaining)
+                self.stored = set()
+                caches.append(self)
+
+            def evaluate(self, node, order):
+                result = super().evaluate(node, order)
+                self.stored.update(self.entries)
+                return result
+
+        monkeypatch.setattr(expr, "SharedEvaluations", Recording)
+        verify_many(catalog(), F(24))
+        verify_many(THM31 + THM31)
+        for cache in caches:
+            assert cache.stored
+            assert all(cache.occurrences[n] >= 2 for n in cache.stored)
+            assert cache.entries == {}
+            assert not cache.remaining
