@@ -143,7 +143,7 @@ def poch_quotient(families, order) -> PuiseuxSeries:
             for _ in range(-p):
                 for k in range(off, n):
                     c[k] -= sign * c[k - off]
-    return PuiseuxSeries({_FR(k, den): v for k, v in enumerate(c) if v}, order)
+    return PuiseuxSeries.from_slots(0, den, c, None, order)
 
 
 def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
@@ -274,12 +274,7 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
                 rp[j] += rp[j2]
                 ip[j] += ip[j2]
         m += 1
-    terms = {
-        _FR(j, den): AlgebraicNumber(rp[j], ip[j])
-        for j in range(n)
-        if rp[j] or ip[j]
-    }
-    return PuiseuxSeries(terms, order)
+    return PuiseuxSeries.from_slots(0, den, rp, ip, order)
 
 
 def sine_ratio_table(k: int, count: int) -> SineRatioTable:

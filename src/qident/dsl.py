@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .blocks import PochSpec, ThetaSpec
 from .expr import (
-    PRIMITIVES, Add, Const, Div, Mul, Node, Pow, Prim, QPow, Sub, Subst,
+    PRIMITIVES, Add, Const, Mul, Node, Pow, Prim, QPow, Sub, Subst,
 )
 from .field import SQRT2, AlgebraicNumber
 from .lambert import BilateralSpec, LambertSpec
@@ -167,7 +167,7 @@ class Parser:
         while self._peek().text in ("+", "-"):
             op = self._next().text
             right = self._term()
-            node = self._fold(Add if op == "+" else Sub, node, right)
+            node = self._fold(op, node, right)
         return node
 
     def _term(self) -> Node:
@@ -175,22 +175,25 @@ class Parser:
         while self._peek().text in ("*", "/"):
             op = self._next().text
             right = self._factor()
-            node = self._fold(Mul if op == "*" else Div, node, right)
+            node = self._fold(op, node, right)
         return node
 
-    def _fold(self, cls, left: Node, right: Node) -> Node:
+    def _fold(self, op: str, left: Node, right: Node) -> Node:
+        """left op right; a division x/y is Mul(x, Pow(y, -1))."""
         if isinstance(left, Const) and isinstance(right, Const):
             a, b = left.value, right.value
-            if cls is Add:
+            if op == "+":
                 return Const(a + b)
-            if cls is Sub:
+            if op == "-":
                 return Const(a - b)
-            if cls is Mul:
+            if op == "*":
                 return Const(a * b)
             if not b:
                 self._error("division by zero in constant expression")
             return Const(a / b)
-        return cls(left, right)
+        if op == "/":
+            return Mul(left, Pow(right, _FR(-1)))
+        return {"+": Add, "-": Sub, "*": Mul}[op](left, right)
 
     def _factor(self) -> Node:
         node = self._atom()
@@ -473,14 +476,14 @@ def _render_node(node: Node) -> tuple[str, int]:
         return f"{_render(node.left, _ADD)} + {_render(node.right, _MUL)}", _ADD
     if isinstance(node, Sub):
         return f"{_render(node.left, _ADD)} - {_render(node.right, _MUL)}", _ADD
-    if isinstance(node, Mul):
-        return f"{_render(node.left, _MUL)}*{_render(node.right, _POW)}", _MUL
-    if isinstance(node, Div):
-        right = _render(node.right, _POW)
+    if isinstance(node, Mul) and isinstance(node.right, Pow) and node.right.r == -1:
+        right = _render(node.right.base, _POW)
         if right[0].isdigit():
             # after "x*3" a bare "/4" would reparse as the rational 3/4
             right = f"({right})"
         return f"{_render(node.left, _MUL)}/{right}", _MUL
+    if isinstance(node, Mul):
+        return f"{_render(node.left, _MUL)}*{_render(node.right, _POW)}", _MUL
     if isinstance(node, Pow):
         return f"{_render(node.base, _ATOM)}^({node.r})", _POW
     if isinstance(node, QPow):

@@ -2,11 +2,13 @@
 
 Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
 requested guarantee order.  Evaluation propagates per-node targets top
-down: multiplicative nodes pad their children by the co-factor's
-structural leading exponent (`hint`), divisions add the extra amount
-inversion consumes, and a power ``Pow(base, r)`` of any rational r --
+down: a product pads each factor by the co-factor's structural leading
+exponent (`hint`), and a power ``Pow(base, r)`` of any rational r --
 integer powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike --
-pads its base to ``order + (1 - r) * hint(base)``.  Hints are exact
+pads its base to ``order + (1 - r) * hint(base)``.  A division ``x/y``
+is the product ``Mul(x, Pow(y, -1))``: the numerator is padded to
+``order + hint(y)`` and the divisor to ``order - hint(x) + 2*hint(y)``,
+the extra ``hint(y)`` being what inversion consumes.  Hints are exact
 unless a subtraction cancels a leading term inside a denominator or a
 power, which no built-in identity does; :func:`evaluate_to_order`
 re-runs with a larger target (at most 3 retries) if a result still falls
@@ -203,24 +205,6 @@ class Mul(Node):
 
     def hint(self):
         return self.left.hint() + self.right.hint()
-
-
-@dataclass(frozen=True)
-class Div(Node):
-    left: Node
-    right: Node
-
-    def _evaluate(self, order):
-        # num * inv(den): inversion costs 2*m_den of truncation, the
-        # product another m_num / (-m_den)
-        order = _fr(order)
-        lh, rh = self.left.hint(), self.right.hint()
-        num = self.left.evaluate(order + rh)
-        den = self.right.evaluate(order - lh + 2 * rh)
-        return num * den.inverse()
-
-    def hint(self):
-        return self.left.hint() - self.right.hint()
 
 
 @dataclass(frozen=True)

@@ -116,19 +116,20 @@ def _lambert_progressions(spec: LambertSpec, n: int):
 def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
     """Expand the congruence-restricted Lambert sum below `order`.
 
-    Every term of every geometric tail is one dict update, counted before
-    the loop at TERM_STEP_WEIGHT steps each.
+    Slot e of one int array holds the coefficient of q^e.  Every term of
+    every geometric tail is one slot update, counted before the loop at
+    TERM_STEP_WEIGHT steps each.
     """
     order = _fr(order)
     n = dense_slots(order)  # the integer exponents below order are e < n
     terms = sum(len(range(head, n, step))
                 for head, step, _ in _lambert_progressions(spec, n))
     check_steps(TERM_STEP_WEIGHT * terms, f"Lambert sum of {terms} terms")
-    acc: dict[int, int] = {}
+    acc = [0] * n
     for head, step, c in _lambert_progressions(spec, n):
         for e in range(head, n, step):
-            acc[e] = acc.get(e, 0) + c
-    return PuiseuxSeries(acc, order)
+            acc[e] += c
+    return PuiseuxSeries.from_slots(0, 1, acc, None, order)
 
 
 @dataclass(frozen=True)
@@ -194,23 +195,27 @@ def _bilateral_progressions(s: int, alpha: int, beta: int, n: int):
 def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     """Sum the bilateral series term by term below `order`.
 
-    All exponents lie on the grid 1/den of the spec; the summands are
-    accumulated there in one dict, each term one update, counted before
-    the loop at TERM_STEP_WEIGHT steps each.
+    All exponents lie on the grid 1/den of the spec.  The summands are
+    accumulated in one int array that starts at the least head, the j = -1
+    head s - alpha - beta when that is negative and 0 otherwise; each term
+    is one slot update, counted before the loop at TERM_STEP_WEIGHT steps
+    each.
     """
     order = _fr(order)
     den = math.lcm(spec.base.denominator, spec.x_exp.denominator,
                    spec.z_exp.denominator)
-    n = dense_slots(order * den)  # grid exponents below order are e < n
     grid = [int(x * den) for x in (spec.base, spec.x_exp, spec.z_exp)]
+    low = min(0, grid[0] - grid[1] - grid[2])
+    # grid exponents below order are e < n; the array holds low <= e < n
+    n = dense_slots(order * den - low) + low
     terms = sum(len(range(head, n, step))
                 for head, step, _ in _bilateral_progressions(*grid, n))
     check_steps(TERM_STEP_WEIGHT * terms, f"1psi1 sum of {terms} terms")
-    acc: dict[int, int] = {}
+    acc = [0] * (n - low)
     for head, step, sign in _bilateral_progressions(*grid, n):
-        for e in range(head, n, step):
-            acc[e] = acc.get(e, 0) + sign
-    return PuiseuxSeries({_FR(e, den): c for e, c in acc.items()}, order)
+        for e in range(head - low, n - low, step):
+            acc[e] += sign
+    return PuiseuxSeries.from_slots(_FR(low, den), den, acc, None, order)
 
 
 def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:

@@ -11,25 +11,32 @@ Truncation propagates pessimistically through arithmetic; comparisons
 that would need unknown coefficients raise
 :class:`InsufficientPrecisionError` instead of silently comparing fewer
 terms.
+
+Dense work (products, the power recurrence, the block builders) runs on
+the grid form of a series: with least exponent m, slot k of an integer
+array holds the coefficient of ``q**(m + k/den)``, where 1/den is the
+coarsest grid of the offsets e - m.  :meth:`PuiseuxSeries._grid`,
+:meth:`PuiseuxSeries._slots` and :meth:`PuiseuxSeries.from_slots` are
+the only code that converts between the two forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from . import backend
 from .field import ONE, ZERO, AlgebraicNumber
 
-# Products convolve on the common 1/lcm exponent grid; past this many grid
-# slots (widely differing exponent denominators) they multiply term by term.
-_DENSE_SLOT_CAP = 500_000
 # No dense coefficient array built from an order and an exponent grid
-# (block expansions, inverse and root recurrences) may be longer than this,
+# (block expansions, products, inverse and root recurrences) may be longer
+# than this,
 MAX_DENSE_SLOTS = 1_000_000
 # nor may the loop that fills it take more inner steps (slot updates): the
-# slot cap bounds memory, this bounds time.
+# slot cap bounds memory, this bounds time.  A product past either budget
+# multiplies term by term instead.
 MAX_SLOT_STEPS = 20_000_000
 # A step of a term-by-term loop (a Fraction exponent and a Q(sqrt2) value
 # per term, kept in a dict) counts as this many of those steps: on a 2-core
@@ -98,6 +105,12 @@ def _coeff(c) -> AlgebraicNumber:
     return c if isinstance(c, AlgebraicNumber) else AlgebraicNumber(c)
 
 
+def _lowest(a, b, n):
+    """(a + b*sqrt2) / n in lowest terms, n > 0."""
+    g = math.gcd(a, b, n) if n > 0 else -math.gcd(a, b, n)
+    return a // g, b // g, n // g
+
+
 class PuiseuxSeries:
     """Finitely many exact terms plus a truncation bound."""
 
@@ -130,6 +143,31 @@ class PuiseuxSeries:
         return cls.monomial(ONE, 0, trunc)
 
     @classmethod
+    def from_slots(cls, start, den, rat, irr, trunc, d=1, scale=1):
+        """The series with slot k of the integer arrays at q^(start + k/den).
+
+        Slot k holds (rat[k] + irr[k]*sqrt2) / (d * scale**k); `irr` may be
+        None for an all-rational series, and zero slots are skipped.  Every
+        slot must lie below `trunc`: a caller sizes its arrays by the
+        bound, ceil((trunc - start) * den) slots at most.
+        """
+        start = _fr(start)
+        e, step = start.numerator * den, start.denominator
+        grid = step * den
+        terms = {}
+        for r, i in zip(rat, irr if irr is not None else repeat(0)):
+            if r or i:
+                terms[Fraction(e, grid)] = (
+                    AlgebraicNumber(r, i) if d == 1
+                    else AlgebraicNumber(Fraction(r, d), Fraction(i, d)))
+            e += step
+            d *= scale
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "trunc", _fr(trunc))
+        return out
+
+    @classmethod
     def monomial(cls, coeff, exponent, trunc) -> "PuiseuxSeries":
         coeff, exponent, trunc = _coeff(coeff), _fr(exponent), _fr(trunc)
         if coeff and trunc <= exponent:
@@ -144,6 +182,43 @@ class PuiseuxSeries:
         # least exponent; by convention the truncation bound for the zero
         # series (it has no terms below trunc)
         return min(self.terms) if self.terms else self.trunc
+
+    def _grid(self) -> tuple[Fraction, int]:
+        """(m, den): the least exponent m, and the coarsest grid 1/den that
+        holds every offset e - m."""
+        m = self._least()
+        big = math.lcm(*(e.denominator for e in self.terms))
+        base = m.numerator * (big // m.denominator)
+        g = big
+        for e in self.terms:
+            g = math.gcd(g, e.numerator * (big // e.denominator) - base)
+        return m, big // g
+
+    def _slots(self, den, nout):
+        """(rat, irr or None, d): the terms as integer arrays on the grid
+        q^(m + k/den), m the least exponent.
+
+        Slot k holds (rat[k] + irr[k]*sqrt2) / d, d the lcm of the kept
+        coefficients' denominators; terms at slot nout or later are
+        dropped, the arrays end at the last nonzero slot, and `irr` is None
+        when every irrational part is 0.
+        """
+        m = self._least()
+        mn, md = m.numerator, m.denominator
+        d = 1
+        kept = []
+        for e, c in self.terms.items():
+            k = (e.numerator * md - mn * e.denominator) * den // (e.denominator * md)
+            if k < nout:
+                kept.append((k, c.rat, c.irr))
+                d = math.lcm(d, c.rat.denominator, c.irr.denominator)
+        n = max(k for k, _, _ in kept) + 1 if kept else 0
+        rat = [0] * n
+        irr = [0] * n
+        for k, r, i in kept:
+            rat[k] = r.numerator * (d // r.denominator)
+            irr[k] = i.numerator * (d // i.denominator)
+        return rat, irr if any(irr) else None, d
 
     def leading(self) -> Optional[tuple[Fraction, AlgebraicNumber]]:
         if not self.terms:
@@ -228,7 +303,7 @@ class PuiseuxSeries:
     __rmul__ = __mul__
 
     def _mul_sparse(self, other, trunc):
-        """Term-by-term product: the fallback past the dense slot cap.
+        """Term-by-term product: the fallback past the dense budgets.
 
         Its len(self) * len(other) term pairs count against the step
         budget, TERM_STEP_WEIGHT steps each.
@@ -252,68 +327,39 @@ class PuiseuxSeries:
         return PuiseuxSeries(acc, trunc)
 
     def _mul_dense(self, other, trunc):
-        den = 1
-        for s in (self, other):
-            for e in s.terms:
-                den = den * e.denominator // math.gcd(den, e.denominator)
-        base = self._least() + other._least()
-        span = (trunc - base) * den
-        if span <= 0:
-            return PuiseuxSeries.zero(trunc)
-        nout = math.ceil(span)
-        if nout > _DENSE_SLOT_CAP:
-            return None
-        ra, ia, d1, irr1 = self._dense_vectors(den, nout)
-        rb, ib, d2, irr2 = other._dense_vectors(den, nout)
-        if irr1 or irr2:
-            rc, ic = backend.convolve(ra, ia, rb, ib, nout)
-        else:
-            rc = backend.convolve_rational(ra, rb, nout)
-            ic = [0] * nout
-        d = d1 * d2
-        bn = int(base * den)
-        out = {}
-        for k in range(nout):
-            r, i = rc[k], ic[k]
-            if r or i:
-                out[Fraction(bn + k, den)] = AlgebraicNumber(
-                    Fraction(r, d), Fraction(i, d)
-                )
-        return PuiseuxSeries(out, trunc)
+        """Convolution of the two slot arrays on their common offset grid.
 
-    def _dense_vectors(self, den, nout):
-        """Integer-normalized dense coefficients on the 1/den grid.
-
-        Returns (rat_parts, irr_parts, common_denominator, has_irr) with
-        coefficient k equal to (rat[k] + irr[k]*sqrt2) / common_denominator.
+        Returns None, and the caller multiplies term by term, when the
+        product needs more than MAX_DENSE_SLOTS slots or its kernel more
+        than MAX_SLOT_STEPS inner steps: the sum over the nonzero slots i
+        of the first array of min(len(second), nout - i), taken before the
+        kernel runs.
         """
-        m = self._least()
-        d = 1
-        offs = []
-        for e, c in self.terms.items():
-            off = int((e - m) * den)
-            if off >= nout:
-                continue  # cannot reach a kept slot of the product
-            offs.append((off, c))
-            for q in (c.rat.denominator, c.irr.denominator):
-                d = d * q // math.gcd(d, q)
-        n = max(off for off, _ in offs) + 1 if offs else 1
-        ra = [0] * n
-        ia = [0] * n
-        has_irr = False
-        for off, c in offs:
-            ra[off] = int(c.rat * d)
-            iv = int(c.irr * d)
-            ia[off] = iv
-            if iv:
-                has_irr = True
-        return ra, ia, d, has_irr
+        m1, den1 = self._grid()
+        m2, den2 = other._grid()
+        den = math.lcm(den1, den2)
+        nout = math.ceil((trunc - m1 - m2) * den)
+        if nout > MAX_DENSE_SLOTS:
+            return None
+        ra, ia, d1 = self._slots(den, nout)
+        rb, ib, d2 = other._slots(den, nout)
+        nb = len(rb)
+        steps = sum(min(nb, nout - i)
+                    for i, x in enumerate(ra) if x or ia and ia[i])
+        if steps > MAX_SLOT_STEPS:
+            return None
+        if ia is None and ib is None:
+            rc, ic = backend.convolve_rational(ra, rb, nout), None
+        else:
+            rc, ic = backend.convolve(ra, ia or [0] * len(ra),
+                                      rb, ib or [0] * nb, nout)
+        return PuiseuxSeries.from_slots(m1 + m2, den, rc, ic, trunc, d1 * d2)
 
     def __pow__(self, r):
         """self ** r for an int or Fraction r.
 
         Positive integer powers square repeatedly (each product keeps the
-        term-by-term fallback past the dense slot cap); every other power
+        term-by-term fallback past the dense budgets); every other power
         runs the recurrence of :meth:`_power`, which needs a leading
         coefficient of exactly 1 when r is not an integer.
         """
@@ -340,44 +386,38 @@ class PuiseuxSeries:
         """Leading-term data plus the unit part as scaled Z[sqrt2] pairs.
 
         Writes the series as c0 * q**m * u with u = 1 + sum u_j t**j on the
-        grid t = q**(1/den), and picks an integer L with den(u_j) | L**j for
-        every j (den of a Q(sqrt2) value: the lcm of its two parts'
-        denominators).  Each small prime p of D = lcm_j den(u_j) enters L as
-        p**ceil(max_j v_p(den u_j) / j); the part of D free of the primes
-        tried enters once, which is enough because every den(u_j) divides D.
-        (L = D would do too, but D**j outgrows the coefficients by far.)
+        grid t = q**(1/den) of :meth:`_grid`.  From the slot arrays of
+        :meth:`_slots`, c_j = (r_j + i_j*sqrt2) / d, so with the integer
+        norm N = r_0**2 - 2*i_0**2, u_j = c_j / c_0 = (a_j + b_j*sqrt2) / N
+        for a_j = r_j r_0 - 2 i_j i_0 and b_j = i_j r_0 - r_j i_0, and
+        den(u_j) = |N| / gcd(a_j, b_j, N) (den of a Q(sqrt2) value: the lcm
+        of its two parts' denominators).  It then picks an integer L with
+        den(u_j) | L**j for every j.  Each small prime p of
+        D = lcm_j den(u_j) enters L as p**ceil(max_j v_p(den u_j) / j); the
+        part of D free of the primes tried enters once, which is enough
+        because every den(u_j) divides D.  (L = D would do too, but D**j
+        outgrows the coefficients by far.)
 
         Returns (m, den, nout, scale, units, inv) with scale = L * extra,
         units the tuples (j, r, i, 2*i) with r + i*sqrt2 = u_j * scale**j
         for the nonzero u_j, 0 < j < nout, ascending in j, and inv = (x, y,
-        w) with 1/c0 = (x + y*sqrt2) / w.
+        w) with 1/c0 = (x + y*sqrt2) / w in lowest terms.
 
         The recurrence over the nout slots is checked against the budgets
-        before anything is allocated: each of its inner steps counts as
+        before its arrays are allocated: each of its inner steps counts as
         ceil(B / 64) steps (at least 1), B = (nout - 1) * log2(scale)
         bounding the bits of the largest scaled value, so a fine grid with
         a large scale is refused even when its plain step count is small.
         """
-        m, c0 = self.leading()
-        den = 1
-        for e in self.terms:
-            den = math.lcm(den, (e - m).denominator)
-        span = (self.trunc - m) * den
-        nout = math.ceil(span)
-        norm = c0.rat * c0.rat - 2 * c0.irr * c0.irr
-        x, y = c0.rat / norm, -c0.irr / norm
-        fracs = []
-        lcm_den = 1
-        for e, c in self.terms.items():
-            j = int((e - m) * den)
-            if 0 < j < nout:
-                ur = c.rat * x + 2 * c.irr * y
-                ui = c.rat * y + c.irr * x
-                d = math.lcm(ur.denominator, ui.denominator)
-                fracs.append((j, ur.numerator * (d // ur.denominator),
-                              ui.numerator * (d // ui.denominator), d))
-                lcm_den = math.lcm(lcm_den, d)
-        fracs.sort()
+        m, den = self._grid()
+        nout = dense_slots((self.trunc - m) * den)
+        rat, irr, dc = self._slots(den, nout)
+        irr = irr or [0] * len(rat)
+        r0, i0 = rat[0], irr[0]
+        norm = r0 * r0 - 2 * i0 * i0
+        fracs = [(j, *_lowest(x * r0 - 2 * y * i0, y * r0 - x * i0, norm))
+                 for j, (x, y) in enumerate(zip(rat, irr)) if j and (x or y)]
+        lcm_den = math.lcm(*(d for *_, d in fracs))
         scale = extra
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             if lcm_den % p:
@@ -393,17 +433,14 @@ class PuiseuxSeries:
                 need = max(need, -(-v // j))
             scale *= p**need
         scale *= lcm_den  # the cofactor free of the trial primes
-        dense_slots(span, steps=lambda n: max(
-            1, math.ceil((n - 1) * math.log2(scale) / 64)
-        ) * sum(n - j for j, *_ in fracs))
+        check_steps(max(1, math.ceil((nout - 1) * math.log2(scale) / 64))
+                    * sum(nout - j for j, *_ in fracs),
+                    f"expansion over {nout} dense coefficient slots")
         units = []
         for j, r, i, d in fracs:
             f = scale**j // d
             units.append((j, r * f, i * f, 2 * i * f))
-        w = math.lcm(x.denominator, y.denominator)
-        inv = (x.numerator * (w // x.denominator),
-               y.numerator * (w // y.denominator), w)
-        return m, den, nout, scale, units, inv
+        return m, den, nout, scale, units, _lowest(dc * r0, -dc * i0, norm)
 
     def _power(self, a: int, n: int) -> "PuiseuxSeries":
         """self ** (a/n), a/n in lowest terms with n >= 1, up to the
@@ -476,16 +513,12 @@ class PuiseuxSeries:
         x, y, d = 1, 0, 1
         for _ in range(-a):  # c0**a = (x + y*sqrt2) / d; c0 = 1 unless a < 0
             x, y, d = x * ix + 2 * y * iy, x * iy + y * ix, d * iw
+        if (x, y) != (1, 0):
+            pr, pi = ([r * x + 2 * i * y for r, i in zip(pr, pi)],
+                      [r * y + i * x for r, i in zip(pr, pi)])
         shift = m * a / n
-        out = {}
-        for k in range(nout):
-            r, i = pr[k], pi[k]
-            if r or i:
-                out[Fraction(k, den) + shift] = AlgebraicNumber(
-                    Fraction(r * x + 2 * i * y, d), Fraction(r * y + i * x, d)
-                )
-            d *= scale
-        return PuiseuxSeries(out, (self.trunc - m) + shift)
+        return PuiseuxSeries.from_slots(shift, den, pr, pi,
+                                        (self.trunc - m) + shift, d, scale)
 
     def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse up to the available truncation.

@@ -175,6 +175,8 @@ class TestDumpCommand:
             # 178,744 terms of the bilateral sum, 5,221,424 of the Lambert sum
             ["dump", "psi11lhs(16,8,2)", "--order", "100000"],
             ["dump", "lambert(1,0,+1,1)", "--order", "400000"],
+            # 2*10^8 dense product steps, then 4*10^8 term pairs
+            ["dump", "(1/(1-q^(1)))^(2)", "--order", "20000"],
         ],
     )
     def test_term_loops_exit_2_quickly(self, runner, args):

@@ -18,7 +18,7 @@ from qident.dsl import (
     render_identity,
 )
 from qident.expr import (
-    PRIMITIVES, Const, Div, Mul, Pow, Prim, QPow, Sub, Subst,
+    PRIMITIVES, Const, Mul, Pow, Prim, QPow, Sub, Subst,
     evaluate_to_order,
 )
 from qident.field import AlgebraicNumber as A
@@ -30,9 +30,12 @@ class TestGrammar:
         lhs, rhs = parse_identity(
             "eta(8)/eta(2) * q^(-1/4) == poch(-,8,8)/poch(-,2,2)"
         )
-        assert lhs == Mul(Div(Prim("eta", F(8)), Prim("eta", F(2))), QPow(F(-1, 4)))
-        assert rhs == Div(
-            Prim("poch", PochSpec(-1, 8, 8)), Prim("poch", PochSpec(-1, 2, 2))
+        assert lhs == Mul(
+            Mul(Prim("eta", F(8)), Pow(Prim("eta", F(2)), F(-1))), QPow(F(-1, 4))
+        )
+        assert rhs == Mul(
+            Prim("poch", PochSpec(-1, 8, 8)),
+            Pow(Prim("poch", PochSpec(-1, 2, 2)), F(-1)),
         )
 
     def test_root_atom(self):
@@ -93,7 +96,9 @@ class TestGrammar:
         assert parse_expression("sqrt2^(2)") == Const(A(2))
 
     def test_division_not_confused_with_fraction_bar(self):
-        assert parse_expression("1/H(1)") == Div(Const(A(1)), Prim("H", F(1)))
+        assert parse_expression("1/H(1)") == Mul(
+            Const(A(1)), Pow(Prim("H", F(1)), F(-1))
+        )
         assert parse_expression("1/2") == Const(A(F(1, 2)))
 
     def test_associativity_shape(self):

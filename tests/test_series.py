@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qident import series as series_mod
+from qident import backend, series as series_mod
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import (
     PochSpec,
     ThetaSpec,
+    eta,
     gamma_k,
     i_series,
     pochhammer,
@@ -218,6 +219,32 @@ class TestMul:
         product = a * b
         assert product == a._mul_sparse(b, product.trunc)
 
+    @given(wide_series())
+    def test_slots_round_trip(self, s):
+        m, den = s._grid()
+        offsets = [(e - m) * den for e in s.terms]
+        assert all(o.denominator == 1 for o in offsets)
+        assert math.gcd(den, *(o.numerator for o in offsets)) == 1  # coarsest
+        rat, irr, d = s._slots(den, math.ceil((s.trunc - m) * den))
+        back = P.from_slots(m, den, rat, irr, s.trunc, d)
+        assert (back.terms, back.trunc) == (s.terms, s.trunc)
+
+    def test_products_convolve_on_the_offset_grid(self, monkeypatch):
+        # eta(1) = q^(1/24) (q;q)_inf: its offsets lie on the integer grid,
+        # so its square to q^(241/24) convolves 10 slots, not the 239 of
+        # the exponents' 1/24 grid
+        a = eta(1, 10)
+        slots = []
+        kernel = backend.convolve_rational
+
+        def counting(ra, rb, nout):
+            slots.append(nout)
+            return kernel(ra, rb, nout)
+
+        monkeypatch.setattr(backend, "convolve_rational", counting)
+        assert a * a == a._mul_sparse(a, F(241, 24))
+        assert slots == [10]
+
     def test_grid_past_the_slot_cap_multiplies_term_by_term(self):
         a = P({0: 1, F(1, 999983): 1}, 1)
         b = P({0: 1, F(1, 1000003): 1}, 1)
@@ -379,6 +406,10 @@ class TestSlotBudget:
             # i(q) to q^9 = (q;q^4)(q^3;q^4) / (q^2;q^4)^2 once (q^4;q^4)
             # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
             (lambda: i_series(9), 40),
+            # (1 + q)(1 + q^2) to q^10: both slots of the first factor meet
+            # all 3 slots of the second; past the budget the term-by-term
+            # product needs 2 x 2 pairs, far more steps
+            (lambda: P({0: 1, 1: 1}, 10) * P({0: 1, 2: 1}, 10), 6),
             # grids 1/999983 and 1/999979 are past the dense slot cap: the
             # term-by-term product weighs its 3 x 4 term pairs
             (lambda: P({F(j, 999983): 1 for j in range(3)}, 1)
