@@ -9,10 +9,11 @@ theta_1 specializations, and the two continued-fraction product sides
 h and i.
 
 Every product or quotient of Pochhammer families -- a single Pochhammer,
-the triple-product form of f, h, i, and the 1psi1 product side in
-:mod:`qident.lambert` -- is filled in place on one dense int array by
-:func:`poch_quotient`, one factor pass at a time, with no series product,
-no inverse and no Fraction per intermediate slot.
+the first-power factors of an eta quotient, the triple-product form of
+f, h, i, and the 1psi1 product side in :mod:`qident.lambert` -- is
+filled in place on one dense int array by :func:`poch_quotient`, one
+factor pass at a time, with no series product, no inverse and no
+Fraction per intermediate slot.
 """
 
 from __future__ import annotations
@@ -214,17 +215,23 @@ def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
 def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
     """Realize prod eta(m tau)^p as q^{sum p*m/24} times Pochhammer powers.
 
-    Each rational power p acts on the unit series (q^m;q^m)_inf, whose
-    leading coefficient is 1.
+    The factors to the first power fill one :func:`poch_quotient` with
+    their unit series (q^m;q^m)_inf.  Any other power p runs the power
+    recurrence on its own Pochhammer expansion, whose leading coefficient
+    is 1, and multiplies in: the recurrence costs the same for every p,
+    while the fill makes |p| passes per factor, each a Python loop when
+    p < 0.
     """
     order = _fr(order)
     lead = eq.leading_exponent()
     unit_order = order - lead
     if unit_order <= 0:
         return PuiseuxSeries.zero(order)
-    out = PuiseuxSeries.one(unit_order)
+    out = poch_quotient([(PochSpec(-1, m, m), 1)
+                         for m, p in eq.factors if p == 1], unit_order)
     for m, p in eq.factors:
-        out = out * pochhammer(PochSpec(-1, m, m), unit_order) ** p
+        if p != 1:
+            out = out * pochhammer(PochSpec(-1, m, m), unit_order) ** p
     return out.shift(lead)
 
 
@@ -294,26 +301,28 @@ def sine_ratio_table(k: int, count: int) -> SineRatioTable:
 
 
 def b_value(i: int, k: int) -> AlgebraicNumber:
-    """Exact value of the k-th entry of the difference table B_i.
-
-    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k,
-    B_3(k) = beta3 r3_k - beta1 r1_k, where rj is the sine-ratio table
-    at angle j*pi/8.
-    """
-    r1 = sine_ratio_table(1, k + 1).values[k]
-    r3 = sine_ratio_table(3, k + 1).values[k]
-    if i == 1:
-        return r1 - r3
-    if i == 2:
-        return (ONE + BETA[3]) * r3 - (ONE + BETA[1]) * r1
-    if i == 3:
-        return BETA[3] * r3 - BETA[1] * r1
-    raise ValueError("table index must be 1, 2 or 3")
+    """Exact value of the k-th entry of the difference table B_i."""
+    return b_table_series(i, k + 1).coefficient(k)
 
 
 def b_table_series(i: int, length: int = 32) -> PuiseuxSeries:
-    """The polynomial sum_{k<length} B_i(k) q^k (trunc = length)."""
-    return PuiseuxSeries({_FR(k): b_value(i, k) for k in range(length)}, length)
+    """The polynomial sum_{k<length} B_i(k) q^k (trunc = length).
+
+    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k,
+    B_3(k) = beta3 r3_k - beta1 r1_k, where rj is the sine-ratio table
+    at angle j*pi/8, built once for the whole polynomial.
+    """
+    if i not in (1, 2, 3):
+        raise ValueError("table index must be 1, 2 or 3")
+    r1 = sine_ratio_table(1, length).values
+    r3 = sine_ratio_table(3, length).values
+    if i == 1:
+        values = [x - y for x, y in zip(r1, r3)]
+    elif i == 2:
+        values = [(ONE + BETA[3]) * y - (ONE + BETA[1]) * x for x, y in zip(r1, r3)]
+    else:
+        values = [BETA[3] * y - BETA[1] * x for x, y in zip(r1, r3)]
+    return PuiseuxSeries({_FR(k): v for k, v in enumerate(values)}, length)
 
 
 def theta1_normalized(k: int, order) -> PuiseuxSeries:

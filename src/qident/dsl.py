@@ -35,7 +35,7 @@ are positive rationals; `+a1-a2...` lists signed integer exponents.
 | `btable` | `k` | difference-table polynomial `sum_{j<32} B_k(j) q^j` |
 | `lambert` | `s,r,+a1-a2...,b[,w]` | `sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1, `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`) |
 | `psi11lhs` | `s,alpha,beta` | 1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s` |
-| `psi11rhs` | `s,alpha,beta` | 1psi1 product side of the same sum |
+| `psi11rhs` | `s,alpha,beta` | 1psi1 product side of the same sum, for `alpha + beta < s` |
 
 Constant subexpressions fold at parse time, so rendering and reparsing
 an expression reproduces it node for node.
@@ -51,7 +51,7 @@ from .expr import (
     PRIMITIVES, Add, Const, Mul, Node, Pow, Prim, QPow, Sub, Subst,
 )
 from .field import SQRT2, AlgebraicNumber
-from .lambert import BilateralSpec, LambertSpec
+from .lambert import BilateralSpec, LambertSpec, product_offsets
 
 _FR = Fraction
 
@@ -383,6 +383,11 @@ class Parser:
         self._expect(",")
         return BilateralSpec(s, alpha, self._rational())
 
+    def _arg_bilateral_product(self) -> BilateralSpec:
+        spec = self._arg_bilateral()
+        product_offsets(spec)  # the product side also needs alpha + beta < s
+        return spec
+
 
 def parse_identity(text: str, line_offset: int = 0) -> tuple[Node, Node]:
     """Parse ``expr == expr`` into an (lhs, rhs) node pair."""
@@ -458,6 +463,7 @@ _ARG_KINDS = {
     "lambert": ("s,r,+a1-a2...,b[,w]", _render_lambert),
     "bilateral": ("s,alpha,beta", lambda s: f"{s.base},{s.x_exp},{s.z_exp}"),
 }
+_ARG_KINDS["bilateral_product"] = _ARG_KINDS["bilateral"]
 
 
 def atom_table() -> str:

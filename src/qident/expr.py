@@ -100,7 +100,8 @@ class Primitive:
     """One named series of the DSL, taking exactly one argument.
 
     `kind` names the argument: "r" (a substitution exponent), "k" (an
-    index 1..3), or a spec: "poch", "theta", "lambert", "bilateral".
+    index 1..3), or a spec: "poch", "theta", "lambert", "bilateral", or
+    "bilateral_product" (a bilateral spec with alpha + beta < s).
     `build(arg, order)` expands the series, `meaning` is its line in the
     DSL atom table and `hint(arg)` its structural leading exponent.
     """
@@ -147,8 +148,9 @@ PRIMITIVES: dict[str, Primitive] = {
     "psi11lhs": Primitive(
         "bilateral", lambda s, o: lam.bilateral_1psi1_lhs(s, o),
         "1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s`"),
-    "psi11rhs": Primitive("bilateral", lambda s, o: lam.bilateral_1psi1_rhs(s, o),
-                          "1psi1 product side of the same sum"),
+    "psi11rhs": Primitive(
+        "bilateral_product", lambda s, o: lam.bilateral_1psi1_rhs(s, o),
+        "1psi1 product side of the same sum, for `alpha + beta < s`"),
 }
 
 

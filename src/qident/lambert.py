@@ -113,23 +113,31 @@ def _lambert_progressions(spec: LambertSpec, n: int):
         m += spec.modulus
 
 
-def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
-    """Expand the congruence-restricted Lambert sum below `order`.
+def _progression_sum(progressions, low, n, den, order, what) -> PuiseuxSeries:
+    """Sum the tails sign * (q^(head/den) + q^((head + step)/den) + ...).
 
-    Slot e of one int array holds the coefficient of q^e.  Every term of
-    every geometric tail is one slot update, counted before the loop at
-    TERM_STEP_WEIGHT steps each.
+    `progressions()` yields the (head, step, sign) triples afresh on each
+    call, heads and steps on the grid 1/den.  Slot e - low of one int array
+    holds the coefficient of q^(e/den) for low <= e < n, the grid exponents
+    below `order`.  Every term is one slot update, counted before the loop
+    at TERM_STEP_WEIGHT steps each.
     """
+    terms = sum(len(range(head, n, step)) for head, step, _ in progressions())
+    check_steps(TERM_STEP_WEIGHT * terms, f"{what} of {terms} terms")
+    acc = [0] * (n - low)
+    for head, step, sign in progressions():
+        for e in range(head - low, n - low, step):
+            acc[e] += sign
+    return PuiseuxSeries.from_slots(_FR(low, den), den, acc, None, order)
+
+
+def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
+    """Expand the congruence-restricted Lambert sum below `order`, every
+    geometric tail on the integer grid; see :func:`_progression_sum`."""
     order = _fr(order)
     n = dense_slots(order)  # the integer exponents below order are e < n
-    terms = sum(len(range(head, n, step))
-                for head, step, _ in _lambert_progressions(spec, n))
-    check_steps(TERM_STEP_WEIGHT * terms, f"Lambert sum of {terms} terms")
-    acc = [0] * n
-    for head, step, c in _lambert_progressions(spec, n):
-        for e in range(head, n, step):
-            acc[e] += c
-    return PuiseuxSeries.from_slots(0, 1, acc, None, order)
+    return _progression_sum(lambda: _lambert_progressions(spec, n),
+                            0, n, 1, order, "Lambert sum")
 
 
 @dataclass(frozen=True)
@@ -196,10 +204,8 @@ def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     """Sum the bilateral series term by term below `order`.
 
     All exponents lie on the grid 1/den of the spec.  The summands are
-    accumulated in one int array that starts at the least head, the j = -1
-    head s - alpha - beta when that is negative and 0 otherwise; each term
-    is one slot update, counted before the loop at TERM_STEP_WEIGHT steps
-    each.
+    accumulated by :func:`_progression_sum` from the least head, the j = -1
+    head s - alpha - beta when that is negative and 0 otherwise.
     """
     order = _fr(order)
     den = math.lcm(spec.base.denominator, spec.x_exp.denominator,
@@ -208,14 +214,25 @@ def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     low = min(0, grid[0] - grid[1] - grid[2])
     # grid exponents below order are e < n; the array holds low <= e < n
     n = dense_slots(order * den - low) + low
-    terms = sum(len(range(head, n, step))
-                for head, step, _ in _bilateral_progressions(*grid, n))
-    check_steps(TERM_STEP_WEIGHT * terms, f"1psi1 sum of {terms} terms")
-    acc = [0] * (n - low)
-    for head, step, sign in _bilateral_progressions(*grid, n):
-        for e in range(head - low, n - low, step):
-            acc[e] += sign
-    return PuiseuxSeries.from_slots(_FR(low, den), den, acc, None, order)
+    return _progression_sum(lambda: _bilateral_progressions(*grid, n),
+                            low, n, den, order, "1psi1 sum")
+
+
+def product_offsets(spec: BilateralSpec):
+    """The Pochhammer offsets (xz, q/xz, q, q) and (x, q/x, z, q/z) of the
+    1psi1 product side over base q^s.
+
+    With 0 < alpha, beta < s from the spec, all eight are positive exactly
+    when alpha + beta < s; outside that window the product form does not
+    hold and this raises ValueError.
+    """
+    s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
+    if alpha + beta >= s:
+        raise ValueError(
+            f"the 1psi1 product side needs alpha + beta < s, not "
+            f"{alpha} + {beta} >= {s}"
+        )
+    return (alpha + beta, s - alpha - beta, s, s), (alpha, s - alpha, beta, s - beta)
 
 
 def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:
@@ -224,17 +241,9 @@ def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:
     The four products over the four quotients fill one array in
     :func:`~qident.blocks.poch_quotient`, the divisors with power -1.
     """
-    s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
-    offsets_num = (alpha + beta, s - alpha - beta, s, s)
-    offsets_den = (alpha, s - alpha, beta, s - beta)
-    for off in offsets_num + offsets_den:
-        if off <= 0:
-            raise ValueError(
-                f"Pochhammer offset {off} not positive; spec outside the "
-                "product form's validity window"
-            )
+    num, div = product_offsets(spec)
     return poch_quotient(
-        [(PochSpec(-1, off, s), 1) for off in offsets_num]
-        + [(PochSpec(-1, off, s), -1) for off in offsets_den],
+        [(PochSpec(-1, off, spec.base), 1) for off in num]
+        + [(PochSpec(-1, off, spec.base), -1) for off in div],
         order,
     )

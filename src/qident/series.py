@@ -50,8 +50,8 @@ class InsufficientPrecisionError(Exception):
 
 
 class LeadingCoefficientError(ValueError):
-    """A power other than a negative integer (a root, say) requires a
-    leading coefficient of exactly 1."""
+    """A power that is not an integer (a root, say) requires a leading
+    coefficient of exactly 1."""
 
 
 class SlotBudgetError(ValueError):
@@ -356,29 +356,14 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_slots(m1 + m2, den, rc, ic, trunc, d1 * d2)
 
     def __pow__(self, r):
-        """self ** r for an int or Fraction r.
-
-        Positive integer powers square repeatedly (each product keeps the
-        term-by-term fallback past the dense budgets); every other power
-        runs the recurrence of :meth:`_power`, which needs a leading
-        coefficient of exactly 1 when r is not an integer.
-        """
+        """self ** r for an int or Fraction r: the power recurrence of
+        :meth:`_power`, which needs a leading coefficient of exactly 1 when
+        r is not an integer.  Any series to the power 0 is 1."""
         if not isinstance(r, (int, Fraction)):
             return NotImplemented
-        if r.denominator != 1 or r < 0:
-            return self._power(r.numerator, r.denominator)
-        n = int(r)
-        if n == 0:
+        if r == 0:
             return PuiseuxSeries.one(self.trunc)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return self._power(r.numerator, r.denominator)
 
     # -- inversion, roots and rational powers ------------------------------
 
@@ -398,10 +383,9 @@ class PuiseuxSeries:
         because every den(u_j) divides D.  (L = D would do too, but D**j
         outgrows the coefficients by far.)
 
-        Returns (m, den, nout, scale, units, inv) with scale = L * extra,
+        Returns (m, den, nout, scale, units) with scale = L * extra and
         units the tuples (j, r, i, 2*i) with r + i*sqrt2 = u_j * scale**j
-        for the nonzero u_j, 0 < j < nout, ascending in j, and inv = (x, y,
-        w) with 1/c0 = (x + y*sqrt2) / w in lowest terms.
+        for the nonzero u_j, 0 < j < nout, ascending in j.
 
         The recurrence over the nout slots is checked against the budgets
         before its arrays are allocated: each of its inner steps counts as
@@ -411,7 +395,7 @@ class PuiseuxSeries:
         """
         m, den = self._grid()
         nout = dense_slots((self.trunc - m) * den)
-        rat, irr, dc = self._slots(den, nout)
+        rat, irr, _ = self._slots(den, nout)
         irr = irr or [0] * len(rat)
         r0, i0 = rat[0], irr[0]
         norm = r0 * r0 - 2 * i0 * i0
@@ -440,7 +424,7 @@ class PuiseuxSeries:
         for j, r, i, d in fracs:
             f = scale**j // d
             units.append((j, r * f, i * f, 2 * i * f))
-        return m, den, nout, scale, units, _lowest(dc * r0, -dc * i0, norm)
+        return m, den, nout, scale, units
 
     def _power(self, a: int, n: int) -> "PuiseuxSeries":
         """self ** (a/n), a/n in lowest terms with n >= 1, up to the
@@ -448,8 +432,8 @@ class PuiseuxSeries:
 
         With leading term c*q^m and bound t the result has leading term
         c**(a/n) * q**(a*m/n) and bound (t - m) + a*m/n: the unit part's
-        precision carries over.  Unless a/n is a negative integer, c must
-        be exactly 1.
+        precision carries over.  Unless n = 1, c must be exactly 1; a zero
+        base has bound a*t for a > 0 and no power for a < 0.
 
         Coefficients come from the power recurrence for p = u**(a/n) on
         the normalized unit part, n*k*p_k = sum_j ((a+n)j - n*k) u_j
@@ -470,14 +454,16 @@ class PuiseuxSeries:
         coefficient becomes a field element once, at the end.
         """
         lead = self.leading()
-        if lead is None and a < 0:
-            raise ZeroDivisionError("negative power of the zero series")
-        if lead is None or (a > 0 or n > 1) and lead[1] != ONE:
+        if lead is None and n == 1:
+            if a < 0:
+                raise ZeroDivisionError("negative power of the zero series")
+            return PuiseuxSeries.zero(a * self.trunc)
+        if lead is None or n > 1 and lead[1] != ONE:
             raise LeadingCoefficientError(
                 f"power {a}/{n} needs leading coefficient exactly 1"
                 + ("" if lead else " (zero series)")
             )
-        m, den, nout, scale, units, inv = self._unit_dense(n * n)
+        m, den, nout, scale, units = self._unit_dense(n * n)
         pr = [0] * nout
         pi = [0] * nout
         pr[0] = 1
@@ -509,10 +495,10 @@ class PuiseuxSeries:
                     i += ur * y + ui * x
                 pr[k] = -r
                 pi[k] = -i
-        ix, iy, iw = inv
-        x, y, d = 1, 0, 1
-        for _ in range(-a):  # c0**a = (x + y*sqrt2) / d; c0 = 1 unless a < 0
-            x, y, d = x * ix + 2 * y * iy, x * iy + y * ix, d * iw
+        c = lead[1] ** a  # c0**a as (x + y*sqrt2) / d
+        d = math.lcm(c.rat.denominator, c.irr.denominator)
+        x = c.rat.numerator * (d // c.rat.denominator)
+        y = c.irr.numerator * (d // c.irr.denominator)
         if (x, y) != (1, 0):
             pr, pi = ([r * x + 2 * i * y for r, i in zip(pr, pi)],
                       [r * y + i * x for r, i in zip(pr, pi)])
@@ -584,9 +570,6 @@ class PuiseuxSeries:
             if a != b:
                 return Mismatch(e, a, b)
         return None
-
-    def equal_to_order(self, other, order) -> bool:
-        return self.first_mismatch(other, order) is None
 
     # -- numerics and output --------------------------------------------------
 

@@ -358,6 +358,22 @@ class TestEta:
     def test_half_multiplier(self):
         assert eta(F(1, 2), 5).leading()[0] == F(1, 48)
 
+    @pytest.mark.parametrize(
+        "factors",
+        [((1, 1),), ((F(1, 2), 1), (3, 1), (F(1, 2), 1)), ((1, 24),),
+         ((2, -1), (8, 1)), ((1, -3), (4, 5), (2, 0)), ((3, 2), (1, -24))],
+    )
+    def test_integer_powers_match_the_oracle(self, factors):
+        # first powers fill one array; other powers run the recurrence
+        order = F(31, 2)
+        eq = EtaQuotient(factors)
+        lead = eq.leading_exponent()
+        want = oracle_quotient(
+            [(PochSpec(-1, m, m), int(p)) for m, p in eq.factors], order - lead
+        ).shift(lead)
+        got = eta_quotient(eq, order)
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+
     def test_fractional_power_consistency(self):
         # eta^{1/2}(4t)^2 == eta(4t)^1 up to truncation
         half = eta_quotient(EtaQuotient(((F(4), F(1, 2)),)), 12)

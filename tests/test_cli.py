@@ -153,6 +153,8 @@ class TestDumpCommand:
             ["dump", "root(phi(1/1000),2)", "--order", "500"],
             # 1.1e7 steps, but on integers of ~10^5 bits
             ["dump", "root(phi(1/1000),2)", "--order", "50"],
+            # a positive power runs the recurrence, here over 1,000,003 slots
+            ["dump", "(1+q^(1/1000003))^(2)", "--order", "1"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):
@@ -175,7 +177,7 @@ class TestDumpCommand:
             # 178,744 terms of the bilateral sum, 5,221,424 of the Lambert sum
             ["dump", "psi11lhs(16,8,2)", "--order", "100000"],
             ["dump", "lambert(1,0,+1,1)", "--order", "400000"],
-            # 2*10^8 dense product steps, then 4*10^8 term pairs
+            # 1.99*10^8 steps of the power recurrence
             ["dump", "(1/(1-q^(1)))^(2)", "--order", "20000"],
         ],
     )
@@ -185,6 +187,18 @@ class TestDumpCommand:
         assert result.exit_code == 2
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("expr", ["psi11rhs(4,3,3)", "psi11rhs(5,2,3)"])
+    def test_product_side_outside_its_window_exit_2(self, runner, expr):
+        result = runner.invoke(main, ["dump", expr, "--order", "3"])
+        assert result.exit_code == 2
+        assert "line 1, column 1: the 1psi1 product side needs" in result.output
+
+    def test_sum_side_of_the_same_spec_dumps(self, runner):
+        # 0 < alpha, beta < s is all the sum side needs
+        result = runner.invoke(main, ["dump", "psi11lhs(4,3,3)", "--order", "3"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "-2\t-1+0*sqrt2"
 
     @pytest.mark.parametrize(
         "expr", ["q^(30)*f(-q^1,-q^3)", "q^(30)*I(1)", "q^(30)*psi11rhs(8,1,3)"]
@@ -220,6 +234,14 @@ class TestParseCommand:
         result = runner.invoke(main, ["parse", str(path), "--order", "2"])
         assert result.exit_code == 2
         assert "dense coefficient slots" in result.output
+
+    def test_product_side_outside_its_window_exit_2(self, runner, tmp_path):
+        path = tmp_path / "window.qid"
+        path.write_text("# the sum side alone is valid here\n"
+                        "psi11lhs(4,3,3) == psi11rhs(4,3,3)\n")
+        result = runner.invoke(main, ["parse", str(path)])
+        assert result.exit_code == 2
+        assert "line 2, column 20: the 1psi1 product side needs" in result.output
 
     def test_verifies_user_file(self, runner, tmp_path):
         path = tmp_path / "user.qid"

@@ -144,6 +144,16 @@ class TestErrors:
         with pytest.raises(ParseError, match="odd prime"):
             parse_expression("lambert(1,0,+1,8,legendre(4))")
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("psi11rhs(4,3,3)", 1),  # alpha + beta > s
+         ("psi11lhs(5,2,3) - 2*psi11rhs(5,2,3)", 21)],  # alpha + beta = s
+    )
+    def test_product_side_outside_its_window(self, text, column):
+        with pytest.raises(ParseError, match="needs alpha \\+ beta < s") as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_constant_division_by_zero(self):
         # a literal "1/0" is caught earlier as a malformed rational; the
         # fold path needs the zero to arrive as its own constant
@@ -238,6 +248,7 @@ ARG_SAMPLES = {
     "theta": ("-q^1/2,+q^3/2", "+q^1,+q^3"),
     "lambert": ("4,1,+1-3,8,m", "5,2,+1,1,legendre(5)"),
     "bilateral": ("16,8,2", "5,1,3"),
+    "bilateral_product": ("16,8,2", "5,1,3"),
 }
 
 

@@ -202,6 +202,13 @@ class TestMul:
         assert (z * s).trunc == 7
         assert not (z * s)
 
+    def test_zero_base_power_bound(self):
+        # a positive integer power of the zero series keeps the bound a*t
+        # that the product z * z * z has
+        cube = P.zero(5) ** 3
+        assert not cube
+        assert cube.trunc == 15
+
     def test_scalar_multiplication(self):
         s = P({F(1, 8): 1}, 4)
         assert s * A(0, 2) == P({F(1, 8): A(0, 2)}, 4)
@@ -244,6 +251,20 @@ class TestMul:
         monkeypatch.setattr(backend, "convolve_rational", counting)
         assert a * a == a._mul_sparse(a, F(241, 24))
         assert slots == [10]
+
+    def test_integer_powers_call_no_kernel(self, monkeypatch):
+        # a positive integer power runs the power recurrence, with the
+        # leading coefficient's power taken once, not a chain of products
+        x = P({F(1, 3): A(F(2, 3), -1), F(1, 2): A(F(1, 5), 3), 2: A(-4),
+               F(7, 3): SQRT2}, 6)
+        want = x * x * x
+
+        def refuse(*args):
+            raise AssertionError("x ** 3 called a convolution kernel")
+
+        monkeypatch.setattr(backend, "convolve", refuse)
+        monkeypatch.setattr(backend, "convolve_rational", refuse)
+        assert x ** 3 == want
 
     def test_grid_past_the_slot_cap_multiplies_term_by_term(self):
         a = P({0: 1, F(1, 999983): 1}, 1)
@@ -431,6 +452,8 @@ class TestSlotBudget:
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** F(-3, 4), 16),
+            # a positive integer power runs the same recurrence
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** 3, 16),
         ],
     )
     def test_step_count_is_exact(self, monkeypatch, expand, steps):
