@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .field import ONE, SQRT2, AlgebraicNumber
 from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
@@ -109,7 +110,8 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     `order`, at slot off, enters |power| times.  Multiplying by it is the
     descending pass c[k] += sign*c[k - off], run as one slice update on the
     old values; dividing by it is the ascending pass
-    c[k] -= sign*c[k - off] on the new ones.  The array starts with 1, so
+    c[k] -= sign*c[k - off] on the new ones, run as prefix sums or block
+    slice updates by :func:`_divide`.  The array starts with 1, so
     every coefficient stays an integer.  Each pass visits n - off of the n
     slots; their total is summed in closed form per family and checked
     against the budgets before the array is allocated.
@@ -142,9 +144,35 @@ def poch_quotient(families, order) -> PuiseuxSeries:
             for _ in range(p):
                 c[off:] = list(map(op, c[off:], c))
             for _ in range(-p):
-                for k in range(off, n):
-                    c[k] -= sign * c[k - off]
+                _divide(c, off, sign)
     return PuiseuxSeries.from_slots(0, den, c, None, order)
+
+
+def _divide(c, off, sign) -> None:
+    """c / (1 + sign*q^off) in place: the ascending pass
+    c[k] -= sign*c[k - off] for off <= k < len(c), each slice in C.
+
+    Along each residue chain k = s, s + off, s + 2*off, ... the pass is a
+    prefix sum for sign -1, and for sign +1 the alternating one:
+    c'_j = (-1)^j sum_{t<=j} (-1)^t c_t.  With off*off <= n there are off
+    chains of at least off slots, summed by itertools.accumulate; past
+    that the pass runs block by block, off slots at a time, each block
+    taking the updated block before it.
+    """
+    n = len(c)
+    if off * off <= n:
+        for s in range(off):
+            chain = c[s::off]
+            if sign > 0:
+                chain[1::2] = map(operator.neg, chain[1::2])
+            chain = list(accumulate(chain))
+            if sign > 0:
+                chain[1::2] = map(operator.neg, chain[1::2])
+            c[s::off] = chain
+        return
+    op = operator.sub if sign > 0 else operator.add
+    for s in range(off, n, off):
+        c[s:s + off] = map(op, c[s:s + off], c[s - off:s])
 
 
 def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
@@ -219,8 +247,7 @@ def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
     their unit series (q^m;q^m)_inf.  Any other power p runs the power
     recurrence on its own Pochhammer expansion, whose leading coefficient
     is 1, and multiplies in: the recurrence costs the same for every p,
-    while the fill makes |p| passes per factor, each a Python loop when
-    p < 0.
+    while the fill makes |p| passes over the array per factor.
     """
     order = _fr(order)
     lead = eq.leading_exponent()
@@ -263,9 +290,9 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
     rp = [0] * n
     ip = [0] * n
     rp[0] = 1
-    m = 1
-    while r * m < order:
-        off1 = int(r * m * den)
+    # factor m sits at slot m * r * den, and r * m < order exactly when
+    # that slot is below n
+    for off1 in range(r.numerator, n, r.numerator):
         off2 = 2 * off1
         for j in range(n - 1, off1 - 1, -1):
             if s:
@@ -280,7 +307,6 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
             if j2 >= 0:
                 rp[j] += rp[j2]
                 ip[j] += ip[j2]
-        m += 1
     return PuiseuxSeries.from_slots(0, den, rp, ip, order)
 
 

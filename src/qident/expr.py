@@ -17,10 +17,11 @@ short.
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
 enters for its whole batch) every evaluation goes through one
 :class:`SharedEvaluations` cache keyed on the exact ``(node, order)`` pair.
-Nodes are frozen dataclasses that compare by structure, so the same
-subexpression in two identities is expanded once.  Only nodes that occur
-at least twice in the batch are stored, and each entry is dropped after
-its node's last occurrence.  Outside that block nothing is cached.
+Nodes are frozen dataclasses that compare by structure and hash once, so
+the same subexpression in two identities is expanded once.  Only nodes
+that occur at least twice in the batch are stored, and each entry is
+dropped after its node's last occurrence.  Outside that block nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -63,11 +64,29 @@ class Node:
         """Structural estimate of the leading exponent."""
         raise NotImplementedError
 
+    def __hash__(self):
+        # The hash of the node's class and fields, computed once: the
+        # dataclass hash would rehash the whole subtree on every call.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((type(self).__name__,
+                      *(getattr(self, f) for f in self.__dataclass_fields__)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _node(cls):
+    """Make `cls` a frozen dataclass that compares by structure and keeps
+    the hash of :meth:`Node.__hash__`."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Node.__hash__
+    return cls
+
 
 # -- leaves ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class QPow(Node):
     exponent: Fraction
 
@@ -79,7 +98,7 @@ class QPow(Node):
         return self.exponent
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Node):
     value: AlgebraicNumber
 
@@ -92,7 +111,7 @@ class Const(Node):
 
 def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
     # a polynomial is exact at every order
-    return PuiseuxSeries(dict(s.terms), max(_fr(order), s.trunc))
+    return PuiseuxSeries(s.terms, max(_fr(order), s.trunc))
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,7 @@ PRIMITIVES: dict[str, Primitive] = {
 }
 
 
-@dataclass(frozen=True)
+@_node
 class Prim(Node):
     """A named primitive series from :data:`PRIMITIVES` at its argument."""
 
@@ -171,7 +190,7 @@ class Prim(Node):
 # -- composites ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Node):
     left: Node
     right: Node
@@ -183,7 +202,7 @@ class Add(Node):
         return min(self.left.hint(), self.right.hint())
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Node):
     left: Node
     right: Node
@@ -195,7 +214,7 @@ class Sub(Node):
         return min(self.left.hint(), self.right.hint())
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Node):
     left: Node
     right: Node
@@ -209,7 +228,7 @@ class Mul(Node):
         return self.left.hint() + self.right.hint()
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Node):
     """base ** r for a rational r; unless r is an integer the base's
     leading coefficient must be exactly 1."""
@@ -229,7 +248,7 @@ class Pow(Node):
         return self.r * self.base.hint()
 
 
-@dataclass(frozen=True)
+@_node
 class Subst(Node):
     """q -> q^r applied to a whole subexpression."""
 

@@ -113,18 +113,23 @@ class AlgebraicNumber:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """Binary powering: x**n takes popcount(n) - 1 products plus one
+        squaring per bit below the top one; x**0 is 1 and x**1 is x."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
+        if n == 0:
+            return ONE
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- predicates and conversions ----------------------------------
 

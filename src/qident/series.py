@@ -1,11 +1,22 @@
 """Truncated formal series in q with exact rational exponents.
 
-A :class:`PuiseuxSeries` stores finitely many terms ``c * q**e`` with
-``Fraction`` exponents and :class:`~qident.field.AlgebraicNumber`
-coefficients, together with a truncation bound ``trunc``: the series is
-known exactly for every exponent strictly below ``trunc`` and unknown at
-or above it.  Exponents may be negative (the lower bound is always
-finite) and exponent denominators are arbitrary — no fixed grid.
+A :class:`PuiseuxSeries` is finitely many terms ``c * q**e`` with rational
+exponents and coefficients in Q(sqrt2), together with a truncation bound
+``trunc``: the series is known exactly for every exponent strictly below
+``trunc`` and unknown at or above it.  Exponents may be negative (the lower
+bound is always finite) and exponent denominators are arbitrary.
+
+A series keeps its terms on an integer grid, in one canonical form: the
+least exponent ``m`` (a ``Fraction``; the bound for the zero series), the
+grid ``den`` (slot k sits at ``q**(m + k/den)``), one common positive
+denominator ``d``, and ``slots``, a dict from slot k to the integer pair
+(r, i) of the coefficient (r + i*sqrt2)/d, ascending in k, with no zero
+pair.  ``den`` is the coarsest such grid (the lcm of the denominators of
+the offsets e - m) and ``d`` is reduced by the content gcd of every r and
+i, so equal series have equal fields.  Every operation works on these
+integers; :attr:`PuiseuxSeries.terms` and :meth:`PuiseuxSeries.items` are
+a view in ``Fraction`` exponents and :class:`~qident.field.AlgebraicNumber`
+coefficients, built on each access.
 
 Truncation propagates pessimistically through arithmetic; comparisons
 that would need unknown coefficients raise
@@ -13,18 +24,16 @@ that would need unknown coefficients raise
 terms.
 
 Dense work (products, the power recurrence, the block builders) runs on
-the grid form of a series: with least exponent m, slot k of an integer
-array holds the coefficient of ``q**(m + k/den)``, where 1/den is the
-coarsest grid of the offsets e - m.  :meth:`PuiseuxSeries._grid`,
-:meth:`PuiseuxSeries._slots` and :meth:`PuiseuxSeries.from_slots` are
-the only code that converts between the two forms.
+integer arrays: :meth:`PuiseuxSeries._slots` spreads the slots over an
+array on a grid at least as fine, and :meth:`PuiseuxSeries.from_slots`
+takes such arrays back into the canonical form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from . import backend
@@ -38,10 +47,11 @@ MAX_DENSE_SLOTS = 1_000_000
 # slot cap bounds memory, this bounds time.  A product past either budget
 # multiplies term by term instead.
 MAX_SLOT_STEPS = 20_000_000
-# A step of a term-by-term loop (a Fraction exponent and a Q(sqrt2) value
-# per term, kept in a dict) counts as this many of those steps: on a 2-core
-# x86-64 machine under CPython 3.11 it took 23-33 us, a dense slot step
-# 45-90 ns.
+# A step of a term-by-term loop counts as this many of those steps: with a
+# Fraction exponent and a Q(sqrt2) value per term it took 23-33 us on a
+# 2-core x86-64 machine under CPython 3.11, a dense slot step 45-90 ns.
+# The term-by-term product now runs on integer slots; the weight stands
+# until it is measured again.
 TERM_STEP_WEIGHT = 256
 
 
@@ -111,23 +121,81 @@ def _lowest(a, b, n):
     return a // g, b // g, n // g
 
 
-class PuiseuxSeries:
-    """Finitely many exact terms plus a truncation bound."""
+def _pair(c: AlgebraicNumber) -> tuple[int, int, int]:
+    """(x, y, e) with c = (x + y*sqrt2) / e, e > 0 the lcm of the parts'
+    denominators."""
+    rat, irr = c.rat, c.irr
+    e = math.lcm(rat.denominator, irr.denominator)
+    return (rat.numerator * (e // rat.denominator),
+            irr.numerator * (e // irr.denominator), e)
 
-    __slots__ = ("terms", "trunc")
+
+def _number(r: int, i: int, d: int) -> AlgebraicNumber:
+    """(r + i*sqrt2) / d as a field element."""
+    return AlgebraicNumber(Fraction(r, d), Fraction(i, d))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _common_grid(a, b) -> tuple[Fraction, int]:
+    """(m, den): the least exponent of a and b, and the coarsest grid 1/den
+    on which every term of both sits at q^(m + k/den).  A zero series has
+    no terms and adds nothing."""
+    if not a.slots:
+        return b.m, b.den
+    if not b.slots:
+        return a.m, a.den
+    return min(a.m, b.m), math.lcm(a.den, b.den, (a.m - b.m).denominator)
+
+
+def _nonzero_sorted(acc):
+    """The nonzero pairs of a slot dict, ascending in the slot."""
+    return {k: v for k, v in sorted(acc.items()) if v[0] or v[1]}
+
+
+def _init(obj, m, den, d, slots, trunc) -> None:
+    set_ = object.__setattr__
+    set_(obj, "m", m)
+    set_(obj, "den", den)
+    set_(obj, "d", d)
+    set_(obj, "slots", slots)
+    set_(obj, "trunc", trunc)
+
+
+class PuiseuxSeries:
+    """Finitely many exact terms on an integer grid, plus a truncation bound.
+
+    The fields are the canonical form of the module docstring: the term
+    (r + i*sqrt2)/d * q^(m + k/den) for each k -> (r, i) of ``slots``.
+    """
+
+    __slots__ = ("m", "den", "d", "slots", "trunc")
 
     def __init__(self, terms, trunc):
+        """The series of a dict exponent -> coefficient (int, Fraction or
+        AlgebraicNumber); terms at or above `trunc` and zero coefficients
+        are dropped."""
         trunc = _fr(trunc)
-        clean: dict[Fraction, AlgebraicNumber] = {}
+        kept = []
         for e, c in terms.items():
-            e = _fr(e)
-            if e >= trunc:
-                continue  # beyond the guarantee; not representable
-            c = _coeff(c)
-            if c:
-                clean[e] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
+            e, c = _fr(e), _coeff(c)
+            if e < trunc and c:
+                kept.append((e, c))
+        if not kept:
+            _init(self, trunc, 1, 1, {}, trunc)
+            return
+        kept.sort(key=lambda t: t[0])
+        m = kept[0][0]
+        den = math.lcm(*((e - m).denominator for e, _ in kept))
+        d = math.lcm(*(x.denominator for _, c in kept for x in (c.rat, c.irr)))
+        _init(self, m, den, d,
+              {int((e - m) * den): (int(c.rat * d), int(c.irr * d))
+               for e, c in kept},
+              trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -135,8 +203,38 @@ class PuiseuxSeries:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _make(cls, m, den, d, slots, trunc) -> "PuiseuxSeries":
+        # fields already in canonical form
+        out = object.__new__(cls)
+        _init(out, m, den, d, slots, trunc)
+        return out
+
+    @classmethod
+    def _reduced(cls, m, den, d, slots, trunc) -> "PuiseuxSeries":
+        """The canonical form of the terms (r + i*sqrt2)/d at q^(m + k/den),
+        for `slots` ascending in k with no zero pair: the least slot moves
+        to 0, the grid coarsens and d drops the content gcd."""
+        if not slots:
+            return cls.zero(trunc)
+        k0 = next(iter(slots))
+        if k0:
+            m += Fraction(k0, den)
+            slots = {k - k0: v for k, v in slots.items()}
+        g = math.gcd(den, *slots)
+        if g > 1:
+            den //= g
+            slots = {k // g: v for k, v in slots.items()}
+        if d > 1:
+            g = math.gcd(d, *chain.from_iterable(slots.values()))
+            if g > 1:
+                d //= g
+                slots = {k: (r // g, i // g) for k, (r, i) in slots.items()}
+        return cls._make(m, den, d, slots, trunc)
+
+    @classmethod
     def zero(cls, trunc) -> "PuiseuxSeries":
-        return cls({}, trunc)
+        trunc = _fr(trunc)
+        return cls._make(trunc, 1, 1, {}, trunc)
 
     @classmethod
     def one(cls, trunc) -> "PuiseuxSeries":
@@ -149,82 +247,82 @@ class PuiseuxSeries:
         Slot k holds (rat[k] + irr[k]*sqrt2) / (d * scale**k); `irr` may be
         None for an all-rational series, and zero slots are skipped.  Every
         slot must lie below `trunc`: a caller sizes its arrays by the
-        bound, ceil((trunc - start) * den) slots at most.
+        bound, ceil((trunc - start) * den) slots at most.  The integers are
+        kept as they are; a `scale` other than 1 is multiplied out once,
+        from the top nonzero slot down, into one common denominator.
         """
-        start = _fr(start)
-        e, step = start.numerator * den, start.denominator
-        grid = step * den
-        terms = {}
-        for r, i in zip(rat, irr if irr is not None else repeat(0)):
-            if r or i:
-                terms[Fraction(e, grid)] = (
-                    AlgebraicNumber(r, i) if d == 1
-                    else AlgebraicNumber(Fraction(r, d), Fraction(i, d)))
-            e += step
-            d *= scale
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "trunc", _fr(trunc))
-        return out
+        if irr is None:
+            slots = {k: (r, 0) for k, r in enumerate(rat) if r}
+        else:
+            slots = {k: v for k, v in enumerate(zip(rat, irr)) if v[0] or v[1]}
+        if slots and scale != 1:
+            top = next(reversed(slots))
+            power = [1] * (top + 1)  # power[j] = scale**j
+            for j in range(1, top + 1):
+                power[j] = power[j - 1] * scale
+            slots = {k: (r * power[top - k], i * power[top - k])
+                     for k, (r, i) in slots.items()}
+            d *= power[top]
+        return cls._reduced(_fr(start), den, d, slots, _fr(trunc))
 
     @classmethod
     def monomial(cls, coeff, exponent, trunc) -> "PuiseuxSeries":
         coeff, exponent, trunc = _coeff(coeff), _fr(exponent), _fr(trunc)
-        if coeff and trunc <= exponent:
+        if not coeff:
+            return cls.zero(trunc)
+        if trunc <= exponent:
             raise ValueError(
                 f"monomial exponent {exponent} not below truncation {trunc}"
             )
-        return cls({exponent: coeff}, trunc)
+        x, y, e = _pair(coeff)
+        return cls._make(exponent, 1, e, {0: (x, y)}, trunc)
 
     # -- basic queries ---------------------------------------------------
 
-    def _least(self) -> Fraction:
-        # least exponent; by convention the truncation bound for the zero
-        # series (it has no terms below trunc)
-        return min(self.terms) if self.terms else self.trunc
-
-    def _grid(self) -> tuple[Fraction, int]:
-        """(m, den): the least exponent m, and the coarsest grid 1/den that
-        holds every offset e - m."""
-        m = self._least()
-        big = math.lcm(*(e.denominator for e in self.terms))
-        base = m.numerator * (big // m.denominator)
-        g = big
-        for e in self.terms:
-            g = math.gcd(g, e.numerator * (big // e.denominator) - base)
-        return m, big // g
-
     def _slots(self, den, nout):
-        """(rat, irr or None, d): the terms as integer arrays on the grid
-        q^(m + k/den), m the least exponent.
+        """(rat, irr or None, d): the slots as integer arrays on the finer
+        grid q^(m + k/den), den a multiple of the series' grid.
 
-        Slot k holds (rat[k] + irr[k]*sqrt2) / d, d the lcm of the kept
-        coefficients' denominators; terms at slot nout or later are
-        dropped, the arrays end at the last nonzero slot, and `irr` is None
-        when every irrational part is 0.
+        Slot k holds (rat[k] + irr[k]*sqrt2) / d; slots at nout or later
+        are dropped, the arrays end at the last nonzero slot, and `irr` is
+        None when every irrational part is 0.  d is the common denominator
+        of the kept slots, so the lcm of their coefficients' denominators.
         """
-        m = self._least()
-        mn, md = m.numerator, m.denominator
-        d = 1
-        kept = []
-        for e, c in self.terms.items():
-            k = (e.numerator * md - mn * e.denominator) * den // (e.denominator * md)
-            if k < nout:
-                kept.append((k, c.rat, c.irr))
-                d = math.lcm(d, c.rat.denominator, c.irr.denominator)
-        n = max(k for k, _, _ in kept) + 1 if kept else 0
+        s = self
+        if s.slots and next(reversed(s.slots)) * (den // s.den) >= nout:
+            s = s.truncated(s.m + Fraction(nout, den))
+        if not s.slots:
+            return [], None, 1
+        slots, d, f = s.slots, s.d, den // s.den
+        n = next(reversed(slots)) * f + 1
         rat = [0] * n
         irr = [0] * n
-        for k, r, i in kept:
-            rat[k] = r.numerator * (d // r.denominator)
-            irr[k] = i.numerator * (d // i.denominator)
+        for k, (r, i) in slots.items():
+            rat[k * f] = r
+            irr[k * f] = i
         return rat, irr if any(irr) else None, d
 
+    def _on_grid(self, m, den, d, n):
+        """The slots moved to the grid q^(m + k/den) with common denominator
+        d (multiples of the series' own), those at n or later dropped."""
+        slots = self.slots
+        if not slots:
+            return slots
+        f = den // self.den
+        off = int((self.m - m) * den)
+        s = d // self.d
+        if f == 1 and not off and s == 1 and next(reversed(slots)) < n:
+            return slots
+        lim = n - off
+        if s == 1:
+            return {off + k * f: v for k, v in slots.items() if k * f < lim}
+        return {off + k * f: (r * s, i * s)
+                for k, (r, i) in slots.items() if k * f < lim}
+
     def leading(self) -> Optional[tuple[Fraction, AlgebraicNumber]]:
-        if not self.terms:
+        if not self.slots:
             return None
-        e = min(self.terms)
-        return e, self.terms[e]
+        return self.m, _number(*self.slots[0], self.d)
 
     def coefficient(self, exponent) -> AlgebraicNumber:
         e = _fr(exponent)
@@ -232,21 +330,38 @@ class PuiseuxSeries:
             raise InsufficientPrecisionError(
                 f"coefficient of q^{e} unknown (truncation {self.trunc})"
             )
-        return self.terms.get(e, ZERO)
+        if self.slots:
+            k = (e - self.m) * self.den
+            v = self.slots.get(k.numerator) if k.denominator == 1 else None
+            if v is not None:
+                return _number(*v, self.d)
+        return ZERO
 
     def items(self) -> list[tuple[Fraction, AlgebraicNumber]]:
-        return sorted(self.terms.items())
+        """The terms as (exponent, coefficient) pairs, ascending."""
+        m, den, d = self.m, self.den, self.d
+        return [(m + Fraction(k, den), _number(r, i, d))
+                for k, (r, i) in self.slots.items()]
+
+    @property
+    def terms(self) -> dict[Fraction, AlgebraicNumber]:
+        """The terms as a dict exponent -> coefficient, built on each
+        access."""
+        return dict(self.items())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.slots)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
+        return (self.trunc == other.trunc and self.m == other.m
+                and self.den == other.den and self.d == other.d
+                and self.slots == other.slots)
 
     def __hash__(self):
-        return hash((self.trunc, frozenset(self.terms.items())))
+        return hash((self.trunc, self.m, self.den, self.d,
+                     tuple(self.slots.items())))
 
     # -- additive structure ---------------------------------------------
 
@@ -254,15 +369,23 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = acc.get(e)
-            acc[e] = c if cur is None else cur + c
-        return PuiseuxSeries(acc, trunc)
+        if not other.slots:
+            return self.truncated(trunc)
+        if not self.slots:
+            return other.truncated(trunc)
+        m, den = _common_grid(self, other)
+        d = math.lcm(self.d, other.d)
+        n = math.ceil((trunc - m) * den)
+        acc = dict(self._on_grid(m, den, d, n))
+        for k, (r, i) in other._on_grid(m, den, d, n).items():
+            cur = acc.get(k)
+            acc[k] = (r, i) if cur is None else (cur[0] + r, cur[1] + i)
+        return PuiseuxSeries._reduced(m, den, d, _nonzero_sorted(acc), trunc)
 
     def __neg__(self):
-        out = {e: -c for e, c in self.terms.items()}
-        return PuiseuxSeries(out, self.trunc)
+        return PuiseuxSeries._make(
+            self.m, self.den, self.d,
+            {k: (-r, -i) for k, (r, i) in self.slots.items()}, self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -273,7 +396,15 @@ class PuiseuxSeries:
         c = _coeff(c)
         if not c:
             return PuiseuxSeries.zero(self.trunc)
-        return PuiseuxSeries({e: v * c for e, v in self.terms.items()}, self.trunc)
+        x, y, e = _pair(c)
+        if (x, y, e) == (1, 0, 1) or not self.slots:
+            return self
+        # a nonzero product in Q(sqrt2) stays nonzero, so no slot vanishes
+        return PuiseuxSeries._reduced(
+            self.m, self.den, self.d * e,
+            {k: (r * x + 2 * i * y, r * y + i * x)
+             for k, (r, i) in self.slots.items()},
+            self.trunc)
 
     def shift(self, delta, coeff=None) -> "PuiseuxSeries":
         """Exact multiplication by the monomial ``coeff * q**delta``.
@@ -282,8 +413,8 @@ class PuiseuxSeries:
         is known at every exponent, so the bound moves with the terms.
         """
         delta = _fr(delta)
-        out = {e + delta: c for e, c in self.terms.items()}
-        s = PuiseuxSeries(out, self.trunc + delta)
+        s = PuiseuxSeries._make(self.m + delta, self.den, self.d, self.slots,
+                                self.trunc + delta)
         return s if coeff is None else s.scale(coeff)
 
     # -- multiplication ----------------------------------------------------
@@ -293,9 +424,9 @@ class PuiseuxSeries:
             return self.scale(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        m1, m2 = self._least(), other._least()
+        m1, m2 = self.m, other.m
         trunc = min(self.trunc + m2, other.trunc + m1)
-        if not self.terms or not other.terms:
+        if not self.slots or not other.slots:
             return PuiseuxSeries.zero(trunc)
         dense = self._mul_dense(other, trunc)
         return dense if dense is not None else self._mul_sparse(other, trunc)
@@ -309,22 +440,30 @@ class PuiseuxSeries:
         budget, TERM_STEP_WEIGHT steps each.
         """
         small, large = self, other
-        if len(small.terms) > len(large.terms):
+        if len(small.slots) > len(large.slots):
             small, large = large, small
-        pairs = len(small.terms) * len(large.terms)
+        pairs = len(small.slots) * len(large.slots)
         check_steps(TERM_STEP_WEIGHT * pairs,
                     f"term-by-term product of {pairs} term pairs")
-        large_items = large.items()
-        acc: dict[Fraction, AlgebraicNumber] = {}
-        for e1, c1 in small.terms.items():
-            for e2, c2 in large_items:
-                e = e1 + e2
-                if e >= trunc:
+        den = math.lcm(small.den, large.den)
+        fs = den // small.den
+        fl = den // large.den
+        nout = math.ceil((trunc - small.m - large.m) * den)
+        large_items = [(k * fl, r, i) for k, (r, i) in large.slots.items()]
+        acc = {}
+        for k1, (r1, i1) in small.slots.items():
+            base = k1 * fs
+            for k2, r2, i2 in large_items:
+                k = base + k2
+                if k >= nout:
                     break  # large_items ascending
-                cur = acc.get(e)
-                p = c1 * c2
-                acc[e] = p if cur is None else cur + p
-        return PuiseuxSeries(acc, trunc)
+                x = r1 * r2 + 2 * i1 * i2
+                y = r1 * i2 + i1 * r2
+                cur = acc.get(k)
+                acc[k] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+        return PuiseuxSeries._reduced(small.m + large.m, den,
+                                      small.d * large.d, _nonzero_sorted(acc),
+                                      trunc)
 
     def _mul_dense(self, other, trunc):
         """Convolution of the two slot arrays on their common offset grid.
@@ -335,8 +474,8 @@ class PuiseuxSeries:
         of the first array of min(len(second), nout - i), taken before the
         kernel runs.
         """
-        m1, den1 = self._grid()
-        m2, den2 = other._grid()
+        m1, den1 = self.m, self.den
+        m2, den2 = other.m, other.den
         den = math.lcm(den1, den2)
         nout = math.ceil((trunc - m1 - m2) * den)
         if nout > MAX_DENSE_SLOTS:
@@ -344,8 +483,8 @@ class PuiseuxSeries:
         ra, ia, d1 = self._slots(den, nout)
         rb, ib, d2 = other._slots(den, nout)
         nb = len(rb)
-        steps = sum(min(nb, nout - i)
-                    for i, x in enumerate(ra) if x or ia and ia[i])
+        f1 = den // den1
+        steps = sum(min(nb, nout - k * f1) for k in self.slots if k * f1 < nout)
         if steps > MAX_SLOT_STEPS:
             return None
         if ia is None and ib is None:
@@ -371,7 +510,7 @@ class PuiseuxSeries:
         """Leading-term data plus the unit part as scaled Z[sqrt2] pairs.
 
         Writes the series as c0 * q**m * u with u = 1 + sum u_j t**j on the
-        grid t = q**(1/den) of :meth:`_grid`.  From the slot arrays of
+        grid t = q**(1/den) of the series.  From the slot arrays of
         :meth:`_slots`, c_j = (r_j + i_j*sqrt2) / d, so with the integer
         norm N = r_0**2 - 2*i_0**2, u_j = c_j / c_0 = (a_j + b_j*sqrt2) / N
         for a_j = r_j r_0 - 2 i_j i_0 and b_j = i_j r_0 - r_j i_0, and
@@ -393,7 +532,7 @@ class PuiseuxSeries:
         bounding the bits of the largest scaled value, so a fine grid with
         a large scale is refused even when its plain step count is small.
         """
-        m, den = self._grid()
+        m, den = self.m, self.den
         nout = dense_slots((self.trunc - m) * den)
         rat, irr, _ = self._slots(den, nout)
         irr = irr or [0] * len(rat)
@@ -495,10 +634,7 @@ class PuiseuxSeries:
                     i += ur * y + ui * x
                 pr[k] = -r
                 pi[k] = -i
-        c = lead[1] ** a  # c0**a as (x + y*sqrt2) / d
-        d = math.lcm(c.rat.denominator, c.irr.denominator)
-        x = c.rat.numerator * (d // c.rat.denominator)
-        y = c.irr.numerator * (d // c.irr.denominator)
+        x, y, d = _pair(lead[1] ** a)  # c0**a = (x + y*sqrt2) / d
         if (x, y) != (1, 0):
             pr, pi = ([r * x + 2 * i * y for r, i in zip(pr, pi)],
                       [r * y + i * x for r, i in zip(pr, pi)])
@@ -536,9 +672,12 @@ class PuiseuxSeries:
         r = _fr(r)
         if r <= 0:
             raise ValueError("substitution exponent must be positive")
-        return PuiseuxSeries(
-            {e * r: c for e, c in self.terms.items()}, self.trunc * r
-        )
+        p = r.numerator
+        # slot k moves from m + k/den to m*r + k*p / (den * r.denominator)
+        return PuiseuxSeries._reduced(
+            self.m * r, self.den * r.denominator, self.d,
+            {k * p: v for k, v in self.slots.items()} if p > 1 else self.slots,
+            self.trunc * r)
 
     def truncated(self, order) -> "PuiseuxSeries":
         order = _fr(order)
@@ -546,13 +685,23 @@ class PuiseuxSeries:
             raise InsufficientPrecisionError(
                 f"cannot extend truncation {self.trunc} to {order}"
             )
-        return PuiseuxSeries({e: c for e, c in self.terms.items() if e < order}, order)
+        if not self.slots:
+            return PuiseuxSeries.zero(order)
+        n = math.ceil((order - self.m) * self.den)
+        if next(reversed(self.slots)) < n:
+            return PuiseuxSeries._make(self.m, self.den, self.d, self.slots,
+                                       order)
+        return PuiseuxSeries._reduced(
+            self.m, self.den, self.d,
+            {k: v for k, v in self.slots.items() if k < n}, order)
 
     def first_mismatch(self, other, order) -> Optional[Mismatch]:
         """Smallest exponent below `order` where the series differ.
 
         Returns None when all coefficients below `order` agree exactly;
         raises InsufficientPrecisionError if either bound is too small.
+        Both sides are compared as integer pairs over one grid and one
+        common denominator.
         """
         order = _fr(order)
         short = min(self.trunc, other.trunc)
@@ -561,15 +710,21 @@ class PuiseuxSeries:
                 f"comparison to order {order} needs more terms "
                 f"(guaranteed only below {short})"
             )
-        exps = set(self.terms) | set(other.terms)
-        for e in sorted(exps):
-            if e >= order:
-                break
-            a = self.terms.get(e, ZERO)
-            b = other.terms.get(e, ZERO)
-            if a != b:
-                return Mismatch(e, a, b)
-        return None
+        m, den = _common_grid(self, other)
+        d = math.lcm(self.d, other.d)
+        n = math.ceil((order - m) * den)
+        a = self._on_grid(m, den, d, n)
+        b = other._on_grid(m, den, d, n)
+        if a == b:
+            return None
+        none = (0, 0)
+        for k in sorted(a.keys() | b.keys()):
+            x = a.get(k, none)
+            y = b.get(k, none)
+            if x != y:
+                return Mismatch(m + Fraction(k, den), _number(*x, d),
+                                _number(*y, d))
+        return None  # unreachable: the dicts differ at some slot
 
     # -- numerics and output --------------------------------------------------
 
@@ -578,14 +733,21 @@ class PuiseuxSeries:
         return math.fsum(float(c) * q ** float(e) for e, c in self.items())
 
     def dump(self) -> str:
-        """One line per term: ``exponent<TAB>a+b*sqrt2``, ascending."""
-        return "\n".join(f"{e}\t{c.render()}" for e, c in self.items())
+        """One line per term: ``exponent<TAB>a+b*sqrt2``, ascending, in the
+        text of :meth:`AlgebraicNumber.render`, written from the slots."""
+        mn, md = self.m.numerator, self.m.denominator
+        d = self.d
+        return "\n".join(
+            f"{_ratio_text(mn * self.den + k * md, md * self.den)}\t"
+            f"{_ratio_text(r, d)}{'-' if i < 0 else '+'}{_ratio_text(abs(i), d)}"
+            "*sqrt2"
+            for k, (r, i) in self.slots.items())
 
     def __repr__(self):
         parts = []
         for e, c in self.items()[:6]:
             parts.append(f"({c.render()})*q^{e}")
-        if len(self.terms) > 6:
+        if len(self.slots) > 6:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         return f"<PuiseuxSeries {body} + O(q^{self.trunc})>"

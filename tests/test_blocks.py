@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident.blocks import (
     BETA,
@@ -163,6 +163,15 @@ def assert_same(got, want):
 class TestBuilderMatchesOracle:
     """poch_quotient, and every block built on it, against the old path."""
 
+    # divisions by factors at slots on both sides of sqrt(n), n the slot
+    # count: prefix sums along residue chains below, block updates above
+    @example([(PochSpec(-1, 1, 1), -1)], F(40))
+    @example([(PochSpec(1, 1, 1), -1)], F(40))
+    @example([(PochSpec(1, 7, 5), -1), (PochSpec(-1, 6, 1), -2)], F(30))
+    @example([(PochSpec(1, F(1, 2), 3), -2), (PochSpec(-1, 2, 2), -1),
+              (PochSpec(1, F(3, 2), F(5, 2)), 1)], F(24))
+    @example([(PochSpec(-1, F(5, 3), F(1, 3)), -1),
+              (PochSpec(1, F(2, 3), 2), -1)], F(95, 3))
     @settings(max_examples=60, deadline=None)
     @given(families(), orders)
     def test_factor_lists(self, fams, order):

@@ -136,6 +136,17 @@ class TestDumpCommand:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "1/4\t1+0*sqrt2"
 
+    def test_grid_past_the_dense_slot_cap(self, runner):
+        # phi(q^(1/999983)) = 1 + 2 sum_j q^(j^2/999983): its grid holds
+        # about 10^7 slots below q^10, far past MAX_DENSE_SLOTS, but only
+        # its 3163 terms are stored and printed
+        result = runner.invoke(main, ["dump", "phi(1/999983)", "--order", "10"])
+        assert result.exit_code == 0
+        assert 3162**2 < 10 * 999983 < 3163**2
+        want = ["0\t1+0*sqrt2"] + [
+            f"{j * j}/999983\t2+0*sqrt2" for j in range(1, 3163)]
+        assert result.output == "\n".join(want) + "\n"
+
     def test_unknown_block_exit_2(self, runner):
         result = runner.invoke(main, ["dump", "nope(", "--order", "4"])
         assert result.exit_code == 2

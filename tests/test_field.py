@@ -68,6 +68,26 @@ class TestExamples:
         assert A(1, 1) ** -1 == A(-1, 1)
         assert A(5, 3) ** 0 == ONE
 
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                             (4, 2), (5, 3), (8, 3)])
+    def test_pow_products(self, monkeypatch, n, products):
+        # binary powering: one squaring per bit below the top one, one
+        # product per further set bit, and no product by 1 to start
+        x = A(F(2, 3), -1)
+        want = ONE
+        for _ in range(n):
+            want = want * x
+        calls = []
+        mul = A.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(A, "__mul__", counted)
+        assert x ** n == want
+        assert len(calls) == products
+
 
 @given(algebraics(), algebraics(), algebraics())
 def test_field_axioms(x, y, z):

@@ -117,6 +117,93 @@ def oracle_power(s, r):
     return out
 
 
+# -- oracle: the Fraction-dict operations the integer slots replaced ------
+#
+# Each works on the exponent -> coefficient view of its operands and builds
+# its result through the constructor, one Fraction and one field element
+# per term.
+
+
+def oracle_add(a, b):
+    acc = dict(a.terms)
+    for e, c in b.terms.items():
+        cur = acc.get(e)
+        acc[e] = c if cur is None else cur + c
+    return P(acc, min(a.trunc, b.trunc))
+
+
+def oracle_neg(a):
+    return P({e: -c for e, c in a.terms.items()}, a.trunc)
+
+
+def oracle_scale(a, c):
+    return P({e: v * c for e, v in a.terms.items()}, a.trunc)
+
+
+def oracle_shift(a, delta):
+    return P({e + delta: c for e, c in a.terms.items()}, a.trunc + delta)
+
+
+def oracle_substitute(a, r):
+    return P({e * r: c for e, c in a.terms.items()}, a.trunc * r)
+
+
+def oracle_truncated(a, order):
+    return P({e: c for e, c in a.terms.items() if e < order}, order)
+
+
+def oracle_leading(a):
+    terms = a.terms
+    if not terms:
+        return None
+    e = min(terms)
+    return e, terms[e]
+
+
+def oracle_first_mismatch(a, b, order):
+    ta, tb = a.terms, b.terms
+    for e in sorted(set(ta) | set(tb)):
+        if e >= order:
+            break
+        x, y = ta.get(e, ZERO), tb.get(e, ZERO)
+        if x != y:
+            return e, x, y
+    return None
+
+
+def oracle_mul(a, b):
+    """Term-by-term product with the bound min(t_a + m_b, t_b + m_a), the
+    least exponent of a zero series counting as its bound."""
+    ta, tb = a.terms, b.terms
+    ma = min(ta) if ta else a.trunc
+    mb = min(tb) if tb else b.trunc
+    trunc = min(a.trunc + mb, b.trunc + ma)
+    acc = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            e = e1 + e2
+            if e < trunc:
+                cur = acc.get(e)
+                acc[e] = c1 * c2 if cur is None else cur + c1 * c2
+    return P(acc, trunc)
+
+
+def oracle_slots(s, den, nout):
+    """The integer arrays of the old exponent-dict path: d is the lcm of
+    the kept coefficients' denominators."""
+    terms = s.terms
+    m = min(terms) if terms else s.trunc
+    kept = [(int((e - m) * den), c) for e, c in terms.items()
+            if (e - m) * den < nout]
+    d = math.lcm(1, *(x.denominator for _, c in kept for x in (c.rat, c.irr)))
+    n = max((k for k, _ in kept), default=-1) + 1
+    rat, irr = [0] * n, [0] * n
+    for k, c in kept:
+        rat[k] = int(c.rat * d)
+        irr[k] = int(c.irr * d)
+    return rat, irr if any(irr) else None, d
+
+
 small_exponents = st.fractions(min_value=F(-2), max_value=F(6), max_denominator=4)
 small_coeffs = st.builds(
     A,
@@ -228,7 +315,7 @@ class TestMul:
 
     @given(wide_series())
     def test_slots_round_trip(self, s):
-        m, den = s._grid()
+        m, den = s.m, s.den
         offsets = [(e - m) * den for e in s.terms]
         assert all(o.denominator == 1 for o in offsets)
         assert math.gcd(den, *(o.numerator for o in offsets)) == 1  # coarsest
@@ -340,6 +427,120 @@ class TestRecurrencesMatchOracle:
         if r.denominator > 1:  # a fractional power needs a unit lead
             s = P({**s.terms, min(s.terms): ONE}, s.trunc)
         self.assert_same(s ** r, oracle_power(s, r))
+
+
+class TestOperationsMatchOracle:
+    """Every operation on the integer slots equals the Fraction-dict one,
+    exact terms and bound, and leaves its result in the canonical form that
+    the constructor builds from those terms."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.terms == want.terms
+        assert got.trunc == want.trunc
+        canonical = P(got.terms, got.trunc)
+        assert (got.m, got.den, got.d, got.slots) == (
+            canonical.m, canonical.den, canonical.d, canonical.slots)
+        assert list(got.slots) == sorted(got.slots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_series())
+    def test_add_sub_neg(self, a, b):
+        self.assert_same(a + b, oracle_add(a, b))
+        self.assert_same(a - b, oracle_add(a, oracle_neg(b)))
+        self.assert_same(-a, oracle_neg(a))
+        self.assert_same(a + (-a), oracle_add(a, oracle_neg(a)))
+        # the leading term cancels, and the rest may sit on a coarser grid
+        e, c = a.leading()
+        rest = a - P.monomial(c, e, a.trunc)
+        self.assert_same(rest, oracle_add(a, P({e: -c}, a.trunc)))
+        assert rest.leading() == oracle_leading(rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_coeffs, wide_rationals)
+    def test_scale_and_shift(self, a, c, delta):
+        for k in (c, ZERO, ONE, A(-1), 3, F(-2, 7)):
+            self.assert_same(a.scale(k), oracle_scale(a, k))
+        self.assert_same(a.shift(delta), oracle_shift(a, delta))
+        self.assert_same(a.shift(delta, c),
+                         oracle_scale(oracle_shift(a, delta), c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), st.sampled_from([F(1, 2), F(2, 3), 1, 2, 3, F(6, 5)]))
+    def test_substitute(self, a, r):
+        self.assert_same(a.substitute(r), oracle_substitute(a, r))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), st.fractions(0, 1))
+    def test_truncated(self, a, part):
+        order = a.trunc - 5 + 5 * part
+        self.assert_same(a.truncated(order), oracle_truncated(a, order))
+        self.assert_same(a.truncated(a.trunc), a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_rationals)
+    def test_leading_and_coefficient(self, a, e):
+        assert a.leading() == oracle_leading(a)
+        for x in [*a.terms, e, a.trunc - F(1, 999983)]:
+            if x < a.trunc:
+                assert a.coefficient(x) == a.terms.get(x, ZERO)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_series(), st.fractions(0, 1))
+    def test_first_mismatch(self, a, b, part):
+        order = min(a.trunc, b.trunc) - 2 * part
+        for x, y in ((a, b), (a, a), (a, a.truncated(order)),
+                     (a, oracle_add(a.truncated(order), P.zero(order)))):
+            if min(x.trunc, y.trunc) < order:
+                continue
+            mm = x.first_mismatch(y, order)
+            assert (None if mm is None else tuple(mm)) == \
+                oracle_first_mismatch(x, y, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_series())
+    def test_equality_and_hash(self, a, b):
+        same = (a.terms, a.trunc) == (b.terms, b.trunc)
+        assert (a == b) == same
+        rebuilt = P(a.terms, a.trunc)
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        doubled = a + a
+        assert doubled == a.scale(2) and hash(doubled) == hash(a.scale(2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), wide_series())
+    def test_dense_and_sparse_products(self, a, b):
+        want = oracle_mul(a, b)
+        self.assert_same(a * b, want)
+        self.assert_same(a._mul_sparse(b, want.trunc), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_series(), st.sampled_from([2, 3, F(-1), F(-2), F(1, 2)]))
+    def test_powers(self, a, r):
+        if F(r).denominator > 1:  # a fractional power needs a unit lead
+            a = P({**a.terms, min(a.terms): ONE}, a.trunc)
+        self.assert_same(a ** r, oracle_power(a, F(r)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_series(), st.sampled_from([1, 2, 3, 6]), st.integers(0, 80))
+    def test_slots_hold_the_old_arrays(self, a, fine, nout):
+        # kernels and the power recurrence see the arrays of the old path,
+        # d reduced over the kept slots when some are dropped
+        den = a.den * fine
+        assert a._slots(den, nout) == oracle_slots(a, den, nout)
+
+    @given(wide_series())
+    def test_dump_renders_the_view(self, a):
+        assert a.dump() == "\n".join(f"{e}\t{c.render()}" for e, c in a.items())
+        assert (-a).dump() == "\n".join(
+            f"{e}\t{c.render()}" for e, c in oracle_neg(a).items())
+
+    @given(st.dictionaries(wide_rationals, wide_coeffs, max_size=8),
+           wide_rationals)
+    def test_constructor_view_round_trip(self, terms, trunc):
+        s = P(terms, trunc)
+        assert s.terms == {e: c for e, c in terms.items() if e < trunc and c}
+        assert s.items() == sorted(s.terms.items())
 
 
 class TestRecurrenceHotPath:

@@ -12,7 +12,7 @@ import pytest
 from qident import blocks, expr
 from qident.catalog import catalog, get
 from qident.dsl import parse_identity
-from qident.expr import Add, QPow
+from qident.expr import Add, Mul, Pow, Prim, QPow
 from qident.series import SlotBudgetError
 from qident.verify import Identity, verify, verify_many
 
@@ -95,6 +95,67 @@ class TestSharing:
     def test_every_block_built_once_per_argument_and_order(self, builds, order):
         verify_many(catalog(), order)
         assert builds and set(builds.values()) == {1}
+
+
+class TestNodeHash:
+    @staticmethod
+    def deep_tree(depth=200):
+        node = QPow(F(1, 3))
+        for j in range(1, depth):
+            node = Mul(node, Pow(Prim("eta", F(j, 2)), F(1, j + 1)))
+        return node
+
+    def test_equal_trees_hash_equal(self):
+        a, b = self.deep_tree(), self.deep_tree()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert Add(a, b) == Add(b, a) and hash(Add(a, b)) == hash(Add(b, a))
+        assert a != self.deep_tree(199) and a != Mul(a, QPow(F(0)))
+
+    def test_second_hash_hashes_no_field(self, monkeypatch):
+        # each node keeps its hash, so hashing the tree again reads one int
+        # instead of rehashing every Fraction under it
+        tree = self.deep_tree()
+        first = hash(tree)
+        calls = []
+        fraction_hash = F.__hash__
+
+        def counted(x):
+            calls.append(x)
+            return fraction_hash(x)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        assert hash(tree) == first
+        assert hash(self.deep_tree()) == first
+        assert calls  # the fresh tree hashed its fields
+        calls.clear()
+        assert hash(tree) == first
+        assert calls == []
+
+
+class TestIntegerGrid:
+    def test_fraction_constructions_do_not_grow_with_the_order(self, monkeypatch):
+        # series stay on their integer grids between operations, so the
+        # Fractions made (bounds, hints, leading values) do not depend on
+        # how many slots the thm31 expansions hold
+        orders = (F(24), F(48))
+        made = [0]
+        fraction_new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        counts = []
+        for order in orders:
+            made[0] = 0
+            reports = verify_many(THM31, order)
+            counts.append(made[0])
+        monkeypatch.undo()
+        assert {r.status for r in reports} <= {"verified",
+                                               "verified_with_sign_flip"}
+        assert counts[0] == counts[1] > 0
 
 
 class TestLifetime:
