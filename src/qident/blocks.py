@@ -22,7 +22,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .field import ONE, SQRT2, AlgebraicNumber
 from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
@@ -110,11 +109,12 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     `order`, at slot off, enters |power| times.  Multiplying by it is the
     descending pass c[k] += sign*c[k - off], run as one slice update on the
     old values; dividing by it is the ascending pass
-    c[k] -= sign*c[k - off] on the new ones, run as prefix sums or block
-    slice updates by :func:`_divide`.  The array starts with 1, so
-    every coefficient stays an integer.  Each pass visits n - off of the n
-    slots; their total is summed in closed form per family and checked
-    against the budgets before the array is allocated.
+    c[k] -= sign*c[k - off] on the new ones, run as slice updates of off
+    slots at a time, each taking the updated block before it.  The array
+    starts with 1, so every coefficient stays an integer.  Each pass
+    visits n - off of the n slots; their total is summed in closed form
+    per family and checked against the budgets before the array is
+    allocated.
     """
     order = _fr(order)
     if order <= 0:
@@ -140,39 +140,14 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     c[0] = 1
     for sign, first, step, p in grid:
         op = operator.add if sign > 0 else operator.sub
+        inv = operator.sub if sign > 0 else operator.add
         for off in range(first, n, step):
             for _ in range(p):
                 c[off:] = list(map(op, c[off:], c))
             for _ in range(-p):
-                _divide(c, off, sign)
+                for s in range(off, n, off):
+                    c[s:s + off] = map(inv, c[s:s + off], c[s - off:s])
     return PuiseuxSeries.from_slots(0, den, c, None, order)
-
-
-def _divide(c, off, sign) -> None:
-    """c / (1 + sign*q^off) in place: the ascending pass
-    c[k] -= sign*c[k - off] for off <= k < len(c), each slice in C.
-
-    Along each residue chain k = s, s + off, s + 2*off, ... the pass is a
-    prefix sum for sign -1, and for sign +1 the alternating one:
-    c'_j = (-1)^j sum_{t<=j} (-1)^t c_t.  With off*off <= n there are off
-    chains of at least off slots, summed by itertools.accumulate; past
-    that the pass runs block by block, off slots at a time, each block
-    taking the updated block before it.
-    """
-    n = len(c)
-    if off * off <= n:
-        for s in range(off):
-            chain = c[s::off]
-            if sign > 0:
-                chain[1::2] = map(operator.neg, chain[1::2])
-            chain = list(accumulate(chain))
-            if sign > 0:
-                chain[1::2] = map(operator.neg, chain[1::2])
-            c[s::off] = chain
-        return
-    op = operator.sub if sign > 0 else operator.add
-    for s in range(off, n, off):
-        c[s:s + off] = map(op, c[s:s + off], c[s - off:s])
 
 
 def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:

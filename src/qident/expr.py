@@ -111,7 +111,10 @@ class Const(Node):
 
 def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
     # a polynomial is exact at every order
-    return PuiseuxSeries(s.terms, max(_fr(order), s.trunc))
+    trunc = max(_fr(order), s.trunc)
+    if not s.slots:
+        return PuiseuxSeries.zero(trunc)
+    return PuiseuxSeries._make(s.m, s.den, s.d, s.slots, trunc)
 
 
 @dataclass(frozen=True)

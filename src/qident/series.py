@@ -50,8 +50,6 @@ MAX_SLOT_STEPS = 20_000_000
 # A step of a term-by-term loop counts as this many of those steps: with a
 # Fraction exponent and a Q(sqrt2) value per term it took 23-33 us on a
 # 2-core x86-64 machine under CPython 3.11, a dense slot step 45-90 ns.
-# The term-by-term product now runs on integer slots; the weight stands
-# until it is measured again.
 TERM_STEP_WEIGHT = 256
 
 
@@ -133,12 +131,6 @@ def _pair(c: AlgebraicNumber) -> tuple[int, int, int]:
 def _number(r: int, i: int, d: int) -> AlgebraicNumber:
     """(r + i*sqrt2) / d as a field element."""
     return AlgebraicNumber(Fraction(r, d), Fraction(i, d))
-
-
-def _ratio_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
-    g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _common_grid(a, b) -> tuple[Fraction, int]:
@@ -439,30 +431,23 @@ class PuiseuxSeries:
         Its len(self) * len(other) term pairs count against the step
         budget, TERM_STEP_WEIGHT steps each.
         """
-        small, large = self, other
-        if len(small.slots) > len(large.slots):
-            small, large = large, small
-        pairs = len(small.slots) * len(large.slots)
+        pairs = len(self.slots) * len(other.slots)
         check_steps(TERM_STEP_WEIGHT * pairs,
                     f"term-by-term product of {pairs} term pairs")
-        den = math.lcm(small.den, large.den)
-        fs = den // small.den
-        fl = den // large.den
-        nout = math.ceil((trunc - small.m - large.m) * den)
-        large_items = [(k * fl, r, i) for k, (r, i) in large.slots.items()]
+        den = math.lcm(self.den, other.den)
+        f1 = den // self.den
+        f2 = den // other.den
+        nout = math.ceil((trunc - self.m - other.m) * den)
         acc = {}
-        for k1, (r1, i1) in small.slots.items():
-            base = k1 * fs
-            for k2, r2, i2 in large_items:
-                k = base + k2
+        for k1, (r1, i1) in self.slots.items():
+            for k2, (r2, i2) in other.slots.items():
+                k = k1 * f1 + k2 * f2
                 if k >= nout:
-                    break  # large_items ascending
-                x = r1 * r2 + 2 * i1 * i2
-                y = r1 * i2 + i1 * r2
-                cur = acc.get(k)
-                acc[k] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-        return PuiseuxSeries._reduced(small.m + large.m, den,
-                                      small.d * large.d, _nonzero_sorted(acc),
+                    break  # the slots ascend
+                x, y = acc.get(k, (0, 0))
+                acc[k] = (x + r1 * r2 + 2 * i1 * i2, y + r1 * i2 + i1 * r2)
+        return PuiseuxSeries._reduced(self.m + other.m, den,
+                                      self.d * other.d, _nonzero_sorted(acc),
                                       trunc)
 
     def _mul_dense(self, other, trunc):
@@ -733,15 +718,8 @@ class PuiseuxSeries:
         return math.fsum(float(c) * q ** float(e) for e, c in self.items())
 
     def dump(self) -> str:
-        """One line per term: ``exponent<TAB>a+b*sqrt2``, ascending, in the
-        text of :meth:`AlgebraicNumber.render`, written from the slots."""
-        mn, md = self.m.numerator, self.m.denominator
-        d = self.d
-        return "\n".join(
-            f"{_ratio_text(mn * self.den + k * md, md * self.den)}\t"
-            f"{_ratio_text(r, d)}{'-' if i < 0 else '+'}{_ratio_text(abs(i), d)}"
-            "*sqrt2"
-            for k, (r, i) in self.slots.items())
+        """One line per term: ``exponent<TAB>a+b*sqrt2``, ascending."""
+        return "\n".join(f"{e}\t{c.render()}" for e, c in self.items())
 
     def __repr__(self):
         parts = []

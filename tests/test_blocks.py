@@ -164,7 +164,8 @@ class TestBuilderMatchesOracle:
     """poch_quotient, and every block built on it, against the old path."""
 
     # divisions by factors at slots on both sides of sqrt(n), n the slot
-    # count: prefix sums along residue chains below, block updates above
+    # count: many short blocks of off slots below, few long ones above,
+    # and a last block cut short by n
     @example([(PochSpec(-1, 1, 1), -1)], F(40))
     @example([(PochSpec(1, 1, 1), -1)], F(40))
     @example([(PochSpec(1, 7, 5), -1), (PochSpec(-1, 6, 1), -2)], F(30))
