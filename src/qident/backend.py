@@ -1,41 +1,20 @@
-"""Convolution kernels: truncated Cauchy products on Z[sqrt2] int arrays.
+"""Convolution kernel: the truncated Cauchy product of two int arrays.
 
-Coefficients are integer pairs ``(r, i)`` standing for ``r + i*sqrt2``;
-fractional parts are factored out by the caller, so the inner loops run on
-plain (unbounded) ints.  The kernels are pure Python.
+It is the one product kernel.  Fractional parts are factored out by the
+caller, so the inner loop runs on plain (unbounded) ints, and a Z[sqrt2]
+product is assembled from up to three calls in
+:meth:`qident.series.PuiseuxSeries._mul_dense`.  The kernel is pure Python.
 """
 
 KERNEL_BACKEND = "python"
 
 
-def convolve(ra, ia, rb, ib, nout):
-    """Truncated Cauchy product of two Z[sqrt2] coefficient arrays.
+def convolve_rational(ra, rb, nout):
+    """Truncated Cauchy product of two integer coefficient arrays.
 
-    Slot k of the result collects all products with i + j = k, using
-    (x + y*sqrt2)(u + v*sqrt2) = (xu + 2yv) + (xv + yu)*sqrt2.  Only the
+    Slot k of the result collects ra[i] * rb[j] over i + j = k; only the
     first `nout` slots are produced.
     """
-    rc = [0] * nout
-    ic = [0] * nout
-    na = min(len(ra), nout)
-    for i in range(na):
-        x = ra[i]
-        y = ia[i]
-        if not x and not y:
-            continue
-        nb = min(len(rb), nout - i)
-        for j in range(nb):
-            u = rb[j]
-            v = ib[j]
-            if u or v:
-                k = i + j
-                rc[k] += x * u + 2 * y * v
-                ic[k] += x * v + y * u
-    return rc, ic
-
-
-def convolve_rational(ra, rb, nout):
-    """Same as :func:`convolve` when both irrational parts vanish."""
     rc = [0] * nout
     na = min(len(ra), nout)
     for i in range(na):

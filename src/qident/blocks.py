@@ -24,16 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import ONE, SQRT2, AlgebraicNumber
-from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
+from .series import TERM_STEP_WEIGHT, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
 
 # beta_k = -2*cos(2*k*pi/8) for k = 1, 2, 3: exactly -sqrt2, 0, sqrt2.
 BETA = {1: -SQRT2, 2: AlgebraicNumber(0), 3: SQRT2}
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

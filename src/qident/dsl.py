@@ -33,7 +33,7 @@ are positive rationals; `+a1-a2...` lists signed integer exponents.
 | `G3` | `r` | `prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))` |
 | `T1N` | `k` | `theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))` |
 | `btable` | `k` | difference-table polynomial `sum_{j<32} B_k(j) q^j` |
-| `lambert` | `s,r,+a1-a2...,b[,w]` | `sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1, `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`) |
+| `lambert` | `s,r,+a1-a2...,b[,w]` | `sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1, `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`, p an odd prime below 3.3*10^24) |
 | `psi11lhs` | `s,alpha,beta` | 1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s` |
 | `psi11rhs` | `s,alpha,beta` | 1psi1 product side of the same sum, for `alpha + beta < s` |
 
@@ -251,27 +251,30 @@ class Parser:
         if self._at("-"):
             self._next()
             neg = True
-        tok = self._peek()
-        if tok.kind != "int":
-            self._error("expected a rational number")
-        num = int(self._next().text)
+        num = self._int("a rational number")
         den = 1
         # '/' is a fraction bar only when an integer follows; otherwise it
         # belongs to the enclosing term as a division operator
         if self._at("/") and self.tokens[self.pos + 1].kind == "int":
             self._next()
-            dtok = self._next()
-            den = int(dtok.text)
+            dtok = self._peek()
+            den = self._int()
             if den == 0:
                 self._error("malformed rational: zero denominator", dtok)
         r = _FR(num, den)
         return -r if neg else r
 
-    def _int(self) -> int:
+    def _int(self, what: str = "an integer") -> int:
+        """The value of the next token, which must be an integer literal."""
         tok = self._peek()
         if tok.kind != "int":
-            self._error("expected an integer")
-        return int(self._next().text)
+            self._error(f"expected {what}")
+        self._next()
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            self._error(f"integer literal of {len(tok.text)} digits is too "
+                        "long", tok)
 
     def _sign(self) -> int:
         tok = self._peek()

@@ -36,13 +36,9 @@ from typing import Callable, Iterator, Optional
 from . import blocks
 from . import lambert as lam
 from .field import ONE, AlgebraicNumber
-from .series import InsufficientPrecisionError, PuiseuxSeries
+from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
 
 _FR = Fraction
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class Node:
@@ -165,7 +161,8 @@ PRIMITIVES: dict[str, Primitive] = {
     "lambert": Primitive(
         "lambert", lambda s, o: lam.lambert_sum(s, o),
         "`sum_{m = r mod s} w(m) sum_i +-q^(a_i m)/(1 - q^(bm))`; `w(m)` is 1,"
-        " `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`)",
+        " `m` (`w` = `m`) or the Legendre symbol (m/p) (`w` = `legendre(p)`,"
+        " p an odd prime below 3.3*10^24)",
         lambda s: _FR(s.leading_exponent())),
     "psi11lhs": Primitive(
         "bilateral", lambda s, o: lam.bilateral_1psi1_lhs(s, o),

@@ -14,24 +14,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import PochSpec, poch_quotient
-from .series import TERM_STEP_WEIGHT, PuiseuxSeries, check_steps, dense_slots
+from .series import TERM_STEP_WEIGHT, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 2017); a Legendre modulus must lie below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_LEGENDRE_P = 3_317_044_064_679_887_385_961_981
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+def _check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime below MAX_LEGENDRE_P, by
+    deterministic Miller-Rabin: at most 13 modular powers, whatever p."""
+    bad = ValueError(f"legendre(p) needs an odd prime p below {MAX_LEGENDRE_P}")
+    if not 3 <= p < MAX_LEGENDRE_P or p % 2 == 0:
+        raise bad
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1 or a == p:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            raise bad
+
+
+def _euler_criterion(m: int, p: int) -> int:
+    """(m | p) as m^((p-1)/2) mod p, for p known to be an odd prime."""
+    t = pow(m, (p - 1) // 2, p)
+    return -1 if t == p - 1 else t
 
 
 def legendre_symbol(m: int, p: int) -> int:
@@ -39,12 +56,8 @@ def legendre_symbol(m: int, p: int) -> int:
 
     0 when p | m, otherwise +-1 by Euler's criterion m^((p-1)/2) mod p.
     """
-    if not _is_odd_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-    t = pow(m % p, (p - 1) // 2, p)
-    if t == 0:
-        return 0
-    return 1 if t == 1 else -1
+    _check_odd_prime(p)
+    return _euler_criterion(m, p)
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,8 @@ class LambertSpec:
                 raise ValueError("numerators must be (+-1, positive exponent)")
         if self.weight not in ("unit", "linear", "legendre"):
             raise ValueError(f"unknown weight {self.weight!r}")
-        if self.weight == "legendre" and not _is_odd_prime(self.legendre_p):
-            raise ValueError("legendre weight needs an odd prime modulus")
+        if self.weight == "legendre":
+            _check_odd_prime(self.legendre_p)
 
     def leading_exponent(self) -> int:
         """a_min * m for the least m of the class with a nonzero weight.
@@ -106,7 +119,7 @@ def _lambert_progressions(spec: LambertSpec, n: int):
         elif spec.weight == "linear":
             w = m
         else:
-            w = legendre_symbol(m, spec.legendre_p)
+            w = _euler_criterion(m, spec.legendre_p)
         if w:
             for c, a in spec.numerators:
                 yield a * m, spec.denom_exponent * m, c * w

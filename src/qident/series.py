@@ -453,11 +453,17 @@ class PuiseuxSeries:
     def _mul_dense(self, other, trunc):
         """Convolution of the two slot arrays on their common offset grid.
 
+        Every product is built from rational convolutions of the nonzero
+        parts only: one when both factors are rational, two (AB and A'B
+        or AB') when one is, and three when neither is, by
+        (A + A'sqrt2)(B + B'sqrt2) = (AB + 2A'B')
+        + ((A + A')(B + B') - AB - A'B')sqrt2.
+
         Returns None, and the caller multiplies term by term, when the
-        product needs more than MAX_DENSE_SLOTS slots or its kernel more
-        than MAX_SLOT_STEPS inner steps: the sum over the nonzero slots i
-        of the first array of min(len(second), nout - i), taken before the
-        kernel runs.
+        product needs more than MAX_DENSE_SLOTS slots or more than
+        MAX_SLOT_STEPS inner steps: the sum over the nonzero slots i of
+        the first array of min(len(second), nout - i), taken before any
+        convolution runs.
         """
         m1, den1 = self.m, self.den
         m2, den2 = other.m, other.den
@@ -472,11 +478,16 @@ class PuiseuxSeries:
         steps = sum(min(nb, nout - k * f1) for k in self.slots if k * f1 < nout)
         if steps > MAX_SLOT_STEPS:
             return None
-        if ia is None and ib is None:
-            rc, ic = backend.convolve_rational(ra, rb, nout), None
-        else:
-            rc, ic = backend.convolve(ra, ia or [0] * len(ra),
-                                      rb, ib or [0] * nb, nout)
+        conv = backend.convolve_rational
+        rc, ic = conv(ra, rb, nout), None
+        if ia is not None and ib is not None:
+            ii = conv(ia, ib, nout)
+            mixed = conv([x + y for x, y in zip(ra, ia)],
+                         [x + y for x, y in zip(rb, ib)], nout)
+            ic = [s - x - y for s, x, y in zip(mixed, rc, ii)]
+            rc = [x + 2 * y for x, y in zip(rc, ii)]
+        elif ia is not None or ib is not None:  # A'B or AB'
+            ic = conv(ia or ra, ib or rb, nout)
         return PuiseuxSeries.from_slots(m1 + m2, den, rc, ic, trunc, d1 * d2)
 
     def __pow__(self, r):

@@ -14,6 +14,7 @@ from .series import (
     InsufficientPrecisionError,
     LeadingCoefficientError,
     Mismatch,
+    _fr,
 )
 
 VERIFIED = "verified"
@@ -22,10 +23,6 @@ MISMATCH = "mismatch"
 INSUFFICIENT = "insufficient_precision"
 
 _MINUS_ONE = AlgebraicNumber(-1)
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,28 @@ class TestDumpCommand:
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
 
+    @pytest.mark.parametrize(
+        "p, order, code",
+        [("1000000007", "3000", 0),
+         ("100000000000000003", "5", 0),
+         ("3317044064679887385961981", "5", 2),  # past the primality bound
+         ("1" * 4000, "5", 2)],
+        ids=["10^9+7", "10^17+3", "bound", "4000-digit"],
+    )
+    def test_large_legendre_modulus_is_quick(self, runner, p, order, code):
+        t0 = time.perf_counter()
+        result = runner.invoke(
+            main, ["dump", f"lambert(1,0,+1,1,legendre({p}))", "--order", order])
+        assert result.exit_code == code
+        if code:
+            assert "line 1, column 1: legendre(p) needs an odd prime" in result.output
+        assert time.perf_counter() - t0 < 1
+
+    def test_over_long_integer_literal_exit_2(self, runner):
+        result = runner.invoke(main, ["dump", "q^(" + "9" * 5000 + ")"])
+        assert result.exit_code == 2
+        assert "line 1, column 4: integer literal of 5000 digits" in result.output
+
     @pytest.mark.parametrize("expr", ["psi11rhs(4,3,3)", "psi11rhs(5,2,3)"])
     def test_product_side_outside_its_window_exit_2(self, runner, expr):
         result = runner.invoke(main, ["dump", expr, "--order", "3"])
@@ -253,6 +275,13 @@ class TestParseCommand:
         result = runner.invoke(main, ["parse", str(path)])
         assert result.exit_code == 2
         assert "line 2, column 20: the 1psi1 product side needs" in result.output
+
+    def test_over_long_integer_literal_exit_2(self, runner, tmp_path):
+        path = tmp_path / "long.qid"
+        path.write_text("phi(1) == phi(1)\nphi(1) == 1/" + "9" * 5000 + "*phi(1)\n")
+        result = runner.invoke(main, ["parse", str(path)])
+        assert result.exit_code == 2
+        assert "line 2, column 13: integer literal of 5000 digits" in result.output
 
     def test_verifies_user_file(self, runner, tmp_path):
         path = tmp_path / "user.qid"

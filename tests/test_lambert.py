@@ -1,6 +1,7 @@
 """Lambert/Eisenstein sums and the bilateral 1psi1 summation."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from qident.lambert import (
     LambertSpec,
     bilateral_1psi1_lhs,
     bilateral_1psi1_rhs,
+    MAX_LEGENDRE_P,
     bilateral_term,
     lambert_sum,
     legendre_symbol,
@@ -83,6 +85,38 @@ class TestLegendre:
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ValueError):
             legendre_symbol(5, bad)
+
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p > 2 and p % 2 and all(p % d for d in range(3, isqrt(p) + 1, 2))
+
+        for p in range(-3, 5000):
+            try:
+                legendre_symbol(1, p)
+            except ValueError:
+                assert not trial(p), p
+            else:
+                assert trial(p), p
+
+    @pytest.mark.parametrize("n", [
+        56052361,  # Carmichael number 211*421*631: a^(n-1) = 1 for every base
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+        MAX_LEGENDRE_P,  # to every prime base up to 41: refused as too large
+        10**5000,
+    ], ids=["carmichael", "spsp7", "spsp23", "spsp37", "spsp41", "10^5000"])
+    def test_rejects_pseudoprimes_and_huge_moduli(self, n):
+        with pytest.raises(ValueError, match="odd prime p below"):
+            LambertSpec(1, 0, ((1, 1),), 1, "legendre", n)
+
+    def test_large_prime_modulus(self):
+        # the spec checks p once; each weight is one modular power
+        p = 1000000007
+        spec = LambertSpec(1, 0, ((1, 1),), 1, "legendre", p)
+        got, want = lambert_sum(spec, 300), oracle_lambert_sum(spec, 300)
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+        assert legendre_symbol(p - 1, p) == legendre_symbol(-1, p) == -1  # p = 3 mod 4
 
 
 class TestLambertSum:
