@@ -8,13 +8,10 @@ product representations, and level-8 Eisenstein sums.
 
 from .backend import KERNEL_BACKEND
 from .blocks import (
-    EtaQuotient,
     PochSpec,
-    SineRatioTable,
     ThetaSpec,
     b_value,
     eta,
-    eta_quotient,
     gamma_k,
     h_series,
     i_series,
@@ -55,8 +52,8 @@ __all__ = [
     "AlgebraicNumber", "ZERO", "ONE", "SQRT2",
     "PuiseuxSeries", "Mismatch",
     "InsufficientPrecisionError", "LeadingCoefficientError", "SlotBudgetError",
-    "PochSpec", "ThetaSpec", "EtaQuotient", "SineRatioTable",
-    "pochhammer", "theta_sum", "theta_product", "eta", "eta_quotient",
+    "PochSpec", "ThetaSpec",
+    "pochhammer", "theta_sum", "theta_product", "eta",
     "gamma_k", "sine_ratio_table", "b_value", "theta1_normalized",
     "h_series", "i_series", "phi", "psi",
     "CFEvaluation", "eval_general_cf", "eval_h_cf", "eval_i_cf",

@@ -9,11 +9,13 @@ theta_1 specializations, and the two continued-fraction product sides
 h and i.
 
 Every product or quotient of Pochhammer families -- a single Pochhammer,
-the first-power factors of an eta quotient, the triple-product form of
-f, h, i, and the 1psi1 product side in :mod:`qident.lambert` -- is
-filled in place on one dense int array by :func:`poch_quotient`, one
-factor pass at a time, with no series product, no inverse and no
-Fraction per intermediate slot.
+eta, the triple-product form of f, h, i, and the 1psi1 product side in
+:mod:`qident.lambert` -- is filled in place on one dense int array by
+:func:`poch_quotient`, one factor pass at a time, with no series product,
+no inverse and no Fraction per intermediate slot.  The sums (theta sums,
+theta_1 specializations, B tables) count their exponents on an integer
+grid and their coefficients as integer pairs x + y*sqrt2, and every
+builder hands the canonical slot form to the series directly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import ONE, SQRT2, AlgebraicNumber
+from .field import SQRT2, AlgebraicNumber
 from .series import TERM_STEP_WEIGHT, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
@@ -70,30 +72,6 @@ class ThetaSpec:
             raise ValueError("signs must be +1 or -1")
         if self.a <= 0 or self.b <= 0:
             raise ValueError("theta arguments need positive exponents")
-
-
-@dataclass(frozen=True)
-class EtaQuotient:
-    """prod_i eta(m_i tau)^{p_i} with positive rational multipliers."""
-
-    factors: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        fs = tuple((_fr(m), _fr(p)) for m, p in self.factors)
-        object.__setattr__(self, "factors", fs)
-        if any(m <= 0 for m, _ in fs):
-            raise ValueError("eta multipliers must be positive")
-
-    def leading_exponent(self) -> Fraction:
-        return sum((p * m / 24 for m, p in self.factors), _FR(0))
-
-
-@dataclass(frozen=True)
-class SineRatioTable:
-    """Exact values r_j = sin((2j+1)k*pi/8) / sin(k*pi/8), j = 0..J."""
-
-    k: int
-    values: tuple[AlgebraicNumber, ...]
 
 
 def poch_quotient(families, order) -> PuiseuxSeries:
@@ -162,30 +140,27 @@ def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     is strictly increasing in |j| in each direction, so each direction
     stops at the first term at or above the truncation.  It exceeds
     (a+b)(|j| - 1)^2 / 2, which bounds the term count before the loop.
+    Exponents are counted as ints on the grid 1/lcm(den a, den b).
     """
     order = _fr(order)
-    a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
-    terms = 2 * math.isqrt(max(0, math.floor(2 * order / (a + b)))) + 3
+    s1, s2 = spec.sign1, spec.sign2
+    terms = 2 * math.isqrt(max(0, math.floor(2 * order / (spec.a + spec.b)))) + 3
     check_steps(TERM_STEP_WEIGHT * terms, f"theta sum of up to {terms} terms")
-    acc: dict[Fraction, int] = {}
-
-    def add(j):
-        t1 = j * (j + 1) // 2
-        t2 = j * (j - 1) // 2
-        e = a * t1 + b * t2
-        if e >= order:
-            return False
-        c = (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
-        acc[e] = acc.get(e, 0) + c
-        return True
-
-    j = 0
-    while add(j):
-        j += 1
-    j = -1
-    while add(j):
-        j -= 1
-    return PuiseuxSeries(acc, order)
+    den = math.lcm(spec.a.denominator, spec.b.denominator)
+    a, b, n = int(spec.a * den), int(spec.b * den), math.ceil(order * den)
+    acc: dict[int, int] = {}
+    for j, step in ((0, 1), (-1, -1)):
+        while True:
+            t1 = j * (j + 1) // 2
+            t2 = j * (j - 1) // 2
+            e = a * t1 + b * t2
+            if e >= n:
+                break
+            c = (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
+            acc[e] = acc.get(e, 0) + c
+            j += step
+    return PuiseuxSeries._reduced(
+        _FR(0), den, 1, {e: (c, 0) for e, c in sorted(acc.items()) if c}, order)
 
 
 def _triple_product(spec: ThetaSpec, power: int) -> list:
@@ -211,31 +186,10 @@ def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
     return poch_quotient(_triple_product(spec, 1), order)
 
 
-def eta_quotient(eq: EtaQuotient, order) -> PuiseuxSeries:
-    """Realize prod eta(m tau)^p as q^{sum p*m/24} times Pochhammer powers.
-
-    The factors to the first power fill one :func:`poch_quotient` with
-    their unit series (q^m;q^m)_inf.  Any other power p runs the power
-    recurrence on its own Pochhammer expansion, whose leading coefficient
-    is 1, and multiplies in: the recurrence costs the same for every p,
-    while the fill makes |p| passes over the array per factor.
-    """
-    order = _fr(order)
-    lead = eq.leading_exponent()
-    unit_order = order - lead
-    if unit_order <= 0:
-        return PuiseuxSeries.zero(order)
-    out = poch_quotient([(PochSpec(-1, m, m), 1)
-                         for m, p in eq.factors if p == 1], unit_order)
-    for m, p in eq.factors:
-        if p != 1:
-            out = out * pochhammer(PochSpec(-1, m, m), unit_order) ** p
-    return out.shift(lead)
-
-
 def eta(m, order) -> PuiseuxSeries:
     """Single eta(m tau) = q^{m/24} (q^m; q^m)_inf."""
-    return eta_quotient(EtaQuotient(((_fr(m), _FR(1)),)), order)
+    m = _fr(m)
+    return pochhammer(PochSpec(-1, m, m), _fr(order) - m / 24).shift(m / 24)
 
 
 def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
@@ -281,20 +235,20 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
     return PuiseuxSeries.from_slots(0, den, rp, ip, order)
 
 
-def sine_ratio_table(k: int, count: int) -> SineRatioTable:
-    """r_0..r_{count-1} by the three-term recurrence.
+def sine_ratio_table(k: int, count: int) -> list[tuple[int, int]]:
+    """r_j = sin((2j+1)k*pi/8) / sin(k*pi/8) for j < count, as integer
+    pairs (x, y) = x + y*sqrt2.
 
-    r_0 = 1, r_1 = 2cos(2k*pi/8) + 1 and
-    r_{j+1} = 2cos(2k*pi/8) * r_j - r_{j-1}; the cosine doubles are
-    sqrt2, 0, -sqrt2 for k = 1, 2, 3, so every value is exact in Q(sqrt2).
+    r_0 = 1, r_1 = 1 + t*sqrt2 and r_{j+1} = t*sqrt2*r_j - r_{j-1}, where
+    t*sqrt2 = 2cos(2k*pi/8) is sqrt2, 0, -sqrt2 for k = 1, 2, 3, so every
+    ratio lies in Z[sqrt2].
     """
-    twocos = -BETA[k]
-    values = [ONE]
-    if count > 1:
-        values.append(twocos + ONE)
+    t = -int(BETA[k].irr)
+    values = [(1, 0), (1, t)]
     while len(values) < count:
-        values.append(twocos * values[-1] - values[-2])
-    return SineRatioTable(k, tuple(values[:count]))
+        (xp, yp), (x, y) = values[-2:]
+        values.append((2 * t * y - xp, t * x - yp))
+    return values[:count]
 
 
 def b_value(i: int, k: int) -> AlgebraicNumber:
@@ -305,43 +259,44 @@ def b_value(i: int, k: int) -> AlgebraicNumber:
 def b_table_series(i: int, length: int = 32) -> PuiseuxSeries:
     """The polynomial sum_{k<length} B_i(k) q^k (trunc = length).
 
-    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k,
-    B_3(k) = beta3 r3_k - beta1 r1_k, where rj is the sine-ratio table
-    at angle j*pi/8, built once for the whole polynomial.
+    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k
+    = (1+sqrt2) r3_k - (1-sqrt2) r1_k and B_3(k) = beta3 r3_k - beta1 r1_k
+    = sqrt2 (r1_k + r3_k), where rj is the sine-ratio table at angle
+    j*pi/8, built once for the whole polynomial, in integer pairs.
     """
     if i not in (1, 2, 3):
         raise ValueError("table index must be 1, 2 or 3")
-    r1 = sine_ratio_table(1, length).values
-    r3 = sine_ratio_table(3, length).values
+    pairs = zip(sine_ratio_table(1, length), sine_ratio_table(3, length))
     if i == 1:
-        values = [x - y for x, y in zip(r1, r3)]
+        values = [(x1 - x3, y1 - y3) for (x1, y1), (x3, y3) in pairs]
     elif i == 2:
-        values = [(ONE + BETA[3]) * y - (ONE + BETA[1]) * x for x, y in zip(r1, r3)]
+        values = [(x3 + 2 * y3 - x1 + 2 * y1, x3 + y3 + x1 - y1)
+                  for (x1, y1), (x3, y3) in pairs]
     else:
-        values = [BETA[3] * y - BETA[1] * x for x, y in zip(r1, r3)]
-    return PuiseuxSeries({_FR(k): v for k, v in enumerate(values)}, length)
+        values = [(2 * (y1 + y3), x1 + x3) for (x1, y1), (x3, y3) in pairs]
+    return PuiseuxSeries._reduced(
+        _FR(0), 1, 1, {k: v for k, v in enumerate(values) if v != (0, 0)},
+        _FR(length))
 
 
 def theta1_normalized(k: int, order) -> PuiseuxSeries:
     """theta_1(k*pi/8 | tau) / (2 q^{1/8} sin(k*pi/8)).
 
-    Equals sum_{j>=0} (-1)^j r_j q^{j(j+1)/2} with the exact sine ratios;
-    by the product expansion it must match (q;q)_inf * G_k(q).
+    Equals sum_{j>=0} (-1)^j r_j q^{j(j+1)/2} with the exact sine ratios,
+    none of which is 0; by the product expansion it must match
+    (q;q)_inf * G_k(q).
     """
     order = _fr(order)
     # j(j+1)/2 < order needs j^2 < 2*order
     terms = math.isqrt(max(0, math.floor(2 * order))) + 1
     check_steps(TERM_STEP_WEIGHT * terms, f"theta_1 sum of up to {terms} terms")
-    exps = []
-    j = 0
-    while _FR(j * (j + 1), 2) < order:
-        exps.append(_FR(j * (j + 1), 2))
-        j += 1
-    table = sine_ratio_table(k, len(exps)).values
-    terms = {
-        e: (-table[j] if j % 2 else table[j]) for j, e in enumerate(exps)
-    }
-    return PuiseuxSeries(terms, order)
+    n = math.ceil(order)  # the integer exponents below order are e < n
+    return PuiseuxSeries._reduced(
+        _FR(0), 1, 1,
+        {j * (j + 1) // 2: (-x, -y) if j % 2 else (x, y)
+         for j, (x, y) in enumerate(sine_ratio_table(k, terms))
+         if j * (j + 1) // 2 < n},
+        order)
 
 
 def h_series(order, r=1) -> PuiseuxSeries:

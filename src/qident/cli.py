@@ -151,12 +151,14 @@ def dump_cmd(ctx, block, order_text):
 @click.option("--q", "q_values", type=float, multiple=True, required=True,
               help="Evaluation point(s) in (0, 1); repeatable.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-depth", type=int, default=400, show_default=True)
+@click.option("--max-depth", type=click.IntRange(min=1), default=400,
+              show_default=True)
 @click.option("--k", "k_param", type=float, default=None,
               help="First parameter (gcf only).")
 @click.option("--l", "l_param", type=float, default=None,
               help="Second parameter (gcf only).")
-@click.option("--series-order", type=int, default=64, show_default=True,
+@click.option("--series-order", type=click.IntRange(min=1), default=64,
+              show_default=True,
               help="Truncation order of the reference series.")
 def cf_cmd(kind, q_values, tol, max_depth, k_param, l_param, series_order):
     """Continued-fraction values against the product/series side."""
@@ -170,11 +172,13 @@ def cf_cmd(kind, q_values, tol, max_depth, k_param, l_param, series_order):
         reference = series.evaluate
         evaluate = ((lambda q: eval_h_cf(q, tol, max_depth)) if kind == "h"
                     else (lambda q: eval_i_cf(q, tol, max_depth)))
+    try:  # a q or a (k, l) outside the fraction's domain is a usage error
+        rows = [(q, evaluate(q), reference(q)) for q in q_values]
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     click.echo(f"{'q':>8s} {'cf_value':>20s} {'series_value':>20s} "
                f"{'|diff|':>10s} {'depth':>5s}")
-    for q in q_values:
-        ev = evaluate(q)
-        ref = reference(q)
+    for q, ev, ref in rows:
         flag = "" if ev.converged else "  (not converged)"
         click.echo(f"{q:8.4f} {ev.value:20.14f} {ref:20.14f} "
                    f"{abs(ev.value - ref):10.2e} {ev.depth_used:5d}{flag}")

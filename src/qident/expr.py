@@ -5,7 +5,8 @@ requested guarantee order.  Evaluation propagates per-node targets top
 down: a product pads each factor by the co-factor's structural leading
 exponent (`hint`), and a power ``Pow(base, r)`` of any rational r --
 integer powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike --
-pads its base to ``order + (1 - r) * hint(base)``.  A division ``x/y``
+pads its base to ``order + (1 - r) * hint(base)``, but never below
+``hint(base) + 1``, just past the base's leading term.  A division ``x/y``
 is the product ``Mul(x, Pow(y, -1))``: the numerator is padded to
 ``order + hint(y)`` and the divisor to ``order - hint(x) + 2*hint(y)``,
 the extra ``hint(y)`` being what inversion consumes.  Hints are exact
@@ -238,11 +239,13 @@ class Pow(Node):
 
     def _evaluate(self, order):
         # a power keeps the bound of its base's unit part and moves the
-        # leading exponent from m to r*m, so the base needs order + (1-r)*m
+        # leading exponent from m to r*m, so the base needs order + (1-r)*m;
+        # it is never asked for less than its leading term
         order = _fr(order)
         if not self.r:
             return PuiseuxSeries.one(max(order, _FR(1)))
-        return self.base.evaluate(order + (1 - self.r) * self.base.hint()) ** self.r
+        h = self.base.hint()
+        return self.base.evaluate(max(order + (1 - self.r) * h, h + 1)) ** self.r
 
     def hint(self):
         return self.r * self.base.hint()

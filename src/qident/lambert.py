@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import PochSpec, poch_quotient
-from .series import TERM_STEP_WEIGHT, PuiseuxSeries, _fr, check_steps, dense_slots
+from .series import PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
 
@@ -133,10 +133,11 @@ def _progression_sum(progressions, low, n, den, order, what) -> PuiseuxSeries:
     call, heads and steps on the grid 1/den.  Slot e - low of one int array
     holds the coefficient of q^(e/den) for low <= e < n, the grid exponents
     below `order`.  Every term is one slot update, counted before the loop
-    at TERM_STEP_WEIGHT steps each.
+    as one step, as a slot visit of :func:`~qident.blocks.poch_quotient`
+    is: the array is dense, so its slot count already bounds the memory.
     """
     terms = sum(len(range(head, n, step)) for head, step, _ in progressions())
-    check_steps(TERM_STEP_WEIGHT * terms, f"{what} of {terms} terms")
+    check_steps(terms, f"{what} of {terms} terms")
     acc = [0] * (n - low)
     for head, step, sign in progressions():
         for e in range(head - low, n - low, step):

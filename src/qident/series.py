@@ -47,9 +47,12 @@ MAX_DENSE_SLOTS = 1_000_000
 # slot cap bounds memory, this bounds time.  A product past either budget
 # multiplies term by term instead.
 MAX_SLOT_STEPS = 20_000_000
-# A step of a term-by-term loop counts as this many of those steps: with a
-# Fraction exponent and a Q(sqrt2) value per term it took 23-33 us on a
-# 2-core x86-64 machine under CPython 3.11, a dense slot step 45-90 ns.
+# A term of a loop that collects terms in a dict (the theta sums and the
+# term-by-term product) counts as this many of those steps.  No slot cap
+# bounds such a dict, so the weight bounds its memory as well as its time,
+# to 78,125 terms or term pairs.  On integer slots a term took about 1 us
+# on a 2-core x86-64 machine under CPython 3.11, a dense slot step
+# 45-90 ns.  A loop that fills a dense array counts one step per term.
 TERM_STEP_WEIGHT = 256
 
 

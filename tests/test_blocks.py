@@ -9,13 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident.blocks import (
     BETA,
-    EtaQuotient,
     PochSpec,
     ThetaSpec,
     b_table_series,
     b_value,
     eta,
-    eta_quotient,
     gamma_k,
     h_series,
     i_series,
@@ -28,6 +26,8 @@ from qident.blocks import (
     theta_product,
     theta_sum,
 )
+from qident.dsl import parse_expression
+from qident.expr import evaluate_to_order
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
 from qident.lambert import BilateralSpec, bilateral_1psi1_rhs
 from qident.series import PuiseuxSeries as P
@@ -121,6 +121,61 @@ def oracle_psi11rhs(spec, order):
         + [(PochSpec(-1, off, s), -1) for off in (a, s - a, b, s - b)],
         order,
     )
+
+
+# -- oracle: the sums in Fraction exponents and Q(sqrt2) values ----------
+
+
+def oracle_theta_sum(spec, order):
+    """The bilateral sum with a Fraction exponent per term, into one dict."""
+    order = F(order)
+    a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
+    acc = {}
+    for j, step in ((0, 1), (-1, -1)):
+        while True:
+            t1, t2 = j * (j + 1) // 2, j * (j - 1) // 2
+            e = a * t1 + b * t2
+            if e >= order:
+                break
+            c = (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
+            acc[e] = acc.get(e, 0) + c
+            j += step
+    return P(acc, order)
+
+
+def oracle_sine_ratios(k, count):
+    """r_0..r_{count-1} in field elements: r_{j+1} = 2cos(2k pi/8) r_j - r_{j-1}."""
+    twocos = -BETA[k]
+    values = [ONE, twocos + ONE]
+    while len(values) < count:
+        values.append(twocos * values[-1] - values[-2])
+    return values[:count]
+
+
+def oracle_theta1_normalized(k, order):
+    order = F(order)
+    exps = []
+    while F(len(exps) * (len(exps) + 1), 2) < order:
+        exps.append(F(len(exps) * (len(exps) + 1), 2))
+    table = oracle_sine_ratios(k, len(exps))
+    return P({e: -table[j] if j % 2 else table[j] for j, e in enumerate(exps)},
+             order)
+
+
+def oracle_b_table_series(i, length):
+    r1, r3 = oracle_sine_ratios(1, length), oracle_sine_ratios(3, length)
+    if i == 1:
+        values = [x - y for x, y in zip(r1, r3)]
+    elif i == 2:
+        values = [(ONE + BETA[3]) * y - (ONE + BETA[1]) * x for x, y in zip(r1, r3)]
+    else:
+        values = [BETA[3] * y - BETA[1] * x for x, y in zip(r1, r3)]
+    return P({F(k): v for k, v in enumerate(values)}, length)
+
+
+def fields(s):
+    """The canonical form field for field, the slot order included."""
+    return s.m, s.den, s.d, list(s.slots.items()), s.trunc
 
 
 GRIDS = (1, 2, 3, 4, 6)
@@ -276,6 +331,16 @@ class TestTheta:
             theta_product(spec, 24), 24
         ) is None
 
+    @example(ThetaSpec(1, 1, F(1, 10**9), F(1, 10**9)), F(1, 10**6))
+    @example(ThetaSpec(-1, 1, F(2, 3), F(3, 2)), F(0))
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(ThetaSpec, st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+                     st.fractions(F(1, 7), 20, max_denominator=7),
+                     st.fractions(F(1, 7), 20, max_denominator=7)),
+           st.fractions(-5, 120, max_denominator=7))
+    def test_sum_matches_the_oracle(self, spec, order):
+        assert fields(theta_sum(spec, order)) == fields(oracle_theta_sum(spec, order))
+
     @settings(max_examples=60, deadline=None)
     @given(theta_specs(max_units=4), st.sampled_from([24, 48]))
     def test_triple_product_property(self, spec, order):
@@ -352,21 +417,31 @@ class TestLemmaInstances:
         assert lhs.first_mismatch(rhs, 24) is None
 
 
+def dsl(text, order):
+    return evaluate_to_order(parse_expression(text), order)
+
+
 class TestEta:
     def test_prod_quotient_leading(self):
         # q^{-1/4} eta(8t)/eta(2t) = (q^8;q^8)/(q^2;q^2), unit leading term
-        s = eta_quotient(EtaQuotient(((F(8), F(1)), (F(2), F(-1)))), 20)
-        s = s.shift(F(-1, 4))
+        s = dsl("eta(8)/eta(2)", 20).shift(F(-1, 4))
         assert s.leading() == (F(0), ONE)
-        rhs = pochhammer(PochSpec(-1, 8, 8), 20) / pochhammer(PochSpec(-1, 2, 2), 20)
-        assert s.first_mismatch(rhs, 18) is None
+        want = oracle_quotient([(PochSpec(-1, 8, 8), 1), (PochSpec(-1, 2, 2), -1)],
+                               F(79, 4))
+        assert s.truncated(F(79, 4)).terms == want.terms
 
     def test_leading_exponent_arithmetic(self):
-        s = eta_quotient(EtaQuotient(((F(16), F(4)), (F(8), F(-2)))), 10)
+        s = dsl("eta(16)^(4)/eta(8)^(2)", 10)
         assert s.leading()[0] == 2  # 4*16/24 - 2*8/24
 
     def test_half_multiplier(self):
         assert eta(F(1, 2), 5).leading()[0] == F(1, 48)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, F(1, 2), F(5, 3)])
+    @pytest.mark.parametrize("order", [F(-1), F(1, 48), F(1, 2), F(31, 2)])
+    def test_single_eta_is_shifted_pochhammer(self, m, order):
+        want = oracle_pochhammer(PochSpec(-1, m, m), order - F(m) / 24)
+        assert fields(eta(m, order)) == fields(want.shift(F(m) / 24))
 
     @pytest.mark.parametrize(
         "factors",
@@ -374,21 +449,20 @@ class TestEta:
          ((2, -1), (8, 1)), ((1, -3), (4, 5), (2, 0)), ((3, 2), (1, -24))],
     )
     def test_integer_powers_match_the_oracle(self, factors):
-        # first powers fill one array; other powers run the recurrence
+        # a DSL product of eta(m)^(p): each power runs on its own series
         order = F(31, 2)
-        eq = EtaQuotient(factors)
-        lead = eq.leading_exponent()
+        lead = sum(F(p) * F(m) / 24 for m, p in factors)
         want = oracle_quotient(
-            [(PochSpec(-1, m, m), int(p)) for m, p in eq.factors], order - lead
+            [(PochSpec(-1, m, m), p) for m, p in factors], order - lead
         ).shift(lead)
-        got = eta_quotient(eq, order)
-        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+        got = dsl("*".join(f"eta({m})^({p})" for m, p in factors), order)
+        assert got.trunc >= order
+        assert got.truncated(order).terms == want.terms
 
     def test_fractional_power_consistency(self):
         # eta^{1/2}(4t)^2 == eta(4t)^1 up to truncation
-        half = eta_quotient(EtaQuotient(((F(4), F(1, 2)),)), 12)
-        whole = eta(4, 12)
-        assert (half * half).first_mismatch(whole, 12) is None
+        half = dsl("eta(4)^(1/2)", 12)
+        assert (half * half).first_mismatch(eta(4, 12), 12) is None
 
 
 class TestGamma:
@@ -418,13 +492,20 @@ class TestSineRatios:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_float_oracle(self, k):
         table = sine_ratio_table(k, 13)
-        assert table.values[0] == ONE
+        assert table[0] == (1, 0)
         z = k * math.pi / 8
-        for j, v in enumerate(table.values):
-            assert abs(float(v) - math.sin((2 * j + 1) * z) / math.sin(z)) < 1e-10
+        for j, (x, y) in enumerate(table):
+            want = math.sin((2 * j + 1) * z) / math.sin(z)
+            assert abs(x + y * math.sqrt(2) - want) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 40])
+    def test_pairs_match_the_field_oracle(self, k, count):
+        assert [A(x, y) for x, y in sine_ratio_table(k, count)] == \
+            oracle_sine_ratios(k, count)
 
     def test_k1_second_entry(self):
-        assert sine_ratio_table(1, 2).values[1] == A(1, 1)
+        assert sine_ratio_table(1, 2)[1] == (1, 1)
 
     def test_b1_at_residue_one(self):
         for l in range(4):
@@ -440,6 +521,12 @@ class TestSineRatios:
             * math.sin(3 * math.pi / 8)
         )
         assert abs(prod - 0.25) <= 1e-12
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_b_table_matches_the_oracle(self, i):
+        for length in range(0, 70):
+            assert fields(b_table_series(i, length)) == \
+                fields(oracle_b_table_series(i, length))
 
     def test_b_table_series_support(self):
         s = b_table_series(1, 32)
@@ -466,6 +553,13 @@ class TestTheta1Normalized:
     def test_constant_term_is_one(self):
         for k in (1, 2, 3):
             assert theta1_normalized(k, 5).coefficient(0) == ONE
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_oracle(self, k):
+        for num in range(-3, 130):
+            order = F(num, 1 + num % 4)
+            assert fields(theta1_normalized(k, order)) == \
+                fields(oracle_theta1_normalized(k, order))
 
 
 class TestContinuedFractionProducts:

@@ -9,6 +9,9 @@ from click.testing import CliRunner
 
 from qident.catalog import catalog
 from qident.cli import main
+from qident.dsl import parse_expression
+from qident.expr import evaluate_to_order
+from qident.field import AlgebraicNumber as A
 from qident.verify import report_json, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -40,6 +43,13 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         result = runner.invoke(main, ["verify", "hcf-plus", "--order", "x/y"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("order", ["1", "1/2"])
+    def test_verify_all_at_orders_below_the_leading_terms(self, runner, order):
+        # powers asked for at or below their own leading exponent
+        result = runner.invoke(main, ["verify", "all", "--order", order])
+        assert result.exit_code == 0
+        assert "INSUFFICIENT PRECISION" not in result.output
 
     def test_verify_all_json(self, runner):
         result = runner.invoke(main, ["verify", "all", "--order", "24", "--json"])
@@ -185,9 +195,10 @@ class TestDumpCommand:
             ["dump", "fsum(+q^(1/1000000000000),+q^(1/1000000000000))",
              "--order", "1000"],
             ["dump", "T1N(1)", "--order", "10000000000"],
-            # 178,744 terms of the bilateral sum, 5,221,424 of the Lambert sum
-            ["dump", "psi11lhs(16,8,2)", "--order", "100000"],
-            ["dump", "lambert(1,0,+1,1)", "--order", "400000"],
+            # 39,409,768 terms of three Lambert numerators, one step each
+            ["dump", "lambert(1,0,+1+2+3,1)", "--order", "999999"],
+            # 26,939,844 terms of two
+            ["dump", "lambert(1,0,+1+2,1)", "--order", "999999"],
             # 1.99*10^8 steps of the power recurrence
             ["dump", "(1/(1-q^(1)))^(2)", "--order", "20000"],
         ],
@@ -198,6 +209,23 @@ class TestDumpCommand:
         assert result.exit_code == 2
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize(
+        "expr, order, coefficients",
+        [
+            # 178,744 terms of the bilateral sum; its low part is checked
+            # against the product side in tests/test_lambert.py
+            ("psi11lhs(16,8,2)", 100000, {0: 1, 6: 0, 8: 2, 99996: 1}),
+            # 5,221,424 terms of sum_n d(n) q^n, d the number of divisors
+            ("lambert(1,0,+1,1)", 400000, {399999: 8, 393216: 36, 360360: 192}),
+        ],
+    )
+    def test_term_loops_within_the_budget_finish(self, expr, order, coefficients):
+        # what `dump` expands, without rendering its 10^5 lines
+        s = evaluate_to_order(parse_expression(expr), order)
+        assert s.trunc == order
+        assert {e: s.coefficient(e) for e in coefficients} == \
+            {e: A(c) for e, c in coefficients.items()}
 
     @pytest.mark.parametrize(
         "p, order, code",
@@ -250,6 +278,21 @@ class TestCFCommand:
         rows = result.output.strip().splitlines()
         assert len(rows) == 3  # header + two grid points
         assert all(float(row.split()[3]) < 1e-9 for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["i", "--q", "1.5"], "need 0 < q < 1"),
+            (["gcf", "--k", "2", "--l", "3", "--q", "0.2"], "need |kl| < 1"),
+            (["h", "--q", "0.5", "--series-order", "0"], "'--series-order'"),
+            (["h", "--q", "0.5", "--max-depth", "0"], "'--max-depth'"),
+        ],
+    )
+    def test_bad_input_exit_2(self, runner, args, message):
+        result = runner.invoke(main, ["cf", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
 
     def test_gcf_requires_parameters(self, runner):
         result = runner.invoke(main, ["cf", "gcf", "--q", "0.2"])

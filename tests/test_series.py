@@ -650,16 +650,14 @@ class TestSlotBudget:
             # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9
             (lambda: theta_sum(ThetaSpec(1, 1, 1, 1), 10), 9 * TERM_STEP_WEIGHT),
             # sum_m q^m/(1 - q^m) to q^5: m = 1..4 give 4 + 2 + 1 + 1 terms
-            (lambda: lambert_sum(LambertSpec(1, 0, ((1, 1),), 1), 5),
-             8 * TERM_STEP_WEIGHT),
+            (lambda: lambert_sum(LambertSpec(1, 0, ((1, 1),), 1), 5), 8),
             # the same with weight (m/3) to q^7: 6 + 3 + 1 + 1 terms for
             # m = 1, 2, 4, 5; m = 3 and 6 have weight 0 and add none
             (lambda: lambert_sum(LambertSpec(1, 0, ((1, 1),), 1, "legendre", 3), 7),
-             11 * TERM_STEP_WEIGHT),
+             11),
             # sum_j q^(2j)/(1 - q^(8+16j)) to q^20: j = 0 gives q^0, q^8,
             # q^16, j = 1..9 one term each, j = -1 gives -q^6, -q^14
-            (lambda: bilateral_1psi1_lhs(BilateralSpec(16, 8, 2), 20),
-             14 * TERM_STEP_WEIGHT),
+            (lambda: bilateral_1psi1_lhs(BilateralSpec(16, 8, 2), 20), 14),
             # unit terms at slots 1 and 3 of 10 enter 9 + 7 recurrence steps
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
