@@ -195,15 +195,20 @@ def eta(m, order) -> PuiseuxSeries:
 def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
     """G_k(q^r) = prod_{n>=1} (1 + beta_k q^{rn} + q^{2rn}), factors below order.
 
-    Coefficients stay in Z[sqrt2] (beta_k is 0 or +-sqrt2), so the
-    expansion runs in place on a pair of dense int arrays; multiplying by
-    sqrt2 swaps the parts with a factor 2 on one side.
+    G_2(q^r) = (-q^{2r}; q^{2r})_inf is one Pochhammer family.  G_1 has
+    coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs in
+    place on a pair of dense int arrays; multiplying by sqrt2 swaps the
+    parts with a factor 2 on one side.  G_3 is G_1 under sqrt2 -> -sqrt2,
+    which maps beta_1 to beta_3: G_1 with its sqrt2 part negated.
     """
-    order = _fr(order)
     r = _fr(r)
+    if k == 2:
+        return pochhammer(PochSpec(1, 2 * r, 2 * r), order)
+    if k not in (1, 3):
+        raise ValueError("G_k needs k = 1, 2 or 3")
+    order = _fr(order)
     if order <= 0:
         return PuiseuxSeries.zero(order)
-    s = int(BETA[k].irr)  # beta_k = s*sqrt2 with s in {-1, 0, 1}
     den = r.denominator
 
     # factor m, at slot offset m*r*den < n, visits n - offset slots
@@ -220,18 +225,15 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
     for off1 in range(r.numerator, n, r.numerator):
         off2 = 2 * off1
         for j in range(n - 1, off1 - 1, -1):
-            if s:
-                j1 = j - off1
-                bi = ip[j1]
-                br = rp[j1]
-                if bi:
-                    rp[j] += 2 * s * bi
-                if br:
-                    ip[j] += s * br
+            j1 = j - off1
+            rp[j] -= 2 * ip[j1]
+            ip[j] -= rp[j1]
             j2 = j - off2
             if j2 >= 0:
                 rp[j] += rp[j2]
                 ip[j] += ip[j2]
+    if k == 3:
+        ip = [-y for y in ip]
     return PuiseuxSeries.from_slots(0, den, rp, ip, order)
 
 
@@ -259,23 +261,16 @@ def b_value(i: int, k: int) -> AlgebraicNumber:
 def b_table_series(i: int, length: int = 32) -> PuiseuxSeries:
     """The polynomial sum_{k<length} B_i(k) q^k (trunc = length).
 
-    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k
-    = (1+sqrt2) r3_k - (1-sqrt2) r1_k and B_3(k) = beta3 r3_k - beta1 r1_k
-    = sqrt2 (r1_k + r3_k), where rj is the sine-ratio table at angle
-    j*pi/8, built once for the whole polynomial, in integer pairs.
+    B_1(k) = r1_k - r3_k, B_2(k) = (1+beta3) r3_k - (1+beta1) r1_k and
+    B_3(k) = beta3 r3_k - beta1 r1_k, where rj is the sine-ratio table at
+    angle j*pi/8.  Since r3_k is r1_k = x + y*sqrt2 with sqrt2 negated,
+    these are 2y*sqrt2, 2(x-y)*sqrt2 and 2x*sqrt2, from one table.
     """
     if i not in (1, 2, 3):
         raise ValueError("table index must be 1, 2 or 3")
-    pairs = zip(sine_ratio_table(1, length), sine_ratio_table(3, length))
-    if i == 1:
-        values = [(x1 - x3, y1 - y3) for (x1, y1), (x3, y3) in pairs]
-    elif i == 2:
-        values = [(x3 + 2 * y3 - x1 + 2 * y1, x3 + y3 + x1 - y1)
-                  for (x1, y1), (x3, y3) in pairs]
-    else:
-        values = [(2 * (y1 + y3), x1 + x3) for (x1, y1), (x3, y3) in pairs]
+    values = [2 * (y, x - y, x)[i - 1] for x, y in sine_ratio_table(1, length)]
     return PuiseuxSeries._reduced(
-        _FR(0), 1, 1, {k: v for k, v in enumerate(values) if v != (0, 0)},
+        _FR(0), 1, 1, {k: (0, v) for k, v in enumerate(values) if v},
         _FR(length))
 
 

@@ -55,6 +55,14 @@ from .lambert import BilateralSpec, LambertSpec, product_offsets
 
 _FR = Fraction
 
+# Parsing, evaluating and rendering recurse once per level, so deeper input
+# is refused at a position instead of exhausting the interpreter's stack.
+# Parentheses (and root/subst) around an atom deepen the parser but not the
+# tree, so both are capped; a rendered tree nests no deeper than the tree,
+# so it always reparses.
+MAX_NESTING = 150
+MAX_TREE_DEPTH = 150
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -114,6 +122,7 @@ class Parser:
     def __init__(self, text: str, line_offset: int = 0):
         self.tokens = _tokenize(text, line_offset)
         self.pos = 0
+        self.nesting = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -163,19 +172,23 @@ class Parser:
         return node
 
     def _expr(self) -> Node:
+        # every nested expression sits just after its opening "("
+        if self.nesting > MAX_NESTING:
+            self._error(f"more than {MAX_NESTING} nested parentheses",
+                        self.tokens[self.pos - 1])
+        self.nesting += 1
         node = self._term()
         while self._peek().text in ("+", "-"):
-            op = self._next().text
-            right = self._term()
-            node = self._fold(op, node, right)
+            tok = self._next()
+            node = self._shallow(self._fold(tok.text, node, self._term()), tok)
+        self.nesting -= 1
         return node
 
     def _term(self) -> Node:
         node = self._factor()
         while self._peek().text in ("*", "/"):
-            op = self._next().text
-            right = self._factor()
-            node = self._fold(op, node, right)
+            tok = self._next()
+            node = self._shallow(self._fold(tok.text, node, self._factor()), tok)
         return node
 
     def _fold(self, op: str, left: Node, right: Node) -> Node:
@@ -195,6 +208,13 @@ class Parser:
             return Mul(left, Pow(right, _FR(-1)))
         return {"+": Add, "-": Sub, "*": Mul}[op](left, right)
 
+    def _shallow(self, node: Node, tok: _Token) -> Node:
+        """`node`, refused at `tok` if its tree is too deep to evaluate."""
+        if node.depth() > MAX_TREE_DEPTH:
+            self._error(f"more than {MAX_TREE_DEPTH} levels of nested "
+                        "operations", tok)
+        return node
+
     def _factor(self) -> Node:
         node = self._atom()
         if not self._at("^"):
@@ -204,7 +224,7 @@ class Parser:
         r = self._rational()
         self._expect(")")
         if not isinstance(node, Const) or r.denominator != 1:
-            return node if r == 1 else Pow(node, r)
+            return node if r == 1 else self._shallow(Pow(node, r), tok)
         if not node.value and r < 0:
             self._error("division by zero in constant expression", tok)
         return Const(node.value ** int(r))
@@ -277,19 +297,13 @@ class Parser:
                         "long", tok)
 
     def _sign(self) -> int:
-        tok = self._peek()
-        if tok.text == "+":
-            self._next()
-            return 1
-        if tok.text == "-":
-            self._next()
-            return -1
-        self._error("expected a sign (+ or -)")
+        if self._peek().text not in ("+", "-"):
+            self._error("expected a sign (+ or -)")
+        return 1 if self._next().text == "+" else -1
 
     def _theta_arg(self) -> tuple[int, Fraction]:
         sign = self._sign()
-        tok = self._peek()
-        if tok.kind != "name" or tok.text != "q":
+        if not self._at("q"):
             self._error("expected q^exponent in theta argument")
         self._next()
         self._expect("^")
@@ -309,7 +323,7 @@ class Parser:
         if n < 1:
             self._error("root index must be >= 1", tok)
         self._expect(")")
-        return base if n == 1 else Pow(base, _FR(1, n))
+        return base if n == 1 else self._shallow(Pow(base, _FR(1, n)), tok)
 
     def _atom_subst(self, tok):
         self._expect("(")
@@ -319,7 +333,7 @@ class Parser:
         if r <= 0:
             self._error("substitution exponent must be positive", tok)
         self._expect(")")
-        return Subst(base, r)
+        return self._shallow(Subst(base, r), tok)
 
     # -- primitive arguments, one parser per kind ----------------------
 

@@ -20,9 +20,8 @@ enters for its whole batch) every evaluation goes through one
 :class:`SharedEvaluations` cache keyed on the exact ``(node, order)`` pair.
 Nodes are frozen dataclasses that compare by structure and hash once, so
 the same subexpression in two identities is expanded once.  Only nodes
-that occur at least twice in the batch are stored, and each entry is
-dropped after its node's last occurrence.  Outside that block nothing is
-cached.
+that occur at least twice in the batch are stored, and every entry is
+held until the block exits.  Outside that block nothing is cached.
 """
 
 from __future__ import annotations
@@ -70,6 +69,18 @@ class Node:
                       *(getattr(self, f) for f in self.__dataclass_fields__)))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def depth(self) -> int:
+        """Levels of the tree under this node, 1 for a leaf; computed once,
+        so a tree built bottom up is measured one level at a time.  Fields
+        are read by name: `vars` would give every node a dict of its own."""
+        d = getattr(self, "_depth", None)
+        if d is None:
+            fields = (getattr(self, f) for f in self.__dataclass_fields__)
+            d = 1 + max((v.depth() for v in fields if isinstance(v, Node)),
+                        default=0)
+            object.__setattr__(self, "_depth", d)
+        return d
 
 
 def _node(cls):
@@ -277,40 +288,24 @@ def _occurrences(node: Node) -> Iterator[Node]:
 class SharedEvaluations:
     """Evaluation results shared across the expression trees of one batch.
 
-    `remaining` counts, per node, the occurrences in the batch's trees that
-    have not been evaluated yet.  Each evaluation counts its node down, and
-    a hit also counts down the subtree whose evaluation it skips.  A node
-    that occurred at least twice is stored under ``(node, order)`` until
-    its count reaches 0.  Results never depend on the counts: a count
-    that is off (a padded retry, an evaluation that raised) costs a hit or
-    keeps an entry a little longer.
+    One count over the batch's trees finds the nodes that occur at least
+    twice.  Each such node's result is stored under ``(node, order)`` and
+    held until the :func:`shared_evaluations` block exits; a node that
+    occurs once is evaluated directly.
     """
 
     def __init__(self, roots):
-        self.remaining = Counter(n for root in roots for n in _occurrences(root))
-        self.entries: dict[Node, dict[Fraction, PuiseuxSeries]] = {}
+        counts = Counter(n for root in roots for n in _occurrences(root))
+        self.repeated = {n for n, c in counts.items() if c > 1}
+        self.entries: dict[tuple[Node, Fraction], PuiseuxSeries] = {}
 
     def evaluate(self, node: Node, order) -> PuiseuxSeries:
-        key = _fr(order)
-        found = self.entries.get(node, {}).get(key)
-        if found is not None:
-            for n in _occurrences(node):
-                self._use(n)
-            return found
-        result = node._evaluate(order)
-        if self._use(node) > 0:
-            self.entries.setdefault(node, {})[key] = result
-        return result
-
-    def _use(self, node: Node) -> int:
-        """Count down one occurrence of `node`; drop it after the last."""
-        left = self.remaining.get(node, 0) - 1
-        if left > 0:
-            self.remaining[node] = left
-        else:
-            self.remaining.pop(node, None)
-            self.entries.pop(node, None)
-        return left
+        if node not in self.repeated:
+            return node._evaluate(order)
+        key = (node, _fr(order))
+        if key not in self.entries:
+            self.entries[key] = node._evaluate(order)
+        return self.entries[key]
 
 
 _SHARED: ContextVar[Optional[SharedEvaluations]] = ContextVar(

@@ -136,9 +136,6 @@ class AlgebraicNumber:
     def __bool__(self):
         return bool(self.rat) or bool(self.irr)
 
-    def is_rational(self) -> bool:
-        return self.irr == 0
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

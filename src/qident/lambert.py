@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import PochSpec, poch_quotient
-from .series import PuiseuxSeries, _fr, check_steps, dense_slots
+from .series import MAX_SLOT_STEPS, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
 
@@ -135,9 +135,15 @@ def _progression_sum(progressions, low, n, den, order, what) -> PuiseuxSeries:
     below `order`.  Every term is one slot update, counted before the loop
     as one step, as a slot visit of :func:`~qident.blocks.poch_quotient`
     is: the array is dense, so its slot count already bounds the memory.
+    The count stops as soon as it passes MAX_SLOT_STEPS, so a refusal
+    comes without walking the remaining progressions.
     """
-    terms = sum(len(range(head, n, step)) for head, step, _ in progressions())
-    check_steps(terms, f"{what} of {terms} terms")
+    terms = 0
+    for head, step, _ in progressions():
+        terms += len(range(head, n, step))
+        if terms > MAX_SLOT_STEPS:
+            break
+    check_steps(terms, f"{what} of at least {terms} terms")
     acc = [0] * (n - low)
     for head, step, sign in progressions():
         for e in range(head - low, n - low, step):

@@ -96,7 +96,7 @@ def verify_many(identities, order=None) -> list[VerificationReport]:
     Unlike one :func:`verify` call per entry, the batch shares its node
     evaluations (:func:`~qident.expr.shared_evaluations`): a subexpression
     that recurs across or within entries, requested at the same order, is
-    expanded once and dropped after its last occurrence.  The reports are
+    expanded once and held until the call returns.  The reports are
     those of :func:`verify` one by one; entries with different default
     orders stay apart, because the order is part of the key.
     """

@@ -173,6 +173,28 @@ def oracle_b_table_series(i, length):
     return P({F(k): v for k, v in enumerate(values)}, length)
 
 
+def oracle_gamma_k(k, order, r=1):
+    """G_k(q^r) by one pass per factor over a pair of int arrays, with the
+    sign of beta_k = s*sqrt2 read per k and G_2 filled by the same loop."""
+    order, r = F(order), F(r)
+    if order <= 0:
+        return P.zero(order)
+    s = int(BETA[k].irr)
+    den = r.denominator
+    n = math.ceil(order * den)
+    rp, ip = [0] * n, [0] * n
+    rp[0] = 1
+    for off1 in range(r.numerator, n, r.numerator):
+        for j in range(n - 1, off1 - 1, -1):
+            if s:
+                rp[j] += 2 * s * ip[j - off1]
+                ip[j] += s * rp[j - off1]
+            if j - 2 * off1 >= 0:
+                rp[j] += rp[j - 2 * off1]
+                ip[j] += ip[j - 2 * off1]
+    return P.from_slots(0, den, rp, ip, order)
+
+
 def fields(s):
     """The canonical form field for field, the slot order included."""
     return s.m, s.den, s.d, list(s.slots.items()), s.trunc
@@ -486,6 +508,16 @@ class TestGamma:
         direct = gamma_k(1, 10, r=F(1, 2))
         via_subst = gamma_k(1, 20).substitute(F(1, 2))
         assert direct.first_mismatch(via_subst, 10) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, F(1, 2), 2, F(3, 2), F(1, 3), 5])
+    def test_matches_the_per_k_loop(self, k, r):
+        for order in [-1, 0, F(1, 2), 1, F(7, 3), 24, F(97, 2)]:
+            assert fields(gamma_k(k, order, r)) == fields(oracle_gamma_k(k, order, r))
+
+    def test_k_outside_1_to_3_is_refused(self):
+        with pytest.raises(ValueError, match="k = 1, 2 or 3"):
+            gamma_k(4, 10)
 
 
 class TestSineRatios:

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from qident.catalog import catalog
 from qident.cli import main
-from qident.dsl import parse_expression
+from qident.dsl import MAX_NESTING, MAX_TREE_DEPTH, parse_expression
 from qident.expr import evaluate_to_order
 from qident.field import AlgebraicNumber as A
 from qident.verify import report_json, verify
@@ -210,6 +210,15 @@ class TestDumpCommand:
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
 
+    @pytest.mark.parametrize("numerators", ["+1+2+3", "+1+2"])
+    def test_lambert_refusal_stops_counting_at_the_limit(self, runner, numerators):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["dump", f"lambert(1,0,{numerators},1)",
+                                      "--order", "999999"])
+        assert result.exit_code == 2
+        assert "Lambert sum of at least" in result.output
+        assert time.perf_counter() - t0 < 1
+
     @pytest.mark.parametrize(
         "expr, order, coefficients",
         [
@@ -337,6 +346,39 @@ class TestParseCommand:
         assert result.exit_code == 0
         assert result.output.count("verified") == 2
         assert "user:2" in result.output
+
+
+DEEP = [
+    (MAX_NESTING, lambda n: "(" * n + "phi(1)" + ")" * n,
+     "nested parentheses", MAX_NESTING + 1),
+    (MAX_TREE_DEPTH, lambda n: "+".join(["q^(1)"] * n),
+     "levels of nested operations", 6 * MAX_TREE_DEPTH),
+]
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("cap, text, message, column", DEEP)
+    def test_at_the_cap_dump_and_parse_work(self, runner, tmp_path, cap, text,
+                                            message, column):
+        result = runner.invoke(main, ["dump", text(cap), "--order", "3"])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "deep.qid"
+        path.write_text(f"{text(cap)} == {text(cap)}\n")
+        result = runner.invoke(main, ["parse", str(path), "--order", "3"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("cap, text, message, column", DEEP)
+    def test_one_past_the_cap_exit_2(self, runner, tmp_path, cap, text,
+                                     message, column):
+        where = f"line 1, column {column}: more than {cap} "
+        result = runner.invoke(main, ["dump", text(cap + 1), "--order", "3"])
+        assert result.exit_code == 2
+        assert where in result.output and message in result.output
+        path = tmp_path / "deep.qid"
+        path.write_text(f"phi(1) == {text(cap + 1)}\n")
+        result = runner.invoke(main, ["parse", str(path), "--order", "3"])
+        assert result.exit_code == 2
+        assert f"line 1, column {column + 10}: more than {cap} " in result.output
 
 
 class TestReportJson:

@@ -9,6 +9,8 @@ from qident.blocks import PochSpec, ThetaSpec
 from qident.catalog import catalog
 import qident.dsl
 from qident.dsl import (
+    MAX_NESTING,
+    MAX_TREE_DEPTH,
     ParseError,
     atom_table,
     parse_expression,
@@ -23,6 +25,7 @@ from qident.expr import (
 )
 from qident.field import AlgebraicNumber as A
 from qident.lambert import BilateralSpec, LambertSpec
+from qident.verify import Identity, verify, verify_many
 
 
 class TestGrammar:
@@ -169,6 +172,45 @@ class TestErrors:
         with pytest.raises(ParseError, match="division by zero"):
             parse_expression("(2-2)^(-3)")
         assert parse_expression("(2-2)^(3)") == Const(A(0))
+
+
+# Deep inputs, by the depth they reach: parentheses around an atom nest
+# the parser only; a sum, a right-nested difference and nested substitutions
+# nest the tree too (a leaf is one level).
+DEEP = {
+    "parens": (MAX_NESTING, lambda n: "(" * n + "phi(1)" + ")" * n),
+    "sum": (MAX_TREE_DEPTH, lambda n: "+".join(["q^(1)"] * n)),
+    "difference": (MAX_TREE_DEPTH,
+                   lambda n: "q^(1)-(" * (n - 1) + "q^(1)" + ")" * (n - 1)),
+    "subst": (MAX_TREE_DEPTH, lambda n: "subst(" * (n - 1) + "phi(1)" + ",1)" * (n - 1)),
+}
+
+
+class TestDepthCaps:
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_everything_works_at_the_cap(self, shape):
+        cap, text = DEEP[shape]
+        node = parse_expression(text(cap))
+        node.hint()
+        idy = Identity("deep", node, node, F(3))
+        assert evaluate_to_order(node, 3).trunc == 3
+        assert verify_many([idy])[0].ok() and verify(idy).ok()
+        assert parse_expression(render(node)) == node
+
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_one_past_the_cap_is_a_parse_error(self, shape):
+        cap, text = DEEP[shape]
+        with pytest.raises(ParseError, match=f"more than {cap}") as err:
+            parse_expression(text(cap + 1))
+        assert err.value.line == 1
+
+    def test_positions(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression(DEEP["parens"][1](MAX_NESTING + 1))
+        assert err.value.column == MAX_NESTING + 1  # the innermost "("
+        with pytest.raises(ParseError) as err:
+            parse_expression(DEEP["sum"][1](MAX_TREE_DEPTH + 1))
+        assert err.value.column == 6 * MAX_TREE_DEPTH  # the last "+"
 
 
 class TestFileParsing:

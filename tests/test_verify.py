@@ -3,7 +3,9 @@ entry at a time, one expansion per distinct (node, order), and nothing
 kept once the batch is over."""
 
 import dataclasses
+import gc
 import threading
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -186,26 +188,49 @@ class TestLifetime:
             verify_many(batch, F(10))
         assert expr._SHARED.get() is None
 
-    def test_entries_dropped_after_last_use(self, monkeypatch):
+    def test_repeated_nodes_evaluated_once_per_order(self, monkeypatch):
         caches = []
 
         class Recording(expr.SharedEvaluations):
             def __init__(self, roots):
                 super().__init__(roots)
-                self.occurrences = Counter(self.remaining)
-                self.stored = set()
+                self.occurrences = Counter(
+                    n for root in roots for n in expr._occurrences(root))
+                self.evaluated = Counter()
                 caches.append(self)
 
-            def evaluate(self, node, order):
-                result = super().evaluate(node, order)
-                self.stored.update(self.entries)
-                return result
+        for cls in (expr.Add, expr.Sub, expr.Mul, expr.Pow, expr.Subst,
+                    expr.Prim, expr.QPow, expr.Const):
+            def spy(node, order, _evaluate=cls._evaluate):
+                cache = expr._SHARED.get()
+                if cache.occurrences[node] >= 2:
+                    cache.evaluated[node, F(order)] += 1
+                return _evaluate(node, order)
 
+            monkeypatch.setattr(cls, "_evaluate", spy)
         monkeypatch.setattr(expr, "SharedEvaluations", Recording)
         verify_many(catalog(), F(24))
         verify_many(THM31 + THM31)
         for cache in caches:
-            assert cache.stored
-            assert all(cache.occurrences[n] >= 2 for n in cache.stored)
-            assert cache.entries == {}
-            assert not cache.remaining
+            assert cache.entries
+            assert set(cache.evaluated.values()) == {1}
+            assert set(cache.evaluated) == set(cache.entries)
+            assert all(cache.occurrences[n] >= 2 for n, _ in cache.entries)
+
+    def test_cache_released_when_the_batch_ends(self, monkeypatch):
+        caches = []
+
+        class Watched(expr.SharedEvaluations):
+            def __init__(self, roots):
+                super().__init__(roots)
+                caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(expr, "SharedEvaluations", Watched)
+        verify_many(THM31, F(12))
+        lhs, rhs = parse_identity("phi(1/999983)*phi(1/999979) == phi(1)")
+        with pytest.raises(SlotBudgetError):
+            verify_many([get("hcf-plus"), Identity("huge", lhs, rhs, F(10))], F(10))
+        gc.collect()
+        assert len(caches) == 2
+        assert [ref() for ref in caches] == [None, None]
+
