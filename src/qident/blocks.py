@@ -8,6 +8,11 @@ the trinomial products G_k, exact sine-ratio tables, the normalized
 theta_1 specializations, and the two continued-fraction product sides
 h and i.
 
+eta, phi, psi, G_k, h and i are built at q only.  Their rescalings
+q -> q^r, which the paper uses (G_k(q^(1/2)), h(q^2), eta(16 tau)), are
+the DSL atoms of :data:`qident.expr.PRIMITIVES`: each expands its block
+to order/r and applies :meth:`~qident.series.PuiseuxSeries.substitute`.
+
 Every product or quotient of Pochhammer families -- a single Pochhammer,
 eta, the triple-product form of f, h, i, and the 1psi1 product side in
 :mod:`qident.lambert` -- is filled in place on one dense int array by
@@ -186,43 +191,33 @@ def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
     return poch_quotient(_triple_product(spec, 1), order)
 
 
-def eta(m, order) -> PuiseuxSeries:
-    """Single eta(m tau) = q^{m/24} (q^m; q^m)_inf."""
-    m = _fr(m)
-    return pochhammer(PochSpec(-1, m, m), _fr(order) - m / 24).shift(m / 24)
+def eta(order) -> PuiseuxSeries:
+    """eta(tau) = q^{1/24} (q; q)_inf."""
+    return pochhammer(PochSpec(-1, 1, 1), _fr(order) - _FR(1, 24)).shift(_FR(1, 24))
 
 
-def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
-    """G_k(q^r) = prod_{n>=1} (1 + beta_k q^{rn} + q^{2rn}), factors below order.
+def gamma_k(k: int, order) -> PuiseuxSeries:
+    """G_k(q) = prod_{n>=1} (1 + beta_k q^n + q^{2n}), factors below order.
 
-    G_2(q^r) = (-q^{2r}; q^{2r})_inf is one Pochhammer family.  G_1 has
+    G_2(q) = (-q^2; q^2)_inf is one Pochhammer family.  G_1 has
     coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs in
     place on a pair of dense int arrays; multiplying by sqrt2 swaps the
     parts with a factor 2 on one side.  G_3 is G_1 under sqrt2 -> -sqrt2,
     which maps beta_1 to beta_3: G_1 with its sqrt2 part negated.
     """
-    r = _fr(r)
     if k == 2:
-        return pochhammer(PochSpec(1, 2 * r, 2 * r), order)
+        return pochhammer(PochSpec(1, 2, 2), order)
     if k not in (1, 3):
         raise ValueError("G_k needs k = 1, 2 or 3")
     order = _fr(order)
     if order <= 0:
         return PuiseuxSeries.zero(order)
-    den = r.denominator
-
-    # factor m, at slot offset m*r*den < n, visits n - offset slots
-    def steps(n):
-        factors = (n - 1) // r.numerator
-        return factors * n - r.numerator * factors * (factors + 1) // 2
-
-    n = dense_slots(order * den, steps)
+    # factor m, at slot m < n, visits n - m slots
+    n = dense_slots(order, lambda n: n * (n - 1) // 2)
     rp = [0] * n
     ip = [0] * n
     rp[0] = 1
-    # factor m sits at slot m * r * den, and r * m < order exactly when
-    # that slot is below n
-    for off1 in range(r.numerator, n, r.numerator):
+    for off1 in range(1, n):
         off2 = 2 * off1
         for j in range(n - 1, off1 - 1, -1):
             j1 = j - off1
@@ -234,7 +229,7 @@ def gamma_k(k: int, order, r=1) -> PuiseuxSeries:
                 ip[j] += ip[j2]
     if k == 3:
         ip = [-y for y in ip]
-    return PuiseuxSeries.from_slots(0, den, rp, ip, order)
+    return PuiseuxSeries.from_slots(0, 1, rp, ip, order)
 
 
 def sine_ratio_table(k: int, count: int) -> list[tuple[int, int]]:
@@ -294,40 +289,37 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
         order)
 
 
-def h_series(order, r=1) -> PuiseuxSeries:
-    """h(q^r) = q^{r/2} f(-q^r, -q^{7r}) / f(-q^{3r}, -q^{5r}).
+def h_series(order) -> PuiseuxSeries:
+    """h(q) = q^{1/2} f(-q, -q^7) / f(-q^3, -q^5).
 
     Both triple products go into one :func:`poch_quotient`, the divisor's
-    families with power -1; their common (q^{8r}; q^{8r}) cancels.
+    families with power -1; their common (q^8; q^8) cancels.
     """
-    r = _fr(r)
     return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
-        + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1),
-        _fr(order) - r / 2,
-    ).shift(r / 2)
+        _triple_product(ThetaSpec(-1, -1, 1, 7), 1)
+        + _triple_product(ThetaSpec(-1, -1, 3, 5), -1),
+        _fr(order) - _FR(1, 2),
+    ).shift(_FR(1, 2))
 
 
-def i_series(order, r=1) -> PuiseuxSeries:
-    """i(q^r) = f(-q^r, -q^{3r}) / f(-q^{2r}, -q^{2r}).
+def i_series(order) -> PuiseuxSeries:
+    """i(q) = f(-q, -q^3) / f(-q^2, -q^2).
 
     One :func:`poch_quotient` as for :func:`h_series`; the common
-    (q^{4r}; q^{4r}) cancels.
+    (q^4; q^4) cancels.
     """
-    r = _fr(r)
     return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
-        + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1),
+        _triple_product(ThetaSpec(-1, -1, 1, 3), 1)
+        + _triple_product(ThetaSpec(-1, -1, 2, 2), -1),
         order,
     )
 
 
-def phi(r, order) -> PuiseuxSeries:
-    """phi(q^r) = f(q^r, q^r) = sum q^{r j^2}."""
-    return theta_sum(ThetaSpec(1, 1, _fr(r), _fr(r)), order)
+def phi(order) -> PuiseuxSeries:
+    """phi(q) = f(q, q) = sum q^{j^2}."""
+    return theta_sum(ThetaSpec(1, 1, 1, 1), order)
 
 
-def psi(r, order) -> PuiseuxSeries:
-    """psi(q^r) = f(q^r, q^{3r}) = sum_{j>=0} q^{r j(j+1)/2}."""
-    r = _fr(r)
-    return theta_sum(ThetaSpec(1, 1, r, 3 * r), order)
+def psi(order) -> PuiseuxSeries:
+    """psi(q) = f(q, q^3) = sum_{j>=0} q^{j(j+1)/2}."""
+    return theta_sum(ThetaSpec(1, 1, 1, 3), order)

@@ -43,7 +43,9 @@ an expression reproduces it node for node.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from fractions import Fraction
 
 from .blocks import PochSpec, ThetaSpec
@@ -180,7 +182,7 @@ class Parser:
         node = self._term()
         while self._peek().text in ("+", "-"):
             tok = self._next()
-            node = self._shallow(self._fold(tok.text, node, self._term()), tok)
+            node = self._shallow(self._fold(tok, node, self._term()), tok)
         self.nesting -= 1
         return node
 
@@ -188,22 +190,19 @@ class Parser:
         node = self._factor()
         while self._peek().text in ("*", "/"):
             tok = self._next()
-            node = self._shallow(self._fold(tok.text, node, self._factor()), tok)
+            node = self._shallow(self._fold(tok, node, self._factor()), tok)
         return node
 
-    def _fold(self, op: str, left: Node, right: Node) -> Node:
-        """left op right; a division x/y is Mul(x, Pow(y, -1))."""
+    def _fold(self, tok: _Token, left: Node, right: Node) -> Node:
+        """left op right for the operator `tok`; a division x/y is
+        Mul(x, Pow(y, -1))."""
+        op = tok.text
         if isinstance(left, Const) and isinstance(right, Const):
-            a, b = left.value, right.value
-            if op == "+":
-                return Const(a + b)
-            if op == "-":
-                return Const(a - b)
-            if op == "*":
-                return Const(a * b)
-            if not b:
+            if op == "/" and not right.value:
                 self._error("division by zero in constant expression")
-            return Const(a / b)
+            fold = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "/": operator.truediv}[op]
+            return self._const(fold(left.value, right.value), tok)
         if op == "/":
             return Mul(left, Pow(right, _FR(-1)))
         return {"+": Add, "-": Sub, "*": Mul}[op](left, right)
@@ -225,9 +224,28 @@ class Parser:
         self._expect(")")
         if not isinstance(node, Const) or r.denominator != 1:
             return node if r == 1 else self._shallow(Pow(node, r), tok)
-        if not node.value and r < 0:
+        v, n = node.value, int(r)
+        if not v and n < 0:
             self._error("division by zero in constant expression", tok)
-        return Const(node.value ** int(r))
+        # Refused before it is computed, past the point where _const would
+        # refuse it: a base other than 0 and +-1 has a height of at least
+        # max(1, bits - 3)/2 bits (bits: its longest numerator or
+        # denominator), its n-th power |n| times that, and a value of
+        # height H has a part longer than H/2 - 1/2 bits; 14 > 4*log2(10).
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        bits = max(x.bit_length() for p in (v.rat, v.irr)
+                   for x in (p.numerator, p.denominator))
+        if v not in (0, 1, -1) and abs(n) * max(1, bits - 3) > 14 * limit + 6:
+            self._error(f"constant too long to print: more than {limit} digits", tok)
+        return self._const(v ** n, tok)
+
+    def _const(self, value: AlgebraicNumber, tok: _Token) -> Const:
+        """Const(value), refused at `tok` when it is too long to print."""
+        try:
+            value.render()
+        except ValueError as exc:  # a part past the interpreter's digit limit
+            self._error(f"constant too long to print: {exc}", tok)
+        return Const(value)
 
     def _atom(self) -> Node:
         tok = self._peek()

@@ -1,7 +1,9 @@
 """Expression trees over series-valued primitives, and their evaluation.
 
 Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
-requested guarantee order.  Evaluation propagates per-node targets top
+requested guarantee order.  A primitive with a substitution exponent r
+(``eta(8)``, ``G1(1/2)``) is its block at q, expanded to order/r and
+taken through q -> q^r by the same substitution as ``subst``.  Evaluation propagates per-node targets top
 down: a product pads each factor by the co-factor's structural leading
 exponent (`hint`), and a power ``Pow(base, r)`` of any rational r --
 integer powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike --
@@ -129,7 +131,8 @@ def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
 class Primitive:
     """One named series of the DSL, taking exactly one argument.
 
-    `kind` names the argument: "r" (a substitution exponent), "k" (an
+    `kind` names the argument: "r" (a substitution exponent: the series
+    is built at q and taken to q -> q^r by :func:`_rescaled`), "k" (an
     index 1..3), or a spec: "poch", "theta", "lambert", "bilateral", or
     "bilateral_product" (a bilateral spec with alpha + beta < s).
     `build(arg, order)` expands the series, `meaning` is its line in the
@@ -142,10 +145,16 @@ class Primitive:
     hint: Callable[[object], Fraction] = lambda arg: _FR(0)
 
 
+def _rescaled(name: str, *args):
+    """The build of an "r" atom: ``blocks.<name>(*args, order)`` expands
+    the series at q, and q -> q^r takes it to the atom's argument."""
+    return lambda r, order: getattr(blocks, name)(*args, _fr(order) / r).substitute(r)
+
+
 # Builders look their block up at call time, so that a function rebound on
 # `blocks` or `lambert` from outside (a tracer) is the one that runs.
 PRIMITIVES: dict[str, Primitive] = {
-    "eta": Primitive("r", lambda m, o: blocks.eta(m, o),
+    "eta": Primitive("r", _rescaled("eta"),
                      "`eta(r tau) = q^(r/24) (q^r;q^r)_inf`", lambda m: m / 24),
     "poch": Primitive("poch", lambda s, o: blocks.pochhammer(s, o),
                       "`prod_{j>=0} (1 + sign q^(a+jb))`"),
@@ -153,17 +162,17 @@ PRIMITIVES: dict[str, Primitive] = {
                    "theta `f(sign q^a, sign q^b)`, triple-product form"),
     "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
                       "the same theta function as a bilateral sum"),
-    "phi": Primitive("r", lambda r, o: blocks.phi(r, o), "`phi(q^r) = f(q^r, q^r)`"),
-    "psi": Primitive("r", lambda r, o: blocks.psi(r, o), "`psi(q^r) = f(q^r, q^3r)`"),
-    "H": Primitive("r", lambda r, o: blocks.h_series(o, r),
+    "phi": Primitive("r", _rescaled("phi"), "`phi(q^r) = f(q^r, q^r)`"),
+    "psi": Primitive("r", _rescaled("psi"), "`psi(q^r) = f(q^r, q^3r)`"),
+    "H": Primitive("r", _rescaled("h_series"),
                    "Gollnitz-Gordon fraction product side `h(q^r)`", lambda r: r / 2),
-    "I": Primitive("r", lambda r, o: blocks.i_series(o, r),
+    "I": Primitive("r", _rescaled("i_series"),
                    "order-four fraction product side `i(q^r)`"),
-    "G1": Primitive("r", lambda r, o: blocks.gamma_k(1, o, r),
+    "G1": Primitive("r", _rescaled("gamma_k", 1),
                     "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`"),
-    "G2": Primitive("r", lambda r, o: blocks.gamma_k(2, o, r),
+    "G2": Primitive("r", _rescaled("gamma_k", 2),
                     "`prod_{n>=1} (1 + q^(2rn))`"),
-    "G3": Primitive("r", lambda r, o: blocks.gamma_k(3, o, r),
+    "G3": Primitive("r", _rescaled("gamma_k", 3),
                     "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`"),
     "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
                      "`theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))`"),

@@ -40,8 +40,8 @@ from . import backend
 from .field import ONE, ZERO, AlgebraicNumber
 
 # No dense coefficient array built from an order and an exponent grid
-# (block expansions, products, inverse and root recurrences) may be longer
-# than this,
+# (block expansions, products, the power recurrence) may be longer than
+# this, and the power recurrence's arrays may hold no more 64-bit words,
 MAX_DENSE_SLOTS = 1_000_000
 # nor may the loop that fills it take more inner steps (slot updates): the
 # slot cap bounds memory, this bounds time.  A product past either budget
@@ -66,9 +66,9 @@ class LeadingCoefficientError(ValueError):
 
 
 class SlotBudgetError(ValueError):
-    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS`, or
-    filling it (or a term-by-term loop) would take more than
-    :data:`MAX_SLOT_STEPS` steps."""
+    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS` slots
+    (or, in the power recurrence, 64-bit words), or filling it (or a
+    term-by-term loop) would take more than :data:`MAX_SLOT_STEPS` steps."""
 
 
 def dense_slots(span, steps=None) -> int:
@@ -401,16 +401,15 @@ class PuiseuxSeries:
              for k, (r, i) in self.slots.items()},
             self.trunc)
 
-    def shift(self, delta, coeff=None) -> "PuiseuxSeries":
-        """Exact multiplication by the monomial ``coeff * q**delta``.
+    def shift(self, delta) -> "PuiseuxSeries":
+        """Exact multiplication by the monomial ``q**delta``.
 
         Unlike series multiplication this loses no precision: a monomial
         is known at every exponent, so the bound moves with the terms.
         """
         delta = _fr(delta)
-        s = PuiseuxSeries._make(self.m + delta, self.den, self.d, self.slots,
-                                self.trunc + delta)
-        return s if coeff is None else s.scale(coeff)
+        return PuiseuxSeries._make(self.m + delta, self.den, self.d, self.slots,
+                                   self.trunc + delta)
 
     # -- multiplication ----------------------------------------------------
 
@@ -527,9 +526,11 @@ class PuiseuxSeries:
 
         The recurrence over the nout slots is checked against the budgets
         before its arrays are allocated: each of its inner steps counts as
-        ceil(B / 64) steps (at least 1), B = (nout - 1) * log2(scale)
-        bounding the bits of the largest scaled value, so a fine grid with
-        a large scale is refused even when its plain step count is small.
+        ceil(B / 64) steps (at least 1), B = (nout - 1) * log2(scale) the
+        bits the scale alone gives the last value, so a fine grid with a
+        large scale is refused even when its plain step count is small.
+        Growth that comes from the exponent or the unit coefficients shows
+        only as the values are made; :meth:`_power` weighs it as it runs.
         """
         m, den = self.m, self.den
         nout = dense_slots((self.trunc - m) * den)
@@ -590,6 +591,12 @@ class PuiseuxSeries:
         raises ArithmeticError.  At a/n = -1 the sum has no j-weighted
         part and the recurrence is P_k = -sum_j U_j P_{k-j}.  Each
         coefficient becomes a field element once, at the end.
+
+        The values also grow with |a| and with the unit coefficients:
+        (1 + q)**(10**30) gains about 100 bits a slot, (1 + 10**100 q)**-1
+        333.  So the loop keeps a running tally of the 64-bit words its
+        arrays hold, and past MAX_DENSE_SLOTS words, as many as the slot
+        cap allows one-word values, it stops with SlotBudgetError.
         """
         lead = self.leading()
         if lead is None and n == 1:
@@ -607,6 +614,7 @@ class PuiseuxSeries:
         pr[0] = 1
         an = a + n
         live = 0
+        held = 1
         for k in range(1, nout):
             while live < len(units) and units[live][0] <= k:
                 live += 1
@@ -633,6 +641,11 @@ class PuiseuxSeries:
                     i += ur * y + ui * x
                 pr[k] = -r
                 pi[k] = -i
+            held += (pr[k].bit_length() + pi[k].bit_length() + 63) // 64
+            if held > MAX_DENSE_SLOTS:
+                raise SlotBudgetError(
+                    f"expansion over {nout} dense coefficient slots holds more "
+                    f"than {MAX_DENSE_SLOTS} 64-bit words; lower the order")
         x, y, d = _pair(lead[1] ** a)  # c0**a = (x + y*sqrt2) / d
         if (x, y) != (1, 0):
             pr, pi = ([r * x + 2 * i * y for r, i in zip(pr, pi)],
@@ -641,28 +654,12 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_slots(shift, den, pr, pi,
                                         (self.trunc - m) + shift, d, scale)
 
-    def inverse(self) -> "PuiseuxSeries":
-        """Multiplicative inverse up to the available truncation.
-
-        With leading term c*q^m and bound t, the result has leading term
-        (1/c)*q^-m and bound t - 2m (the recurrence consumes one copy of
-        the unit part's precision); see :meth:`_power`.
-        """
-        return self._power(-1, 1)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
             return self.scale(_coeff(other).inverse())
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self * other.inverse()
-
-    def nth_root(self, n: int) -> "PuiseuxSeries":
-        """n-th root of a series with leading coefficient exactly 1; the
-        leading exponent m becomes m/n.  See :meth:`_power`."""
-        if n < 1:
-            raise ValueError("root index must be a positive integer")
-        return self._power(1, n)
+        return self * other ** -1
 
     # -- substitution and comparison ----------------------------------------
 
@@ -730,10 +727,6 @@ class PuiseuxSeries:
     def evaluate(self, q: float) -> float:
         """Numeric value of the truncated series at a float q > 0."""
         return math.fsum(float(c) * q ** float(e) for e, c in self.items())
-
-    def dump(self) -> str:
-        """One line per term: ``exponent<TAB>a+b*sqrt2``, ascending."""
-        return "\n".join(f"{e}\t{c.render()}" for e, c in self.items())
 
     def __repr__(self):
         parts = []

@@ -11,9 +11,9 @@ from qident.blocks import (
     BETA,
     PochSpec,
     ThetaSpec,
+    _triple_product,
     b_table_series,
     b_value,
-    eta,
     gamma_k,
     h_series,
     i_series,
@@ -27,7 +27,7 @@ from qident.blocks import (
     theta_sum,
 )
 from qident.dsl import parse_expression
-from qident.expr import evaluate_to_order
+from qident.expr import PRIMITIVES, evaluate_to_order
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
 from qident.lambert import BilateralSpec, bilateral_1psi1_rhs
 from qident.series import PuiseuxSeries as P
@@ -73,11 +73,11 @@ def oracle_pochhammer(spec, order):
 
 def oracle_quotient(families, order):
     """Pochhammer expansions multiplied through series products, each
-    divisor through inverse()."""
+    divisor through ** -1."""
     out = P.one(order)
     for spec, power in families:
         poch = oracle_pochhammer(spec, order)
-        factor = poch if power > 0 else poch.inverse()
+        factor = poch if power > 0 else poch ** -1
         for _ in range(abs(power)):
             out = out * factor
     return out
@@ -105,13 +105,13 @@ def oracle_h(order, r):
         return P.zero(order)
     num = oracle_theta_product(ThetaSpec(-1, -1, r, 7 * r), unit_order)
     den = oracle_theta_product(ThetaSpec(-1, -1, 3 * r, 5 * r), unit_order)
-    return (num * den.inverse()).shift(F(r) / 2)
+    return (num * den ** -1).shift(F(r) / 2)
 
 
 def oracle_i(order, r):
     num = oracle_theta_product(ThetaSpec(-1, -1, r, 3 * r), order)
     den = oracle_theta_product(ThetaSpec(-1, -1, 2 * r, 2 * r), order)
-    return num * den.inverse()
+    return num * den ** -1
 
 
 def oracle_psi11rhs(spec, order):
@@ -195,6 +195,49 @@ def oracle_gamma_k(k, order, r=1):
     return P.from_slots(0, den, rp, ip, order)
 
 
+# -- oracle: the atoms at q^r with r threaded through each builder --------
+
+
+def threaded_eta(m, order):
+    m = F(m)
+    return pochhammer(PochSpec(-1, m, m), F(order) - m / 24).shift(m / 24)
+
+
+def threaded_h(r, order):
+    r = F(r)
+    return poch_quotient(
+        _triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
+        + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1),
+        F(order) - r / 2,
+    ).shift(r / 2)
+
+
+def threaded_i(r, order):
+    r = F(r)
+    return poch_quotient(
+        _triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
+        + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1),
+        order,
+    )
+
+
+THREADED = {
+    "eta": threaded_eta,
+    "phi": lambda r, order: theta_sum(ThetaSpec(1, 1, F(r), F(r)), order),
+    "psi": lambda r, order: theta_sum(ThetaSpec(1, 1, F(r), 3 * F(r)), order),
+    "H": threaded_h,
+    "I": threaded_i,
+    "G1": lambda r, order: oracle_gamma_k(1, order, r),
+    "G2": lambda r, order: oracle_gamma_k(2, order, r),
+    "G3": lambda r, order: oracle_gamma_k(3, order, r),
+}
+
+
+def atom(name, r, order):
+    """The DSL atom `name(r)` below `order`: its block at q, then q -> q^r."""
+    return PRIMITIVES[name].build(F(r), order)
+
+
 def fields(s):
     """The canonical form field for field, the slot order included."""
     return s.m, s.den, s.d, list(s.slots.items()), s.trunc
@@ -263,8 +306,8 @@ class TestBuilderMatchesOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([F(1), F(2), F(1, 2), F(1, 3)]), orders)
     def test_h_and_i(self, r, order):
-        assert_same(h_series(order, r), oracle_h(order, r))
-        assert_same(i_series(order, r), oracle_i(order, r))
+        assert_same(atom("H", r, order), oracle_h(order, r))
+        assert_same(atom("I", r, order), oracle_i(order, r))
 
     @settings(max_examples=30, deadline=None)
     @given(grid_exponent(4), grid_exponent(4), grid_exponent(2), orders)
@@ -279,6 +322,21 @@ class TestBuilderMatchesOracle:
     def test_cancelled_families_leave_one(self):
         spec = PochSpec(-1, 1, 2)
         assert poch_quotient([(spec, 1), (spec, -1)], 10) == P.one(10)
+
+
+class TestRescaledAtoms:
+    """Every `r` atom, built at q and substituted, equals the same series
+    with r threaded through its builder, field for field."""
+
+    @pytest.mark.parametrize("name", sorted(THREADED))
+    def test_matches_the_threaded_builder(self, name):
+        for r in (1, F(1, 2), 2, F(3, 2), F(2, 3), 16, F(1, 7), F(5, 3), 64):
+            for order in (-1, 0, F(1, 3), 1, F(7, 2), 24, F(97, 2), 96):
+                assert fields(atom(name, r, order)) == \
+                    fields(THREADED[name](r, order)), (r, order)
+
+    def test_every_r_atom_is_covered(self):
+        assert set(THREADED) == {n for n, p in PRIMITIVES.items() if p.kind == "r"}
 
 
 class TestPochhammer:
@@ -412,7 +470,7 @@ class TestLemmaInstances:
     def test_f1_factorization(self, idx):
         a, b = self.instances()[idx]
         lhs = self.f(1, a, 1, a + 2 * b, 24) * self.f(1, b, 1, 2 * a + b, 24)
-        rhs = self.f(1, a, 1, b, 24) * psi(a + b, 24)
+        rhs = self.f(1, a, 1, b, 24) * atom("psi", a + b, 24)
         assert lhs.first_mismatch(rhs, 24) is None
 
     @pytest.mark.parametrize("idx", range(10))
@@ -457,13 +515,13 @@ class TestEta:
         assert s.leading()[0] == 2  # 4*16/24 - 2*8/24
 
     def test_half_multiplier(self):
-        assert eta(F(1, 2), 5).leading()[0] == F(1, 48)
+        assert atom("eta", F(1, 2), 5).leading()[0] == F(1, 48)
 
     @pytest.mark.parametrize("m", [1, 2, 8, F(1, 2), F(5, 3)])
     @pytest.mark.parametrize("order", [F(-1), F(1, 48), F(1, 2), F(31, 2)])
     def test_single_eta_is_shifted_pochhammer(self, m, order):
         want = oracle_pochhammer(PochSpec(-1, m, m), order - F(m) / 24)
-        assert fields(eta(m, order)) == fields(want.shift(F(m) / 24))
+        assert fields(atom("eta", m, order)) == fields(want.shift(F(m) / 24))
 
     @pytest.mark.parametrize(
         "factors",
@@ -484,7 +542,7 @@ class TestEta:
     def test_fractional_power_consistency(self):
         # eta^{1/2}(4t)^2 == eta(4t)^1 up to truncation
         half = dsl("eta(4)^(1/2)", 12)
-        assert (half * half).first_mismatch(eta(4, 12), 12) is None
+        assert (half * half).first_mismatch(atom("eta", 4, 12), 12) is None
 
 
 class TestGamma:
@@ -505,7 +563,7 @@ class TestGamma:
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_scaled_argument(self):
-        direct = gamma_k(1, 10, r=F(1, 2))
+        direct = oracle_gamma_k(1, 10, F(1, 2))
         via_subst = gamma_k(1, 20).substitute(F(1, 2))
         assert direct.first_mismatch(via_subst, 10) is None
 
@@ -513,7 +571,8 @@ class TestGamma:
     @pytest.mark.parametrize("r", [1, F(1, 2), 2, F(3, 2), F(1, 3), 5])
     def test_matches_the_per_k_loop(self, k, r):
         for order in [-1, 0, F(1, 2), 1, F(7, 3), 24, F(97, 2)]:
-            assert fields(gamma_k(k, order, r)) == fields(oracle_gamma_k(k, order, r))
+            assert fields(atom(f"G{k}", r, order)) == \
+                fields(oracle_gamma_k(k, order, r))
 
     def test_k_outside_1_to_3_is_refused(self):
         with pytest.raises(ValueError, match="k = 1, 2 or 3"):
@@ -610,33 +669,33 @@ class TestContinuedFractionProducts:
         # h(q^2) via substitution has leading term q^1
         doubled = h_series(12).substitute(2)
         assert doubled.leading() == (F(1), ONE)
-        direct = h_series(24, r=2)
+        direct = threaded_h(2, 24)
         assert doubled.first_mismatch(direct, 24) is None
 
     def test_reciprocal_difference_law(self):
         h = h_series(21)
-        lhs = h.inverse() - h
-        rhs = phi(2, 21) * psi(4, 21).inverse() * P.monomial(1, F(-1, 2), 21)
+        lhs = h ** -1 - h
+        rhs = atom("phi", 2, 21) * atom("psi", 4, 21) ** -1 * P.monomial(1, F(-1, 2), 21)
         assert lhs.first_mismatch(rhs, 20) is None
 
     def test_reciprocal_sum_law(self):
         h = h_series(21)
-        lhs = h.inverse() + h
-        rhs = phi(1, 21) * psi(4, 21).inverse() * P.monomial(1, F(-1, 2), 21)
+        lhs = h ** -1 + h
+        rhs = phi(21) * atom("psi", 4, 21) ** -1 * P.monomial(1, F(-1, 2), 21)
         assert lhs.first_mismatch(rhs, 20) is None
 
 
 class TestPhiPsi:
     def test_phi_values(self):
-        assert phi(1, 10) == P({0: 1, 1: 2, 4: 2, 9: 2}, 10)
+        assert phi(10) == P({0: 1, 1: 2, 4: 2, 9: 2}, 10)
 
     def test_psi_scaled(self):
-        assert psi(4, 25) == P({0: 1, 4: 1, 12: 1, 24: 1}, 25)
+        assert atom("psi", 4, 25) == P({0: 1, 4: 1, 12: 1, 24: 1}, 25)
 
     def test_psi_product_form(self):
         # (q^2;q^2)/(q;q^2) against the bilateral sum
         prod = pochhammer(PochSpec(-1, 2, 2), 24) / pochhammer(PochSpec(-1, 1, 2), 24)
-        assert psi(1, 24).first_mismatch(prod, 24) is None
+        assert psi(24).first_mismatch(prod, 24) is None
 
 
 def test_root_of_unity_polynomial():

@@ -12,7 +12,7 @@ from qident.cli import main
 from qident.dsl import MAX_NESTING, MAX_TREE_DEPTH, parse_expression
 from qident.expr import evaluate_to_order
 from qident.field import AlgebraicNumber as A
-from qident.verify import report_json, verify
+from qident.verify import report_json, verify, verify_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -85,12 +85,13 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert json.loads(out.read_bytes())[0]["id"] == "hcf-plus"
 
-    def test_bless_writes_golden_path(self, runner):
-        with runner.isolated_filesystem():
-            result = runner.invoke(main, ["verify", "hcf-plus", "--bless"])
-            assert result.exit_code == 0
-            written = pathlib.Path("tests/golden/verify_all_order24.json")
-            assert json.loads(written.read_bytes())[0]["id"] == "hcf-plus"
+    @pytest.mark.parametrize("order", [48, 96])
+    def test_deeper_reports_match_the_golden_but_for_the_order(self, order):
+        golden = json.loads((GOLDEN / "verify_all_order24.json").read_bytes())
+        for entry in golden:
+            entry["order"] = str(order)
+        want = json.dumps(golden, indent=2).encode("utf-8")
+        assert report_json(verify_many(catalog(), order)) == want
 
 
 class TestExitCodeContract:
@@ -157,6 +158,45 @@ class TestDumpCommand:
             f"{j * j}/999983\t2+0*sqrt2" for j in range(1, 3163)]
         assert result.output == "\n".join(want) + "\n"
 
+    def test_dump_format(self, runner):
+        result = runner.invoke(main, ["dump", "2*sqrt2*q^(1/2) - 1/3*q^(2)",
+                                      "--order", "4"])
+        assert result.exit_code == 0
+        assert result.output == "1/2\t0+2*sqrt2\n2\t-1/3+0*sqrt2\n"
+
+    @pytest.mark.parametrize(
+        "expr, column",
+        [("2^(20000)", 2), ("2^(1000000000)", 2),
+         ("(1+sqrt2)^(-100000)", 10), ("q^(1)*(1/3)^(9100)", 12),
+         ("9" * 4000 + "*" + "9" * 4000, 4001)],
+        ids=["2^20000", "2^10^9", "unit^-100000", "(1/3)^9100",
+             "product"],
+    )
+    def test_constant_too_long_to_print_exit_2(self, runner, expr, column):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["dump", expr, "--order", "1"])
+        assert result.exit_code == 2
+        assert f"line 1, column {column}: constant too long to print" in result.output
+        assert "4300 digits" in result.output
+        assert time.perf_counter() - t0 < 1
+
+    def test_constant_at_the_digit_limit_dumps(self, runner):
+        # 3^9000 has 4295 digits
+        result = runner.invoke(main, ["dump", "(2/3)^(9000)", "--order", "1"])
+        assert result.exit_code == 0
+        assert result.output.startswith("0\t" + str(2**9000) + "/")
+
+    def test_coefficient_too_long_to_print_exit_2(self, runner):
+        # binom(10^30, 153), about 4590 - 269 digits, is the first
+        # coefficient past 4300
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["dump", "(1+q^(1))^(1" + "0" * 30 + ")",
+                                      "--order", "200"])
+        assert result.exit_code == 2
+        assert "the coefficient of q^153 is too long to print" in result.output
+        assert "4300 digits" in result.output
+        assert time.perf_counter() - t0 < 5
+
     def test_unknown_block_exit_2(self, runner):
         result = runner.invoke(main, ["dump", "nope(", "--order", "4"])
         assert result.exit_code == 2
@@ -176,6 +216,10 @@ class TestDumpCommand:
             ["dump", "root(phi(1/1000),2)", "--order", "50"],
             # a positive power runs the recurrence, here over 1,000,003 slots
             ["dump", "(1+q^(1/1000003))^(2)", "--order", "1"],
+            # 2000 slots and plain steps, but values that grow by about
+            # 100 bits (binom(10^30, k)) or 333 bits ((-10^100)^k) a slot
+            ["dump", "(1+q^(1))^(1" + "0" * 30 + ")", "--order", "2000"],
+            ["dump", "(1+1" + "0" * 100 + "*q^(1))^(-1)", "--order", "2000"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):
@@ -227,6 +271,8 @@ class TestDumpCommand:
             ("psi11lhs(16,8,2)", 100000, {0: 1, 6: 0, 8: 2, 99996: 1}),
             # 5,221,424 terms of sum_n d(n) q^n, d the number of divisors
             ("lambert(1,0,+1,1)", 400000, {399999: 8, 393216: 36, 360360: 192}),
+            # 1/phi(q) = 1 - 2q + 4q^2 - 8q^3 + 14q^4 - ... on 50,000 slots
+            ("1/phi(1/1000)", 50, {"1/1000": -2, "2/1000": 4, "4/1000": 14}),
         ],
     )
     def test_term_loops_within_the_budget_finish(self, expr, order, coefficients):
@@ -327,6 +373,32 @@ class TestParseCommand:
         result = runner.invoke(main, ["parse", str(path)])
         assert result.exit_code == 2
         assert "line 2, column 20: the 1psi1 product side needs" in result.output
+
+    def test_not_utf8_exit_2(self, runner, tmp_path):
+        path = tmp_path / "latin1.qid"
+        path.write_bytes("phi(1) == phi(1)  # \u00e9\n".encode("latin-1"))
+        result = runner.invoke(main, ["parse", str(path)])
+        assert result.exit_code == 2
+        assert f"{path}: 'utf-8' codec can't decode byte 0xe9" in result.output
+        assert "Traceback" not in result.output
+
+    def test_mismatch_too_long_to_print_exit_2(self, runner, tmp_path):
+        # the first mismatch is at q^199, where both sides are about
+        # binom(10^30, 199), some 5600 digits
+        n = "1" + "0" * 30
+        path = tmp_path / "long.qid"
+        path.write_text(f"(1+q^(1))^({n}) == (1+q^(1))^({n}) + q^(199)\n")
+        result = runner.invoke(main, ["parse", str(path), "--order", "200"])
+        assert result.exit_code == 2
+        assert "the coefficient of q^199 is too long to print" in result.output
+        assert "4300 digits" in result.output
+
+    def test_constant_too_long_to_print_exit_2(self, runner, tmp_path):
+        path = tmp_path / "long.qid"
+        path.write_text("phi(1) == phi(1)\nphi(1) == 2^(20000)*phi(1)\n")
+        result = runner.invoke(main, ["parse", str(path)])
+        assert result.exit_code == 2
+        assert "line 2, column 12: constant too long to print" in result.output
 
     def test_over_long_integer_literal_exit_2(self, runner, tmp_path):
         path = tmp_path / "long.qid"

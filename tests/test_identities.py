@@ -32,7 +32,7 @@ class TestEvaluation:
     def test_subst_node(self):
         node = Subst(parse_expression("G1(1)"), F(1, 2))
         got = evaluate_to_order(node, 10)
-        want = blocks.gamma_k(1, 10, r=F(1, 2))
+        want = evaluate_to_order(parse_expression("G1(1/2)"), 10)
         assert got.first_mismatch(want, 10) is None
 
     def test_negative_exponent_prefactors_get_padded(self):

@@ -339,7 +339,7 @@ class TestMul:
         # eta(1) = q^(1/24) (q;q)_inf: its offsets lie on the integer grid,
         # so its square to q^(241/24) convolves 10 slots, not the 239 of
         # the exponents' 1/24 grid
-        a = eta(1, 10)
+        a = eta(10)
         slots = []
         kernel = backend.convolve_rational
 
@@ -378,28 +378,28 @@ class TestMul:
 class TestInverse:
     def test_monomial(self):
         s = P.monomial(ONE, F(1, 2), 5)
-        assert s.inverse().items() == [(F(-1, 2), ONE)]
+        assert (s ** -1).items() == [(F(-1, 2), ONE)]
 
     def test_one_minus_q(self):
-        inv = P({0: 1, 1: -1}, 9).inverse()
+        inv = P({0: 1, 1: -1}, 9) ** -1
         assert inv == geometric(9)
 
     def test_partition_generating_function(self):
         # oracle: enumeration-based p(n) against 1/(q;q)_inf
-        inv = qq_naive(31).inverse()
+        inv = qq_naive(31) ** -1
         expect = partition_counts(30)
         got = [inv.coefficient(n) for n in range(31)]
         assert got == [A(p) for p in expect]
 
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            P.zero(5).inverse()
+            P.zero(5) ** -1
 
     @settings(max_examples=50)
     @given(unit_series())
     def test_mul_roundtrip(self, s):
         order = s.trunc
-        prod = s * s.inverse()
+        prod = s * s ** -1
         assert prod.first_mismatch(P.one(order), order) is None
 
 
@@ -413,17 +413,17 @@ class TestRecurrencesMatchOracle:
 
     @example(P({0: A(F(1, 3), F(1, 101)), F(1, 2): A(F(2, 999983)),
                 F(3, 2): A(1, F(1, 2**7))}, 5))
-    @example(gamma_k(3, 12, F(1, 2)).scale(A(F(-2, 9), F(1, 101))))
+    @example(gamma_k(3, 24).substitute(F(1, 2)).scale(A(F(-2, 9), F(1, 101))))
     @settings(max_examples=150, deadline=None)
     @given(wide_series())
     def test_inverse(self, s):
-        self.assert_same(s.inverse(), oracle_inverse(s))
+        self.assert_same(s ** -1, oracle_inverse(s))
 
     @example(P({0: 1, F(1, 3): A(F(1, 999983), 2), 1: A(F(-5, 64))}, 7), 12)
     @settings(max_examples=150, deadline=None)
     @given(wide_series(unit=True), st.sampled_from([2, 3, 4, 5, 6, 8, 12]))
     def test_nth_root(self, s, n):
-        self.assert_same(s.nth_root(n), oracle_nth_root(s, n))
+        self.assert_same(s ** F(1, n), oracle_nth_root(s, n))
 
     @example(P({0: 1, F(1, 3): A(F(1, 999983), 2), 1: A(F(-5, 64))}, 7), -3, 4)
     @example(P({F(-1, 3): A(F(1, 3), F(1, 101)), F(1, 2): A(F(2, 9))}, 4), -2, 1)
@@ -473,7 +473,7 @@ class TestOperationsMatchOracle:
         for k in (c, ZERO, ONE, A(-1), 3, F(-2, 7)):
             self.assert_same(a.scale(k), oracle_scale(a, k))
         self.assert_same(a.shift(delta), oracle_shift(a, delta))
-        self.assert_same(a.shift(delta, c),
+        self.assert_same(a.shift(delta).scale(c),
                          oracle_scale(oracle_shift(a, delta), c))
 
     @settings(max_examples=100, deadline=None)
@@ -540,12 +540,6 @@ class TestOperationsMatchOracle:
         den = a.den * fine
         assert a._slots(den, nout) == oracle_slots(a, den, nout)
 
-    @given(wide_series())
-    def test_dump_renders_the_view(self, a):
-        assert a.dump() == "\n".join(f"{e}\t{c.render()}" for e, c in a.items())
-        assert (-a).dump() == "\n".join(
-            f"{e}\t{c.render()}" for e, c in oracle_neg(a).items())
-
     @given(st.dictionaries(wide_rationals, wide_coeffs, max_size=8),
            wide_rationals)
     def test_constructor_view_round_trip(self, terms, trunc):
@@ -555,8 +549,8 @@ class TestOperationsMatchOracle:
 
 
 class TestRecurrenceHotPath:
-    """inverse, nth_root and rational powers do O(slots) field arithmetic,
-    not O(slots*nnz)."""
+    """Powers -- inverses, roots and other rationals -- do O(slots) field
+    arithmetic, not O(slots*nnz)."""
 
     @pytest.fixture()
     def field_calls(self, monkeypatch):
@@ -572,15 +566,15 @@ class TestRecurrenceHotPath:
     @pytest.mark.parametrize(
         "op, oracle",
         [
-            (lambda s: s.inverse(), oracle_inverse),
-            (lambda s: s.nth_root(2), lambda s: oracle_nth_root(s, 2)),
+            (lambda s: s ** -1, oracle_inverse),
+            (lambda s: s ** F(1, 2), lambda s: oracle_nth_root(s, 2)),
             (lambda s: s ** F(3, 4), lambda s: oracle_power(s, F(3, 4))),
             (lambda s: s ** -2, lambda s: oracle_power(s, F(-2))),
         ],
         ids=["inverse", "nth_root", "pow_3/4", "pow_-2"],
     )
     def test_field_calls_linear_in_slots(self, field_calls, op, oracle):
-        s = gamma_k(1, 96, F(1, 2))  # unit series, 192 slots, 190 terms
+        s = gamma_k(1, 192).substitute(F(1, 2))  # unit series, 192 slots, 190 terms
         slots = 192
         expected = op(s)
         assert field_calls[0] <= slots
@@ -602,9 +596,9 @@ class TestSlotBudget:
     def test_inverse_and_root(self):
         s = P({0: 1, F(1, 10**7): 1}, 1)
         with pytest.raises(SlotBudgetError):
-            s.inverse()
+            s ** -1
         with pytest.raises(SlotBudgetError):
-            s.nth_root(2)
+            s ** F(1, 2)
 
     def test_step_budget(self):
         # far below the slot cap, but slots x factors (or slots x terms)
@@ -616,15 +610,15 @@ class TestSlotBudget:
         s = P({F(j * j, 1000): 1 for j in range(100)}, 500)
         assert sum(500_000 - j * j for j in range(1, 100)) > MAX_SLOT_STEPS
         with pytest.raises(SlotBudgetError, match="steps"):
-            s.inverse()
+            s ** -1
         with pytest.raises(SlotBudgetError, match="steps"):
-            s.nth_root(2)
+            s ** F(1, 2)
         # phi(q^(1/1000)) to order 5: 5000 slots and 70 unit terms are few
         # steps, but the root's scale 4 makes its 5000th value ~10^4 bits
         phi = P({0: 1, **{F(j * j, 1000): 2 for j in range(1, 71)}}, 5)
         assert sum(5000 - j * j for j in range(1, 71)) < MAX_SLOT_STEPS // 50
         with pytest.raises(SlotBudgetError, match="steps"):
-            phi.nth_root(2)
+            phi ** F(1, 2)
 
     @pytest.mark.parametrize(
         "expand, steps",
@@ -659,8 +653,8 @@ class TestSlotBudget:
             # q^16, j = 1..9 one term each, j = -1 gives -q^6, -q^14
             (lambda: bilateral_1psi1_lhs(BilateralSpec(16, 8, 2), 20), 14),
             # unit terms at slots 1 and 3 of 10 enter 9 + 7 recurrence steps
-            (lambda: P({0: 1, 1: 1, 3: 1}, 10).inverse(), 16),
-            (lambda: P({0: 1, 1: 1, 3: 1}, 10).nth_root(3), 16),
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** -1, 16),
+            (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** F(1, 3), 16),
             (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** F(-3, 4), 16),
             # a positive integer power runs the same recurrence
             (lambda: P({0: 1, 1: 1, 3: 1}, 10) ** 3, 16),
@@ -677,14 +671,14 @@ class TestSlotBudget:
 class TestNthRoot:
     def test_monomial_exponent_divides(self):
         s = P.monomial(ONE, F(1, 2), 6)
-        assert s.nth_root(2).items() == [(F(1, 4), ONE)]
+        assert (s ** F(1, 2)).items() == [(F(1, 4), ONE)]
 
     def test_perfect_square(self):
         s = P({0: 1, 1: 2, 2: 1}, 8)
-        assert s.nth_root(2).first_mismatch(P({0: 1, 1: 1}, 8), 8) is None
+        assert (s ** F(1, 2)).first_mismatch(P({0: 1, 1: 1}, 8), 8) is None
 
     def test_fourth_root_of_one_minus_q(self):
-        r = P({0: 1, 1: -1}, 8).nth_root(4)
+        r = P({0: 1, 1: -1}, 8) ** F(1, 4)
         assert r.coefficient(1) == A(F(-1, 4))
         assert r.coefficient(2) == A(F(-3, 32))
         back = r ** 4
@@ -692,16 +686,16 @@ class TestNthRoot:
 
     def test_requires_unit_leading_coefficient(self):
         with pytest.raises(LeadingCoefficientError):
-            P({0: 2, 1: 1}, 5).nth_root(2)
+            P({0: 2, 1: 1}, 5) ** F(1, 2)
         with pytest.raises(LeadingCoefficientError):
             P({0: 2, 1: 1}, 5) ** F(-3, 2)
         with pytest.raises(LeadingCoefficientError):
-            P.zero(5).nth_root(3)
+            P.zero(5) ** F(1, 3)
 
     @settings(max_examples=40)
     @given(unit_series(), st.sampled_from([2, 3, 4]))
     def test_power_roundtrip(self, s, n):
-        root = s.nth_root(n)
+        root = s ** F(1, n)
         assert (root ** n).first_mismatch(s, s.trunc) is None
 
 
@@ -782,14 +776,9 @@ def test_mul_associative_up_to_guarantee(s1, s2, s3):
 
 def test_truncation_soundness_across_depths():
     # the same expression expanded deeper must agree below the shallow bound
-    shallow = qq_naive(12).inverse()
-    deep = qq_naive(40).inverse()
+    shallow = qq_naive(12) ** -1
+    deep = qq_naive(40) ** -1
     assert deep.first_mismatch(shallow, shallow.trunc) is None
-
-
-def test_dump_format():
-    s = P({F(1, 2): A(0, 2), 2: A(F(-1, 3))}, 4)
-    assert s.dump() == "1/2\t0+2*sqrt2\n2\t-1/3+0*sqrt2"
 
 
 def test_evaluate_numeric():
