@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import SQRT2, AlgebraicNumber
-from .series import TERM_STEP_WEIGHT, PuiseuxSeries, _fr, check_steps, dense_slots
+from .series import PuiseuxSeries, _fr, dense_slots
 
 _FR = Fraction
 
@@ -144,13 +144,15 @@ def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     With both exponents positive the term exponent a*j(j+1)/2 + b*j(j-1)/2
     is strictly increasing in |j| in each direction, so each direction
     stops at the first term at or above the truncation.  It exceeds
-    (a+b)(|j| - 1)^2 / 2, which bounds the term count before the loop.
-    Exponents are counted as ints on the grid 1/lcm(den a, den b).
+    (a+b)(|j| - 1)^2 / 2, which bounds the term count before the loop;
+    the bound counts as slots against MAX_DENSE_SLOTS, the cap on a dense
+    builder's output.  Exponents are counted as ints on the grid
+    1/lcm(den a, den b), so a grid far finer than the cap still expands.
     """
     order = _fr(order)
     s1, s2 = spec.sign1, spec.sign2
     terms = 2 * math.isqrt(max(0, math.floor(2 * order / (spec.a + spec.b)))) + 3
-    check_steps(TERM_STEP_WEIGHT * terms, f"theta sum of up to {terms} terms")
+    dense_slots(terms)
     den = math.lcm(spec.a.denominator, spec.b.denominator)
     a, b, n = int(spec.a * den), int(spec.b * den), math.ceil(order * den)
     acc: dict[int, int] = {}
@@ -274,12 +276,12 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
 
     Equals sum_{j>=0} (-1)^j r_j q^{j(j+1)/2} with the exact sine ratios,
     none of which is 0; by the product expansion it must match
-    (q;q)_inf * G_k(q).
+    (q;q)_inf * G_k(q).  Its term bound counts as slots against
+    MAX_DENSE_SLOTS, as :func:`theta_sum`'s does.
     """
     order = _fr(order)
     # j(j+1)/2 < order needs j^2 < 2*order
-    terms = math.isqrt(max(0, math.floor(2 * order))) + 1
-    check_steps(TERM_STEP_WEIGHT * terms, f"theta_1 sum of up to {terms} terms")
+    terms = dense_slots(math.isqrt(max(0, math.floor(2 * order))) + 1)
     n = math.ceil(order)  # the integer exponents below order are e < n
     return PuiseuxSeries._reduced(
         _FR(0), 1, 1,

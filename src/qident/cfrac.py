@@ -80,7 +80,7 @@ def eval_general_cf(k: float, l: float, q: float, tol: float = 1e-12,
     Requires |kl| < 1 and |q| < 1.  Its value equals the Pochhammer ratio
     (k^2 q^3; q^4)(l^2 q^3; q^4) / ((k^2 q; q^4)(l^2 q; q^4)).
     """
-    if abs(k * l) >= 1 or abs(q) >= 1:
+    if not (abs(k * l) < 1 and abs(q) < 1):  # NaN, inf * 0 included
         raise ValueError("need |kl| < 1 and |q| < 1")
     head = 1.0 - k * l
 

@@ -162,6 +162,9 @@ def dump_cmd(ctx, block, order_text):
               help="Truncation order of the reference series.")
 def cf_cmd(kind, q_values, tol, max_depth, k_param, l_param, series_order):
     """Continued-fraction values against the product/series side."""
+    if not tol >= 0:  # NaN too
+        raise click.BadParameter("must be a non-negative number",
+                                 param_hint="'--tol'")
     if kind == "gcf":
         if k_param is None or l_param is None:
             raise click.UsageError("gcf needs --k and --l")

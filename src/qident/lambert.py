@@ -193,9 +193,14 @@ def _summand(s, alpha, beta, j):
 
 
 def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
-    """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`."""
+    """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`.
+
+    Its ceil((order - head) / step) terms count as slots against
+    MAX_DENSE_SLOTS before the loop, as a theta sum's term bound does.
+    """
     order = _fr(order)
     head, step, sign = _summand(spec.base, spec.x_exp, spec.z_exp, j)
+    dense_slots(max(0, (order - head) / step))
     acc: dict[Fraction, int] = {}
     e = head
     while e < order:

@@ -41,19 +41,14 @@ from .field import ONE, ZERO, AlgebraicNumber
 
 # No dense coefficient array built from an order and an exponent grid
 # (block expansions, products, the power recurrence) may be longer than
-# this, and the power recurrence's arrays may hold no more 64-bit words,
+# this, the power recurrence's arrays may hold no more 64-bit words, and a
+# loop that collects terms in a dict (the theta sums, the 1psi1 summands)
+# may have no more terms in its closed-form bound,
 MAX_DENSE_SLOTS = 1_000_000
-# nor may the loop that fills it take more inner steps (slot updates): the
-# slot cap bounds memory, this bounds time.  A product past either budget
-# multiplies term by term instead.
+# nor may the loop that fills an array take more inner steps (slot
+# updates): the slot cap bounds memory, this bounds time.  Every loop past
+# either budget stops with SlotBudgetError; none falls back to another path.
 MAX_SLOT_STEPS = 20_000_000
-# A term of a loop that collects terms in a dict (the theta sums and the
-# term-by-term product) counts as this many of those steps.  No slot cap
-# bounds such a dict, so the weight bounds its memory as well as its time,
-# to 78,125 terms or term pairs.  On integer slots a term took about 1 us
-# on a 2-core x86-64 machine under CPython 3.11, a dense slot step
-# 45-90 ns.  A loop that fills a dense array counts one step per term.
-TERM_STEP_WEIGHT = 256
 
 
 class InsufficientPrecisionError(Exception):
@@ -66,9 +61,10 @@ class LeadingCoefficientError(ValueError):
 
 
 class SlotBudgetError(ValueError):
-    """A dense coefficient array would exceed :data:`MAX_DENSE_SLOTS` slots
-    (or, in the power recurrence, 64-bit words), or filling it (or a
-    term-by-term loop) would take more than :data:`MAX_SLOT_STEPS` steps."""
+    """A dense coefficient array (or a term dict of a theta sum) would exceed
+    :data:`MAX_DENSE_SLOTS` slots (or, in the power recurrence, 64-bit
+    words), or filling it would take more than :data:`MAX_SLOT_STEPS`
+    steps."""
 
 
 def dense_slots(span, steps=None) -> int:
@@ -145,11 +141,6 @@ def _common_grid(a, b) -> tuple[Fraction, int]:
     if not b.slots:
         return a.m, a.den
     return min(a.m, b.m), math.lcm(a.den, b.den, (a.m - b.m).denominator)
-
-
-def _nonzero_sorted(acc):
-    """The nonzero pairs of a slot dict, ascending in the slot."""
-    return {k: v for k, v in sorted(acc.items()) if v[0] or v[1]}
 
 
 def _init(obj, m, den, d, slots, trunc) -> None:
@@ -375,7 +366,9 @@ class PuiseuxSeries:
         for k, (r, i) in other._on_grid(m, den, d, n).items():
             cur = acc.get(k)
             acc[k] = (r, i) if cur is None else (cur[0] + r, cur[1] + i)
-        return PuiseuxSeries._reduced(m, den, d, _nonzero_sorted(acc), trunc)
+        return PuiseuxSeries._reduced(
+            m, den, d, {k: v for k, v in sorted(acc.items()) if v[0] or v[1]},
+            trunc)
 
     def __neg__(self):
         return PuiseuxSeries._make(
@@ -422,35 +415,9 @@ class PuiseuxSeries:
         trunc = min(self.trunc + m2, other.trunc + m1)
         if not self.slots or not other.slots:
             return PuiseuxSeries.zero(trunc)
-        dense = self._mul_dense(other, trunc)
-        return dense if dense is not None else self._mul_sparse(other, trunc)
+        return self._mul_dense(other, trunc)
 
     __rmul__ = __mul__
-
-    def _mul_sparse(self, other, trunc):
-        """Term-by-term product: the fallback past the dense budgets.
-
-        Its len(self) * len(other) term pairs count against the step
-        budget, TERM_STEP_WEIGHT steps each.
-        """
-        pairs = len(self.slots) * len(other.slots)
-        check_steps(TERM_STEP_WEIGHT * pairs,
-                    f"term-by-term product of {pairs} term pairs")
-        den = math.lcm(self.den, other.den)
-        f1 = den // self.den
-        f2 = den // other.den
-        nout = math.ceil((trunc - self.m - other.m) * den)
-        acc = {}
-        for k1, (r1, i1) in self.slots.items():
-            for k2, (r2, i2) in other.slots.items():
-                k = k1 * f1 + k2 * f2
-                if k >= nout:
-                    break  # the slots ascend
-                x, y = acc.get(k, (0, 0))
-                acc[k] = (x + r1 * r2 + 2 * i1 * i2, y + r1 * i2 + i1 * r2)
-        return PuiseuxSeries._reduced(self.m + other.m, den,
-                                      self.d * other.d, _nonzero_sorted(acc),
-                                      trunc)
 
     def _mul_dense(self, other, trunc):
         """Convolution of the two slot arrays on their common offset grid.
@@ -461,25 +428,22 @@ class PuiseuxSeries:
         (A + A'sqrt2)(B + B'sqrt2) = (AB + 2A'B')
         + ((A + A')(B + B') - AB - A'B')sqrt2.
 
-        Returns None, and the caller multiplies term by term, when the
-        product needs more than MAX_DENSE_SLOTS slots or more than
-        MAX_SLOT_STEPS inner steps: the sum over the nonzero slots i of
-        the first array of min(len(second), nout - i), taken before any
-        convolution runs.
+        Raises SlotBudgetError when the product needs more than
+        MAX_DENSE_SLOTS slots or more than MAX_SLOT_STEPS inner steps: the
+        sum over the nonzero slots i of the first array of
+        min(len(second), nout - i), taken before any convolution runs.
         """
         m1, den1 = self.m, self.den
         m2, den2 = other.m, other.den
         den = math.lcm(den1, den2)
-        nout = math.ceil((trunc - m1 - m2) * den)
-        if nout > MAX_DENSE_SLOTS:
-            return None
+        nout = dense_slots((trunc - m1 - m2) * den)
         ra, ia, d1 = self._slots(den, nout)
         rb, ib, d2 = other._slots(den, nout)
         nb = len(rb)
         f1 = den // den1
-        steps = sum(min(nb, nout - k * f1) for k in self.slots if k * f1 < nout)
-        if steps > MAX_SLOT_STEPS:
-            return None
+        check_steps(
+            sum(min(nb, nout - k * f1) for k in self.slots if k * f1 < nout),
+            f"product over {nout} dense coefficient slots")
         conv = backend.convolve_rational
         rc, ic = conv(ra, rb, nout), None
         if ia is not None and ib is not None:

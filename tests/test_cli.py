@@ -220,6 +220,15 @@ class TestDumpCommand:
             # 100 bits (binom(10^30, k)) or 333 bits ((-10^100)^k) a slot
             ["dump", "(1+q^(1))^(1" + "0" * 30 + ")", "--order", "2000"],
             ["dump", "(1+1" + "0" * 100 + "*q^(1))^(-1)", "--order", "2000"],
+            # 3163 x 3163 terms, but about 10^13 slots on the product's
+            # grid 1/(999983 * 999979); no product multiplies term by term
+            ["dump", "phi(1/999983)*phi(1/999979)", "--order", "10"],
+            # a theta sum's term bound counts as slots: about 6.3*10^7 each
+            ["dump", "phi(1/1000000000000)", "--order", "1000"],
+            ["dump", "fsum(+q^(1/1000000000000),+q^(1/1000000000000))",
+             "--order", "1000"],
+            # 1,414,214 terms
+            ["dump", "T1N(1)", "--order", "1000000000000"],
         ],
     )
     def test_oversized_expansion_exit_2_quickly(self, runner, args):
@@ -232,13 +241,15 @@ class TestDumpCommand:
     @pytest.mark.parametrize(
         "args",
         [
-            # 3163 x 3163 terms on grids past the dense slot cap
-            ["dump", "phi(1/999983)*phi(1/999979)", "--order", "10"],
-            # about 6.3*10^7 terms each
-            ["dump", "phi(1/1000000000000)", "--order", "1000"],
-            ["dump", "fsum(+q^(1/1000000000000),+q^(1/1000000000000))",
-             "--order", "1000"],
-            ["dump", "T1N(1)", "--order", "10000000000"],
+            # 20,007,546 terms of four Lambert numerators, just past the limit
+            ["dump", "lambert(1,0,+1+2+3+4,1)", "--order", "999999"],
+            # 1000 nonzero slots of phi times 999,999 dense slots, within
+            # the slot cap; the product's step count refuses it
+            ["dump", "phi(1)*phi(1)", "--order", "999999"],
+            # 2*10^8 steps of a dense product on 20,000 slots
+            ["dump", "(1/(1-q^(1)))*(1/(1-q^(1)))", "--order", "20000"],
+            # the power recurrence of a root, scaled to integers
+            ["dump", "root(1/(1-q^(1)),2)", "--order", "20000"],
             # 39,409,768 terms of three Lambert numerators, one step each
             ["dump", "lambert(1,0,+1+2+3,1)", "--order", "999999"],
             # 26,939,844 terms of two
@@ -273,6 +284,10 @@ class TestDumpCommand:
             ("lambert(1,0,+1,1)", 400000, {399999: 8, 393216: 36, 360360: 192}),
             # 1/phi(q) = 1 - 2q + 4q^2 - 8q^3 + 14q^4 - ... on 50,000 slots
             ("1/phi(1/1000)", 50, {"1/1000": -2, "2/1000": 4, "4/1000": 14}),
+            # 141,421 terms of sum_j (-1)^j r_j q^(j(j+1)/2), j < 141421,
+            # whose sine ratios r_j at pi/8 repeat with period 8:
+            # r_3 = 1, r_4 = -1
+            ("T1N(1)", 10**10, {2: 0, 6: -1, 10: -1, 9999878910: -1}),
         ],
     )
     def test_term_loops_within_the_budget_finish(self, expr, order, coefficients):
@@ -341,6 +356,12 @@ class TestCFCommand:
             (["gcf", "--k", "2", "--l", "3", "--q", "0.2"], "need |kl| < 1"),
             (["h", "--q", "0.5", "--series-order", "0"], "'--series-order'"),
             (["h", "--q", "0.5", "--max-depth", "0"], "'--max-depth'"),
+            # NaN and inf*0 fail every comparison, so a guard written as
+            # "out of range" would let them through
+            (["gcf", "--k", "nan", "--l", "1", "--q", "0.5"], "need |kl| < 1"),
+            (["gcf", "--k", "inf", "--l", "0", "--q", "0.5"], "need |kl| < 1"),
+            (["h", "--q", "0.5", "--tol", "nan"], "'--tol'"),
+            (["h", "--q", "0.5", "--tol", "-1e-10"], "'--tol'"),
         ],
     )
     def test_bad_input_exit_2(self, runner, args, message):

@@ -6,6 +6,7 @@ import qident
 from qident import backend
 from qident.field import AlgebraicNumber as A
 from qident.series import PuiseuxSeries as P
+from test_series import oracle_mul
 
 
 def test_a_backend_was_selected():
@@ -47,6 +48,5 @@ def test_products_call_the_kernels_through_backend(monkeypatch):
                     (pure, rational, 2), (rational, pure, 2),
                     (mixed, mixed, 3), (mixed, pure, 3), (pure, pure, 3)]:
         calls.clear()
-        product = a * b
-        assert product == a._mul_sparse(b, product.trunc)
+        assert a * b == oracle_mul(a, b)
         assert len(calls) == n

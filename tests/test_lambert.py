@@ -1,5 +1,6 @@
 """Lambert/Eisenstein sums and the bilateral 1psi1 summation."""
 
+import time
 from fractions import Fraction as F
 from math import isqrt
 
@@ -18,7 +19,7 @@ from qident.lambert import (
     lambert_sum,
     legendre_symbol,
 )
-from qident.series import PuiseuxSeries
+from qident.series import PuiseuxSeries, SlotBudgetError
 
 # Theorem-style level-8 sum over odd m: (q^m + q^3m - q^5m - q^7m)/(1-q^8m)
 ODD8 = LambertSpec(2, 1, ((1, 1), (1, 3), (-1, 5), (-1, 7)), 8)
@@ -206,6 +207,13 @@ class TestBilateral:
         neg = bilateral_term(spec, -1, 40)
         lead = neg.leading()
         assert lead[0] == 6 and lead[1] == A(-1)  # -q^{-2} q^{8}
+
+    def test_term_count_is_refused_before_the_loop(self):
+        # q^(1/2) / (1 - q^(1/10^9)) has 10^9 terms below q^1
+        t0 = time.perf_counter()
+        with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
+            bilateral_term(BilateralSpec(1, F(1, 10**9), F(1, 2)), 0, 1)
+        assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize("z_exp", [2, 6])
     def test_lhs_equals_rhs_to_order_48(self, z_exp):

@@ -22,7 +22,6 @@ from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, lamb
 from qident.series import (
     MAX_DENSE_SLOTS,
     MAX_SLOT_STEPS,
-    TERM_STEP_WEIGHT,
     InsufficientPrecisionError,
     LeadingCoefficientError,
     PuiseuxSeries as P,
@@ -312,8 +311,7 @@ class TestMul:
              P({F(n, 2): A(F(n - 3, 7), F(1, n + 1)) for n in range(25)}, 20))
     @given(series(min_trunc=0), series(min_trunc=0))
     def test_dense_and_sparse_paths_agree(self, a, b):
-        product = a * b
-        assert product == a._mul_sparse(b, product.trunc)
+        assert a * b == oracle_mul(a, b)
 
     def test_bigint_parts_in_both_factors(self):
         # both parts of both factors near 10^40, with signs that cancel in
@@ -323,7 +321,7 @@ class TestMul:
         b = P({F(n, 3): A(-big * n, big - n) for n in range(1, 18)}, 6)
         product = a._mul_dense(b, 6)
         assert product.slots[0][0] != 0 and product.slots[0][1] != 0
-        assert product == a._mul_sparse(b, 6) == a * b
+        assert product == oracle_mul(a, b) == a * b
 
     @given(wide_series())
     def test_slots_round_trip(self, s):
@@ -348,7 +346,7 @@ class TestMul:
             return kernel(ra, rb, nout)
 
         monkeypatch.setattr(backend, "convolve_rational", counting)
-        assert a * a == a._mul_sparse(a, F(241, 24))
+        assert a * a == oracle_mul(a, a)
         assert slots == [10]
 
     def test_integer_powers_call_no_kernel(self, monkeypatch):
@@ -364,15 +362,13 @@ class TestMul:
         monkeypatch.setattr(backend, "convolve_rational", refuse)
         assert x ** 3 == want
 
-    def test_grid_past_the_slot_cap_multiplies_term_by_term(self):
+    def test_grid_past_the_slot_cap_is_refused(self):
+        # four terms, but their common grid 1/(999983 * 1000003) puts
+        # about 10^12 slots below q^1: a product has no term-by-term path
         a = P({0: 1, F(1, 999983): 1}, 1)
         b = P({0: 1, F(1, 1000003): 1}, 1)
-        assert a._mul_dense(b, 1) is None
-        assert a * b == P(
-            {0: 1, F(1, 999983): 1, F(1, 1000003): 1,
-             F(1, 999983) + F(1, 1000003): 1},
-            1,
-        )
+        with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
+            a * b
 
 
 class TestInverse:
@@ -521,9 +517,7 @@ class TestOperationsMatchOracle:
     @settings(max_examples=100, deadline=None)
     @given(wide_series(), wide_series())
     def test_dense_and_sparse_products(self, a, b):
-        want = oracle_mul(a, b)
-        self.assert_same(a * b, want)
-        self.assert_same(a._mul_sparse(b, want.trunc), want)
+        self.assert_same(a * b, oracle_mul(a, b))
 
     @settings(max_examples=60, deadline=None)
     @given(wide_series(), st.sampled_from([2, 3, F(-1), F(-2), F(1, 2)]))
@@ -634,15 +628,8 @@ class TestSlotBudget:
             # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
             (lambda: i_series(9), 40),
             # (1 + q)(1 + q^2) to q^10: both slots of the first factor meet
-            # all 3 slots of the second; past the budget the term-by-term
-            # product needs 2 x 2 pairs, far more steps
+            # all 3 slots of the second
             (lambda: P({0: 1, 1: 1}, 10) * P({0: 1, 2: 1}, 10), 6),
-            # grids 1/999983 and 1/999979 are past the dense slot cap: the
-            # term-by-term product weighs its 3 x 4 term pairs
-            (lambda: P({F(j, 999983): 1 for j in range(3)}, 1)
-             * P({F(j, 999979): 1 for j in range(4)}, 1), 12 * TERM_STEP_WEIGHT),
-            # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9
-            (lambda: theta_sum(ThetaSpec(1, 1, 1, 1), 10), 9 * TERM_STEP_WEIGHT),
             # sum_m q^m/(1 - q^m) to q^5: m = 1..4 give 4 + 2 + 1 + 1 terms
             (lambda: lambert_sum(LambertSpec(1, 0, ((1, 1),), 1), 5), 8),
             # the same with weight (m/3) to q^7: 6 + 3 + 1 + 1 terms for
@@ -666,6 +653,15 @@ class TestSlotBudget:
         monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", steps - 1)
         with pytest.raises(SlotBudgetError):
             expand()
+
+    def test_theta_sum_term_bound_is_exact(self, monkeypatch):
+        # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9, which
+        # count as slots against the dense slot cap
+        monkeypatch.setattr(series_mod, "MAX_DENSE_SLOTS", 9)
+        theta_sum(ThetaSpec(1, 1, 1, 1), 10)
+        monkeypatch.setattr(series_mod, "MAX_DENSE_SLOTS", 8)
+        with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
+            theta_sum(ThetaSpec(1, 1, 1, 1), 10)
 
 
 class TestNthRoot:
