@@ -15,9 +15,12 @@ to order/r and applies :meth:`~qident.series.PuiseuxSeries.substitute`.
 
 Every product or quotient of Pochhammer families -- a single Pochhammer,
 eta, the triple-product form of f, h, i, and the 1psi1 product side in
-:mod:`qident.lambert` -- is filled in place on one dense int array by
-:func:`poch_quotient`, one factor pass at a time, with no series product,
-no inverse and no Fraction per intermediate slot.  The sums (theta sums,
+:mod:`qident.lambert` -- is filled by :func:`poch_quotient` on one int
+that packs all the slots (Kronecker substitution, as in
+:mod:`qident.backend`), one shift-and-add pass per factor and a few per
+divisor, with no series product, no inverse and no Fraction per
+intermediate slot; :func:`gamma_k` fills G_1 on a packed pair the same
+way.  The sums (theta sums,
 theta_1 specializations, B tables) count their exponents on an integer
 grid and their coefficients as integer pairs x + y*sqrt2, and every
 builder hands the canonical slot form to the series directly.
@@ -26,12 +29,12 @@ builder hands the canonical slot form to the series directly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import backend
 from .field import SQRT2, AlgebraicNumber
-from .series import PuiseuxSeries, _fr, dense_slots
+from .series import PuiseuxSeries, _fr, check_words, dense_slots
 
 _FR = Fraction
 
@@ -79,21 +82,77 @@ class ThetaSpec:
             raise ValueError("theta arguments need positive exponents")
 
 
+# bits of headroom over the float width bound of a packed fill, for its
+# rounding and for a coefficient of exactly the bound
+_MARGIN = 2
+
+
+def _fill_bytes(families, n) -> int:
+    """Slot width in bytes of a packed fill over n slots, from its
+    families (weight, first, step, divides).
+
+    The fill is a product of factors (1 + u*y) and, for divisor families,
+    quotients by (1 + u*y), y = X^e for e = first + j*step (j >= 0).  With
+    a submultiplicative, subadditive norm on the coefficients (|u| on Z,
+    |r| + sqrt2*|i| on Z[sqrt2]), every coefficient c_k of the product is
+    bounded in norm by the coefficient of X^k of a majorant M(X) with
+    nonnegative coefficients: factor by factor, (1 + y)^weight, and
+    (1 - y)^-weight for a divisor, since 1/(1 + u*y) = sum (-u*y)^j.  So
+    |c_k| <= M(x) * x^-k <= M(x) * x^-(n-1) for every 0 < x < 1 and k < n.
+    A family adds weight * sum_j g(x^(first + j*step)) to log M(x), with
+    g(y) = log(1 + y), or -log(1 - y) for a divisor.  As g(x^e) falls
+    with e, the sum is at most g(x^first) + (1/step) * I, where I, the
+    integral of g(x^e) over e > 0, is (integral_0^1 g(y)/y dy) / -log x:
+    pi^2/12 / -log x for a factor and pi^2/6 / -log x for a divisor.
+
+    The weight is |power| for a Pochhammer family; :func:`gamma_k` bounds
+    1 + sqrt2*y + y^2 by (1 + y)^2.  The bound is minimized over
+    x = 1 - 2^-t, t = 1 .. bit_length(n); the optimum lies near
+    1 - x ~ n^(-1/2).  In floats x is exact and 1 - x^e >= 1 - x >= 1/(2n),
+    so the bound errs by a relative 2n * 2^-53 or so, far below a bit for
+    n <= MAX_DENSE_SLOTS.  Its bits plus _MARGIN and a sign bit, rounded up
+    to whole bytes, hold every |c_k| below 2^(8w - 1), as
+    :func:`~qident.backend.unpack` needs.
+    """
+    best = math.inf
+    for t in range(1, n.bit_length() + 1):
+        lx = math.log1p(-0.5**t)  # log x
+        log_m = 0.0
+        for weight, first, step, divides in families:
+            xf = math.exp(first * lx)
+            if divides:
+                log_m += weight * (-math.log1p(-xf) - math.pi**2 / (6 * step * lx))
+            else:
+                log_m += weight * (math.log1p(xf) - math.pi**2 / (12 * step * lx))
+        value = log_m - (n - 1) * lx
+        if value >= best:
+            break  # past the minimum; every x gives a valid bound
+        best = value
+    return backend.slot_bytes(math.ceil(best / math.log(2)) + _MARGIN)
+
+
 def poch_quotient(families, order) -> PuiseuxSeries:
     """prod of pochhammer(spec)**power over (spec, power) pairs, below `order`.
 
-    The whole product or quotient fills one dense int array on the common
-    grid of every offset and step, starting from 1; equal specs with
-    opposite powers cancel first.  Each factor (1 + sign*q^e) with e below
-    `order`, at slot off, enters |power| times.  Multiplying by it is the
-    descending pass c[k] += sign*c[k - off], run as one slice update on the
-    old values; dividing by it is the ascending pass
-    c[k] -= sign*c[k - off] on the new ones, run as slice updates of off
-    slots at a time, each taking the updated block before it.  The array
-    starts with 1, so every coefficient stays an integer.  Each pass
-    visits n - off of the n slots; their total is summed in closed form
-    per family and checked against the budgets before the array is
-    allocated.
+    The whole product or quotient is filled on the common grid of every
+    offset and step, starting from 1; equal specs with opposite powers
+    cancel first.  The n slots are packed into one integer c, w bytes a
+    slot, and the fill runs modulo 2^(8wn): X -> 2^(8w) maps
+    Z[X]/(X^n) to Z/2^(8wn) as a ring homomorphism, so intermediate
+    slots may wrap, and only the final coefficients must fit a signed
+    slot, which the width of :func:`_fill_bytes` guarantees.  Each factor
+    (1 + sign*y), y = X^off for a factor q^e with e below `order` at slot
+    off, enters |power| times.  Multiplying by it is the one pass
+    c + sign*(low << 8w*off), low the n - off lowest slots of c;
+    dividing by it multiplies by the truncated inverse
+    (1 - sign*y)(1 + y^2)(1 + y^4)..., about log2(n/off) passes.  Every
+    pass adds less than 2^(8wn) and reads only the slots below n, so c
+    is reduced modulo 2^(8wn) once, as it is unpacked.
+
+    The step budget still counts n - off slot visits per factor pass,
+    summed in closed form per family and checked before anything is
+    built, and the packed integer's 64-bit words are checked against
+    MAX_DENSE_SLOTS.
     """
     order = _fr(order)
     if order <= 0:
@@ -115,18 +174,24 @@ def poch_quotient(families, order) -> PuiseuxSeries:
         return work
 
     n = dense_slots(order * den, steps)
-    c = [0] * n
-    c[0] = 1
+    w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in grid], n)
+    check_words(-(-n * w // 8), f"expansion over {n} dense coefficient slots")
+    bits = 8 * w
+    size = bits * n
+    mask = (1 << size) - 1
+    c = 1
     for sign, first, step, p in grid:
-        op = operator.add if sign > 0 else operator.sub
-        inv = operator.sub if sign > 0 else operator.add
         for off in range(first, n, step):
-            for _ in range(p):
-                c[off:] = list(map(op, c[off:], c))
-            for _ in range(-p):
-                for s in range(off, n, off):
-                    c[s:s + off] = map(inv, c[s:s + off], c[s - off:s])
-    return PuiseuxSeries.from_slots(0, den, c, None, order)
+            s = bits * off
+            low = mask >> s
+            for _ in range(abs(p)):
+                # times 1 + sign*y, or 1 - sign*y and then the doublings
+                c = c + ((c & low) << s) if sign * p > 0 else c - ((c & low) << s)
+                e = 2 * s
+                while p < 0 and e < size:
+                    c += (c & (mask >> e)) << e
+                    e *= 2
+    return PuiseuxSeries.from_slots(0, den, backend.unpack(c, w, n), None, order)
 
 
 def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
@@ -202,10 +267,13 @@ def gamma_k(k: int, order) -> PuiseuxSeries:
     """G_k(q) = prod_{n>=1} (1 + beta_k q^n + q^{2n}), factors below order.
 
     G_2(q) = (-q^2; q^2)_inf is one Pochhammer family.  G_1 has
-    coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs in
-    place on a pair of dense int arrays; multiplying by sqrt2 swaps the
-    parts with a factor 2 on one side.  G_3 is G_1 under sqrt2 -> -sqrt2,
-    which maps beta_1 to beta_3: G_1 with its sqrt2 part negated.
+    coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs on
+    a pair (R, I) of integers packed as in :func:`poch_quotient`, for
+    R + I*sqrt2: the factor m multiplies by 1 - sqrt2*y + y^2, y = X^m,
+    as R' = R - 2(I << s) + (R << 2s) and I' = I - (R << s) + (I << 2s)
+    with s = 8w*m, each shift taking only the slots that stay below n.
+    G_3 is G_1 under sqrt2 -> -sqrt2, which maps beta_1
+    to beta_3: G_1 with its sqrt2 part negated.
     """
     if k == 2:
         return pochhammer(PochSpec(1, 2, 2), order)
@@ -216,19 +284,21 @@ def gamma_k(k: int, order) -> PuiseuxSeries:
         return PuiseuxSeries.zero(order)
     # factor m, at slot m < n, visits n - m slots
     n = dense_slots(order, lambda n: n * (n - 1) // 2)
-    rp = [0] * n
-    ip = [0] * n
-    rp[0] = 1
-    for off1 in range(1, n):
-        off2 = 2 * off1
-        for j in range(n - 1, off1 - 1, -1):
-            j1 = j - off1
-            rp[j] -= 2 * ip[j1]
-            ip[j] -= rp[j1]
-            j2 = j - off2
-            if j2 >= 0:
-                rp[j] += rp[j2]
-                ip[j] += ip[j2]
+    # in the norm |r| + sqrt2*|i|, each factor is at most
+    # 1 + sqrt2 y + y^2 <= (1 + y)^2 coefficientwise
+    w = _fill_bytes([(2, 1, 1, False)], n)
+    check_words(2 * -(-n * w // 8), f"expansion over {n} dense coefficient slots")
+    bits = 8 * w
+    mask = (1 << bits * n) - 1
+    r, i = 1, 0
+    for m in range(1, n):
+        s = bits * m
+        lo1 = mask >> s
+        lo2 = lo1 >> s
+        r, i = (r - ((i & lo1) << s + 1) + ((r & lo2) << 2 * s),
+                i - ((r & lo1) << s) + ((i & lo2) << 2 * s))
+    rp = backend.unpack(r, w, n)
+    ip = backend.unpack(i, w, n)
     if k == 3:
         ip = [-y for y in ip]
     return PuiseuxSeries.from_slots(0, 1, rp, ip, order)

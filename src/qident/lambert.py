@@ -195,18 +195,17 @@ def _summand(s, alpha, beta, j):
 def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
     """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`.
 
-    Its ceil((order - head) / step) terms count as slots against
-    MAX_DENSE_SLOTS before the loop, as a theta sum's term bound does.
+    Its ceil((order - head) / step) terms, sign * q^(head + t*step), count
+    as slots against MAX_DENSE_SLOTS before they are built, as a theta
+    sum's term bound does.  They sit at the integer slots t*p of the grid
+    q^(head + k/den), step = p/den, so no exponent is a Fraction.
     """
     order = _fr(order)
     head, step, sign = _summand(spec.base, spec.x_exp, spec.z_exp, j)
-    dense_slots(max(0, (order - head) / step))
-    acc: dict[Fraction, int] = {}
-    e = head
-    while e < order:
-        acc[e] = acc.get(e, 0) + sign
-        e += step
-    return PuiseuxSeries(acc, order)
+    terms = dense_slots(max(0, (order - head) / step))
+    p = step.numerator
+    return PuiseuxSeries._reduced(head, step.denominator, 1,
+                                  {t * p: (sign, 0) for t in range(terms)}, order)
 
 
 def _bilateral_progressions(s: int, alpha: int, beta: int, n: int):

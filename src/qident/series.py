@@ -31,6 +31,7 @@ takes such arrays back into the canonical form.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import chain
@@ -41,9 +42,10 @@ from .field import ONE, ZERO, AlgebraicNumber
 
 # No dense coefficient array built from an order and an exponent grid
 # (block expansions, products, the power recurrence) may be longer than
-# this, the power recurrence's arrays may hold no more 64-bit words, and a
-# loop that collects terms in a dict (the theta sums, the 1psi1 summands)
-# may have no more terms in its closed-form bound,
+# this, no packed integer of a product or a block fill and no power
+# recurrence's arrays may hold more 64-bit words, and a loop that collects
+# terms in a dict (the theta sums, the 1psi1 summands) may have no more
+# terms in its closed-form bound,
 MAX_DENSE_SLOTS = 1_000_000
 # nor may the loop that fills an array take more inner steps (slot
 # updates): the slot cap bounds memory, this bounds time.  Every loop past
@@ -62,9 +64,9 @@ class LeadingCoefficientError(ValueError):
 
 class SlotBudgetError(ValueError):
     """A dense coefficient array (or a term dict of a theta sum) would exceed
-    :data:`MAX_DENSE_SLOTS` slots (or, in the power recurrence, 64-bit
-    words), or filling it would take more than :data:`MAX_SLOT_STEPS`
-    steps."""
+    :data:`MAX_DENSE_SLOTS` slots (or, packed into one integer or held by
+    the power recurrence, 64-bit words), or filling it would take more than
+    :data:`MAX_SLOT_STEPS` steps."""
 
 
 def dense_slots(span, steps=None) -> int:
@@ -95,6 +97,22 @@ def check_steps(work, what) -> None:
         raise SlotBudgetError(
             f"{what} needs {work} steps, more than the limit of "
             f"{MAX_SLOT_STEPS}; lower the order or the exponent denominators"
+        )
+
+
+def check_words(words, what) -> None:
+    """Refuse integers of `words` 64-bit words in all past MAX_DENSE_SLOTS,
+    as many as the slot cap allows values of one word.
+
+    A packed product or fill pads every slot to its widest value, so its
+    memory follows words, not slots; callers count `words` before the
+    integers are built, except the power recurrence, which tallies them
+    as it runs.
+    """
+    if words > MAX_DENSE_SLOTS:
+        raise SlotBudgetError(
+            f"{what} holds {words} 64-bit words, more than the limit of "
+            f"{MAX_DENSE_SLOTS}; lower the order or the coefficient sizes"
         )
 
 
@@ -130,6 +148,11 @@ def _pair(c: AlgebraicNumber) -> tuple[int, int, int]:
 def _number(r: int, i: int, d: int) -> AlgebraicNumber:
     """(r + i*sqrt2) / d as a field element."""
     return AlgebraicNumber(Fraction(r, d), Fraction(i, d))
+
+
+def _bits(s) -> int:
+    """The bit length of the largest part of any slot of s."""
+    return max(map(abs, chain.from_iterable(s.slots.values()))).bit_length()
 
 
 def _common_grid(a, b) -> tuple[Fraction, int]:
@@ -274,9 +297,7 @@ class PuiseuxSeries:
         None when every irrational part is 0.  d is the common denominator
         of the kept slots, so the lcm of their coefficients' denominators.
         """
-        s = self
-        if s.slots and next(reversed(s.slots)) * (den // s.den) >= nout:
-            s = s.truncated(s.m + Fraction(nout, den))
+        s = self._kept(den, nout)
         if not s.slots:
             return [], None, 1
         slots, d, f = s.slots, s.d, den // s.den
@@ -287,6 +308,13 @@ class PuiseuxSeries:
             rat[k * f] = r
             irr[k * f] = i
         return rat, irr if any(irr) else None, d
+
+    def _kept(self, den, nout):
+        """The series without its slots at nout or later on the finer grid
+        q^(m + k/den)."""
+        if self.slots and next(reversed(self.slots)) * (den // self.den) >= nout:
+            return self.truncated(self.m + Fraction(nout, den))
+        return self
 
     def _on_grid(self, m, den, d, n):
         """The slots moved to the grid q^(m + k/den) with common denominator
@@ -428,22 +456,33 @@ class PuiseuxSeries:
         (A + A'sqrt2)(B + B'sqrt2) = (AB + 2A'B')
         + ((A + A')(B + B') - AB - A'B')sqrt2.
 
-        Raises SlotBudgetError when the product needs more than
-        MAX_DENSE_SLOTS slots or more than MAX_SLOT_STEPS inner steps: the
-        sum over the nonzero slots i of the first array of
-        min(len(second), nout - i), taken before any convolution runs.
+        Raises SlotBudgetError, before any array is built, when the
+        product needs more than MAX_DENSE_SLOTS slots, more than
+        MAX_SLOT_STEPS inner steps (the sum over the nonzero slots i of the
+        first array of min(len(second), nout - i)) or a packed integer of
+        more than MAX_DENSE_SLOTS 64-bit words (the kernel's product: both
+        arrays' slots at :func:`~qident.backend.product_bytes` each).  The
+        lengths and bit sizes come from the slot dicts.
         """
-        m1, den1 = self.m, self.den
-        m2, den2 = other.m, other.den
-        den = math.lcm(den1, den2)
+        den = math.lcm(self.den, other.den)
+        m1, m2 = self.m, other.m
         nout = dense_slots((trunc - m1 - m2) * den)
-        ra, ia, d1 = self._slots(den, nout)
-        rb, ib, d2 = other._slots(den, nout)
-        nb = len(rb)
-        f1 = den // den1
-        check_steps(
-            sum(min(nb, nout - k * f1) for k in self.slots if k * f1 < nout),
-            f"product over {nout} dense coefficient slots")
+        a = self._kept(den, nout)
+        b = other._kept(den, nout)
+        f1 = den // a.den
+        na = next(reversed(a.slots)) * f1 + 1
+        nb = next(reversed(b.slots)) * (den // b.den) + 1
+        what = f"product over {nout} dense coefficient slots"
+        # slots k with k*f1 <= nout - nb meet all nb slots, the rest fewer
+        keys = list(a.slots)
+        cut = bisect.bisect_right(keys, (nout - nb) // f1)
+        check_steps(cut * nb + (len(keys) - cut) * nout - f1 * sum(keys[cut:]),
+                    what)
+        # one bit more for the sums A + A' of a three-call product
+        w = backend.product_bytes(_bits(a) + 1, _bits(b) + 1, min(na, nb))
+        check_words(-(-(na + nb - 1) * w // 8), what)
+        ra, ia, d1 = a._slots(den, nout)
+        rb, ib, d2 = b._slots(den, nout)
         conv = backend.convolve_rational
         rc, ic = conv(ra, rb, nout), None
         if ia is not None and ib is not None:
@@ -577,6 +616,7 @@ class PuiseuxSeries:
         pi = [0] * nout
         pr[0] = 1
         an = a + n
+        what = f"expansion over {nout} dense coefficient slots"
         live = 0
         held = 1
         for k in range(1, nout):
@@ -606,10 +646,7 @@ class PuiseuxSeries:
                 pr[k] = -r
                 pi[k] = -i
             held += (pr[k].bit_length() + pi[k].bit_length() + 63) // 64
-            if held > MAX_DENSE_SLOTS:
-                raise SlotBudgetError(
-                    f"expansion over {nout} dense coefficient slots holds more "
-                    f"than {MAX_DENSE_SLOTS} 64-bit words; lower the order")
+            check_words(held, what)
         x, y, d = _pair(lead[1] ** a)  # c0**a = (x + y*sqrt2) / d
         if (x, y) != (1, 0):
             pr, pi = ([r * x + 2 * i * y for r, i in zip(pr, pi)],

@@ -1,12 +1,15 @@
 """Named q-objects against independent oracles."""
 
 import math
+import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qident import blocks
 from qident.blocks import (
     BETA,
     PochSpec,
@@ -81,6 +84,32 @@ def oracle_quotient(families, order):
         for _ in range(abs(power)):
             out = out * factor
     return out
+
+
+def oracle_fill(families, order):
+    """The slice-update fill the packed fill replaced: one int list on the
+    common grid; multiplying by (1 + sign*y), y = q^off, is one slice
+    update on the old values, dividing by it the ascending blocks of off
+    slots, each taking the updated block before it."""
+    order = F(order)
+    powers = {}
+    for spec, p in families:
+        powers[spec] = powers.get(spec, 0) + p
+    den = math.lcm(1, *(x.denominator for spec in powers
+                        for x in (spec.offset, spec.step)))
+    n = math.ceil(order * den)
+    c = [0] * n
+    c[0] = 1
+    for spec, p in powers.items():
+        op = operator.add if spec.sign > 0 else operator.sub
+        inv = operator.sub if spec.sign > 0 else operator.add
+        for off in range(int(spec.offset * den), n, int(spec.step * den)):
+            for _ in range(p):
+                c[off:] = list(map(op, c[off:], c))
+            for _ in range(-p):
+                for s in range(off, n, off):
+                    c[s:s + off] = map(inv, c[s:s + off], c[s - off:s])
+    return P.from_slots(0, den, c, None, order)
 
 
 def oracle_theta_product(spec, order):
@@ -314,6 +343,20 @@ class TestBuilderMatchesOracle:
     def test_psi11rhs(self, alpha, beta, extra, order):
         spec = BilateralSpec(alpha + beta + extra, alpha, beta)
         assert_same(bilateral_1psi1_rhs(spec, order), oracle_psi11rhs(spec, order))
+
+    # deep divisions: about log2(n/off) doublings at off = 1, and one at
+    # off just below n/2
+    @example([(PochSpec(1, 1, 1), -1)], F(400))
+    @example([(PochSpec(-1, 1, 1), -24)], F(60))
+    @example([(PochSpec(1, 1, 1), 24)], F(60))
+    @example([(PochSpec(-1, 19, 100), -1)], F(40))
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(
+        st.builds(PochSpec, st.sampled_from([1, -1]), grid_exponent(),
+                  grid_exponent()),
+        st.integers(-4, 4)), min_size=1, max_size=6), orders)
+    def test_packed_fill_matches_the_slice_fill(self, fams, order):
+        assert fields(poch_quotient(fams, order)) == fields(oracle_fill(fams, order))
 
     def test_one_family_is_pochhammer(self):
         spec = PochSpec(1, F(2, 3), F(3, 2))
@@ -574,9 +617,104 @@ class TestGamma:
             assert fields(atom(f"G{k}", r, order)) == \
                 fields(oracle_gamma_k(k, order, r))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 3]), st.builds(F, st.integers(-2, 600), st.sampled_from([1, 2])))
+    def test_packed_fill_matches_the_per_slot_loop(self, k, order):
+        assert fields(gamma_k(k, order)) == fields(oracle_gamma_k(k, order))
+
     def test_k_outside_1_to_3_is_refused(self):
         with pytest.raises(ValueError, match="k = 1, 2 or 3"):
             gamma_k(4, 10)
+
+
+def exact_fill_bits(families, n):
+    """The width bound of blocks._fill_bytes in 40-digit decimals: the
+    least over x = 1 - 2^-t of the majorant bound on log2 |c_k|."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        zeta2 = Decimal(math.pi) ** 2 / 6 + Decimal("1e-15")  # above pi^2/6
+        values = []
+        for t in range(1, n.bit_length() + 1):
+            x = 1 - Decimal(2) ** -t
+            lx = x.ln()
+            log_m = Decimal(0)
+            for weight, first, step, divides in families:
+                xf = x**first
+                if divides:
+                    log_m += weight * (-(1 - xf).ln() - zeta2 / (step * lx))
+                else:
+                    log_m += weight * ((1 + xf).ln() - zeta2 / (2 * step * lx))
+            values.append((log_m - (n - 1) * lx) / Decimal(2).ln())
+        return min(values)
+
+
+G1_FAMILIES = [(2, 1, 1, False)]
+
+
+class TestFillWidth:
+    """The slot width of the packed fills against the true coefficients."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        seen = []
+        fill_bytes = blocks._fill_bytes
+
+        def spy(families, n):
+            seen.append(fill_bytes(families, n))
+            return seen[-1]
+
+        monkeypatch.setattr(blocks, "_fill_bytes", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "families, order, shift",
+        [
+            ([(QQ, 24)], 400, 0),
+            ([(QQ, -24)], 400, 0),
+            ([(PochSpec(1, 1, 1), 24)], 400, 0),
+            (_triple_product(ThetaSpec(-1, -1, 1, 7), 1)
+             + _triple_product(ThetaSpec(-1, -1, 3, 5), -1), 400, F(1, 2)),
+            (_triple_product(ThetaSpec(-1, -1, 1, 3), 1)
+             + _triple_product(ThetaSpec(-1, -1, 2, 2), -1), 400, 0),
+        ],
+        ids=["qq^24", "qq^-24", "-q;q^24", "h", "i"],
+    )
+    def test_majorant_covers_the_largest_coefficient(self, widths, families,
+                                                     order, shift):
+        # what h_series and i_series fill; h below order - 1/2 before its shift
+        want = oracle_fill(families, F(order) - shift)
+        assert poch_quotient(families, F(order) - shift) == want
+        bits = max(abs(r).bit_length() for r, _ in want.slots.values())
+        assert want.d == 1 and 8 * widths[-1] > bits + 1
+
+    def test_psi11rhs_and_g1(self, widths):
+        spec = BilateralSpec(1, F(1, 4), F(1, 2))
+        want = oracle_psi11rhs(spec, 400)
+        assert bilateral_1psi1_rhs(spec, 400) == want
+        bits = max(abs(r).bit_length() for r, _ in want.slots.values())
+        assert want.d == 1 and 8 * widths[-1] > bits + 1
+        want = oracle_gamma_k(1, 2000)
+        assert gamma_k(1, 2000) == want
+        bits = max(abs(x).bit_length() for v in want.slots.values() for x in v)
+        assert want.d == 1 and 8 * widths[-1] > bits + 1
+
+    @pytest.mark.parametrize(
+        "families",
+        [
+            [(24, 1, 1, False)],
+            [(24, 1, 1, True)],
+            [(1, 1, 4, False), (1, 3, 4, False), (2, 2, 4, True)],
+            G1_FAMILIES,
+        ],
+        ids=["qq^24", "qq^-24", "i", "G1"],
+    )
+    def test_width_keeps_the_margin_over_the_exact_bound(self, families):
+        # the float search may stop early, so its bound is at least the
+        # least exact one; _MARGIN bits and a sign bit come on top
+        for n in range(1, 300):
+            w = blocks._fill_bytes(families, n)
+            bound = math.ceil(exact_fill_bits(families, n))
+            assert 8 * w - 1 >= bound + blocks._MARGIN
 
 
 class TestSineRatios:

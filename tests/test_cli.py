@@ -265,6 +265,17 @@ class TestDumpCommand:
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
 
+    def test_packed_product_past_the_word_cap_exit_2(self, runner):
+        # 100,001 steps, within the step cap, but the packed product pads
+        # each of its 199,999 slots to the width of 10^2000: 833 bytes,
+        # about 2.1*10^7 words in all
+        t0 = time.perf_counter()
+        factor = "(1+10^(1000)*q^(99999/1000))"
+        result = runner.invoke(main, ["dump", f"{factor}*{factor}", "--order", "100"])
+        assert result.exit_code == 2
+        assert "64-bit words, more than the limit" in result.output
+        assert time.perf_counter() - t0 < 1
+
     @pytest.mark.parametrize("numerators", ["+1+2+3", "+1+2"])
     def test_lambert_refusal_stops_counting_at_the_limit(self, runner, numerators):
         t0 = time.perf_counter()

@@ -48,6 +48,22 @@ def oracle_lambert_sum(spec, order):
     return PuiseuxSeries(acc, order)
 
 
+def oracle_bilateral_term(spec, j, order):
+    """The index-j summand with a Fraction exponent per term, into one dict."""
+    order = F(order)
+    s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
+    if j >= 0:
+        e, step, sign = beta * j, alpha + s * j, 1
+    else:
+        step = -s * j - alpha
+        e, sign = beta * j + step, -1
+    acc = {}
+    while e < order:
+        acc[e] = acc.get(e, 0) + sign
+        e += step
+    return PuiseuxSeries(acc, order)
+
+
 def oracle_psi11lhs(spec, order):
     """The 1psi1 sum's former loop: summand series added one by one, each
     direction up to the first empty summand."""
@@ -214,6 +230,26 @@ class TestBilateral:
         with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
             bilateral_term(BilateralSpec(1, F(1, 10**9), F(1, 2)), 0, 1)
         assert time.perf_counter() - t0 < 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_term_matches_the_fraction_dict(self, data):
+        s = _exponent(data, 12)
+        alpha = _exponent(data, 12) % s or s / 2
+        beta = _exponent(data, 12) % s or s / 3
+        spec = BilateralSpec(s, alpha, beta)
+        j = data.draw(st.integers(-8, 8))
+        order = F(data.draw(st.integers(-6, 80)), data.draw(st.integers(1, 3)))
+        assert bilateral_term(spec, j, order) == oracle_bilateral_term(spec, j, order)
+
+    def test_term_at_the_slot_cap_is_quick(self):
+        # 999,999 terms of q^0 / (1 - q^(1/999999)) below q^1
+        t0 = time.perf_counter()
+        term = bilateral_term(BilateralSpec(1, F(1, 999999), F(1, 2)), 0, 1)
+        assert time.perf_counter() - t0 < 5
+        assert (term.m, term.den, term.d) == (0, 999999, 1)
+        assert len(term.slots) == 999999
+        assert next(reversed(term.slots.items())) == (999998, (1, 0))
 
     @pytest.mark.parametrize("z_exp", [2, 6])
     def test_lhs_equals_rhs_to_order_48(self, z_exp):

@@ -654,6 +654,36 @@ class TestSlotBudget:
         with pytest.raises(SlotBudgetError):
             expand()
 
+    def test_word_count_is_exact(self, monkeypatch):
+        # (1 + 2^100 q)^2 to q^3: the kernel packs 2 + 2 - 1 slots of
+        # slot_bytes(102 + 102 + 2) = 26 bytes, 78 bytes or 10 words
+        a = P({0: 1, 1: 2**100}, 3)
+        monkeypatch.setattr(series_mod, "MAX_DENSE_SLOTS", 10)
+        assert a * a == oracle_mul(a, a)
+        monkeypatch.setattr(series_mod, "MAX_DENSE_SLOTS", 9)
+        with pytest.raises(SlotBudgetError, match="10 64-bit words"):
+            a * a
+
+    @pytest.mark.parametrize(
+        "a, limit",
+        [
+            # 100 dense slots squared: 5050 steps
+            (P.from_slots(0, 1, [1] * 100, None, 100), "MAX_SLOT_STEPS"),
+            # 1 + 10^1000 q^(99999/1000) squared: 100,001 steps, but about
+            # 2.1*10^7 words
+            (P({0: 1, F(99999, 1000): 10**1000}, 100), None),
+        ],
+    )
+    def test_products_are_refused_before_any_array(self, monkeypatch, a, limit):
+        def unbuilt(*args):
+            raise AssertionError("slot arrays built before the budget check")
+
+        if limit:
+            monkeypatch.setattr(series_mod, limit, 5049)
+        monkeypatch.setattr(P, "_slots", unbuilt)
+        with pytest.raises(SlotBudgetError):
+            a * a
+
     def test_theta_sum_term_bound_is_exact(self, monkeypatch):
         # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9, which
         # count as slots against the dense slot cap
