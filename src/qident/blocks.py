@@ -8,13 +8,18 @@ the trinomial products G_k, exact sine-ratio tables, the normalized
 theta_1 specializations, and the two continued-fraction product sides
 h and i.
 
-eta, phi, psi, G_k, h and i are built at q only.  Their rescalings
-q -> q^r, which the paper uses (G_k(q^(1/2)), h(q^2), eta(16 tau)), are
-the DSL atoms of :data:`qident.expr.PRIMITIVES`: each expands its block
-to order/r and applies :meth:`~qident.series.PuiseuxSeries.substitute`.
+phi, psi, G_1 and G_3 are built at q only.  Their rescalings q -> q^r,
+which the paper uses (G_k(q^(1/2)), phi(q^2)), are DSL atoms of
+:data:`qident.expr.PRIMITIVES` that expand the block to order/r and apply
+:meth:`~qident.series.PuiseuxSeries.substitute`.  The Pochhammer-family
+atoms (eta, poch, f, H, I, G2) take their families from
+:func:`_triple_product` and the ``*_families`` lists here, the rescaling
+already in the specs (eta(1/2) is (q^(1/2); q^(1/2))_inf), and are
+filled in product form; :func:`eta`, :func:`theta_product`,
+:func:`h_series` and :func:`i_series` fill the same lists at q.
 
-Every product or quotient of Pochhammer families -- a single Pochhammer,
-eta, the triple-product form of f, h, i, and the 1psi1 product side in
+Every product or quotient of Pochhammer families -- those atoms, the
+fills of their folded products and powers, and the 1psi1 product side in
 :mod:`qident.lambert` -- is filled by :func:`poch_quotient` on one int
 that packs all the slots (Kronecker substitution, as in
 :mod:`qident.backend`), one shift-and-add pass per factor and a few per
@@ -62,6 +67,11 @@ class PochSpec:
             raise ValueError("sign must be +1 or -1")
         if self.offset <= 0 or self.step <= 0:
             raise ValueError("offset and step must be positive")
+        # specs key the exponent maps of expr, so the hash is made once
+        object.__setattr__(self, "_hash", hash((self.sign, self.offset, self.step)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -131,6 +141,27 @@ def _fill_bytes(families, n) -> int:
     return backend.slot_bytes(math.ceil(best / math.log(2)) + _MARGIN)
 
 
+def _grid(families):
+    """(den, [(sign, first, step, power)]): the families on their common
+    grid 1/den, equal specs merged and zero powers dropped."""
+    powers: dict[PochSpec, int] = {}
+    for spec, p in families:
+        powers[spec] = powers.get(spec, 0) + p
+    den = math.lcm(1, *(x.denominator for spec in powers
+                        for x in (spec.offset, spec.step)))
+    return den, [(spec.sign, int(spec.offset * den), int(spec.step * den), p)
+                 for spec, p in powers.items() if p]
+
+
+def _steps(grid, n) -> int:
+    # the factors at slots first + j*step < n visit n - first - j*step slots
+    work = 0
+    for _, first, step, p in grid:
+        f = max(0, -(-(n - first) // step))
+        work += abs(p) * (f * (n - first) - step * f * (f - 1) // 2)
+    return work
+
+
 def poch_quotient(families, order) -> PuiseuxSeries:
     """prod of pochhammer(spec)**power over (spec, power) pairs, below `order`.
 
@@ -157,23 +188,8 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     order = _fr(order)
     if order <= 0:
         return PuiseuxSeries.zero(order)
-    powers: dict[PochSpec, int] = {}
-    for spec, p in families:
-        powers[spec] = powers.get(spec, 0) + p
-    den = math.lcm(1, *(x.denominator for spec in powers
-                        for x in (spec.offset, spec.step)))
-    grid = [(spec.sign, int(spec.offset * den), int(spec.step * den), p)
-            for spec, p in powers.items() if p]
-
-    # the factors at slots first + j*step < n visit n - first - j*step slots
-    def steps(n):
-        work = 0
-        for _, first, step, p in grid:
-            f = max(0, -(-(n - first) // step))
-            work += abs(p) * (f * (n - first) - step * f * (f - 1) // 2)
-        return work
-
-    n = dense_slots(order * den, steps)
+    den, grid = _grid(families)
+    n = dense_slots(order * den, lambda n: _steps(grid, n))
     w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in grid], n)
     check_words(-(-n * w // 8), f"expansion over {n} dense coefficient slots")
     bits = 8 * w
@@ -252,6 +268,32 @@ def _triple_product(spec: ThetaSpec, power: int) -> list:
     return [(PochSpec(sign, offset, st), power) for sign, offset, st in parts]
 
 
+def eta_families(r) -> list:
+    """eta(r tau) = q^{r/24} (q^r; q^r)_inf as Pochhammer families."""
+    return [(PochSpec(-1, r, r), 1)]
+
+
+def g2_families(r) -> list:
+    """G_2(q^r) = (-q^{2r}; q^{2r})_inf as Pochhammer families."""
+    return [(PochSpec(1, 2 * r, 2 * r), 1)]
+
+
+def h_families(r) -> list:
+    """h(q^r) = q^{r/2} f(-q^r, -q^{7r}) / f(-q^{3r}, -q^{5r}) as Pochhammer
+    families, the divisor's with power -1; their common (q^{8r}; q^{8r})
+    cancels in the fill."""
+    return (_triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
+            + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1))
+
+
+def i_families(r) -> list:
+    """i(q^r) = f(-q^r, -q^{3r}) / f(-q^{2r}, -q^{2r}) as Pochhammer
+    families, as for :func:`h_families`; the common (q^{4r}; q^{4r})
+    cancels."""
+    return (_triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
+            + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1))
+
+
 def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
     """Triple-product form of f(spec): its Pochhammer families filled in
     one array by :func:`poch_quotient`, independent of :func:`theta_sum`."""
@@ -260,7 +302,7 @@ def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
 
 def eta(order) -> PuiseuxSeries:
     """eta(tau) = q^{1/24} (q; q)_inf."""
-    return pochhammer(PochSpec(-1, 1, 1), _fr(order) - _FR(1, 24)).shift(_FR(1, 24))
+    return poch_quotient(eta_families(1), _fr(order) - _FR(1, 24)).shift(_FR(1, 24))
 
 
 def gamma_k(k: int, order) -> PuiseuxSeries:
@@ -276,7 +318,7 @@ def gamma_k(k: int, order) -> PuiseuxSeries:
     to beta_3: G_1 with its sqrt2 part negated.
     """
     if k == 2:
-        return pochhammer(PochSpec(1, 2, 2), order)
+        return poch_quotient(g2_families(1), order)
     if k not in (1, 3):
         raise ValueError("G_k needs k = 1, 2 or 3")
     order = _fr(order)
@@ -362,29 +404,13 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
 
 
 def h_series(order) -> PuiseuxSeries:
-    """h(q) = q^{1/2} f(-q, -q^7) / f(-q^3, -q^5).
-
-    Both triple products go into one :func:`poch_quotient`, the divisor's
-    families with power -1; their common (q^8; q^8) cancels.
-    """
-    return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, 1, 7), 1)
-        + _triple_product(ThetaSpec(-1, -1, 3, 5), -1),
-        _fr(order) - _FR(1, 2),
-    ).shift(_FR(1, 2))
+    """h(q) = q^{1/2} f(-q, -q^7) / f(-q^3, -q^5), one :func:`poch_quotient`."""
+    return poch_quotient(h_families(1), _fr(order) - _FR(1, 2)).shift(_FR(1, 2))
 
 
 def i_series(order) -> PuiseuxSeries:
-    """i(q) = f(-q, -q^3) / f(-q^2, -q^2).
-
-    One :func:`poch_quotient` as for :func:`h_series`; the common
-    (q^4; q^4) cancels.
-    """
-    return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, 1, 3), 1)
-        + _triple_product(ThetaSpec(-1, -1, 2, 2), -1),
-        order,
-    )
+    """i(q) = f(-q, -q^3) / f(-q^2, -q^2), one :func:`poch_quotient`."""
+    return poch_quotient(i_families(1), order)
 
 
 def phi(order) -> PuiseuxSeries:

@@ -14,8 +14,10 @@ configuration is by flags; no environment variables.
 from __future__ import annotations
 
 import difflib
+import math
 import pathlib
 from fractions import Fraction
+from typing import Iterator
 
 import click
 
@@ -47,7 +49,31 @@ def _text(exponent, c) -> str:
     try:
         return c.render()
     except ValueError as exc:
-        raise click.UsageError(f"the coefficient of q^{exponent} is too long to print: {exc}")
+        raise _too_long(exponent, exc)
+
+
+def _too_long(exponent, exc) -> click.UsageError:
+    return click.UsageError(f"the coefficient of q^{exponent} is too long to print: {exc}")
+
+
+def _ratio(a: int, b: int) -> str:
+    """a/b in lowest terms, b > 0, as str(Fraction(a, b)) prints it."""
+    g = math.gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
+
+
+def _dump_lines(s) -> Iterator[str]:
+    """One "exponent<TAB>a+b*sqrt2" line per term of `s`, the text of its
+    exponent Fraction and its coefficient's render, made from the slot
+    integers with one gcd per exponent and per coefficient part."""
+    # slot k sits at q^(m + k/den) = q^((a*den + k*b) / (b*den)), m = a/b
+    a, b, den, d = s.m.numerator, s.m.denominator, s.den, s.d
+    for k, (r, i) in s.slots.items():
+        e = _ratio(a * den + k * b, b * den)
+        try:
+            yield f"{e}\t{_ratio(r, d)}{'-' if i < 0 else '+'}{_ratio(abs(i), d)}*sqrt2"
+        except ValueError as exc:
+            raise _too_long(e, exc)
 
 
 def _describe(report) -> str:
@@ -143,7 +169,7 @@ def dump_cmd(ctx, block, order_text):
             ZeroDivisionError) as exc:
         click.echo(f"evaluation failed: {exc}", err=True)
         ctx.exit(1)
-    click.echo("\n".join(f"{e}\t{_text(e, c)}" for e, c in series.truncated(order).items()))
+    click.echo("\n".join(_dump_lines(series.truncated(order))))
 
 
 @main.command("cf")

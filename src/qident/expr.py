@@ -1,41 +1,68 @@
 """Expression trees over series-valued primitives, and their evaluation.
 
 Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
-requested guarantee order.  A primitive with a substitution exponent r
-(``eta(8)``, ``G1(1/2)``) is its block at q, expanded to order/r and
-taken through q -> q^r by the same substitution as ``subst``.  Evaluation propagates per-node targets top
-down: a product pads each factor by the co-factor's structural leading
-exponent (`hint`), and a power ``Pow(base, r)`` of any rational r --
-integer powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike --
-pads its base to ``order + (1 - r) * hint(base)``, but never below
-``hint(base) + 1``, just past the base's leading term.  A division ``x/y``
-is the product ``Mul(x, Pow(y, -1))``: the numerator is padded to
-``order + hint(y)`` and the divisor to ``order - hint(x) + 2*hint(y)``,
-the extra ``hint(y)`` being what inversion consumes.  Hints are exact
-unless a subtraction cancels a leading term inside a denominator or a
-power, which no built-in identity does; :func:`evaluate_to_order`
-re-runs with a larger target (at most 3 retries) if a result still falls
-short.
+requested guarantee order.
+
+Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``, ``I``
+and ``G2`` -- are products of Pochhammer families (through Jacobi's
+triple product); each takes its families from :mod:`~qident.blocks`,
+the rescaling q -> q^r already in the specs.  A ``Mul``/``Pow`` subtree
+whose leaves are family atoms, nonzero constants and powers of q folds
+into a :class:`Fold`: a constant, a shift q^s and one exponent map
+``{PochSpec: Fraction}``.  A power of a subtree whose constant is not 1
+does not fold.  The map is expanded below order - s (:func:`_fills`)
+either as one :func:`~qident.blocks.poch_quotient` fill of the integer
+powers e*D/g and one power g/D, D the lcm of the powers' denominators
+and g the gcd of the e*D, so ``eta(1)^(24)`` is one fill and one
+recurrence, or, when that single fill would take more steps, as one
+fill and one power per distinct e, so that ``eta(1)^(1000)*eta(2)^(999)``
+costs what the tree costs; a family atom alone is one fill.  A folding
+factor times an ``Add``/``Sub`` whose terms all fold distributes into
+one map per term when the terms are no more than the family atoms the
+tree would expand one by one.  Everything else is evaluated node by
+node.
+
+Node by node, evaluation propagates per-node targets top down: a product
+pads each factor by the co-factor's structural leading exponent
+(`hint`), and a power ``Pow(base, r)`` of any rational r -- integer
+powers, inverses, roots ``x^(1/n)`` and ``x^(a/n)`` alike -- pads its
+base to ``order + (1 - r) * hint(base)``, but never below
+``hint(base) + 1``, just past the base's leading term.  A division
+``x/y`` is the product ``Mul(x, Pow(y, -1))``: the numerator is padded
+to ``order + hint(y)`` and the divisor to ``order - hint(x) +
+2*hint(y)``, the extra ``hint(y)`` being what inversion consumes.  Any
+other primitive with a substitution exponent r (``phi(2)``, ``G1(1/2)``)
+is its block at q, expanded to order/r and taken through q -> q^r by the
+same substitution as ``subst``.  Hints are exact unless a subtraction
+cancels a leading term inside a denominator or a power, which no
+built-in identity does; :func:`evaluate_to_order` re-runs with a larger
+target (at most 3 retries) if a result still falls short.  A folded
+subtree is exact below the order it is asked for.
 
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
 enters for its whole batch) every evaluation goes through one
 :class:`SharedEvaluations` cache keyed on the exact ``(node, order)`` pair.
 Nodes are frozen dataclasses that compare by structure and hash once, so
 the same subexpression in two identities is expanded once.  Only nodes
-that occur at least twice in the batch are stored, and every entry is
-held until the block exits.  Outside that block nothing is cached.
+that occur at least twice in the batch are stored.  The unit part of
+every folded map is stored too, keyed on the map and its bound, so maps
+that differ only in constant and shift (the six ``thm31`` right sides
+are scaled sums of two) are filled once.  Every entry is held until the
+block exits.  Outside that block nothing is cached.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from functools import reduce
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import blocks
+from . import blocks, series
 from . import lambert as lam
 from .field import ONE, AlgebraicNumber
 from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
@@ -72,6 +99,11 @@ class Node:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def fold(self) -> Optional["Fold"]:
+        """This tree's product form if it folds (see :class:`Fold`), else
+        None.  Not kept: a batch would hold one map per node."""
+        return None
+
     def depth(self) -> int:
         """Levels of the tree under this node, 1 for a leaf; computed once,
         so a tree built bottom up is measured one level at a time.  Fields
@@ -107,6 +139,9 @@ class QPow(Node):
     def hint(self):
         return self.exponent
 
+    def fold(self):
+        return Fold(ONE, self.exponent, {})
+
 
 @_node
 class Const(Node):
@@ -117,6 +152,9 @@ class Const(Node):
 
     def hint(self):
         return _FR(0)
+
+    def fold(self):
+        return Fold(self.value, _FR(0), {}) if self.value else None
 
 
 def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
@@ -131,47 +169,64 @@ def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
 class Primitive:
     """One named series of the DSL, taking exactly one argument.
 
-    `kind` names the argument: "r" (a substitution exponent: the series
-    is built at q and taken to q -> q^r by :func:`_rescaled`), "k" (an
-    index 1..3), or a spec: "poch", "theta", "lambert", "bilateral", or
-    "bilateral_product" (a bilateral spec with alpha + beta < s).
-    `build(arg, order)` expands the series, `meaning` is its line in the
-    DSL atom table and `hint(arg)` its structural leading exponent.
+    `kind` names the argument: "r" (a substitution exponent q -> q^r),
+    "k" (an index 1..3), or a spec: "poch", "theta", "lambert",
+    "bilateral", or "bilateral_product" (a bilateral spec with
+    alpha + beta < s).  `build(arg, order)` expands the series, `meaning`
+    is its line in the DSL atom table and `hint(arg)` its structural
+    leading exponent.  A family atom (:func:`_family`) also lists its
+    Pochhammer families: `families(arg)` gives the (PochSpec, power)
+    pairs whose product, times q^hint(arg), is the series.
     """
 
     kind: str
     build: Callable[[object, object], PuiseuxSeries]
     meaning: str
     hint: Callable[[object], Fraction] = lambda arg: _FR(0)
+    families: Optional[Callable[[object], list]] = None
+
+    def fold(self, arg) -> Optional["Fold"]:
+        """The product form of this atom at `arg`, None unless a family atom."""
+        if self.families is not None:
+            return Fold(ONE, self.hint(arg), _merge({}, self.families(arg)))
 
 
 def _rescaled(name: str, *args):
-    """The build of an "r" atom: ``blocks.<name>(*args, order)`` expands
-    the series at q, and q -> q^r takes it to the atom's argument."""
+    """The build of an "r" atom that is not a family product:
+    ``blocks.<name>(*args, order)`` expands the series at q, and q -> q^r
+    takes it to the atom's argument."""
     return lambda r, order: getattr(blocks, name)(*args, _fr(order) / r).substitute(r)
+
+
+def _family(kind, meaning, families, hint=lambda arg: _FR(0)):
+    """A primitive that is q^hint(arg) times the product of its
+    Pochhammer families, built in product form like any folded tree."""
+    prim = Primitive(kind, lambda arg, order: _expand(prim.fold(arg), order),
+                     meaning, hint, families)
+    return prim
 
 
 # Builders look their block up at call time, so that a function rebound on
 # `blocks` or `lambert` from outside (a tracer) is the one that runs.
 PRIMITIVES: dict[str, Primitive] = {
-    "eta": Primitive("r", _rescaled("eta"),
-                     "`eta(r tau) = q^(r/24) (q^r;q^r)_inf`", lambda m: m / 24),
-    "poch": Primitive("poch", lambda s, o: blocks.pochhammer(s, o),
-                      "`prod_{j>=0} (1 + sign q^(a+jb))`"),
-    "f": Primitive("theta", lambda s, o: blocks.theta_product(s, o),
-                   "theta `f(sign q^a, sign q^b)`, triple-product form"),
+    "eta": _family("r", "`eta(r tau) = q^(r/24) (q^r;q^r)_inf`",
+                   blocks.eta_families, lambda r: r / 24),
+    "poch": _family("poch", "`prod_{j>=0} (1 + sign q^(a+jb))`",
+                    lambda s: [(s, 1)]),
+    "f": _family("theta", "theta `f(sign q^a, sign q^b)`, triple-product form",
+                 lambda s: blocks._triple_product(s, 1)),
     "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
                       "the same theta function as a bilateral sum"),
     "phi": Primitive("r", _rescaled("phi"), "`phi(q^r) = f(q^r, q^r)`"),
     "psi": Primitive("r", _rescaled("psi"), "`psi(q^r) = f(q^r, q^3r)`"),
-    "H": Primitive("r", _rescaled("h_series"),
-                   "Gollnitz-Gordon fraction product side `h(q^r)`", lambda r: r / 2),
-    "I": Primitive("r", _rescaled("i_series"),
-                   "order-four fraction product side `i(q^r)`"),
+    "H": _family("r", "Gollnitz-Gordon fraction product side `h(q^r)`",
+                 blocks.h_families, lambda r: r / 2),
+    "I": _family("r", "order-four fraction product side `i(q^r)`",
+                 blocks.i_families),
     "G1": Primitive("r", _rescaled("gamma_k", 1),
                     "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`"),
-    "G2": Primitive("r", _rescaled("gamma_k", 2),
-                    "`prod_{n>=1} (1 + q^(2rn))`"),
+    "G2": _family("r", "`prod_{n>=1} (1 + q^(2rn))`",
+                  blocks.g2_families),
     "G3": Primitive("r", _rescaled("gamma_k", 3),
                     "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`"),
     "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
@@ -206,6 +261,9 @@ class Prim(Node):
 
     def hint(self):
         return PRIMITIVES[self.name].hint(self.arg)
+
+    def fold(self):
+        return PRIMITIVES[self.name].fold(self.arg)
 
 
 # -- composites ----------------------------------------------------------
@@ -242,11 +300,28 @@ class Mul(Node):
 
     def _evaluate(self, order):
         order = _fr(order)
+        fold = self.fold()
+        if fold is not None:
+            return _expand(fold, order)
+        # a folding factor times a sum of folding terms distributes when
+        # the terms are no more than the atoms under the product
+        for factor, other in ((self.left, self.right), (self.right, self.left)):
+            terms = _terms(other) if isinstance(other, (Add, Sub)) else None
+            common = terms and factor.fold()
+            if common and len(terms) <= sum(
+                    isinstance(n, Prim) for n in _occurrences(self)):
+                return reduce(PuiseuxSeries.__add__, (
+                    _expand(_times(common, t, sign), order) for sign, t in terms))
         lh, rh = self.left.hint(), self.right.hint()
         return self.left.evaluate(order - rh) * self.right.evaluate(order - lh)
 
     def hint(self):
         return self.left.hint() + self.right.hint()
+
+    def fold(self):
+        left = self.left.fold()
+        right = None if left is None else self.right.fold()
+        return None if right is None else _times(left, right)
 
 
 @_node
@@ -262,6 +337,9 @@ class Pow(Node):
         # leading exponent from m to r*m, so the base needs order + (1-r)*m;
         # it is never asked for less than its leading term
         order = _fr(order)
+        fold = self.fold()
+        if fold is not None:
+            return _expand(fold, order)
         if not self.r:
             return PuiseuxSeries.one(max(order, _FR(1)))
         h = self.base.hint()
@@ -269,6 +347,16 @@ class Pow(Node):
 
     def hint(self):
         return self.r * self.base.hint()
+
+    def fold(self):
+        # a constant other than 1 stays on the tree: its root may not exist,
+        # and c**r for a large integer r would be computed before any budget
+        # is checked, where the power recurrence stops at its word cap
+        base, r = self.base.fold(), self.r
+        if base is None or base.const != ONE:
+            return None
+        return Fold(ONE, r * base.shift,
+                    {spec: r * e for spec, e in base.powers.items()} if r else {})
 
 
 @_node
@@ -283,6 +371,114 @@ class Subst(Node):
 
     def hint(self):
         return self.base.hint() * self.r
+
+
+# -- product form ------------------------------------------------------------
+
+
+class Fold(NamedTuple):
+    """const * q^shift * prod_spec (spec)^power over `powers`: the product
+    form of a Mul/Pow tree whose leaves are family atoms, nonzero constants
+    and powers of q.  `powers` maps each :class:`~qident.blocks.PochSpec`
+    to its nonzero rational power."""
+
+    const: AlgebraicNumber
+    shift: Fraction
+    powers: dict
+
+
+def _merge(powers: dict, pairs) -> dict:
+    """The exponent map `powers` times the (PochSpec, power) `pairs`:
+    powers of equal specs add, and zero powers drop out."""
+    out = dict(powers)
+    for spec, e in pairs:
+        e += out.pop(spec, 0)
+        if e:
+            out[spec] = e
+    return out
+
+
+def _times(a: Fold, b: Fold, sign=1) -> Fold:
+    """The product form of a * b, times `sign`."""
+    # field products are slow, and most constants are the ONE of an atom
+    const = a.const if b.const is ONE else b.const if a.const is ONE else a.const * b.const
+    return Fold(const if sign > 0 else -const, a.shift + b.shift,
+                _merge(a.powers, b.powers.items()))
+
+
+def _expand(fold: Fold, order) -> PuiseuxSeries:
+    """The series of `fold` below `order`.
+
+    Its unit part, the product of the families below order - shift, is
+    filled as :func:`_fills` says.  Inside :func:`shared_evaluations` the
+    unit part is stored under its exponent map and bound, so products
+    that differ only in constant and shift are filled once.
+    """
+    unit = _fr(order) - fold.shift
+    shared = _SHARED.get()
+    key = (frozenset(fold.powers.items()), unit)
+    s = None if shared is None else shared.products.get(key)
+    if s is None:
+        s = _unit_product(fold.powers, unit)
+        if shared is not None:
+            shared.products[key] = s
+    return s.scale(fold.const).shift(fold.shift)
+
+
+def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
+    if unit <= 0:
+        return PuiseuxSeries.zero(unit)
+    if not powers:
+        return PuiseuxSeries.one(unit)
+    return reduce(PuiseuxSeries.__mul__, (blocks.poch_quotient(families, unit) ** r
+                                          for r, families in _fills(powers, unit)))
+
+
+def _fills(powers: dict, unit: Fraction) -> list:
+    """(r, families) pairs whose fills below `unit`, each raised to r,
+    multiply to the exponent map `powers`.
+
+    Either one fill of the integer powers e*D/g raised to g/D, D the lcm
+    of the powers' denominators and g the gcd of the e*D, or one fill per
+    distinct power e of its families, raised to e.  The first enters each
+    factor |e|*D/g times, the second once, but adds a power recurrence
+    per fill and a product (one packed multiplication, not counted).
+    Counting a recurrence as the n^2/2 steps of a dense loop on n slots,
+    the form with fewer steps is taken, the single fill on a tie, unless
+    it has a fill past MAX_SLOT_STEPS and the other has none.
+    """
+    den = math.lcm(*(e.denominator for e in powers.values()))
+    g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
+    fused = [(_FR(g, den), [(spec, int(e * den) // g) for spec, e in powers.items()])]
+    by_power: dict = {}
+    for spec, e in powers.items():
+        by_power.setdefault(e, []).append((spec, 1))
+    if len(by_power) < 2:
+        return fused
+    split = list(by_power.items())
+
+    def steps(fills):
+        over = work = 0
+        for r, families in fills:
+            d, grid = blocks._grid(families)
+            n = math.ceil(unit * d)
+            fill = blocks._steps(grid, n)  # as poch_quotient counts them
+            over |= fill > series.MAX_SLOT_STEPS
+            work += fill + (n * n // 2 if r != 1 else 0)
+        return over, work
+
+    return min(fused, split, key=steps)
+
+
+def _terms(node: Node, sign=1) -> Optional[list]:
+    """The terms (sign, fold) of an Add/Sub tree whose terms all fold, or
+    None."""
+    if isinstance(node, (Add, Sub)):
+        left = _terms(node.left, sign)
+        right = _terms(node.right, -sign if isinstance(node, Sub) else sign)
+        return None if left is None or right is None else left + right
+    fold = node.fold()
+    return None if fold is None else [(sign, fold)]
 
 
 def _occurrences(node: Node) -> Iterator[Node]:
@@ -300,13 +496,15 @@ class SharedEvaluations:
     One count over the batch's trees finds the nodes that occur at least
     twice.  Each such node's result is stored under ``(node, order)`` and
     held until the :func:`shared_evaluations` block exits; a node that
-    occurs once is evaluated directly.
+    occurs once is evaluated directly.  `products` holds the unit part of
+    every exponent map :func:`_expand` fills, under (map, bound), as long.
     """
 
     def __init__(self, roots):
         counts = Counter(n for root in roots for n in _occurrences(root))
         self.repeated = {n for n, c in counts.items() if c > 1}
         self.entries: dict[tuple[Node, Fraction], PuiseuxSeries] = {}
+        self.products: dict[tuple[frozenset, Fraction], PuiseuxSeries] = {}
 
     def evaluate(self, node: Node, order) -> PuiseuxSeries:
         if node not in self.repeated:

@@ -498,11 +498,14 @@ class PuiseuxSeries:
     def __pow__(self, r):
         """self ** r for an int or Fraction r: the power recurrence of
         :meth:`_power`, which needs a leading coefficient of exactly 1 when
-        r is not an integer.  Any series to the power 0 is 1."""
+        r is not an integer.  Any series to the power 0 is 1, and to the
+        power 1 itself."""
         if not isinstance(r, (int, Fraction)):
             return NotImplemented
         if r == 0:
             return PuiseuxSeries.one(self.trunc)
+        if r == 1:
+            return self
         return self._power(r.numerator, r.denominator)
 
     # -- inversion, roots and rational powers ------------------------------
