@@ -10,17 +10,9 @@ from .backend import KERNEL_BACKEND
 from .blocks import (
     PochSpec,
     ThetaSpec,
-    b_value,
-    eta,
     gamma_k,
-    h_series,
-    i_series,
-    phi,
-    pochhammer,
-    psi,
     sine_ratio_table,
     theta1_normalized,
-    theta_product,
     theta_sum,
 )
 from .catalog import catalog, catalog_ids, get
@@ -32,8 +24,6 @@ from .lambert import (
     BilateralSpec,
     LambertSpec,
     bilateral_1psi1_lhs,
-    bilateral_1psi1_rhs,
-    bilateral_term,
     lambert_sum,
     legendre_symbol,
 )
@@ -53,12 +43,10 @@ __all__ = [
     "PuiseuxSeries", "Mismatch",
     "InsufficientPrecisionError", "LeadingCoefficientError", "SlotBudgetError",
     "PochSpec", "ThetaSpec",
-    "pochhammer", "theta_sum", "theta_product", "eta",
-    "gamma_k", "sine_ratio_table", "b_value", "theta1_normalized",
-    "h_series", "i_series", "phi", "psi",
+    "theta_sum", "gamma_k", "sine_ratio_table", "theta1_normalized",
     "CFEvaluation", "eval_general_cf", "eval_h_cf", "eval_i_cf",
     "LambertSpec", "BilateralSpec", "legendre_symbol", "lambert_sum",
-    "bilateral_term", "bilateral_1psi1_lhs", "bilateral_1psi1_rhs",
+    "bilateral_1psi1_lhs",
     "evaluate_to_order",
     "ParseError", "parse_identity", "parse_expression", "render",
     "render_identity",

@@ -1,26 +1,25 @@
 """Named q-series building blocks.
 
-Everything here produces a :class:`~qident.series.PuiseuxSeries`:
-q-Pochhammer products, the two-variable theta function f (bilateral sum
-and triple-product forms), eta quotients realized purely as q-expansions
-(q^{m/24} (q^m;q^m)_inf — the upper-half-plane variable never appears),
-the trinomial products G_k, exact sine-ratio tables, the normalized
-theta_1 specializations, and the two continued-fraction product sides
-h and i.
+Everything here produces a :class:`~qident.series.PuiseuxSeries` or the
+Pochhammer families of one: products and quotients of q-Pochhammer
+symbols, the two-variable theta function f as a bilateral sum, the
+trinomial products G_1 and G_3, exact sine-ratio tables, the normalized
+theta_1 specializations, and the families of f (by the triple product),
+of eta, of G_2 and of the continued-fraction product sides h and i.
 
-phi, psi, G_1 and G_3 are built at q only.  Their rescalings q -> q^r,
-which the paper uses (G_k(q^(1/2)), phi(q^2)), are DSL atoms of
-:data:`qident.expr.PRIMITIVES` that expand the block to order/r and apply
-:meth:`~qident.series.PuiseuxSeries.substitute`.  The Pochhammer-family
-atoms (eta, poch, f, H, I, G2) take their families from
+Each DSL atom of :data:`qident.expr.PRIMITIVES` has one builder.  The
+Pochhammer-family atoms (eta, poch, f, H, I, G2, and psi11rhs, whose
+families come from :mod:`qident.lambert`) take their families from
 :func:`_triple_product` and the ``*_families`` lists here, the rescaling
-already in the specs (eta(1/2) is (q^(1/2); q^(1/2))_inf), and are
-filled in product form; :func:`eta`, :func:`theta_product`,
-:func:`h_series` and :func:`i_series` fill the same lists at q.
+q -> q^r already in the specs (eta(1/2) is (q^(1/2); q^(1/2))_inf), and
+are filled in product form.  phi(r) and psi(r) are the theta sums
+f(q^r, q^r) and f(q^r, q^3r).  Only G_1 and G_3 are built at q: their
+atoms expand :func:`gamma_k` to order/r and apply
+:meth:`~qident.series.PuiseuxSeries.substitute`.
 
-Every product or quotient of Pochhammer families -- those atoms, the
-fills of their folded products and powers, and the 1psi1 product side in
-:mod:`qident.lambert` -- is filled by :func:`poch_quotient` on one int
+Every product or quotient of Pochhammer families -- those atoms and the
+fills of their folded products and powers -- is filled by
+:func:`poch_quotient` on one int
 that packs all the slots (Kronecker substitution, as in
 :mod:`qident.backend`), one shift-and-add pass per factor and a few per
 divisor, with no series product, no inverse and no Fraction per
@@ -163,7 +162,8 @@ def _steps(grid, n) -> int:
 
 
 def poch_quotient(families, order) -> PuiseuxSeries:
-    """prod of pochhammer(spec)**power over (spec, power) pairs, below `order`.
+    """prod of (spec)_inf ** power over the (PochSpec, power) pairs, below
+    `order`.
 
     The whole product or quotient is filled on the common grid of every
     offset and step, starting from 1; equal specs with opposite powers
@@ -208,15 +208,6 @@ def poch_quotient(families, order) -> PuiseuxSeries:
                     c += (c & (mask >> e)) << e
                     e *= 2
     return PuiseuxSeries.from_slots(0, den, backend.unpack(c, w, n), None, order)
-
-
-def pochhammer(spec: PochSpec, order) -> PuiseuxSeries:
-    """Expand prod (1 + sign*q^{offset+j*step}) below `order`.
-
-    Exactly the factors with exponent < order enter; later factors are
-    congruent to 1 at this truncation.  One family of :func:`poch_quotient`.
-    """
-    return poch_quotient([(spec, 1)], order)
 
 
 def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
@@ -294,21 +285,12 @@ def i_families(r) -> list:
             + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1))
 
 
-def theta_product(spec: ThetaSpec, order) -> PuiseuxSeries:
-    """Triple-product form of f(spec): its Pochhammer families filled in
-    one array by :func:`poch_quotient`, independent of :func:`theta_sum`."""
-    return poch_quotient(_triple_product(spec, 1), order)
-
-
-def eta(order) -> PuiseuxSeries:
-    """eta(tau) = q^{1/24} (q; q)_inf."""
-    return poch_quotient(eta_families(1), _fr(order) - _FR(1, 24)).shift(_FR(1, 24))
-
-
 def gamma_k(k: int, order) -> PuiseuxSeries:
-    """G_k(q) = prod_{n>=1} (1 + beta_k q^n + q^{2n}), factors below order.
+    """G_k(q) = prod_{n>=1} (1 + beta_k q^n + q^{2n}) for k = 1, 3, factors
+    below order.
 
-    G_2(q) = (-q^2; q^2)_inf is one Pochhammer family.  G_1 has
+    G_2(q) = (-q^2; q^2)_inf is one Pochhammer family, :func:`g2_families`,
+    and has no builder here.  G_1 has
     coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs on
     a pair (R, I) of integers packed as in :func:`poch_quotient`, for
     R + I*sqrt2: the factor m multiplies by 1 - sqrt2*y + y^2, y = X^m,
@@ -317,10 +299,8 @@ def gamma_k(k: int, order) -> PuiseuxSeries:
     G_3 is G_1 under sqrt2 -> -sqrt2, which maps beta_1
     to beta_3: G_1 with its sqrt2 part negated.
     """
-    if k == 2:
-        return poch_quotient(g2_families(1), order)
     if k not in (1, 3):
-        raise ValueError("G_k needs k = 1, 2 or 3")
+        raise ValueError("gamma_k builds G_k for k = 1 or 3")
     order = _fr(order)
     if order <= 0:
         return PuiseuxSeries.zero(order)
@@ -362,11 +342,6 @@ def sine_ratio_table(k: int, count: int) -> list[tuple[int, int]]:
     return values[:count]
 
 
-def b_value(i: int, k: int) -> AlgebraicNumber:
-    """Exact value of the k-th entry of the difference table B_i."""
-    return b_table_series(i, k + 1).coefficient(k)
-
-
 def b_table_series(i: int, length: int = 32) -> PuiseuxSeries:
     """The polynomial sum_{k<length} B_i(k) q^k (trunc = length).
 
@@ -401,23 +376,3 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
          for j, (x, y) in enumerate(sine_ratio_table(k, terms))
          if j * (j + 1) // 2 < n},
         order)
-
-
-def h_series(order) -> PuiseuxSeries:
-    """h(q) = q^{1/2} f(-q, -q^7) / f(-q^3, -q^5), one :func:`poch_quotient`."""
-    return poch_quotient(h_families(1), _fr(order) - _FR(1, 2)).shift(_FR(1, 2))
-
-
-def i_series(order) -> PuiseuxSeries:
-    """i(q) = f(-q, -q^3) / f(-q^2, -q^2), one :func:`poch_quotient`."""
-    return poch_quotient(i_families(1), order)
-
-
-def phi(order) -> PuiseuxSeries:
-    """phi(q) = f(q, q) = sum q^{j^2}."""
-    return theta_sum(ThetaSpec(1, 1, 1, 1), order)
-
-
-def psi(order) -> PuiseuxSeries:
-    """psi(q) = f(q, q^3) = sum_{j>=0} q^{j(j+1)/2}."""
-    return theta_sum(ThetaSpec(1, 1, 1, 3), order)

@@ -53,7 +53,7 @@ from .expr import (
     PRIMITIVES, Add, Const, Mul, Node, Pow, Prim, QPow, Sub, Subst,
 )
 from .field import SQRT2, AlgebraicNumber
-from .lambert import BilateralSpec, LambertSpec, product_offsets
+from .lambert import BilateralSpec, LambertSpec, product_families
 
 _FR = Fraction
 
@@ -420,7 +420,7 @@ class Parser:
 
     def _arg_bilateral_product(self) -> BilateralSpec:
         spec = self._arg_bilateral()
-        product_offsets(spec)  # the product side also needs alpha + beta < s
+        product_families(spec)  # the product side also needs alpha + beta < s
         return spec
 
 

@@ -3,9 +3,10 @@
 Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
 requested guarantee order.
 
-Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``, ``I``
-and ``G2`` -- are products of Pochhammer families (through Jacobi's
-triple product); each takes its families from :mod:`~qident.blocks`,
+Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``,
+``I``, ``G2`` and ``psi11rhs`` -- are products of Pochhammer families
+(through Jacobi's triple product and Ramanujan's 1psi1 summation); each
+takes its families from :mod:`~qident.blocks` or :mod:`~qident.lambert`,
 the rescaling q -> q^r already in the specs.  A ``Mul``/``Pow`` subtree
 whose leaves are family atoms, nonzero constants and powers of q folds
 into a :class:`Fold`: a constant, a shift q^s and one exponent map
@@ -30,13 +31,14 @@ base to ``order + (1 - r) * hint(base)``, but never below
 ``hint(base) + 1``, just past the base's leading term.  A division
 ``x/y`` is the product ``Mul(x, Pow(y, -1))``: the numerator is padded
 to ``order + hint(y)`` and the divisor to ``order - hint(x) +
-2*hint(y)``, the extra ``hint(y)`` being what inversion consumes.  Any
-other primitive with a substitution exponent r (``phi(2)``, ``G1(1/2)``)
-is its block at q, expanded to order/r and taken through q -> q^r by the
-same substitution as ``subst``.  Hints are exact unless a subtraction
-cancels a leading term inside a denominator or a power, which no
-built-in identity does; :func:`evaluate_to_order` re-runs with a larger
-target (at most 3 retries) if a result still falls short.  A folded
+2*hint(y)``, the extra ``hint(y)`` being what inversion consumes.
+``G1(r)`` and ``G3(r)`` are their block at q, expanded to order/r and
+taken through q -> q^r by the same substitution as ``subst``; ``phi(r)``
+and ``psi(r)`` are theta sums with r in their spec.  Hints are exact
+unless a subtraction cancels a leading term inside a denominator or a
+power, which no built-in identity does; :func:`evaluate_to_order`
+re-runs with a larger target (at most 3 retries) if a result still
+falls short.  A folded
 subtree is exact below the order it is asked for.
 
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
@@ -64,6 +66,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import blocks, series
 from . import lambert as lam
+from .blocks import ThetaSpec
 from .field import ONE, AlgebraicNumber
 from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
 
@@ -192,9 +195,8 @@ class Primitive:
 
 
 def _rescaled(name: str, *args):
-    """The build of an "r" atom that is not a family product:
-    ``blocks.<name>(*args, order)`` expands the series at q, and q -> q^r
-    takes it to the atom's argument."""
+    """The build of G1(r) or G3(r): ``blocks.<name>(*args, order)`` expands
+    the series at q, and q -> q^r takes it to the atom's argument."""
     return lambda r, order: getattr(blocks, name)(*args, _fr(order) / r).substitute(r)
 
 
@@ -217,8 +219,10 @@ PRIMITIVES: dict[str, Primitive] = {
                  lambda s: blocks._triple_product(s, 1)),
     "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
                       "the same theta function as a bilateral sum"),
-    "phi": Primitive("r", _rescaled("phi"), "`phi(q^r) = f(q^r, q^r)`"),
-    "psi": Primitive("r", _rescaled("psi"), "`psi(q^r) = f(q^r, q^3r)`"),
+    "phi": Primitive("r", lambda r, o: blocks.theta_sum(ThetaSpec(1, 1, r, r), o),
+                     "`phi(q^r) = f(q^r, q^r)`"),
+    "psi": Primitive("r", lambda r, o: blocks.theta_sum(ThetaSpec(1, 1, r, 3 * r), o),
+                     "`psi(q^r) = f(q^r, q^3r)`"),
     "H": _family("r", "Gollnitz-Gordon fraction product side `h(q^r)`",
                  blocks.h_families, lambda r: r / 2),
     "I": _family("r", "order-four fraction product side `i(q^r)`",
@@ -243,9 +247,10 @@ PRIMITIVES: dict[str, Primitive] = {
     "psi11lhs": Primitive(
         "bilateral", lambda s, o: lam.bilateral_1psi1_lhs(s, o),
         "1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s`"),
-    "psi11rhs": Primitive(
-        "bilateral_product", lambda s, o: lam.bilateral_1psi1_rhs(s, o),
-        "1psi1 product side of the same sum, for `alpha + beta < s`"),
+    "psi11rhs": _family(
+        "bilateral_product",
+        "1psi1 product side of the same sum, for `alpha + beta < s`",
+        lam.product_families),
 }
 
 

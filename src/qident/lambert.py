@@ -4,7 +4,9 @@ Congruence-restricted sums sum_m w(m) q^{a m} / (1 - q^{b m}) expand by
 writing each reciprocal as a geometric series; the bilateral sum
 sum_j z^j / (1 - x q^j) is specialized to x = q^alpha, z = q^beta over
 the base q^s, where both index directions produce exponents growing to
-infinity.
+infinity.  Its product side, by Ramanujan's 1psi1 summation, is a
+quotient of Pochhammer families (:func:`product_families`), filled in
+product form like the other family atoms of :mod:`qident.expr`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import PochSpec, poch_quotient
+from .blocks import PochSpec
 from .series import MAX_SLOT_STEPS, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
@@ -192,22 +194,6 @@ def _summand(s, alpha, beta, j):
     return beta * j + step, step, -1
 
 
-def bilateral_term(spec: BilateralSpec, j: int, order) -> PuiseuxSeries:
-    """The index-j summand q^{beta j} / (1 - q^{alpha + s j}) below `order`.
-
-    Its ceil((order - head) / step) terms, sign * q^(head + t*step), count
-    as slots against MAX_DENSE_SLOTS before they are built, as a theta
-    sum's term bound does.  They sit at the integer slots t*p of the grid
-    q^(head + k/den), step = p/den, so no exponent is a Fraction.
-    """
-    order = _fr(order)
-    head, step, sign = _summand(spec.base, spec.x_exp, spec.z_exp, j)
-    terms = dense_slots(max(0, (order - head) / step))
-    p = step.numerator
-    return PuiseuxSeries._reduced(head, step.denominator, 1,
-                                  {t * p: (sign, 0) for t in range(terms)}, order)
-
-
 def _bilateral_progressions(s: int, alpha: int, beta: int, n: int):
     """The nonempty summands below q^n, as _summand triples on one grid.
 
@@ -242,13 +228,13 @@ def bilateral_1psi1_lhs(spec: BilateralSpec, order) -> PuiseuxSeries:
                             low, n, den, order, "1psi1 sum")
 
 
-def product_offsets(spec: BilateralSpec):
-    """The Pochhammer offsets (xz, q/xz, q, q) and (x, q/x, z, q/z) of the
-    1psi1 product side over base q^s.
+def product_families(spec: BilateralSpec) -> list:
+    """The 1psi1 product side (xz, q/xz, q, q; q)_inf / (x, q/x, z, q/z; q)_inf
+    over base q^s, as Pochhammer families, the divisors with power -1.
 
-    With 0 < alpha, beta < s from the spec, all eight are positive exactly
-    when alpha + beta < s; outside that window the product form does not
-    hold and this raises ValueError.
+    With 0 < alpha, beta < s from the spec, all eight offsets are positive
+    exactly when alpha + beta < s; outside that window the product form
+    does not hold and this raises ValueError.
     """
     s, alpha, beta = spec.base, spec.x_exp, spec.z_exp
     if alpha + beta >= s:
@@ -256,18 +242,5 @@ def product_offsets(spec: BilateralSpec):
             f"the 1psi1 product side needs alpha + beta < s, not "
             f"{alpha} + {beta} >= {s}"
         )
-    return (alpha + beta, s - alpha - beta, s, s), (alpha, s - alpha, beta, s - beta)
-
-
-def bilateral_1psi1_rhs(spec: BilateralSpec, order) -> PuiseuxSeries:
-    """(xz, q/xz, q, q; q)_inf / (x, q/x, z, q/z; q)_inf over base q^s.
-
-    The four products over the four quotients fill one array in
-    :func:`~qident.blocks.poch_quotient`, the divisors with power -1.
-    """
-    num, div = product_offsets(spec)
-    return poch_quotient(
-        [(PochSpec(-1, off, spec.base), 1) for off in num]
-        + [(PochSpec(-1, off, spec.base), -1) for off in div],
-        order,
-    )
+    return ([(PochSpec(-1, off, s), 1) for off in (alpha + beta, s - alpha - beta, s, s)]
+            + [(PochSpec(-1, off, s), -1) for off in (alpha, s - alpha, beta, s - beta)])

@@ -9,12 +9,12 @@ import random
 import time
 from fractions import Fraction as F
 
-from qident import blocks
-from qident.blocks import PochSpec, ThetaSpec, b_value, pochhammer, psi, theta_product, theta_sum
+from qident.blocks import PochSpec, ThetaSpec, b_table_series, poch_quotient, theta_sum
 from qident.catalog import B_TABLE_PERIOD, TRIPLE_PRODUCT_SEED, catalog
 from qident.cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
+from qident.expr import PRIMITIVES
 from qident.field import AlgebraicNumber as A
-from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, bilateral_1psi1_rhs, lambert_sum
+from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, lambert_sum
 from qident.verify import report_json, verify
 
 SECTION4_IDS = (
@@ -55,7 +55,7 @@ def test_criterion_02_difference_tables_96_exact_values():
         for l in range(4):
             for r in range(8):
                 expect = B_TABLE_PERIOD[i][r] * two_sqrt2
-                assert b_value(i, 8 * l + r) == expect, (i, l, r)
+                assert b_table_series(i, 32).coefficient(8 * l + r) == expect, (i, l, r)
                 checked += 1
     assert checked == 96
     _passed(2, "all 96 table values reproduced exactly in Q(sqrt2)")
@@ -69,7 +69,7 @@ def test_criterion_03_triple_product_20_seeded_specs():
         s1, s2 = rng.choice("+-"), rng.choice("+-")
         spec = ThetaSpec(1 if s1 == "+" else -1, 1 if s2 == "+" else -1, a, b)
         assert theta_sum(spec, 24).first_mismatch(
-            theta_product(spec, 24), 24
+            PRIMITIVES["f"].build(spec, 24), 24
         ) is None, spec
     _passed(3, "sum and product theta forms agree exactly, 20 seeded specs, order 24")
 
@@ -84,11 +84,11 @@ def test_criterion_04_lemma_rewrites_10_seeded_instances_each():
             pairs.append((a, b))
 
     def f(s1, a, s2, b):
-        return theta_product(ThetaSpec(s1, s2, F(a), F(b)), 24)
+        return PRIMITIVES["f"].build(ThetaSpec(s1, s2, F(a), F(b)), 24)
 
     for a, b in pairs:
         lhs1 = f(1, a, 1, a + 2 * b) * f(1, b, 1, 2 * a + b)
-        psi_ab = psi(24 / (a + b)).substitute(a + b)  # psi(q^(a+b))
+        psi_ab = PRIMITIVES["psi"].build(a + b, 24)  # psi(q^(a+b))
         assert lhs1.first_mismatch(f(1, a, 1, b) * psi_ab, 24) is None
         plus = f(1, a, 1, b) + f(-1, a, -1, b)
         assert plus.first_mismatch(f(1, 3 * a + b, 1, a + 3 * b) * 2, 24) is None
@@ -116,7 +116,7 @@ def test_criterion_06_bilateral_summation_to_order_48():
     for z in (2, 6):
         spec = BilateralSpec(16, 8, z)
         lhs = bilateral_1psi1_lhs(spec, 48)
-        assert lhs.first_mismatch(bilateral_1psi1_rhs(spec, 48), 48) is None
+        assert lhs.first_mismatch(PRIMITIVES["psi11rhs"].build(spec, 48), 48) is None
     one_sided = lambert_sum(
         LambertSpec(2, 1, ((1, 1), (1, 3), (-1, 5), (-1, 7)), 8), 48
     )
@@ -128,8 +128,8 @@ def test_criterion_06_bilateral_summation_to_order_48():
 
 
 def test_criterion_07_continued_fractions_within_1e9():
-    h64 = blocks.h_series(64)
-    i64 = blocks.i_series(64)
+    h64 = PRIMITIVES["H"].build(F(1), 64)
+    i64 = PRIMITIVES["I"].build(F(1), 64)
     worst = 0.0
     for q in (0.05, 0.1, 0.2, 0.3):
         dh = abs(eval_h_cf(q).value - h64.evaluate(q))
@@ -156,7 +156,7 @@ def test_criterion_09_partition_and_pentagonal_oracles():
     for part in range(1, n_max + 1):
         for n in range(part, n_max + 1):
             counts[n] += counts[n - part]
-    inv = pochhammer(PochSpec(-1, 1, 1), n_max + 1) ** -1
+    inv = poch_quotient([(PochSpec(-1, 1, 1), 1)], n_max + 1) ** -1
     for n in range(n_max + 1):
         assert inv.coefficient(n) == A(counts[n]), n
 
@@ -168,7 +168,7 @@ def test_criterion_09_partition_and_pentagonal_oracles():
             if n < 100:
                 support.add(n)
         k += 1
-    qq = pochhammer(PochSpec(-1, 1, 1), 100)
+    qq = poch_quotient([(PochSpec(-1, 1, 1), 1)], 100)
     got = {int(e): c for e, c in qq.items()}
     assert set(got) == support
     assert all(c in (A(1), A(-1)) for c in got.values())

@@ -16,23 +16,16 @@ from qident.blocks import (
     ThetaSpec,
     _triple_product,
     b_table_series,
-    b_value,
     gamma_k,
-    h_series,
-    i_series,
-    phi,
     poch_quotient,
-    pochhammer,
-    psi,
     sine_ratio_table,
     theta1_normalized,
-    theta_product,
     theta_sum,
 )
 from qident.dsl import parse_expression
-from qident.expr import PRIMITIVES, evaluate_to_order
+from qident.expr import PRIMITIVES, Prim, evaluate_to_order
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
-from qident.lambert import BilateralSpec, bilateral_1psi1_rhs
+from qident.lambert import BilateralSpec, product_families
 from qident.series import PuiseuxSeries as P
 
 QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
@@ -79,8 +72,8 @@ def oracle_quotient(families, order):
     divisor through ** -1."""
     out = P.one(order)
     for spec, power in families:
-        poch = oracle_pochhammer(spec, order)
-        factor = poch if power > 0 else poch ** -1
+        one = oracle_pochhammer(spec, order)
+        factor = one if power > 0 else one ** -1
         for _ in range(abs(power)):
             out = out * factor
     return out
@@ -224,12 +217,17 @@ def oracle_gamma_k(k, order, r=1):
     return P.from_slots(0, den, rp, ip, order)
 
 
-# -- oracle: the atoms at q^r with r threaded through each builder --------
+def poch(spec, order):
+    """One Pochhammer family, (spec) below `order`, as its own fill."""
+    return poch_quotient([(spec, 1)], order)
+
+
+# -- oracle: each atom at q^r built a second way ---------------------------
 
 
 def threaded_eta(m, order):
     m = F(m)
-    return pochhammer(PochSpec(-1, m, m), F(order) - m / 24).shift(m / 24)
+    return poch(PochSpec(-1, m, m), F(order) - m / 24).shift(m / 24)
 
 
 def threaded_h(r, order):
@@ -250,10 +248,15 @@ def threaded_i(r, order):
     )
 
 
+def at_q(spec):
+    """A theta sum at q below order/r, taken through q -> q^r."""
+    return lambda r, order: theta_sum(spec, F(order) / F(r)).substitute(F(r))
+
+
 THREADED = {
     "eta": threaded_eta,
-    "phi": lambda r, order: theta_sum(ThetaSpec(1, 1, F(r), F(r)), order),
-    "psi": lambda r, order: theta_sum(ThetaSpec(1, 1, F(r), 3 * F(r)), order),
+    "phi": at_q(ThetaSpec(1, 1, 1, 1)),
+    "psi": at_q(ThetaSpec(1, 1, 1, 3)),
     "H": threaded_h,
     "I": threaded_i,
     "G1": lambda r, order: oracle_gamma_k(1, order, r),
@@ -262,9 +265,9 @@ THREADED = {
 }
 
 
-def atom(name, r, order):
-    """The DSL atom `name(r)` below `order`: its block at q, then q -> q^r."""
-    return PRIMITIVES[name].build(F(r), order)
+def atom(name, arg, order):
+    """The DSL atom `name(arg)` below `order`, through its one builder."""
+    return PRIMITIVES[name].build(F(arg) if isinstance(arg, (int, F)) else arg, order)
 
 
 def fields(s):
@@ -330,7 +333,7 @@ class TestBuilderMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(theta_specs(), orders)
     def test_theta_product(self, spec, order):
-        assert_same(theta_product(spec, order), oracle_theta_product(spec, order))
+        assert_same(atom("f", spec, order), oracle_theta_product(spec, order))
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([F(1), F(2), F(1, 2), F(1, 3)]), orders)
@@ -342,7 +345,7 @@ class TestBuilderMatchesOracle:
     @given(grid_exponent(4), grid_exponent(4), grid_exponent(2), orders)
     def test_psi11rhs(self, alpha, beta, extra, order):
         spec = BilateralSpec(alpha + beta + extra, alpha, beta)
-        assert_same(bilateral_1psi1_rhs(spec, order), oracle_psi11rhs(spec, order))
+        assert_same(Prim("psi11rhs", spec).evaluate(order), oracle_psi11rhs(spec, order))
 
     # deep divisions: about log2(n/off) doublings at off = 1, and one at
     # off just below n/2
@@ -360,7 +363,7 @@ class TestBuilderMatchesOracle:
 
     def test_one_family_is_pochhammer(self):
         spec = PochSpec(1, F(2, 3), F(3, 2))
-        assert_same(pochhammer(spec, 40), oracle_pochhammer(spec, 40))
+        assert_same(poch(spec, 40), oracle_pochhammer(spec, 40))
 
     def test_cancelled_families_leave_one(self):
         spec = PochSpec(-1, 1, 2)
@@ -368,8 +371,10 @@ class TestBuilderMatchesOracle:
 
 
 class TestRescaledAtoms:
-    """Every `r` atom, built at q and substituted, equals the same series
-    with r threaded through its builder, field for field."""
+    """Every `r` atom equals the same series built the other way, field for
+    field: G1 and G3, built at q and substituted, equal their per-slot loop
+    with r threaded through it; phi and psi, r in their spec, equal their
+    sum at q substituted; the family atoms equal their fill at q^r."""
 
     @pytest.mark.parametrize("name", sorted(THREADED))
     def test_matches_the_threaded_builder(self, name):
@@ -384,7 +389,7 @@ class TestRescaledAtoms:
 
 class TestPochhammer:
     def test_euler_pentagonal_to_order_100(self):
-        s = pochhammer(QQ, 100)
+        s = poch(QQ, 100)
         expected = pentagonal_numbers(100)
         got = {int(e): c for e, c in s.items()}
         assert set(got) == set(expected)
@@ -394,17 +399,17 @@ class TestPochhammer:
 
     def test_euler_product_identity(self):
         # (-q;q)(q;q) = (q^2;q^2), a cross-check between distinct specs
-        lhs = pochhammer(PochSpec(1, 1, 1), 20) * pochhammer(QQ, 20)
-        rhs = pochhammer(PochSpec(-1, 2, 2), 20)
+        lhs = poch(PochSpec(1, 1, 1), 20) * poch(QQ, 20)
+        rhs = poch(PochSpec(-1, 2, 2), 20)
         assert lhs.first_mismatch(rhs, 20) is None
 
     def test_half_integer_grid(self):
-        s = pochhammer(PochSpec(-1, F(1, 2), F(1, 2)), 6)
+        s = poch(PochSpec(-1, F(1, 2), F(1, 2)), 6)
         assert all(e.denominator in (1, 2) for e, _ in s.items())
         assert s.coefficient(F(1, 2)) == A(-1)
 
     def test_order_at_most_zero_is_empty(self):
-        assert not pochhammer(QQ, 0)
+        assert not poch(QQ, 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -451,7 +456,7 @@ class TestTheta:
     )
     def test_sum_equals_product(self, spec):
         assert theta_sum(spec, 24).first_mismatch(
-            theta_product(spec, 24), 24
+            atom("f", spec, 24), 24
         ) is None
 
     @example(ThetaSpec(1, 1, F(1, 10**9), F(1, 10**9)), F(1, 10**6))
@@ -467,22 +472,22 @@ class TestTheta:
     @settings(max_examples=60, deadline=None)
     @given(theta_specs(max_units=4), st.sampled_from([24, 48]))
     def test_triple_product_property(self, spec, order):
-        assert_same(theta_sum(spec, order), theta_product(spec, order))
+        assert_same(theta_sum(spec, order), atom("f", spec, order))
 
     def test_product_form_as_explicit_pochhammers(self):
         # f(-q,-q^7) = (q;q^8)(q^7;q^8)(q^8;q^8)
-        lhs = theta_product(ThetaSpec(-1, -1, 1, 7), 30)
+        lhs = atom("f", ThetaSpec(-1, -1, 1, 7), 30)
         rhs = (
-            pochhammer(PochSpec(-1, 1, 8), 30)
-            * pochhammer(PochSpec(-1, 7, 8), 30)
-            * pochhammer(PochSpec(-1, 8, 8), 30)
+            poch(PochSpec(-1, 1, 8), 30)
+            * poch(PochSpec(-1, 7, 8), 30)
+            * poch(PochSpec(-1, 8, 8), 30)
         )
         assert lhs.first_mismatch(rhs, 30) is None
         # f(-q^2,-q^2) = (q^2;q^4)^2 (q^4;q^4)
-        lhs2 = theta_product(ThetaSpec(-1, -1, 2, 2), 30)
+        lhs2 = atom("f", ThetaSpec(-1, -1, 2, 2), 30)
         rhs2 = (
-            pochhammer(PochSpec(-1, 2, 4), 30) ** 2
-            * pochhammer(PochSpec(-1, 4, 4), 30)
+            poch(PochSpec(-1, 2, 4), 30) ** 2
+            * poch(PochSpec(-1, 4, 4), 30)
         )
         assert lhs2.first_mismatch(rhs2, 30) is None
 
@@ -507,7 +512,7 @@ class TestLemmaInstances:
         return out
 
     def f(self, s1, a, s2, b, order):
-        return theta_product(ThetaSpec(s1, s2, F(a), F(b)), order)
+        return atom("f", ThetaSpec(s1, s2, F(a), F(b)), order)
 
     @pytest.mark.parametrize("idx", range(10))
     def test_f1_factorization(self, idx):
@@ -590,8 +595,8 @@ class TestEta:
 
 class TestGamma:
     def test_gamma2_is_poch(self):
-        lhs = gamma_k(2, 24)
-        rhs = pochhammer(PochSpec(1, 2, 2), 24)
+        lhs = atom("G2", 1, 24)
+        rhs = poch(PochSpec(1, 2, 2), 24)
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_gamma1_first_terms(self):
@@ -601,8 +606,8 @@ class TestGamma:
         assert s.coefficient(2) == A(1, -1)
 
     def test_product_collapses(self):
-        lhs = gamma_k(1, 24) * gamma_k(2, 24) * gamma_k(3, 24)
-        rhs = pochhammer(PochSpec(-1, 8, 8), 24) / pochhammer(PochSpec(-1, 2, 2), 24)
+        lhs = gamma_k(1, 24) * atom("G2", 1, 24) * gamma_k(3, 24)
+        rhs = poch(PochSpec(-1, 8, 8), 24) / poch(PochSpec(-1, 2, 2), 24)
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_scaled_argument(self):
@@ -623,8 +628,10 @@ class TestGamma:
         assert fields(gamma_k(k, order)) == fields(oracle_gamma_k(k, order))
 
     def test_k_outside_1_to_3_is_refused(self):
-        with pytest.raises(ValueError, match="k = 1, 2 or 3"):
-            gamma_k(4, 10)
+        # G_2 is a family atom, not a gamma_k build
+        for k in (2, 4):
+            with pytest.raises(ValueError, match="k = 1 or 3"):
+                gamma_k(k, 10)
 
 
 def exact_fill_bits(families, n):
@@ -681,16 +688,19 @@ class TestFillWidth:
     )
     def test_majorant_covers_the_largest_coefficient(self, widths, families,
                                                      order, shift):
-        # what h_series and i_series fill; h below order - 1/2 before its shift
+        # what the H(1) and I(1) atoms fill; H below order - 1/2 before its shift
         want = oracle_fill(families, F(order) - shift)
         assert poch_quotient(families, F(order) - shift) == want
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
 
     def test_psi11rhs_and_g1(self, widths):
+        # the whole 1psi1 quotient in one fill; the atom fills its square
+        # root and squares it, as its powers 2 and -2 share the factor 2
         spec = BilateralSpec(1, F(1, 4), F(1, 2))
         want = oracle_psi11rhs(spec, 400)
-        assert bilateral_1psi1_rhs(spec, 400) == want
+        assert atom("psi11rhs", spec, 400) == want
+        assert poch_quotient(product_families(spec), 400) == want
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
         want = oracle_gamma_k(1, 2000)
@@ -738,10 +748,10 @@ class TestSineRatios:
 
     def test_b1_at_residue_one(self):
         for l in range(4):
-            assert b_value(1, 8 * l + 1) == A(0, 2)
+            assert b_table_series(1, 32).coefficient(8 * l + 1) == A(0, 2)
 
     def test_b2_at_zero(self):
-        assert b_value(2, 0) == A(0, 2)
+        assert b_table_series(2, 1).coefficient(0) == A(0, 2)
 
     def test_sine_product_identity(self):
         prod = (
@@ -776,7 +786,7 @@ class TestTheta1Normalized:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_equals_pochhammer_times_gamma(self, k):
         lhs = theta1_normalized(k, 24)
-        rhs = pochhammer(QQ, 24) * gamma_k(k, 24)
+        rhs = poch(QQ, 24) * atom(f"G{k}", 1, 24)
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_constant_term_is_one(self):
@@ -793,47 +803,47 @@ class TestTheta1Normalized:
 
 class TestContinuedFractionProducts:
     def test_h_leading(self):
-        h = h_series(12)
+        h = atom("H", 1, 12)
         assert h.leading() == (F(1, 2), ONE)
 
     def test_h_constant_term_after_normalizing(self):
-        h = h_series(12).shift(F(-1, 2))
+        h = atom("H", 1, 12).shift(F(-1, 2))
         assert h.coefficient(0) == ONE
 
     def test_i_leading(self):
-        assert i_series(12).leading() == (F(0), ONE)
+        assert atom("I", 1, 12).leading() == (F(0), ONE)
 
     def test_substituting_q_squared_doubles_the_leading_exponent(self):
         # h(q^2) via substitution has leading term q^1
-        doubled = h_series(12).substitute(2)
+        doubled = atom("H", 1, 12).substitute(2)
         assert doubled.leading() == (F(1), ONE)
         direct = threaded_h(2, 24)
         assert doubled.first_mismatch(direct, 24) is None
 
     def test_reciprocal_difference_law(self):
-        h = h_series(21)
+        h = atom("H", 1, 21)
         lhs = h ** -1 - h
         rhs = atom("phi", 2, 21) * atom("psi", 4, 21) ** -1 * P.monomial(1, F(-1, 2), 21)
         assert lhs.first_mismatch(rhs, 20) is None
 
     def test_reciprocal_sum_law(self):
-        h = h_series(21)
+        h = atom("H", 1, 21)
         lhs = h ** -1 + h
-        rhs = phi(21) * atom("psi", 4, 21) ** -1 * P.monomial(1, F(-1, 2), 21)
+        rhs = atom("phi", 1, 21) * atom("psi", 4, 21) ** -1 * P.monomial(1, F(-1, 2), 21)
         assert lhs.first_mismatch(rhs, 20) is None
 
 
 class TestPhiPsi:
     def test_phi_values(self):
-        assert phi(10) == P({0: 1, 1: 2, 4: 2, 9: 2}, 10)
+        assert atom("phi", 1, 10) == P({0: 1, 1: 2, 4: 2, 9: 2}, 10)
 
     def test_psi_scaled(self):
         assert atom("psi", 4, 25) == P({0: 1, 4: 1, 12: 1, 24: 1}, 25)
 
     def test_psi_product_form(self):
         # (q^2;q^2)/(q;q^2) against the bilateral sum
-        prod = pochhammer(PochSpec(-1, 2, 2), 24) / pochhammer(PochSpec(-1, 1, 2), 24)
-        assert psi(24).first_mismatch(prod, 24) is None
+        prod = poch(PochSpec(-1, 2, 2), 24) / poch(PochSpec(-1, 1, 2), 24)
+        assert atom("psi", 1, 24).first_mismatch(prod, 24) is None
 
 
 def test_root_of_unity_polynomial():

@@ -1,20 +1,21 @@
 """Continued fractions vs truncated product series, numerically."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from qident.blocks import h_series, i_series
 from qident.cfrac import (
     eval_general_cf,
     eval_h_cf,
     eval_i_cf,
     gcf_product_value,
 )
+from qident.expr import PRIMITIVES
 
 # deep enough that the geometric tail at q <= 0.3 is far below 1e-12
-H64 = h_series(64)
-I64 = i_series(64)
+H64 = PRIMITIVES["H"].build(Fraction(1), 64)
+I64 = PRIMITIVES["I"].build(Fraction(1), 64)
 
 
 class TestGeneralCF:

@@ -20,6 +20,7 @@ from qident.expr import (
     shared_evaluations,
 )
 from qident.field import ONE, SQRT2, AlgebraicNumber
+from qident.lambert import BilateralSpec
 from qident.series import (
     InsufficientPrecisionError, LeadingCoefficientError, PuiseuxSeries as P,
     SlotBudgetError,
@@ -92,11 +93,14 @@ def assert_same(node, order):
 R = st.sampled_from([F(1, 2), F(1), F(2), F(3, 2)])
 HALVES = st.integers(1, 4).map(lambda k: F(k, 2))
 SIGNS = st.sampled_from([1, -1])
+# 1psi1 product sides: 0 < alpha, beta and alpha + beta < s
+PSI11 = st.builds(lambda a, b, c: BilateralSpec(a + b + c, a, b), HALVES, HALVES, HALVES)
 FAMILY_ATOMS = st.one_of(
     st.builds(Prim, st.sampled_from(["eta", "H", "I", "G2"]), R),
     st.builds(Prim, st.just("poch"), st.builds(PochSpec, SIGNS, HALVES, HALVES)),
     st.builds(Prim, st.just("f"),
               st.builds(ThetaSpec, SIGNS, SIGNS, HALVES, HALVES)),
+    st.builds(Prim, st.just("psi11rhs"), PSI11),
 )
 LEAVES = st.one_of(
     FAMILY_ATOMS,
@@ -166,6 +170,8 @@ class TestNamedTrees:
         "eta(1)*(1 + q^(1) + q^(2) + q^(3))",
         "eta(1)^(1000)*eta(1)^(-999)",
         "eta(1)^(1/2)*eta(1)^(-1/2)",
+        "psi11rhs(16,8,6)*eta(2)^(1/2)",
+        "psi11rhs(1,1/4,1/2)^(1/2)*psi11rhs(16,8,2)/H(1)",
     ])
     @pytest.mark.parametrize("order", [F(1, 3), F(24), F(96)])
     def test_examples(self, text, order):
@@ -182,6 +188,8 @@ class TestNamedTrees:
         # four terms for one atom: the sum is expanded as it stands
         (["eta(1)*(1 + q^(1) + q^(2) + q^(3))"], 1),
         (["eta(1)^(24)", "2*eta(1)^(12)*eta(1)^(12)"], 1),
+        # the 1psi1 product side folds with the other family atoms
+        (["psi11rhs(16,8,6)*eta(2)^(1/2)"], 1),
     ])
     def test_maps_expanded(self, monkeypatch, texts, maps):
         filled = []

@@ -11,11 +11,11 @@ from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import (
     PochSpec,
     ThetaSpec,
-    eta,
+    _triple_product,
+    g2_families,
     gamma_k,
-    i_series,
-    pochhammer,
-    theta_product,
+    i_families,
+    poch_quotient,
     theta_sum,
 )
 from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, lambert_sum
@@ -337,7 +337,7 @@ class TestMul:
         # eta(1) = q^(1/24) (q;q)_inf: its offsets lie on the integer grid,
         # so its square to q^(241/24) convolves 10 slots, not the 239 of
         # the exponents' 1/24 grid
-        a = eta(10)
+        a = poch_quotient([(PochSpec(-1, 1, 1), 1)], F(239, 24)).shift(F(1, 24))
         slots = []
         kernel = backend.convolve_rational
 
@@ -583,7 +583,7 @@ class TestSlotBudget:
     def test_block_expansions(self):
         assert issubclass(SlotBudgetError, ValueError)
         with pytest.raises(SlotBudgetError):
-            pochhammer(PochSpec(-1, F(1, 10**9), 1), 1)
+            poch_quotient([(PochSpec(-1, F(1, 10**9), 1), 1)], 1)
         with pytest.raises(SlotBudgetError):
             gamma_k(1, MAX_DENSE_SLOTS + 1)
 
@@ -598,9 +598,9 @@ class TestSlotBudget:
         # far below the slot cap, but slots x factors (or slots x terms)
         # inner steps is more than MAX_SLOT_STEPS
         with pytest.raises(SlotBudgetError, match="steps"):
-            pochhammer(PochSpec(-1, 1, 1), 20000)
+            poch_quotient([(PochSpec(-1, 1, 1), 1)], 20000)
         with pytest.raises(SlotBudgetError, match="steps"):
-            gamma_k(2, 20000)
+            poch_quotient(g2_families(1), 20000)
         s = P({F(j * j, 1000): 1 for j in range(100)}, 500)
         assert sum(500_000 - j * j for j in range(1, 100)) > MAX_SLOT_STEPS
         with pytest.raises(SlotBudgetError, match="steps"):
@@ -618,15 +618,15 @@ class TestSlotBudget:
         "expand, steps",
         [
             # factors at slots 1..9 of 10 visit 9 + 8 + ... + 1 slots
-            (lambda: pochhammer(PochSpec(-1, 1, 1), 10), 45),
+            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 1)], 10), 45),
             (lambda: gamma_k(1, 10), 45),
             # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
-            (lambda: pochhammer(PochSpec(1, F(3, 2), 1), 4), 9),
+            (lambda: poch_quotient([(PochSpec(1, F(3, 2), 1), 1)], 4), 9),
             # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7: 6+3 + 5+2 + 4+1
-            (lambda: theta_product(ThetaSpec(1, 1, 1, 2), 7), 21),
+            (lambda: poch_quotient(_triple_product(ThetaSpec(1, 1, 1, 2), 1), 7), 21),
             # i(q) to q^9 = (q;q^4)(q^3;q^4) / (q^2;q^4)^2 once (q^4;q^4)
             # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
-            (lambda: i_series(9), 40),
+            (lambda: poch_quotient(i_families(1), 9), 40),
             # (1 + q)(1 + q^2) to q^10: both slots of the first factor meet
             # all 3 slots of the second
             (lambda: P({0: 1, 1: 1}, 10) * P({0: 1, 2: 1}, 10), 6),
