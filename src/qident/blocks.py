@@ -148,7 +148,11 @@ def _grid(families):
         powers[spec] = powers.get(spec, 0) + p
     den = math.lcm(1, *(x.denominator for spec in powers
                         for x in (spec.offset, spec.step)))
-    return den, [(spec.sign, int(spec.offset * den), int(spec.step * den), p)
+
+    def on_grid(x):  # x * den, without a Fraction product
+        return x.numerator * (den // x.denominator)
+
+    return den, [(spec.sign, on_grid(spec.offset), on_grid(spec.step), p)
                  for spec, p in powers.items() if p]
 
 

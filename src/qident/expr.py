@@ -11,17 +11,31 @@ the rescaling q -> q^r already in the specs.  A ``Mul``/``Pow`` subtree
 whose leaves are family atoms, nonzero constants and powers of q folds
 into a :class:`Fold`: a constant, a shift q^s and one exponent map
 ``{PochSpec: Fraction}``.  A power of a subtree whose constant is not 1
-does not fold.  The map is expanded below order - s (:func:`_fills`)
-either as one :func:`~qident.blocks.poch_quotient` fill of the integer
-powers e*D/g and one power g/D, D the lcm of the powers' denominators
-and g the gcd of the e*D, so ``eta(1)^(24)`` is one fill and one
-recurrence, or, when that single fill would take more steps, as one
-fill and one power per distinct e, so that ``eta(1)^(1000)*eta(2)^(999)``
-costs what the tree costs; a family atom alone is one fill.  A folding
+does not fold.  The map's unit part below order - s
+(:func:`_unit_product`) is expanded along one of two paths.  A map with
+two or more distinct powers, one of them not an integer -- both
+``thm31`` maps, ``H(1)^(1/2)`` -- is one run of the recurrence on its
+logarithmic derivative (:func:`_logd`): n steps per nonzero
+coefficient of the derivative whatever the powers, and, for an integral
+product, values no wider than its coefficients.  Any other map --
+integer powers, or one power shared by all its families -- is filled by
+:func:`~qident.blocks.poch_quotient` in the form :func:`_fills` picks:
+one fill of the integer powers e*D/g and one power g/D, D the lcm of the
+powers' denominators and g the gcd of the e*D, so ``eta(1)^(24)`` is one
+fill raised to 24, or, when that single fill would take more steps,
+one fill and one power per distinct e, so that
+``eta(1)^(1000)*eta(2)^(999)`` costs what the tree costs; a family atom
+alone is one fill.  When every such form has a fill past
+MAX_SLOT_STEPS, the map runs the recurrence instead, which counts its
+own steps: ``eta(1)*eta(2)`` at order 6000 is one fill of 2.7*10^7
+steps or 1.8*10^7 steps of the recurrence.  A folding
 factor times an ``Add``/``Sub`` whose terms all fold distributes into
 one map per term when the terms are no more than the family atoms the
 tree would expand one by one.  Everything else is evaluated node by
-node.
+node, where a power is the power recurrence of
+:meth:`~qident.series.PuiseuxSeries._power` unless it is a small
+positive power with fewer products than unit terms, which is a product
+(see :meth:`~qident.series.PuiseuxSeries.__pow__`).
 
 Node by node, evaluation propagates per-node targets top down: a product
 pads each factor by the co-factor's structural leading exponent
@@ -431,36 +445,51 @@ def _expand(fold: Fold, order) -> PuiseuxSeries:
 
 
 def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
+    """The product of the families of `powers`, each to its power, below
+    `unit`.
+
+    A map with two or more distinct powers, one of them not an integer,
+    is one run of :func:`_logd`.  Any other map is expanded in the form
+    :func:`_fills` picks, fills raised to powers and multiplied, unless
+    every form it offers has a fill past MAX_SLOT_STEPS; then it too goes
+    to :func:`_logd`, which counts its own steps.
+    """
     if unit <= 0:
         return PuiseuxSeries.zero(unit)
     if not powers:
         return PuiseuxSeries.one(unit)
+    mixed = (len(set(powers.values())) > 1
+             and any(e.denominator > 1 for e in powers.values()))
+    fills = None if mixed else _fills(powers, unit)
+    if fills is None:
+        return _logd(powers, unit)
     return reduce(PuiseuxSeries.__mul__, (blocks.poch_quotient(families, unit) ** r
-                                          for r, families in _fills(powers, unit)))
+                                          for r, families in fills))
 
 
-def _fills(powers: dict, unit: Fraction) -> list:
+def _fills(powers: dict, unit: Fraction) -> Optional[list]:
     """(r, families) pairs whose fills below `unit`, each raised to r,
-    multiply to the exponent map `powers`.
+    multiply to the exponent map `powers`, or None when every form has a
+    fill past MAX_SLOT_STEPS.  :func:`_unit_product` asks only for maps
+    whose powers are all integers or all equal.
 
     Either one fill of the integer powers e*D/g raised to g/D, D the lcm
     of the powers' denominators and g the gcd of the e*D, or one fill per
     distinct power e of its families, raised to e.  The first enters each
-    factor |e|*D/g times, the second once, but adds a power recurrence
-    per fill and a product (one packed multiplication, not counted).
-    Counting a recurrence as the n^2/2 steps of a dense loop on n slots,
-    the form with fewer steps is taken, the single fill on a tie, unless
-    it has a fill past MAX_SLOT_STEPS and the other has none.
+    factor |e|*D/g times, the second once, but adds a power per fill and
+    a product (one packed multiplication, not counted).  Counting a power
+    as the n^2/2 steps of a dense loop on n slots, the form with fewer
+    steps is taken, the single fill on a tie, unless it has a fill past
+    MAX_SLOT_STEPS and the other has none.
     """
     den = math.lcm(*(e.denominator for e in powers.values()))
     g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
-    fused = [(_FR(g, den), [(spec, int(e * den) // g) for spec, e in powers.items()])]
+    forms = [[(_FR(g, den), [(spec, int(e * den) // g) for spec, e in powers.items()])]]
     by_power: dict = {}
     for spec, e in powers.items():
         by_power.setdefault(e, []).append((spec, 1))
-    if len(by_power) < 2:
-        return fused
-    split = list(by_power.items())
+    if len(by_power) > 1:
+        forms.append(list(by_power.items()))
 
     def steps(fills):
         over = work = 0
@@ -472,7 +501,88 @@ def _fills(powers: dict, unit: Fraction) -> list:
             work += fill + (n * n // 2 if r != 1 else 0)
         return over, work
 
-    return min(fused, split, key=steps)
+    (over, _), fills = min(((steps(form), form) for form in forms),
+                           key=lambda scored: scored[0])
+    return None if over else fills
+
+
+def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
+    """The exponent map `powers` below `unit` by one recurrence on its
+    logarithmic derivative.
+
+    On the families' common grid t = q^(1/den), f = prod (spec)^e has
+    t*f' = C*f for C = sum_k c_k t^k, and a factor (1 + s*t^x) of a family
+    with power e adds -e*x*(-s)^m to c_(m*x) for every m >= 1: a sieve of
+    sum_x (n-1)//x steps over the factors x < n.  Then N*f_N =
+    sum_k c_k f_(N-k) (Andrews, *q-Series*, CBMS 66, 1986) costs n steps
+    per nonzero c_k, whatever the powers.  With D the lcm of the powers'
+    denominators every D*c_k is an integer, and the loop runs on plain
+    ints F_N = Q*f_N over one common denominator Q: it starts at 1 and
+    rises, rescaling the earlier slots, only when the division by N*D
+    leaves a remainder, so an integral product keeps Q = 1 and values no
+    wider than its coefficients.
+
+    The sieve's steps are checked before it runs and the recurrence's,
+    sum(n - k) over the nonzero c_k, before its loop.  As the loop runs,
+    its values may outgrow a word, through Q or through large powers, so
+    each step is also charged as it is made, once per 64-bit word of the
+    widest c_k times the words of the value it reads (bounded by the
+    widest value so far and by all the words held), and each rescaling
+    once per slot it rescales, against the same cap; with one-word values
+    and Q = 1 the charge is at most the plain count.  The words held are tallied
+    too, and checked like the power recurrence's.
+    """
+    den, grid = blocks._grid(powers.items())
+    n = series.dense_slots(unit * den)
+    what = f"log-derivative recurrence over {n} dense coefficient slots"
+    lcd = math.lcm(*(e.denominator for *_, e in grid))
+    grid = [(sign, range(first, n, step), int(e * lcd)) for sign, first, step, e in grid]
+    series.check_steps(sum((n - 1) // x for _, xs, _ in grid for x in xs), what)
+    c = [0] * n
+    for sign, xs, e in grid:
+        for x in xs:
+            v = -e * x
+            if sign < 0:
+                for k in range(x, n, x):
+                    c[k] += v
+            else:  # (-1)^m: +e*x at the odd multiples, -e*x at the even
+                for k in range(x, n, 2 * x):
+                    c[k] -= v
+                for k in range(2 * x, n, 2 * x):
+                    c[k] += v
+    units = [(k, ck) for k, ck in enumerate(c) if ck]
+    series.check_steps(sum(n - k for k, _ in units), what)
+    cw = max((_words(ck) for _, ck in units), default=0)
+    f = [0] * n
+    f[0] = q = held = width = 1
+    live = work = 0
+    for k in range(1, n):
+        while live < len(units) and units[live][0] <= k:
+            live += 1
+        s = sum([ck * f[k - j] for j, ck in units[:live]])
+        # the words this slot's products read: at most `width` each, and
+        # at most `held` in all
+        work += cw * min(live * width, held)
+        kd = k * lcd
+        f[k], rem = divmod(s, kd)
+        if rem:
+            r = kd // math.gcd(s, kd)
+            q *= r
+            f[:k] = [x * r for x in f[:k]]
+            f[k] = s * r // kd
+            words = [_words(x) for x in f[:k]]
+            held, width = sum(words), max(words)
+            work += k
+        series.check_steps(work, what)
+        held += _words(f[k])
+        width = max(width, _words(f[k]))
+        series.check_words(held, what)
+    return PuiseuxSeries.from_slots(0, den, f, None, unit, q)
+
+
+def _words(x: int) -> int:
+    """The 64-bit words of |x|, 0 for 0."""
+    return (x.bit_length() + 63) // 64
 
 
 def _terms(node: Node, sign=1) -> Optional[list]:

@@ -27,6 +27,15 @@ Dense work (products, the power recurrence, the block builders) runs on
 integer arrays: :meth:`PuiseuxSeries._slots` spreads the slots over an
 array on a grid at least as fine, and :meth:`PuiseuxSeries.from_slots`
 takes such arrays back into the canonical form.
+
+A power takes one of two paths (:meth:`PuiseuxSeries.__pow__`).  Every
+power -- inverses, roots, rational and integer powers -- is the power
+recurrence :meth:`PuiseuxSeries._power`, O(slots x unit terms), except
+that a small positive power (at most 8) with fewer products than unit
+terms is a product: binary powering by the packed product, whose cost
+does not grow with the unit terms.  So a dense base is squared in one
+product, while ``(1 + q)**3``, ``eta**24`` and ``(1 + q)**(10**30)``
+stay on the recurrence.
 """
 
 from __future__ import annotations
@@ -41,15 +50,17 @@ from . import backend
 from .field import ONE, ZERO, AlgebraicNumber
 
 # No dense coefficient array built from an order and an exponent grid
-# (block expansions, products, the power recurrence) may be longer than
-# this, no packed integer of a product or a block fill and no power
-# recurrence's arrays may hold more 64-bit words, and a loop that collects
-# terms in a dict (the theta sums, the 1psi1 summands) may have no more
-# terms in its closed-form bound,
+# (block expansions, products, the recurrences) may be longer than this,
+# no packed integer of a product or a block fill and no recurrence's
+# arrays (a power's or an exponent map's) may hold more 64-bit words, and
+# a loop that collects terms in a dict (the theta sums, the 1psi1
+# summands) may have no more terms in its closed-form bound,
 MAX_DENSE_SLOTS = 1_000_000
 # nor may the loop that fills an array take more inner steps (slot
 # updates): the slot cap bounds memory, this bounds time.  Every loop past
-# either budget stops with SlotBudgetError; none falls back to another path.
+# either budget stops with SlotBudgetError; none falls back to another path
+# once refused (an exponent map whose fills would all pass the step cap
+# takes its recurrence instead before any fill, see expr._unit_product).
 MAX_SLOT_STEPS = 20_000_000
 
 
@@ -65,7 +76,7 @@ class LeadingCoefficientError(ValueError):
 class SlotBudgetError(ValueError):
     """A dense coefficient array (or a term dict of a theta sum) would exceed
     :data:`MAX_DENSE_SLOTS` slots (or, packed into one integer or held by
-    the power recurrence, 64-bit words), or filling it would take more than
+    a recurrence, 64-bit words), or filling it would take more than
     :data:`MAX_SLOT_STEPS` steps."""
 
 
@@ -496,17 +507,39 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_slots(m1 + m2, den, rc, ic, trunc, d1 * d2)
 
     def __pow__(self, r):
-        """self ** r for an int or Fraction r: the power recurrence of
-        :meth:`_power`, which needs a leading coefficient of exactly 1 when
-        r is not an integer.  Any series to the power 0 is 1, and to the
-        power 1 itself."""
+        """self ** r for an int or Fraction r.  Any series to the power 0
+        is 1, and to the power 1 itself.
+
+        A small positive power with fewer products than unit terms is a
+        product: an integer 2 <= a <= 8 takes bit_length(a) + popcount(a)
+        - 2 products by binary powering, and when that is fewer than the
+        base's nonzero terms after its leading one, the powers are
+        multiplied, each product under its own slot, step and word checks.
+        The cap on a keeps the products' values small: the recurrence
+        multiplies its wide values by unit terms only, while a packed
+        product of values a times wider slows more than linearly
+        (``eta(1)`` filled to q^2000 and raised to 1000 takes over ten
+        times as long by products).  Every other power -- inverses, roots,
+        other rationals, and integers with a sparse base or a large
+        exponent -- is the power recurrence of :meth:`_power`, which needs
+        a leading coefficient of exactly 1 when r is not an integer.
+        """
         if not isinstance(r, (int, Fraction)):
             return NotImplemented
         if r == 0:
             return PuiseuxSeries.one(self.trunc)
         if r == 1:
             return self
-        return self._power(r.numerator, r.denominator)
+        a = r.numerator
+        if r.denominator == 1 and 1 < a <= 8 and (
+                a.bit_length() + a.bit_count() - 2 < len(self.slots) - 1):
+            out = self
+            for bit in bin(a)[3:]:
+                out = out * out
+                if bit == "1":
+                    out = out * self
+            return out
+        return self._power(a, r.denominator)
 
     # -- inversion, roots and rational powers ------------------------------
 

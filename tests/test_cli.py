@@ -214,7 +214,8 @@ class TestDumpCommand:
             ["dump", "root(phi(1/1000),2)", "--order", "500"],
             # 1.1e7 steps, but on integers of ~10^5 bits
             ["dump", "root(phi(1/1000),2)", "--order", "50"],
-            # a positive power runs the recurrence, here over 1,000,003 slots
+            # a square of one unit term (one product: a tie) runs the
+            # recurrence, here over 1,000,003 slots
             ["dump", "(1+q^(1/1000003))^(2)", "--order", "1"],
             # 2000 slots and plain steps, but values that grow by about
             # 100 bits (binom(10^30, k)) or 333 bits ((-10^100)^k) a slot
@@ -254,7 +255,7 @@ class TestDumpCommand:
             ["dump", "lambert(1,0,+1+2+3,1)", "--order", "999999"],
             # 26,939,844 terms of two
             ["dump", "lambert(1,0,+1+2,1)", "--order", "999999"],
-            # 1.99*10^8 steps of the power recurrence
+            # a square of 20,000 dense slots: one product of 2.0*10^8 steps
             ["dump", "(1/(1-q^(1)))^(2)", "--order", "20000"],
         ],
     )

@@ -349,18 +349,29 @@ class TestMul:
         assert a * a == oracle_mul(a, a)
         assert slots == [10]
 
-    def test_integer_powers_call_no_kernel(self, monkeypatch):
-        # a positive integer power runs the power recurrence, with the
-        # leading coefficient's power taken once, not a chain of products
-        x = P({F(1, 3): A(F(2, 3), -1), F(1, 2): A(F(1, 5), 3), 2: A(-4),
-               F(7, 3): SQRT2}, 6)
-        want = x * x * x
+    def test_integer_powers_multiply_only_when_fewer_products(self, monkeypatch):
+        # a small positive power with fewer products than unit terms is a
+        # product: x has 3 unit terms and x ** 3 takes 2 (a square, then
+        # times x), each one kernel call on rational arrays; 1 + q has one
+        # unit term, so its cube runs the power recurrence and calls no
+        # kernel, and so does any power above 8, however dense the base
+        x = P({F(1, 3): F(2, 3), F(1, 2): F(1, 5), 2: -4, F(7, 3): 3}, 6)
+        want = oracle_mul(oracle_mul(x, x), x)
+        calls = []
+        kernel = backend.convolve_rational
 
-        def refuse(*args):
-            raise AssertionError("x ** 3 called a convolution kernel")
+        def counting(ra, rb, nout):
+            calls.append(nout)
+            return kernel(ra, rb, nout)
 
-        monkeypatch.setattr(backend, "convolve_rational", refuse)
+        monkeypatch.setattr(backend, "convolve_rational", counting)
         assert x ** 3 == want
+        assert len(calls) == 2
+        calls.clear()
+        assert P({0: 1, 1: 1}, 10) ** 3 == P({0: 1, 1: 3, 2: 3, 3: 1}, 10)
+        dense = geometric(12)
+        assert dense ** 9 == dense._power(9, 1)
+        assert calls == []
 
     def test_grid_past_the_slot_cap_is_refused(self):
         # four terms, but their common grid 1/(999983 * 1000003) puts
@@ -434,6 +445,32 @@ class TestRecurrencesMatchOracle:
         if r.denominator > 1:  # a fractional power needs a unit lead
             s = P({**s.terms, min(s.terms): ONE}, s.trunc)
         self.assert_same(s ** r, oracle_power(s, r))
+
+
+@st.composite
+def dense_series(draw):
+    """A series with a term in every slot of its grid up to its bound,
+    rational or in Z[sqrt2]."""
+    grid = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+    span = draw(st.integers(6, 30))
+    coeffs = wide_coeffs if draw(st.booleans()) else wide_rationals.map(A)
+    terms = {m + F(j, grid): draw(coeffs) for j in range(span)}
+    return P(terms, m + F(span, grid))
+
+
+class TestIntegerPowers:
+    """Binary powering equals the power recurrence it stands in for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(wide_series(), dense_series()), st.integers(2, 9))
+    def test_products_match_the_recurrence(self, s, a):
+        assert s ** a == s._power(a, 1)
+
+    @pytest.mark.parametrize("a", range(2, 10))
+    def test_zero_series(self, a):
+        z = P.zero(F(5, 2))
+        assert z ** a == z._power(a, 1)
 
 
 class TestOperationsMatchOracle:
