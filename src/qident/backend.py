@@ -14,8 +14,13 @@ of :mod:`qident.blocks`.
 """
 
 import struct
+import sys
 
 KERNEL_BACKEND = "python"
+
+# the native signed formats :func:`unpack` casts to, by width in bytes
+_CASTS = ({w: f for w, f in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+           if struct.calcsize(f) == w} if sys.byteorder == "little" else {})
 
 
 def slot_bytes(bits) -> int:
@@ -53,12 +58,19 @@ def unpack(x, w, n) -> list:
 
     Adding 2**(8*w - 1) to every slot makes each one a plain byte string
     in [0, 2**(8*w)) without carries, provided every slot value c has
-    |c| < 2**(8*w - 1); the bias comes off again slot by slot.
+    |c| < 2**(8*w - 1).  For a width of a machine int (1, 2, 4 or 8
+    bytes) on a little-endian host, flipping each slot's top bit back
+    leaves the slot in two's complement, and one memoryview cast reads
+    all of them; any other width takes the bias off slot by slot.
     """
     size = w * n
     half = 1 << (8 * w - 1)
     bias = int.from_bytes(half.to_bytes(w, "little") * n, "little")
-    data = ((x + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    biased = (x + bias) & ((1 << (8 * size)) - 1)
+    fmt = _CASTS.get(w)
+    if fmt:
+        return memoryview((biased ^ bias).to_bytes(size, "little")).cast(fmt).tolist()
+    data = biased.to_bytes(size, "little")
     read = int.from_bytes
     return [read(b, "little") - half for b, in struct.iter_unpack(f"{w}s", data)]
 

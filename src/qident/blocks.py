@@ -28,6 +28,20 @@ way.  The sums (theta sums,
 theta_1 specializations, B tables) count their exponents on an integer
 grid and their coefficients as integer pairs x + y*sqrt2, and every
 builder hands the canonical slot form to the series directly.
+
+A packed fill's slot width comes from a closed-form majorant of its
+coefficients (:func:`_fill_bytes`), which bounds each factor (1 +- y) by
+(1 + y).  The whole theta products among a fill's positive powers
+(:func:`_theta_groups`) are bounded by their sum sides instead: by
+Jacobi's triple product (G. E. Andrews, *The Theory of Partitions*,
+1976, Thm 2.8) the families (s*q^A; q^D)(s*q^(D-A); q^D)(q^D; q^D) are
+f(s*q^A, s*q^(D-A)) = sum_j +-q^e(j), and the six of a mixed-sign f are
+one f too; by Euler's pentagonal theorem (ibid., Thm 1.6) (q^D; q^D)
+is f(-q^D, -q^2D).  Each sum has about 2*sqrt(2n/P) terms below slot n,
+P the period of its exponents e(j) >= P*|j|(|j| - 1)/2, so a group
+adds a term in sqrt(1/-log x) to the log of the majorant where its
+factors would add one in 1/-log x: (q; q)_inf below q^4000 packs 2
+bytes a slot, not 22.
 """
 
 from __future__ import annotations
@@ -96,9 +110,10 @@ class ThetaSpec:
 _MARGIN = 2
 
 
-def _fill_bytes(families, n) -> int:
+def _fill_bytes(families, n, groups=()) -> int:
     """Slot width in bytes of a packed fill over n slots, from its
-    families (weight, first, step, divides).
+    families (weight, first, step, divides) and its theta groups
+    (power, period).
 
     The fill is a product of factors (1 + u*y) and, for divisor families,
     quotients by (1 + u*y), y = X^e for e = first + j*step (j >= 0).  With
@@ -114,6 +129,17 @@ def _fill_bytes(families, n) -> int:
     integral of g(x^e) over e > 0, is (integral_0^1 g(y)/y dy) / -log x:
     pi^2/12 / -log x for a factor and pi^2/6 / -log x for a divisor.
 
+    A theta group (:func:`_theta_groups`) to power g is a whole product
+    f(+-X^a, +-X^b) = sum_j +-X^e(j), by Jacobi's triple product (or
+    Euler's pentagonal theorem for (X^D; X^D)_inf), whose majorant is its
+    sum side sum_j x^e(j), raised to g.  With m = |j|, every exponent has
+    e(j) >= P*m(m-1)/2 for the group's period P: the three terms
+    j = 0, 1, -1 are at most 1, and the rest of either side lies below
+    the integral of exp(-P*L*(u-1)^2/2) over u > 1, sqrt(2pi/(P*L))/2,
+    with L = -log x.  So the group adds less than
+    g * log(4 + sqrt(2pi/(P*L))) to log M(x), a term in sqrt(1/L) where
+    its factors would add one in 1/L.
+
     The weight is |power| for a Pochhammer family; :func:`gamma_k` bounds
     1 + sqrt2*y + y^2 by (1 + y)^2.  The bound is minimized over
     x = 1 - 2^-t, t = 1 .. bit_length(n); the optimum lies near
@@ -126,18 +152,25 @@ def _fill_bytes(families, n) -> int:
     best = math.inf
     for t in range(1, n.bit_length() + 1):
         lx = math.log1p(-0.5**t)  # log x
-        log_m = 0.0
-        for weight, first, step, divides in families:
-            xf = math.exp(first * lx)
-            if divides:
-                log_m += weight * (-math.log1p(-xf) - math.pi**2 / (6 * step * lx))
-            else:
-                log_m += weight * (math.log1p(xf) - math.pi**2 / (12 * step * lx))
-        value = log_m - (n - 1) * lx
+        value = _log_majorant(families, groups, lx) - (n - 1) * lx
         if value >= best:
             break  # past the minimum; every x gives a valid bound
         best = value
     return backend.slot_bytes(math.ceil(best / math.log(2)) + _MARGIN)
+
+
+def _log_majorant(families, groups, lx) -> float:
+    """The bound on log M(x) of :func:`_fill_bytes` at lx = log x < 0."""
+    log_m = 0.0
+    for weight, first, step, divides in families:
+        xf = math.exp(first * lx)
+        if divides:
+            log_m += weight * (-math.log1p(-xf) - math.pi**2 / (6 * step * lx))
+        else:
+            log_m += weight * (math.log1p(xf) - math.pi**2 / (12 * step * lx))
+    for power, period in groups:
+        log_m += power * math.log(4 + math.sqrt(-2 * math.pi / (period * lx)))
+    return log_m
 
 
 def _grid(families):
@@ -154,6 +187,48 @@ def _grid(families):
 
     return den, [(spec.sign, on_grid(spec.offset), on_grid(spec.step), p)
                  for spec, p in powers.items() if p]
+
+
+def _theta_groups(grid):
+    """(groups, rest): the whole theta products among the positive-power
+    families of `grid`, as (power, period) pairs, and the grid with the
+    powers they leave.
+
+    On step D, the families (s, A, D)(s, D-A, D)(-1, D, D) are
+    f(s*X^A, s*X^(D-A)) by Jacobi's triple product (G. E. Andrews, *The
+    Theory of Partitions*, 1976, Thm 2.8), exponents e(j) =
+    D*j(j-1)/2 + A*j, period D.  The six families (s, A, D)(-s, A+h, D)
+    (-s, h-A, D)(s, D-A, D)(1, h, D)(-1, D, D) of a mixed-sign
+    :func:`_triple_product` over step D = 2h are f(s*X^A, -s*X^(h-A)),
+    exponents h*j(j-1)/2 + A*j, period h, and are matched first.  A (-1, D, D) left over is (X^D;
+    X^D)_inf = f(-X^D, -X^2D) by Euler's pentagonal theorem (ibid.,
+    Thm 1.6), period 3D.  A group's power is the least power among its
+    members, a member listed twice counting half; each pass looks up a
+    fixed number of members per family, so matching is linear in the
+    families.  Divisors never join a group: 1/f has no sparse sum side.
+    """
+    left = {(sign, first, step): p for sign, first, step, p in grid if p > 0}
+    groups = []
+
+    def take(period, *members):
+        power = min(left.get(m, 0) // members.count(m) for m in members)
+        if power > 0:
+            for m in members:
+                left[m] -= power
+            groups.append((power, period))
+
+    for s, a, d in list(left):
+        h = d // 2
+        if d % 2 == 0 and 0 < a < h:
+            take(h, (s, a, d), (-s, a + h, d), (-s, h - a, d), (s, d - a, d),
+                 (1, h, d), (-1, d, d))
+    for s, a, d in list(left):
+        if a < d:
+            take(d, (s, a, d), (s, d - a, d), (-1, d, d))
+    for s, a, d in list(left):
+        if s < 0 and a == d:
+            take(3 * d, (s, a, d))
+    return groups, [(s, a, d, left.get((s, a, d), p)) for s, a, d, p in grid]
 
 
 def _steps(grid, n) -> int:
@@ -175,7 +250,12 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     slot, and the fill runs modulo 2^(8wn): X -> 2^(8w) maps
     Z[X]/(X^n) to Z/2^(8wn) as a ring homomorphism, so intermediate
     slots may wrap, and only the final coefficients must fit a signed
-    slot, which the width of :func:`_fill_bytes` guarantees.  Each factor
+    slot, which the width of :func:`_fill_bytes` guarantees: a majorant
+    of the families, in which the whole theta products that
+    :func:`_theta_groups` finds among the positive powers count by their
+    sum sides (Jacobi's triple product and Euler's pentagonal theorem),
+    so a fill of theta functions and eta powers packs coefficients of a
+    few bits in slots of a byte or two.  Each factor
     (1 + sign*y), y = X^off for a factor q^e with e below `order` at slot
     off, enters |power| times.  Multiplying by it is the one pass
     c + sign*(low << 8w*off), low the n - off lowest slots of c;
@@ -194,7 +274,9 @@ def poch_quotient(families, order) -> PuiseuxSeries:
         return PuiseuxSeries.zero(order)
     den, grid = _grid(families)
     n = dense_slots(order * den, lambda n: _steps(grid, n))
-    w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in grid], n)
+    groups, rest = _theta_groups(grid)
+    w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in rest if p],
+                    n, groups)
     check_words(-(-n * w // 8), f"expansion over {n} dense coefficient slots")
     bits = 8 * w
     size = bits * n

@@ -666,8 +666,8 @@ class TestFillWidth:
         seen = []
         fill_bytes = blocks._fill_bytes
 
-        def spy(families, n):
-            seen.append(fill_bytes(families, n))
+        def spy(*args):
+            seen.append(fill_bytes(*args))
             return seen[-1]
 
         monkeypatch.setattr(blocks, "_fill_bytes", spy)
@@ -725,6 +725,156 @@ class TestFillWidth:
             w = blocks._fill_bytes(families, n)
             bound = math.ceil(exact_fill_bits(families, n))
             assert 8 * w - 1 >= bound + blocks._MARGIN
+
+
+def filled_with_width(families, order):
+    """poch_quotient(families, order) and the slot width it filled at."""
+    seen = []
+    fill_bytes = blocks._fill_bytes
+
+    def spy(*args):
+        seen.append(fill_bytes(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "_fill_bytes", spy)
+        got = poch_quotient(families, order)
+    return got, seen[-1]
+
+
+@st.composite
+def width_grid_families(draw):
+    """(grid g, families): one to four parts on the grid q^(1/g), g = 1..4,
+    each a triple product, eta, poch, h, i or 1psi1 product side raised to
+    a power in -2..3."""
+    g = draw(st.integers(1, 4))
+    unit = st.builds(F, st.integers(1, 4 * g), st.just(g))
+    signs = st.sampled_from([1, -1])
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["f", "f", "eta", "poch", "H", "I", "psi11"]))
+        p = draw(st.integers(-2, 3))
+        if kind == "f":
+            parts = _triple_product(ThetaSpec(draw(signs), draw(signs),
+                                              draw(unit), draw(unit)), p)
+        elif kind == "eta":
+            parts = [(spec, p) for spec, _ in blocks.eta_families(draw(unit))]
+        elif kind == "poch":
+            parts = [(PochSpec(draw(signs), draw(unit), draw(unit)), p)]
+        elif kind == "psi11":
+            s_ = F(draw(st.integers(3, 4 * g)), g)
+            a = F(draw(st.integers(1, int(s_ * g) - 2)), g)
+            b = F(draw(st.integers(1, int((s_ - a) * g) - 1)), g)
+            parts = [(spec, q * p) for spec, q in product_families(BilateralSpec(s_, a, b))]
+        else:
+            r = draw(unit)
+            fams = blocks.h_families(r) if kind == "H" else blocks.i_families(r)
+            parts = [(spec, q * p) for spec, q in fams]
+        out.extend(parts)
+    return g, out
+
+
+class TestThetaGroupWidths:
+    """Fills whose width comes from whole theta products and eta powers."""
+
+    @example((1, [(QQ, 1)]), 300)
+    @example((1, [(QQ, 3)]), 300)
+    @example((1, [(PochSpec(1, 1, 1), 3)]), 300)
+    @example((1, _triple_product(ThetaSpec(1, -1, 1, 1), 3)), 300)
+    @example((1, _triple_product(ThetaSpec(1, 1, 1, 1), 3)
+              + _triple_product(ThetaSpec(-1, -1, 1, 3), -2)), 300)
+    @example((2, _triple_product(ThetaSpec(1, 1, F(1, 2), F(1, 2)), 2)
+              + [(PochSpec(-1, 1, 1), 1)]), 150)
+    @settings(max_examples=150, deadline=None)
+    @given(width_grid_families(), st.integers(1, 300))
+    def test_fill_matches_the_slice_fill_with_the_margin(self, grid_families, m):
+        # n = m slots on the grid q^(1/g)
+        g, fams = grid_families
+        order = F(m, g)
+        got, w = filled_with_width(fams, order)
+        want = oracle_fill(fams, order)
+        assert fields(got) == fields(want)
+        bits = max((abs(r).bit_length() for r, _ in want.slots.values()), default=0)
+        assert 8 * w - 1 > bits + blocks._MARGIN
+
+    @pytest.mark.parametrize(
+        "families, order, width",
+        [
+            ([(QQ, 1)], 4000, 2),
+            ([(QQ, 3)], 2000, 3),
+            (_triple_product(ThetaSpec(1, -1, 1, 1), 1), 5000, 2),
+            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), 1000, 2),
+        ],
+        ids=["eta", "eta^3", "f(q,-q)", "f(q,-q^2)^2"],
+    )
+    def test_widths_of_theta_products_and_eta_powers(self, families, order, width):
+        # the majorant of the factors alone takes 22, 27, 30 and 17 bytes
+        got, w = filled_with_width(families, order)
+        assert w == width
+        assert fields(got) == fields(oracle_fill(families, order))
+
+    @pytest.mark.parametrize(
+        "grid, groups, left",
+        [
+            # f(q, q^3): (-q; q^4)(-q^3; q^4)(q^4; q^4), period 4
+            ([(1, 1, 4, 1), (1, 3, 4, 1), (-1, 4, 4, 1)], [(1, 4)], 0),
+            # f(q^2, q^2): (-q^2; q^4) counts twice
+            ([(1, 2, 4, 2), (-1, 4, 4, 1)], [(1, 4)], 0),
+            ([(1, 2, 4, 3), (-1, 4, 4, 1)], [(1, 4)], 1),
+            # half of f(q^2, q^2) and an eta: the pentagonal group alone
+            ([(1, 2, 4, 1), (-1, 4, 4, 1)], [(1, 12)], 1),
+            # f(q, q^3)^3 * eta(4): the core's fourth power is eta's
+            ([(-1, 1, 4, 3), (-1, 3, 4, 3), (-1, 4, 4, 4)], [(3, 4), (1, 12)], 0),
+            # f(q, -q^2): six families over step 6, period 3
+            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), [(2, 3)], 0),
+            # (-q^4; q^4) is no core, and divisors join no group
+            ([(1, 1, 4, 1), (1, 3, 4, 1), (1, 4, 4, 1)], [], 3),
+            ([(1, 4, 4, 2)], [], 2),
+            ([(1, 1, 4, -1), (1, 3, 4, -1), (-1, 4, 4, -1)], [], 0),
+            ([(-1, 1, 1, -3)], [], 0),
+        ],
+        ids=["f(q,q3)", "f(q2,q2)", "f(q2,q2)^1.5", "eta", "f^3*eta",
+             "mixed", "+core", "+eta", "1/f", "1/eta^3"],
+    )
+    def test_groups(self, grid, groups, left):
+        if isinstance(grid[0][0], PochSpec):
+            grid = blocks._grid(grid)[1]
+        got, rest = blocks._theta_groups(grid)
+        assert got == groups
+        # the groups take their powers off their members; divisors stay
+        assert sum(p for *_, p in rest if p > 0) == left
+        assert [p for *_, p in rest if p < 0] == [p for *_, p in grid if p < 0]
+
+
+def theta_group_kinds():
+    """(name, families, exponents e(j)) of one whole group of each kind,
+    on the integer grid."""
+    kinds = [("pentagonal D=%d" % d, [(PochSpec(-1, d, d), 1)],
+              lambda j, d=d: d * j * (3 * j - 1) // 2) for d in (1, 2, 3)]
+    for s1, s2 in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (1, 5)):
+            kinds.append((f"f({s1}q^{a},{s2}q^{b})",
+                           _triple_product(ThetaSpec(s1, s2, a, b), 1),
+                           lambda j, a=a, b=b: a * j * (j + 1) // 2 + b * j * (j - 1) // 2))
+    return kinds
+
+
+@pytest.mark.parametrize("name, families, e", theta_group_kinds(),
+                         ids=[k[0] for k in theta_group_kinds()])
+def test_group_term_bounds_the_sum_side(name, families, e):
+    # the term a group adds to log M(x) is at least log of its sum side
+    # sum x^e(j) over the exponents below n, at every x = 1 - 2^-t
+    groups, rest = blocks._theta_groups(blocks._grid(families)[1])
+    assert len(groups) == 1 and groups[0][0] == 1
+    assert all(p == 0 for *_, p in rest)
+    exps = [e(j) for j in range(-40, 41)]
+    assert min(e(41), e(-41)) >= 300  # every exponent below 300 is listed
+    for n in range(1, 301):
+        below = [k for k in exps if k < n]
+        for t in range(1, n.bit_length() + 3):
+            lx = math.log1p(-0.5**t)
+            total = math.fsum(math.exp(k * lx) for k in below)
+            assert blocks._log_majorant([], groups, lx) >= math.log(total), (n, t)
 
 
 class TestSineRatios:

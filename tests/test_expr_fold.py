@@ -314,9 +314,10 @@ class TestBudgets:
         assert got.first_mismatch(want, 6000) is None
 
     def test_a_fused_fill_past_the_words_is_refused_before_it_fills(self, monkeypatch):
-        # one fill of three passes a factor: below q^400 it fills 400 slots
-        # of more than 8 bytes each
-        node, slots = parse_expression("eta(1)^(2)*eta(2)"), 400
+        # one fill of three divisions a factor: below q^(400 + 1/6), past
+        # its shift q^(-1/6), it fills 401 slots of more than 8 bytes each,
+        # a width set by the divisors, which no theta group bounds
+        node, slots = parse_expression("1/(eta(1)^(2)*eta(2))"), 401
 
         def unpack(*args):
             raise AssertionError("filled")

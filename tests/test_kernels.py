@@ -104,6 +104,36 @@ def test_unpack_reads_slots_modulo_the_length():
     assert backend.unpack(x, w, 7) == [5, -7, 300, -1, 9, 0, 0]
 
 
+@pytest.mark.parametrize("w", range(1, 11))
+@pytest.mark.parametrize("n", [0, 1, 400])
+def test_unpack_reads_the_extreme_slots_on_both_paths(w, n, monkeypatch):
+    # slot values 0 and +-(2^(8w - 1) - 1), in a packed int that is
+    # negative (its top slot is), and one longer than n slots
+    top = 2 ** (8 * w - 1) - 1
+    values = [(0, top, -top)[k % 3] for k in range(n)]
+    if n:
+        values[-1] = -top
+    longer = values + [top, -top, 5]
+    packed = [backend.pack(values, w), backend.pack(longer, w)]
+    assert n == 0 or packed[0] < 0
+    native = [backend.unpack(x, w, n) for x in packed]
+    assert native == [values, values]
+    monkeypatch.setattr(backend, "_CASTS", {})
+    assert [backend.unpack(x, w, n) for x in packed] == native
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_unpack_round_trips_pack(w, data):
+    top = 2 ** (8 * w - 1) - 1
+    values = data.draw(st.lists(st.integers(-top, top), max_size=50))
+    x = backend.pack(values, w)
+    assert backend.unpack(x, w, len(values)) == values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, "_CASTS", {})
+        assert backend.unpack(x, w, len(values)) == values
+
+
 def test_products_call_the_kernels_through_backend(monkeypatch):
     # outside tools (the benchmark's tracer) rebind this name on
     # `qident.backend`; a product that bypassed it would go unseen.  One
