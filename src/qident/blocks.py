@@ -19,28 +19,31 @@ atoms expand :func:`gamma_k` to order/r and apply
 
 Every product or quotient of Pochhammer families -- those atoms and the
 fills of their folded products and powers -- is filled by
-:func:`poch_quotient` on one int
-that packs all the slots (Kronecker substitution, as in
-:mod:`qident.backend`), one shift-and-add pass per factor and a few per
-divisor, with no series product, no inverse and no Fraction per
-intermediate slot; :func:`gamma_k` fills G_1 on a packed pair the same
-way.  The sums (theta sums,
-theta_1 specializations, B tables) count their exponents on an integer
-grid and their coefficients as integer pairs x + y*sqrt2, and every
-builder hands the canonical slot form to the series directly.
-
-A packed fill's slot width comes from a closed-form majorant of its
-coefficients (:func:`_fill_bytes`), which bounds each factor (1 +- y) by
-(1 + y).  The whole theta products among a fill's positive powers
-(:func:`_theta_groups`) are bounded by their sum sides instead: by
+:func:`poch_quotient` on one int that packs all the slots (Kronecker
+substitution, as in :mod:`qident.backend`), with no series product, no
+inverse and no Fraction per intermediate slot; :func:`gamma_k` fills G_1
+on a packed pair the same way.  The whole theta products among a fill's
+positive powers (:func:`_theta_groups`) enter by their sum sides: by
 Jacobi's triple product (G. E. Andrews, *The Theory of Partitions*,
 1976, Thm 2.8) the families (s*q^A; q^D)(s*q^(D-A); q^D)(q^D; q^D) are
 f(s*q^A, s*q^(D-A)) = sum_j +-q^e(j), and the six of a mixed-sign f are
-one f too; by Euler's pentagonal theorem (ibid., Thm 1.6) (q^D; q^D)
-is f(-q^D, -q^2D).  Each sum has about 2*sqrt(2n/P) terms below slot n,
-P the period of its exponents e(j) >= P*|j|(|j| - 1)/2, so a group
-adds a term in sqrt(1/-log x) to the log of the majorant where its
-factors would add one in 1/-log x: (q; q)_inf below q^4000 packs 2
+one f too; by Euler's pentagonal theorem (ibid., Thm 1.6) (q^D; q^D) is
+f(-q^D, -q^2D).  Each sum has about 2*sqrt(2n/P) terms below slot n, P
+the period of its exponents e(j) >= P*|j|(|j| - 1)/2, and multiplying
+by it is one shifted add a term, where its three families take about
+3n/P shift-and-add passes, one a factor; the families the groups leave
+take one pass a factor and a few a divisor.  :func:`plan_fill` works out
+the groups, their terms and the steps once per fill, before it runs.
+The sums (theta sums, theta_1 specializations, B tables) count their
+exponents on an integer grid and their coefficients as integer pairs
+x + y*sqrt2, and every builder hands the canonical slot form to the
+series directly.
+
+A packed fill's slot width comes from a closed-form majorant of its
+coefficients (:func:`_fill_bytes`), which bounds each factor (1 +- y) by
+(1 + y), and each theta group by its sum side where that is smaller: a
+group adds a term in sqrt(1/-log x) to the log of the majorant where its
+factors would add one in 1/-log x, so (q; q)_inf below q^4000 packs 2
 bytes a slot, not 22.
 """
 
@@ -49,8 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import backend
+from . import backend, series
 from .field import SQRT2, AlgebraicNumber
 from .series import PuiseuxSeries, _fr, check_words, dense_slots
 
@@ -113,7 +117,7 @@ _MARGIN = 2
 def _fill_bytes(families, n, groups=()) -> int:
     """Slot width in bytes of a packed fill over n slots, from its
     families (weight, first, step, divides) and its theta groups
-    (power, period).
+    (power, s1, s2, a, b).
 
     The fill is a product of factors (1 + u*y) and, for divisor families,
     quotients by (1 + u*y), y = X^e for e = first + j*step (j >= 0).  With
@@ -130,15 +134,17 @@ def _fill_bytes(families, n, groups=()) -> int:
     pi^2/12 / -log x for a factor and pi^2/6 / -log x for a divisor.
 
     A theta group (:func:`_theta_groups`) to power g is a whole product
-    f(+-X^a, +-X^b) = sum_j +-X^e(j), by Jacobi's triple product (or
-    Euler's pentagonal theorem for (X^D; X^D)_inf), whose majorant is its
-    sum side sum_j x^e(j), raised to g.  With m = |j|, every exponent has
-    e(j) >= P*m(m-1)/2 for the group's period P: the three terms
-    j = 0, 1, -1 are at most 1, and the rest of either side lies below
-    the integral of exp(-P*L*(u-1)^2/2) over u > 1, sqrt(2pi/(P*L))/2,
-    with L = -log x.  So the group adds less than
-    g * log(4 + sqrt(2pi/(P*L))) to log M(x), a term in sqrt(1/L) where
-    its factors would add one in 1/L.
+    f(s1*X^a, s2*X^b) = sum_j +-X^e(j), by Jacobi's triple product (or
+    Euler's pentagonal theorem for (X^D; X^D)_inf), and its sum side
+    sum_j x^e(j), raised to g, is a majorant too.  With m = |j|, every
+    exponent has e(j) >= P*m(m-1)/2 for the period P = a + b: the three
+    terms j = 0, 1, -1 are at most 1, and the rest of either side lies
+    below the integral of exp(-P*L*(u-1)^2/2) over u > 1,
+    sqrt(2pi/(P*L))/2, with L = -log x.  So the sum side adds less than
+    g * log(3 + sqrt(2pi/(P*L))) to log M(x), a term in sqrt(1/L) where
+    its factors would add one in 1/L; at each x the group adds the
+    smaller of the two (:func:`_log_majorant`), so no fill is wider than
+    its factors alone would make it.
 
     The weight is |power| for a Pochhammer family; :func:`gamma_k` bounds
     1 + sqrt2*y + y^2 by (1 + y)^2.  The bound is minimized over
@@ -168,8 +174,17 @@ def _log_majorant(families, groups, lx) -> float:
             log_m += weight * (-math.log1p(-xf) - math.pi**2 / (6 * step * lx))
         else:
             log_m += weight * (math.log1p(xf) - math.pi**2 / (12 * step * lx))
-    for power, period in groups:
-        log_m += power * math.log(4 + math.sqrt(-2 * math.pi / (period * lx)))
+    for power, s1, s2, a, b in groups:
+        u = -1 / ((a + b) * lx)  # 1/(P*L)
+        term = math.log(3 + math.sqrt(2 * math.pi * u))
+        # the members' 1/step add up to 3/P for every kind of group, so
+        # their integral terms are pi^2/4 * u, and their g(x^first) only
+        # matter where that alone is below the sum side's term
+        factors = math.pi**2 / 4 * u
+        if factors < term:
+            factors += sum(math.log1p(math.exp(first * lx))
+                           for _, first, _ in _group_members(s1, s2, a, b))
+        log_m += power * min(term, factors)
     return log_m
 
 
@@ -191,44 +206,79 @@ def _grid(families):
 
 def _theta_groups(grid):
     """(groups, rest): the whole theta products among the positive-power
-    families of `grid`, as (power, period) pairs, and the grid with the
-    powers they leave.
+    families of `grid`, as (power, s1, s2, a, b) for f(s1*X^a, s2*X^b) on
+    the grid, and the grid with the powers they leave.
 
     On step D, the families (s, A, D)(s, D-A, D)(-1, D, D) are
     f(s*X^A, s*X^(D-A)) by Jacobi's triple product (G. E. Andrews, *The
-    Theory of Partitions*, 1976, Thm 2.8), exponents e(j) =
-    D*j(j-1)/2 + A*j, period D.  The six families (s, A, D)(-s, A+h, D)
-    (-s, h-A, D)(s, D-A, D)(1, h, D)(-1, D, D) of a mixed-sign
-    :func:`_triple_product` over step D = 2h are f(s*X^A, -s*X^(h-A)),
-    exponents h*j(j-1)/2 + A*j, period h, and are matched first.  A (-1, D, D) left over is (X^D;
-    X^D)_inf = f(-X^D, -X^2D) by Euler's pentagonal theorem (ibid.,
-    Thm 1.6), period 3D.  A group's power is the least power among its
-    members, a member listed twice counting half; each pass looks up a
-    fixed number of members per family, so matching is linear in the
-    families.  Divisors never join a group: 1/f has no sparse sum side.
+    Theory of Partitions*, 1976, Thm 2.8), period D.  The six families
+    (s, A, D)(-s, A+h, D)(-s, h-A, D)(s, D-A, D)(1, h, D)(-1, D, D) of a
+    mixed-sign :func:`_triple_product` over step D = 2h are
+    f(s*X^A, -s*X^(h-A)), period h, and are matched first.  A (-1, D, D)
+    left over is (X^D; X^D)_inf = f(-X^D, -X^2D) by Euler's pentagonal
+    theorem (ibid., Thm 1.6), period 3D.  A group's power is the least
+    power among its members, a member listed twice counting half; each
+    pass looks up a fixed number of members per family, so matching is
+    linear in the families.  Divisors never join a group: 1/f has no
+    sparse sum side.
     """
     left = {(sign, first, step): p for sign, first, step, p in grid if p > 0}
+    # every group has a core (X^D; X^D)_inf among its members
+    if not any(s < 0 and a == d for s, a, d in left):
+        return [], grid
     groups = []
 
-    def take(period, *members):
+    def take(s1, s2, a, b, members):
         power = min(left.get(m, 0) // members.count(m) for m in members)
         if power > 0:
             for m in members:
                 left[m] -= power
-            groups.append((power, period))
+            groups.append((power, s1, s2, a, b))
 
     for s, a, d in list(left):
         h = d // 2
-        if d % 2 == 0 and 0 < a < h:
-            take(h, (s, a, d), (-s, a + h, d), (-s, h - a, d), (s, d - a, d),
-                 (1, h, d), (-1, d, d))
+        if d % 2 == 0 and 0 < a < h and left.get((-1, d, d)):
+            take(s, -s, a, h - a, _triple_parts(s, -s, a, h - a))
     for s, a, d in list(left):
-        if a < d:
-            take(d, (s, a, d), (s, d - a, d), (-1, d, d))
-    for s, a, d in list(left):
-        if s < 0 and a == d:
-            take(3 * d, (s, a, d))
+        if a < d and left.get((-1, d, d)):
+            take(s, s, a, d - a, _triple_parts(s, s, a, d - a))
+    for (s, a, d), p in left.items():
+        if s < 0 and a == d and p:
+            groups.append((p, -1, -1, d, 2 * d))
+            left[s, a, d] = 0
     return groups, [(s, a, d, left.get((s, a, d), p)) for s, a, d, p in grid]
+
+
+def _group_members(s1, s2, a, b) -> list:
+    """(sign, first, step) of the families whose product is the theta
+    group f(s1*X^a, s2*X^b): (X^a; X^a)_inf for f(-X^a, -X^2a), whose
+    majorant is the least of its factorizations', else the triple
+    product's."""
+    if s1 == s2 == -1 and b == 2 * a:
+        return [(-1, a, a)]
+    return _triple_parts(s1, s2, a, b)
+
+
+def _theta_terms(s1, s2, a, b, n) -> list:
+    """The terms (e, c) of f(s1*X^a, s2*X^b) = sum_j c*X^e with e < n,
+    for positive integers a and b, in ascending e, equal exponents
+    (a = b) merged and zero sums dropped.
+
+    The term exponent a*j(j+1)/2 + b*j(j-1)/2 is strictly increasing in
+    |j| in each direction, so each direction stops at the first term at
+    or above n.
+    """
+    acc: dict[int, int] = {}
+    for j, step in ((0, 1), (-1, -1)):
+        while True:
+            t1 = j * (j + 1) // 2
+            t2 = j * (j - 1) // 2
+            e = a * t1 + b * t2
+            if e >= n:
+                break
+            acc[e] = acc.get(e, 0) + (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
+            j += step
+    return [(e, c) for e, c in sorted(acc.items()) if c]
 
 
 def _steps(grid, n) -> int:
@@ -240,9 +290,52 @@ def _steps(grid, n) -> int:
     return work
 
 
+class FillPlan(NamedTuple):
+    """One :func:`poch_quotient` fill below `order`, worked out before it
+    runs: `n` slots on the grid 1/`den`, the theta `groups` (power, s1, s2,
+    a, b) with the `terms` (e, c), 0 < e < n, of each one's sum side, the
+    families (sign, first, step, power) left to fill pass by pass, and the
+    `steps` of every pass.  Past MAX_DENSE_SLOTS no group is matched and
+    every family is left, so the plan costs O(families) whatever `order`,
+    and the fill refuses it by its slots."""
+
+    order: Fraction
+    den: int
+    n: int
+    groups: list
+    terms: list
+    rest: list
+    steps: int
+
+
+def plan_fill(families, order) -> FillPlan:
+    """The :class:`FillPlan` of prod (spec)_inf ** power over the
+    (PochSpec, power) pairs below `order`.
+
+    A group to power g charges g * sum(n - e) over its terms, e > 0: one
+    pass of n - e slot visits a term.  A family left over charges its
+    factor passes as :func:`_steps` counts them.
+    """
+    order = _fr(order)
+    den, grid = _grid(families)
+    n = math.ceil(order * den)
+    groups, rest = (_theta_groups(grid) if n <= series.MAX_DENSE_SLOTS
+                    else ([], grid))
+    terms = [[(e, c) for e, c in _theta_terms(s1, s2, a, b, n) if e]
+             for _, s1, s2, a, b in groups]
+    steps = _steps(rest, n) + sum(g[0] * sum(n - e for e, _ in t)
+                                  for g, t in zip(groups, terms))
+    return FillPlan(order, den, n, groups, terms, [f for f in rest if f[3]], steps)
+
+
 def poch_quotient(families, order) -> PuiseuxSeries:
     """prod of (spec)_inf ** power over the (PochSpec, power) pairs, below
-    `order`.
+    `order`: the :func:`fill` of their :func:`plan_fill`."""
+    return fill(plan_fill(families, order))
+
+
+def fill(plan: FillPlan) -> PuiseuxSeries:
+    """The product that `plan` describes, below its order.
 
     The whole product or quotient is filled on the common grid of every
     offset and step, starting from 1; equal specs with opposite powers
@@ -251,38 +344,54 @@ def poch_quotient(families, order) -> PuiseuxSeries:
     Z[X]/(X^n) to Z/2^(8wn) as a ring homomorphism, so intermediate
     slots may wrap, and only the final coefficients must fit a signed
     slot, which the width of :func:`_fill_bytes` guarantees: a majorant
-    of the families, in which the whole theta products that
-    :func:`_theta_groups` finds among the positive powers count by their
+    of the families, in which the whole theta products count by their
     sum sides (Jacobi's triple product and Euler's pentagonal theorem),
     so a fill of theta functions and eta powers packs coefficients of a
-    few bits in slots of a byte or two.  Each factor
-    (1 + sign*y), y = X^off for a factor q^e with e below `order` at slot
-    off, enters |power| times.  Multiplying by it is the one pass
-    c + sign*(low << 8w*off), low the n - off lowest slots of c;
-    dividing by it multiplies by the truncated inverse
-    (1 - sign*y)(1 + y^2)(1 + y^4)..., about log2(n/off) passes.  Every
-    pass adds less than 2^(8wn) and reads only the slots below n, so c
-    is reduced modulo 2^(8wn) once, as it is unpacked.
+    few bits in slots of a byte or two.
 
-    The step budget still counts n - off slot visits per factor pass,
-    summed in closed form per family and checked before anything is
-    built, and the packed integer's 64-bit words are checked against
+    Each theta group (:func:`_theta_groups`) multiplies c by its sum side
+    below X^n, once per unit of its power: the pass c + sum c*X^e over its
+    terms, each c*X^e the shift (c & (mask >> 8w*e)) << 8w*e of the
+    n - e lowest slots, so f(+-X^a, +-X^b) on n slots costs about
+    2*sqrt(2n/(a + b)) shifted adds, where its three families would take
+    about 3n/(a + b) factor passes.  Each family the groups leave enters
+    factor by factor: each factor (1 + sign*y), y = X^off for a factor
+    q^e with e below `order` at slot off, |power| times.  Multiplying by
+    it is the one pass c + sign*(low << 8w*off), low the n - off lowest
+    slots of c; dividing by it multiplies by the truncated inverse
+    (1 - sign*y)(1 + y^2)(1 + y^4)..., about log2(n/off) passes.  Every
+    pass adds less than 2^(8wn) a term and reads only the slots below n,
+    so c is reduced modulo 2^(8wn) once a group pass, and once as it is
+    unpacked.
+
+    The plan's steps (n - e slot visits a pass) are checked before
+    anything is built, and the packed integer's 64-bit words against
     MAX_DENSE_SLOTS.
     """
-    order = _fr(order)
-    if order <= 0:
-        return PuiseuxSeries.zero(order)
-    den, grid = _grid(families)
-    n = dense_slots(order * den, lambda n: _steps(grid, n))
-    groups, rest = _theta_groups(grid)
-    w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in rest if p],
-                    n, groups)
+    if plan.order <= 0:
+        return PuiseuxSeries.zero(plan.order)
+    n = dense_slots(plan.n, lambda n: plan.steps)
+    w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in plan.rest],
+                    n, plan.groups)
     check_words(-(-n * w // 8), f"expansion over {n} dense coefficient slots")
     bits = 8 * w
     size = bits * n
     mask = (1 << size) - 1
     c = 1
-    for sign, first, step, p in grid:
+    for (power, *_), terms in zip(plan.groups, plan.terms):
+        for _ in range(power):
+            new = c
+            for e, coef in terms:
+                s = bits * e
+                t = (c & (mask >> s)) << s
+                if coef == 1:
+                    new += t
+                elif coef == -1:
+                    new -= t
+                else:  # +-2, where a = b merges the terms j and -j
+                    new += coef * t
+            c = new & mask
+    for sign, first, step, p in plan.rest:
         for off in range(first, n, step):
             s = bits * off
             low = mask >> s
@@ -293,56 +402,49 @@ def poch_quotient(families, order) -> PuiseuxSeries:
                 while p < 0 and e < size:
                     c += (c & (mask >> e)) << e
                     e *= 2
-    return PuiseuxSeries.from_slots(0, den, backend.unpack(c, w, n), None, order)
+    return PuiseuxSeries.from_slots(0, plan.den, backend.unpack(c, w, n), None, plan.order)
 
 
 def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
-    """Bilateral sum of gamma^{j(j+1)/2} delta^{j(j-1)/2} below `order`.
+    """Bilateral sum of gamma^{j(j+1)/2} delta^{j(j-1)/2} below `order`,
+    by :func:`_theta_terms`.
 
-    With both exponents positive the term exponent a*j(j+1)/2 + b*j(j-1)/2
-    is strictly increasing in |j| in each direction, so each direction
-    stops at the first term at or above the truncation.  It exceeds
-    (a+b)(|j| - 1)^2 / 2, which bounds the term count before the loop;
-    the bound counts as slots against MAX_DENSE_SLOTS, the cap on a dense
-    builder's output.  Exponents are counted as ints on the grid
-    1/lcm(den a, den b), so a grid far finer than the cap still expands.
+    The term exponent exceeds (a+b)(|j| - 1)^2 / 2, which bounds the term
+    count before the loop; the bound counts as slots against
+    MAX_DENSE_SLOTS, the cap on a dense builder's output.  Exponents are
+    counted as ints on the grid 1/lcm(den a, den b), so a grid far finer
+    than the cap still expands.
     """
     order = _fr(order)
-    s1, s2 = spec.sign1, spec.sign2
     terms = 2 * math.isqrt(max(0, math.floor(2 * order / (spec.a + spec.b)))) + 3
     dense_slots(terms)
     den = math.lcm(spec.a.denominator, spec.b.denominator)
     a, b, n = int(spec.a * den), int(spec.b * den), math.ceil(order * den)
-    acc: dict[int, int] = {}
-    for j, step in ((0, 1), (-1, -1)):
-        while True:
-            t1 = j * (j + 1) // 2
-            t2 = j * (j - 1) // 2
-            e = a * t1 + b * t2
-            if e >= n:
-                break
-            c = (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
-            acc[e] = acc.get(e, 0) + c
-            j += step
     return PuiseuxSeries._reduced(
-        _FR(0), den, 1, {e: (c, 0) for e, c in sorted(acc.items()) if c}, order)
+        _FR(0), den, 1,
+        {e: (c, 0) for e, c in _theta_terms(spec.sign1, spec.sign2, a, b, n)}, order)
 
 
-def _triple_product(spec: ThetaSpec, power: int) -> list:
-    """f(spec) as Pochhammer families (-g; gd)(-d; gd)(gd; gd), each to `power`.
+def _triple_parts(s1, s2, a, b) -> list:
+    """(sign, offset, step) of the Pochhammer families of f(s1*q^a, s2*q^b)
+    = (-g; gd)(-d; gd)(gd; gd), for ints or Fractions a and b.
 
     A negative product base gd (mixed argument signs) makes the factor
     signs alternate with the index, so each of the three products splits
     into its even- and odd-index halves over the doubled step.
     """
-    a, b, s1, s2 = spec.a, spec.b, spec.sign1, spec.sign2
     st = a + b
     if s1 * s2 == 1:
-        parts = [(s1, a, st), (s2, b, st), (-1, st, st)]
-    else:
-        parts = [(s1, a, 2 * st), (-s1, a + st, 2 * st), (s2, b, 2 * st),
-                 (-s2, b + st, 2 * st), (1, st, 2 * st), (-1, 2 * st, 2 * st)]
-    return [(PochSpec(sign, offset, st), power) for sign, offset, st in parts]
+        return [(s1, a, st), (s2, b, st), (-1, st, st)]
+    return [(s1, a, 2 * st), (-s1, a + st, 2 * st), (s2, b, 2 * st),
+            (-s2, b + st, 2 * st), (1, st, 2 * st), (-1, 2 * st, 2 * st)]
+
+
+def _triple_product(spec: ThetaSpec, power: int) -> list:
+    """f(spec) as Pochhammer families (-g; gd)(-d; gd)(gd; gd), each to
+    `power` (:func:`_triple_parts`)."""
+    return [(PochSpec(*part), power)
+            for part in _triple_parts(spec.sign1, spec.sign2, spec.a, spec.b)]
 
 
 def eta_families(r) -> list:

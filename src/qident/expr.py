@@ -25,10 +25,12 @@ powers' denominators and g the gcd of the e*D, so ``eta(1)^(24)`` is one
 fill raised to 24, or, when that single fill would take more steps,
 one fill and one power per distinct e, so that
 ``eta(1)^(1000)*eta(2)^(999)`` costs what the tree costs; a family atom
-alone is one fill.  When every such form has a fill past
-MAX_SLOT_STEPS, the map runs the recurrence instead, which counts its
-own steps: ``eta(1)*eta(2)`` at order 6000 is one fill of 2.7*10^7
-steps or 1.8*10^7 steps of the recurrence.  A folding
+alone is one fill.  A fill multiplies its whole theta products in by
+their sum sides and every other family factor by factor, and counts the
+steps of both.  When every such form has a fill past MAX_SLOT_STEPS,
+the map runs the recurrence instead, which counts its own steps:
+``G2(1/2)*G2(1)`` at order 6000, which no theta group covers, is one
+fill of 2.7*10^7 steps or 1.8*10^7 steps of the recurrence.  A folding
 factor times an ``Add``/``Sub`` whose terms all fold distributes into
 one map per term when the terms are no more than the family atoms the
 tree would expand one by one.  Everything else is evaluated node by
@@ -450,9 +452,13 @@ def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
 
     A map with two or more distinct powers, one of them not an integer,
     is one run of :func:`_logd`.  Any other map is expanded in the form
-    :func:`_fills` picks, fills raised to powers and multiplied, unless
-    every form it offers has a fill past MAX_SLOT_STEPS; then it too goes
-    to :func:`_logd`, which counts its own steps.
+    :func:`_fills` picks, the plans of :func:`~qident.blocks.plan_fill`
+    filled, raised to powers and multiplied, unless every form it offers
+    has a fill past MAX_SLOT_STEPS; then it too goes to :func:`_logd`,
+    which counts its own steps.  A plan counts a theta group by the
+    passes of its sum side, so a map of theta functions and eta powers
+    fills at orders where one pass a factor would be refused:
+    ``eta(1)*eta(2)`` below q^7000 is 1.1*10^6 steps of its fill.
     """
     if unit <= 0:
         return PuiseuxSeries.zero(unit)
@@ -463,46 +469,49 @@ def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
     fills = None if mixed else _fills(powers, unit)
     if fills is None:
         return _logd(powers, unit)
-    return reduce(PuiseuxSeries.__mul__, (blocks.poch_quotient(families, unit) ** r
-                                          for r, families in fills))
+    return reduce(PuiseuxSeries.__mul__, (blocks.fill(plan) ** r for r, plan in fills))
 
 
 def _fills(powers: dict, unit: Fraction) -> Optional[list]:
-    """(r, families) pairs whose fills below `unit`, each raised to r,
-    multiply to the exponent map `powers`, or None when every form has a
-    fill past MAX_SLOT_STEPS.  :func:`_unit_product` asks only for maps
-    whose powers are all integers or all equal.
+    """(r, plan) pairs whose :func:`~qident.blocks.fill` below `unit`,
+    each raised to r, multiply to the exponent map `powers`, or None when
+    every form has a fill past MAX_SLOT_STEPS.  :func:`_unit_product` asks
+    only for maps whose powers are all integers or all equal.
 
     Either one fill of the integer powers e*D/g raised to g/D, D the lcm
     of the powers' denominators and g the gcd of the e*D, or one fill per
     distinct power e of its families, raised to e.  The first enters each
-    factor |e|*D/g times, the second once, but adds a power per fill and
-    a product (one packed multiplication, not counted).  Counting a power
-    as the n^2/2 steps of a dense loop on n slots, the form with fewer
-    steps is taken, the single fill on a tie, unless it has a fill past
-    MAX_SLOT_STEPS and the other has none.
+    factor or theta group |e|*D/g times, the second once, but adds a power
+    per fill and a product (one packed multiplication, not counted).
+    Counting a fill by its plan's steps and a power as the n^2/2 steps of
+    a dense loop on n slots, the form with fewer steps is taken, the
+    single fill on a tie, unless it has a fill past MAX_SLOT_STEPS and
+    the other has none.  The second form is planned only when the first
+    is past the cap or takes more steps than the second's powers alone.
     """
     den = math.lcm(*(e.denominator for e in powers.values()))
     g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
-    forms = [[(_FR(g, den), [(spec, int(e * den) // g) for spec, e in powers.items()])]]
+    fills = [(_FR(g, den), blocks.plan_fill(
+        [(spec, int(e * den) // g) for spec, e in powers.items()], unit))]
     by_power: dict = {}
     for spec, e in powers.items():
         by_power.setdefault(e, []).append((spec, 1))
-    if len(by_power) > 1:
-        forms.append(list(by_power.items()))
 
     def steps(fills):
         over = work = 0
-        for r, families in fills:
-            d, grid = blocks._grid(families)
-            n = math.ceil(unit * d)
-            fill = blocks._steps(grid, n)  # as poch_quotient counts them
-            over |= fill > series.MAX_SLOT_STEPS
-            work += fill + (n * n // 2 if r != 1 else 0)
+        for r, plan in fills:
+            over |= plan.steps > series.MAX_SLOT_STEPS
+            work += plan.steps + (plan.n * plan.n // 2 if r != 1 else 0)
         return over, work
 
-    (over, _), fills = min(((steps(form), form) for form in forms),
-                           key=lambda scored: scored[0])
+    over, work = steps(fills)
+    # the second form raises each fill of a power other than 1, on at
+    # least ceil(unit) slots, so it is planned only when it could win
+    least = sum(e != 1 for e in by_power) * (math.ceil(unit) ** 2 // 2)
+    if len(by_power) > 1 and (over or work > least):
+        split = [(e, blocks.plan_fill(families, unit)) for e, families in by_power.items()]
+        (over, _), fills = min(((over, work), fills), (steps(split), split),
+                               key=lambda scored: scored[0])
     return None if over else fills
 
 

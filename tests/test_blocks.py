@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qident import blocks
+from qident import backend, blocks
 from qident.blocks import (
     BETA,
     PochSpec,
@@ -22,11 +22,13 @@ from qident.blocks import (
     theta1_normalized,
     theta_sum,
 )
+from qident.catalog import catalog
 from qident.dsl import parse_expression
 from qident.expr import PRIMITIVES, Prim, evaluate_to_order
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
 from qident.lambert import BilateralSpec, product_families
 from qident.series import PuiseuxSeries as P
+from qident.verify import verify_many
 
 QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
 
@@ -103,6 +105,34 @@ def oracle_fill(families, order):
                 for s in range(off, n, off):
                     c[s:s + off] = map(inv, c[s:s + off], c[s - off:s])
     return P.from_slots(0, den, c, None, order)
+
+
+def oracle_pass_fill(families, order):
+    """The packed fill with one shift-and-add pass per factor and a few
+    per divisor, on the families' common grid, in slots as wide as the
+    majorant of the factors alone makes them: the fill before theta
+    groups ran by their sum sides."""
+    order = F(order)
+    den, grid = blocks._grid(families)
+    n = math.ceil(order * den)
+    if n <= 0:
+        return P.zero(order)
+    w = blocks._fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in grid], n)
+    bits = 8 * w
+    size = bits * n
+    mask = (1 << size) - 1
+    c = 1
+    for sign, first, step, p in grid:
+        for off in range(first, n, step):
+            s = bits * off
+            low = mask >> s
+            for _ in range(abs(p)):
+                c = c + ((c & low) << s) if sign * p > 0 else c - ((c & low) << s)
+                e = 2 * s
+                while p < 0 and e < size:
+                    c += (c & (mask >> e)) << e
+                    e *= 2
+    return P.from_slots(0, den, backend.unpack(c, w, n), None, order)
 
 
 def oracle_theta_product(spec, order):
@@ -396,6 +426,12 @@ class TestPochhammer:
         for n, c in got.items():
             assert c in (A(1), A(-1))
             assert c == A(expected[n])
+
+    def test_euler_pentagonal_to_order_20000(self):
+        # 230 passes of Euler's sum, where one pass a factor took 2*10^8
+        # steps and was refused
+        got = {int(e): int(c.rat) for e, c in poch(QQ, 20000).items()}
+        assert got == pentagonal_numbers(20000)
 
     def test_euler_product_identity(self):
         # (-q;q)(q;q) = (q^2;q^2), a cross-check between distinct specs
@@ -817,16 +853,18 @@ class TestThetaGroupWidths:
         "grid, groups, left",
         [
             # f(q, q^3): (-q; q^4)(-q^3; q^4)(q^4; q^4), period 4
-            ([(1, 1, 4, 1), (1, 3, 4, 1), (-1, 4, 4, 1)], [(1, 4)], 0),
+            ([(1, 1, 4, 1), (1, 3, 4, 1), (-1, 4, 4, 1)], [(1, 1, 1, 1, 3)], 0),
             # f(q^2, q^2): (-q^2; q^4) counts twice
-            ([(1, 2, 4, 2), (-1, 4, 4, 1)], [(1, 4)], 0),
-            ([(1, 2, 4, 3), (-1, 4, 4, 1)], [(1, 4)], 1),
-            # half of f(q^2, q^2) and an eta: the pentagonal group alone
-            ([(1, 2, 4, 1), (-1, 4, 4, 1)], [(1, 12)], 1),
-            # f(q, q^3)^3 * eta(4): the core's fourth power is eta's
-            ([(-1, 1, 4, 3), (-1, 3, 4, 3), (-1, 4, 4, 4)], [(3, 4), (1, 12)], 0),
+            ([(1, 2, 4, 2), (-1, 4, 4, 1)], [(1, 1, 1, 2, 2)], 0),
+            ([(1, 2, 4, 3), (-1, 4, 4, 1)], [(1, 1, 1, 2, 2)], 1),
+            # half of f(q^2, q^2) and an eta: the pentagonal group
+            # f(-q^4, -q^8) alone, period 12
+            ([(1, 2, 4, 1), (-1, 4, 4, 1)], [(1, -1, -1, 4, 8)], 1),
+            # f(-q, -q^3)^3 * eta(4): the core's fourth power is eta's
+            ([(-1, 1, 4, 3), (-1, 3, 4, 3), (-1, 4, 4, 4)],
+             [(3, -1, -1, 1, 3), (1, -1, -1, 4, 8)], 0),
             # f(q, -q^2): six families over step 6, period 3
-            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), [(2, 3)], 0),
+            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), [(2, 1, -1, 1, 2)], 0),
             # (-q^4; q^4) is no core, and divisors join no group
             ([(1, 1, 4, 1), (1, 3, 4, 1), (1, 4, 4, 1)], [], 3),
             ([(1, 4, 4, 2)], [], 2),
@@ -846,35 +884,118 @@ class TestThetaGroupWidths:
         assert [p for *_, p in rest if p < 0] == [p for *_, p in grid if p < 0]
 
 
+@st.composite
+def group_maps(draw):
+    """(g, families): one to four parts on the grid q^(1/g), g = 1..3:
+    same- and mixed-sign triple products to powers -1..3, (q^D; q^D)_inf
+    to powers 1..4, and other Pochhammer families to powers -2..3, so that
+    groups, families they leave and divisors mix."""
+    g = draw(st.integers(1, 3))
+    unit = st.builds(F, st.integers(1, 3 * g), st.just(g))
+    signs = st.sampled_from([1, -1])
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["f", "f", "eta", "poch"]))
+        if kind == "f":
+            spec = ThetaSpec(draw(signs), draw(signs), draw(unit), draw(unit))
+            out += _triple_product(spec, draw(st.integers(-1, 3)))
+        elif kind == "eta":
+            d = draw(unit)
+            out.append((PochSpec(-1, d, d), draw(st.integers(1, 4))))
+        else:
+            out.append((PochSpec(draw(signs), draw(unit), draw(unit)),
+                        draw(st.integers(-2, 3))))
+    return g, out
+
+
+@example((1, [(QQ, 4)]), 120)
+@example((1, _triple_product(ThetaSpec(1, -1, 1, 1), 2) + [(QQ, 1)]), 120)
+@example((2, _triple_product(ThetaSpec(-1, 1, F(1, 2), F(3, 2)), 3)
+          + [(PochSpec(1, F(1, 2), 1), 2), (QQ, -1)]), 120)
+@example((3, _triple_product(ThetaSpec(1, 1, F(2, 3), F(2, 3)), 1)
+          + [(PochSpec(-1, F(1, 3), F(1, 3)), 2)]), 1)
+@settings(max_examples=200, deadline=None)
+@given(group_maps(), st.integers(1, 120))
+def test_group_passes_match_the_pass_per_factor_fill(grid_families, m):
+    # n = m slots on the grid q^(1/g), from one slot to past the first
+    # terms of every sum side
+    g, fams = grid_families
+    order = F(m, g)
+    assert fields(poch_quotient(fams, order)) == fields(oracle_pass_fill(fams, order))
+
+
 def theta_group_kinds():
-    """(name, families, exponents e(j)) of one whole group of each kind,
-    on the integer grid."""
-    kinds = [("pentagonal D=%d" % d, [(PochSpec(-1, d, d), 1)],
-              lambda j, d=d: d * j * (3 * j - 1) // 2) for d in (1, 2, 3)]
+    """(name, families, spec) of one whole group of each kind on the
+    integer grid, spec the theta function f(s1*q^a, s2*q^b) that
+    :func:`~qident.blocks._theta_groups` reads it as."""
+    kinds = [("pentagonal D=%d" % d, [(PochSpec(-1, d, d), 1)], ThetaSpec(-1, -1, d, 2 * d))
+             for d in (1, 2, 3)]
     for s1, s2 in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-        for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (1, 5)):
-            kinds.append((f"f({s1}q^{a},{s2}q^{b})",
-                           _triple_product(ThetaSpec(s1, s2, a, b), 1),
-                           lambda j, a=a, b=b: a * j * (j + 1) // 2 + b * j * (j - 1) // 2))
+        for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (1, 5), (2, 2)):
+            spec = ThetaSpec(s1, s2, a, b)
+            kinds.append((f"f({s1}q^{a},{s2}q^{b})", _triple_product(spec, 1), spec))
     return kinds
 
 
-@pytest.mark.parametrize("name, families, e", theta_group_kinds(),
+def sum_side(spec, n):
+    """{e: c}: the theta sum of `spec` below q^n, on the integer grid."""
+    return {int(e): int(c.rat) for e, c in theta_sum(spec, n).items()}
+
+
+@pytest.mark.parametrize("name, families, spec", theta_group_kinds(),
                          ids=[k[0] for k in theta_group_kinds()])
-def test_group_term_bounds_the_sum_side(name, families, e):
-    # the term a group adds to log M(x) is at least log of its sum side
-    # sum x^e(j) over the exponents below n, at every x = 1 - 2^-t
-    groups, rest = blocks._theta_groups(blocks._grid(families)[1])
-    assert len(groups) == 1 and groups[0][0] == 1
-    assert all(p == 0 for *_, p in rest)
-    exps = [e(j) for j in range(-40, 41)]
-    assert min(e(41), e(-41)) >= 300  # every exponent below 300 is listed
+def test_group_terms_are_the_theta_sum(name, families, spec):
+    # the one group of the families is the spec, and below every n the
+    # fill's passes are the nonconstant terms of its theta sum, each
+    # charged n - e steps
     for n in range(1, 301):
-        below = [k for k in exps if k < n]
+        plan = blocks.plan_fill(families, n)
+        assert plan.groups == [(1, spec.sign1, spec.sign2, spec.a, spec.b)]
+        assert plan.rest == []
+        want = sum_side(spec, n)
+        assert want[0] == 1
+        assert plan.terms == [sorted((e, c) for e, c in want.items() if e)]
+        assert plan.steps == sum(n - e for e in want if e)
+
+
+@pytest.mark.parametrize("name, families, spec", theta_group_kinds(),
+                         ids=[k[0] for k in theta_group_kinds()])
+def test_group_term_bounds_the_sum_side(name, families, spec):
+    # the term a group adds to log M(x), the least of its sum side's and
+    # its factors', is at least log of its sum side sum |c|*x^e below n,
+    # at every x = 1 - 2^-t
+    groups, rest = blocks._theta_groups(blocks._grid(families)[1])
+    assert all(p == 0 for *_, p in rest)
+    for n in range(1, 301):
+        terms = sum_side(spec, n)
         for t in range(1, n.bit_length() + 3):
             lx = math.log1p(-0.5**t)
-            total = math.fsum(math.exp(k * lx) for k in below)
+            total = math.fsum(abs(c) * math.exp(e * lx) for e, c in terms.items())
             assert blocks._log_majorant([], groups, lx) >= math.log(total), (n, t)
+
+
+def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
+    # every fill of `verify all --order 48` packs no wider than the
+    # majorant of its factors alone would make it, thm44-ii's and
+    # psi11-spec-a's included
+    seen = []
+    fill_bytes = blocks._fill_bytes
+
+    def spy(families, n, groups=()):
+        factors = [(p, first, step, False) for p, *g in groups
+                   for _, first, step in blocks._group_members(*g)]
+        seen.append((fill_bytes(families, n, groups), fill_bytes(families + factors, n)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(blocks, "_fill_bytes", spy)
+    entries = {idy.id: idy for idy in catalog()}
+    verify_many(list(entries.values()), 48)
+    assert len(seen) == 54  # 50 Pochhammer fills and 4 G_k fills
+    assert all(w <= factors for w, factors in seen)
+    for name, width in (("thm44-ii", 7), ("psi11-spec-a", 3)):
+        seen.clear()
+        verify_many([entries[name]], 48)
+        assert [w for w, _ in seen] == [width]
 
 
 class TestSineRatios:

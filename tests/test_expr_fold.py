@@ -299,25 +299,68 @@ class TestLogDerivative:
 # -- budgets and retries -----------------------------------------------------
 
 
+def both_forms_scored(powers, unit):
+    """The form of expr._fills with both forms planned and scored: one
+    fill of the powers over their gcd, or one fill per distinct power."""
+    den = math.lcm(*(e.denominator for e in powers.values()))
+    g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
+    forms = [[(F(g, den), blocks.plan_fill(
+        [(spec, int(e * den) // g) for spec, e in powers.items()], unit))]]
+    by_power = {}
+    for spec, e in powers.items():
+        by_power.setdefault(e, []).append((spec, 1))
+    if len(by_power) > 1:
+        forms.append([(e, blocks.plan_fill(families, unit))
+                      for e, families in by_power.items()])
+
+    def steps(fills):
+        over = any(plan.steps > series_mod.MAX_SLOT_STEPS for _, plan in fills)
+        return over, sum(plan.steps + (plan.n * plan.n // 2 if r != 1 else 0)
+                         for r, plan in fills)
+
+    (over, _), fills = min(((steps(form), form) for form in forms),
+                           key=lambda scored: scored[0])
+    return None if over else fills
+
+
 class TestBudgets:
     def test_a_fill_past_the_steps_runs_the_recurrence_instead(self, monkeypatch):
-        # one fill would enter (q;q) and (q^2;q^2) once each below q^6000:
-        # 2.7*10^7 steps, though either alone takes fewer than 2*10^7; the
-        # log-derivative recurrence takes 6000*5999/2 = 1.8*10^7
+        # (-q;q)_inf (q;q^2)_inf = 1 (Euler), and neither family is a
+        # theta group, so one fill would enter them factor by factor below
+        # q^6000: 2.7*10^7 steps, though either alone takes fewer than
+        # 2*10^7; in the log-derivative recurrence every c_k cancels, so it
+        # takes only its sieve's steps
         def unpack(*args):
             raise AssertionError("filled")
 
-        node = parse_expression("eta(1)*eta(2)")
-        want = tree(node, 6000)
         monkeypatch.setattr(backend, "unpack", unpack)
-        got = evaluate_to_order(node, 6000)
-        assert got.first_mismatch(want, 6000) is None
+        got = evaluate_to_order(parse_expression("G2(1/2)*poch(-,1,2)"), 6000)
+        assert got.first_mismatch(P.one(6000), 6000) is None
+
+    def test_theta_groups_fill_what_the_recurrence_took(self, monkeypatch):
+        # (q;q)_inf (q^2;q^2)_inf below q^6000 is two pentagonal groups of
+        # 126 and 88 terms: a fill of 851,748 steps, not 2.7*10^7 a factor
+        # at a time, so it no longer runs the recurrence and agrees with it;
+        # below q^7000 (1,074,454 steps), where the recurrence is refused,
+        # it agrees with the tree
+        fold = fold_of("eta(1)*eta(2)")
+        unit = F(6000) - fold.shift
+        want = expr._logd(fold.powers, unit)
+
+        def refuse(*args):
+            raise AssertionError("recurrence")
+
+        monkeypatch.setattr(expr, "_logd", refuse)
+        assert expr._unit_product(fold.powers, unit) == want
+        node = parse_expression("eta(1)*eta(2)")
+        got = evaluate_to_order(node, 7000)
+        assert got.first_mismatch(tree(node, 7000), 7000) is None
 
     def test_a_fused_fill_past_the_words_is_refused_before_it_fills(self, monkeypatch):
-        # one fill of three divisions a factor: below q^(400 + 1/6), past
-        # its shift q^(-1/6), it fills 401 slots of more than 8 bytes each,
-        # a width set by the divisors, which no theta group bounds
-        node, slots = parse_expression("1/(eta(1)^(2)*eta(2))"), 401
+        # one fill of three divisions a factor: below q^400 it fills 400
+        # slots of 17 bytes each, a width set by the divisors, which no
+        # theta group bounds
+        node, slots = parse_expression("1/(G2(1/2)^(2)*G2(1))"), 400
 
         def unpack(*args):
             raise AssertionError("filled")
@@ -331,11 +374,12 @@ class TestBudgets:
             evaluate_to_order(node, 400)
 
     def test_the_recurrence_past_the_steps_is_refused_before_its_loop(self, monkeypatch):
-        # f(-q,-q^2)^(1/2)*eta(1)^(1/2) = q^(1/48) (q;q)_inf below q^100:
-        # every c_k is nonzero, so the recurrence takes 99 + 98 + ... + 1 =
-        # 4950 steps, and its values fit a word, so the charge as it runs
-        # is that count too
-        node = parse_expression("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)")
+        # f(-q,-q^2)^(1/3)*eta(1)^(2/3) = q^(1/36) (q;q)_inf below q^100
+        # has two powers, one not an integer, so it runs the recurrence:
+        # every c_k is nonzero, so it takes 99 + 98 + ... + 1 = 4950
+        # steps, and its values fit a word, so the charge as it runs is
+        # that count too
+        node = parse_expression("f(-q^1,-q^2)^(1/3)*eta(1)^(2/3)")
         want = tree(node, 100)
         monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", 4950)
         assert evaluate_to_order(node, 100).first_mismatch(want, 100) is None
@@ -380,29 +424,54 @@ class TestBudgets:
             evaluate_to_order(node, 200)
 
     def test_a_form_past_the_steps_gives_way_to_one_within(self, monkeypatch):
-        # eta(1)^2*eta(2) below q^100: one fill of three passes a factor
-        # takes fewer steps than two fills and a square, and runs; with the
-        # cap just below that fill, the two fills run instead
-        node = parse_expression("eta(1)^(2)*eta(2)")
+        # G2(1/2)^2*G2(1) below q^100, no theta group: one fill of two
+        # passes a factor of (-q;q) and one of (-q^2;q^2), 2*4950 + 2450 =
+        # 12,350 steps, takes fewer than two fills and a square, 4950 +
+        # 5000 + 2450, and runs; with the cap just below that fill, the two
+        # fills run instead
+        node = parse_expression("G2(1/2)^(2)*G2(1)")
         want = tree(node, 100)
-        _, grid = blocks._grid([(PochSpec(-1, F(1), F(1)), 2), (PochSpec(-1, F(2), F(2)), 1)])
-        monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", blocks._steps(grid, 100) - 1)
+        families = [(PochSpec(1, F(1), F(1)), 2), (PochSpec(1, F(2), F(2)), 1)]
+        assert blocks.plan_fill(families, F(100)).steps == 12350
+        monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", 12349)
         got = evaluate_to_order(node, 100)
         assert got.first_mismatch(want, 100) is None
         with pytest.raises(SlotBudgetError, match="steps"):
-            blocks.poch_quotient([(PochSpec(-1, F(1), F(1)), 2), (PochSpec(-1, F(2), F(2)), 1)],
-                                 F(100) - F(1, 6))
+            blocks.poch_quotient(families, F(100))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(LOGD_ATOMS, st.integers(-4, 6).filter(bool)),
+                    min_size=1, max_size=4),
+           st.integers(1, 300), st.sampled_from([None, 10**4, 10**5]))
+    @example([("G2(1)", 6), ("G2(1/2)", 5)], 300, None)
+    @example([("eta(1)", 1000), ("eta(2)", 999)], 300, None)
+    @example([("G2(1/2)", 2), ("G2(1)", 1)], 100, 12349)
+    def test_the_second_form_is_planned_only_when_it_could_win(self, atoms, unit, cap):
+        # _fills takes the form that scoring both forms, fully planned,
+        # takes, under the step cap or a lower one
+        powers = {}
+        for text, e in atoms:
+            powers = expr._merge(powers, ((spec, p * e) for spec, p
+                                          in fold_of(text).powers.items()))
+        if not powers:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            if cap:
+                mp.setattr(series_mod, "MAX_SLOT_STEPS", cap)
+            assert expr._fills(powers, F(unit)) == both_forms_scored(powers, F(unit))
 
     @pytest.mark.parametrize("text, order, code, what", [
         # large powers of two families: filled apart and raised, as the
         # tree does, not entered pass by pass into one fill
         ("eta(1)^(1000)*eta(2)^(999)", "300", 0, "3599/12\t"),
         ("eta(1)^(5)/eta(2)^(2)", "3000", 0, "70225/24\t265+0*sqrt2"),
-        # one fill past the step cap: the recurrence's 1.8*10^7 steps run
-        # (the tree's coefficient of q^(39593/8)), and its 2.45*10^7 are
-        # refused
+        # two pentagonal groups: fills of 8.5*10^5 and 1.1*10^6 steps (the
+        # tree's coefficients of q^(39593/8) and q^(55969/8))
         ("eta(1)*eta(2)", "6000", 0, "39593/8\t6+0*sqrt2"),
-        ("eta(1)*eta(2)", "7000", 2, "steps"),
+        ("eta(1)*eta(2)", "7000", 0, "55969/8\t-4+0*sqrt2"),
+        # no groups: one fill of 3.7*10^7 steps, or 2.45*10^7 of the
+        # recurrence, is refused
+        ("G2(1/2)*G2(1)", "7000", 2, "steps"),
         # its square root: 1.8*10^7 steps, but values that gain about two
         # bits a slot, so the charge per word refuses it as it runs
         ("(eta(1)*eta(2))^(1/2)", "6000", 2, "steps"),

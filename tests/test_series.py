@@ -633,9 +633,10 @@ class TestSlotBudget:
 
     def test_step_budget(self):
         # far below the slot cap, but slots x factors (or slots x terms)
-        # inner steps is more than MAX_SLOT_STEPS
+        # inner steps is more than MAX_SLOT_STEPS: (q; q^2)_inf is no theta
+        # group, so its 10,000 factors take 10^8 steps
         with pytest.raises(SlotBudgetError, match="steps"):
-            poch_quotient([(PochSpec(-1, 1, 1), 1)], 20000)
+            poch_quotient([(PochSpec(-1, 1, 2), 1)], 20000)
         with pytest.raises(SlotBudgetError, match="steps"):
             poch_quotient(g2_families(1), 20000)
         s = P({F(j * j, 1000): 1 for j in range(100)}, 500)
@@ -654,13 +655,26 @@ class TestSlotBudget:
     @pytest.mark.parametrize(
         "expand, steps",
         [
+            # (q;q)_inf to q^10 is Euler's sum 1 - q - q^2 + q^5 + q^7 - ...:
+            # the pass of each term q^e, e > 0, visits 10 - e slots,
+            # 9 + 8 + 5 + 3
+            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 1)], 10), 25),
             # factors at slots 1..9 of 10 visit 9 + 8 + ... + 1 slots
-            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 1)], 10), 45),
             (lambda: gamma_k(1, 10), 45),
             # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
             (lambda: poch_quotient([(PochSpec(1, F(3, 2), 1), 1)], 4), 9),
-            # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7: 6+3 + 5+2 + 4+1
-            (lambda: poch_quotient(_triple_product(ThetaSpec(1, 1, 1, 2), 1), 7), 21),
+            # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7 is the sum
+            # 1 + q + q^2 + q^5 + ...: 6 + 5 + 2
+            (lambda: poch_quotient(_triple_product(ThetaSpec(1, 1, 1, 2), 1), 7), 13),
+            # f(q, -q) to q^10 is 1 - 2q^4 + ...: the terms j = 1 and -1
+            # cancel at q^1, those of j = 2 and -2 merge at q^4 and those of
+            # j = 3 and -3 cancel at q^9, so one pass of 6 slot visits
+            pytest.param(
+                lambda: poch_quotient(_triple_product(ThetaSpec(1, -1, 1, 1), 1), 10), 6,
+                id="f(q,-q)-6"),
+            # (q;q)_inf^2 (-q;q^2)_inf to q^6: two passes of 5 + 4 + 1 for
+            # the group, and the factors at slots 1, 3, 5 left: 5 + 3 + 1
+            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 2), (PochSpec(1, 1, 2), 1)], 6), 29),
             # i(q) to q^9 = (q;q^4)(q^3;q^4) / (q^2;q^4)^2 once (q^4;q^4)
             # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
             (lambda: poch_quotient(i_families(1), 9), 40),

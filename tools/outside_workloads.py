@@ -4,12 +4,15 @@
 
 For each EXPR@ORDER and each tree, in fresh interpreters: the exit code
 and whole-process wall time of `qident dump EXPR --order ORDER`, and the
-best of N in-process evaluations (skipped when the dump exits 2).  Prints
-one JSON object, each input mapped to "old -> new", as the
-`outside_workloads` tables of the BENCH_*.json files record them.
+best of N in-process evaluations (skipped when the dump exits 2).  The
+two dumps' standard output and error are hashed and compared.  Prints
+one JSON object, each input mapped to "old -> new; output same" (or
+"differs"), as the `outside_workloads` tables of the BENCH_*.json files
+record them.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -30,17 +33,18 @@ print(best)
 
 
 def run(src, expr, order, runs):
+    """(row, digest): the timings of one tree and the hash of its dump."""
     env = dict(os.environ, PYTHONPATH=src)
     dump = [sys.executable, "-c", "from qident.cli import main; main()",
             "dump", expr, "--order", order]
     t = time.perf_counter()
-    code = subprocess.run(dump, env=env, capture_output=True).returncode
-    row = f"exit {code}, whole process {time.perf_counter() - t:.2f} s"
-    if code != 2:
+    done = subprocess.run(dump, env=env, capture_output=True)
+    row = f"exit {done.returncode}, whole process {time.perf_counter() - t:.2f} s"
+    if done.returncode != 2:
         out = subprocess.run([sys.executable, "-c", TIMED, expr, order, str(runs)],
                              env=env, capture_output=True, text=True, check=True)
         row += f", in-process best {float(out.stdout):.4f} s"
-    return row
+    return row, hashlib.sha256(done.stdout + b"\0" + done.stderr).hexdigest()
 
 
 def main():
@@ -53,8 +57,10 @@ def main():
     rows = {}
     for item in args.inputs:
         expr, order = item.rsplit("@", 1)
-        rows[f"{expr} @ {order}"] = " -> ".join(
-            run(src, expr, order, args.runs) for src in (args.old_src, args.new_src))
+        (old, a), (new, b) = (run(src, expr, order, args.runs)
+                              for src in (args.old_src, args.new_src))
+        rows[f"{expr} @ {order}"] = (f"{old} -> {new}; output "
+                                     + ("same" if a == b else "differs"))
     print(json.dumps(rows, indent=2))
 
 
