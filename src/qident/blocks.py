@@ -50,7 +50,6 @@ bytes a slot, not 22.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,8 +63,67 @@ _FR = Fraction
 BETA = {1: -SQRT2, 2: AlgebraicNumber(0), 3: SQRT2}
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class Record:
+    """Base of the package's immutable records: the specs here and in
+    :mod:`~qident.lambert`, and the expression nodes of :mod:`~qident.expr`.
+
+    A subclass declares its fields as annotations and ``__slots__ = ()``.
+    The field values are stored once, in order, as the tuple `_key`, and
+    each field reads its place in it.  Records compare by class and
+    `_key`, so C compares the tuples, and hash by `_key`, once.  A
+    record's fields cannot be assigned.
+    """
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls.__dict__.get("__annotations__")
+        if fields:
+            cls._fields = tuple(fields)
+            for i, name in enumerate(cls._fields):
+                setattr(cls, name, property(lambda self, i=i: self._key[i]))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        object.__setattr__(self, "_key", values)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        # computed once: specs key the exponent maps of expr, and a node's
+        # key holds its subtree, which a tuple hash would walk every call
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class PochSpec(Record):
     """The product prod_{j>=0} (1 + sign*q^{offset + j*step}).
 
     ``PochSpec(-1, a, b)`` is the classical (q^a; q^b)_inf; the +1 sign
@@ -73,40 +131,36 @@ class PochSpec:
     convergence.
     """
 
+    __slots__ = ()
     sign: int
     offset: Fraction
     step: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", _fr(self.offset))
-        object.__setattr__(self, "step", _fr(self.step))
-        if self.sign not in (1, -1):
+    def __init__(self, sign, offset, step):
+        offset, step = _fr(offset), _fr(step)
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.offset <= 0 or self.step <= 0:
+        if offset <= 0 or step <= 0:
             raise ValueError("offset and step must be positive")
-        # specs key the exponent maps of expr, so the hash is made once
-        object.__setattr__(self, "_hash", hash((self.sign, self.offset, self.step)))
-
-    def __hash__(self):
-        return self._hash
+        super().__init__(sign, offset, step)
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """f(sign1*q^a, sign2*q^b) for the bilateral theta sum."""
 
+    __slots__ = ()
     sign1: int
     sign2: int
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _fr(self.a))
-        object.__setattr__(self, "b", _fr(self.b))
-        if self.sign1 not in (1, -1) or self.sign2 not in (1, -1):
+    def __init__(self, sign1, sign2, a, b):
+        a, b = _fr(a), _fr(b)
+        if sign1 not in (1, -1) or sign2 not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-        if self.a <= 0 or self.b <= 0:
+        if a <= 0 or b <= 0:
             raise ValueError("theta arguments need positive exponents")
+        super().__init__(sign1, sign2, a, b)
 
 
 # bits of headroom over the float width bound of a packed fill, for its

@@ -9,14 +9,13 @@ product-series values on a sample grid inside the unit interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Lentz floor substituted for vanishing partial denominators.
 _TINY = 1e-30
 
 
-@dataclass
-class CFEvaluation:
+class CFEvaluation(NamedTuple):
     """Outcome of one continued-fraction evaluation.
 
     `residual` is the absolute difference of the last two convergents of

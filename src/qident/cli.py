@@ -13,7 +13,6 @@ configuration is by flags; no environment variables.
 
 from __future__ import annotations
 
-import difflib
 import math
 import pathlib
 from fractions import Fraction
@@ -128,12 +127,14 @@ def verify_cmd(ctx, ids, order_text, as_json, output):
         selected = []
         for ident in ids:
             if ident not in by_id:
+                import difflib  # only a misspelt id needs it
+
                 near = difflib.get_close_matches(ident, by_id, n=3)
                 hint = f"; did you mean {', '.join(near)}?" if near else ""
                 raise click.UsageError(f"unknown identity id {ident!r}{hint}")
             selected.append(by_id[ident])
     reports = verify_many(selected, order)
-    payload = report_json(reports)
+    payload = report_json(reports) if as_json or output else None
     if as_json:
         click.echo(payload.decode("utf-8"))
     else:

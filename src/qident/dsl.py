@@ -81,6 +81,7 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<eq>==)
       | (?P<op>[-+*/^(),=])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -97,26 +98,25 @@ class _Token:
 
 
 def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
+    # one scan: every character starts a match (`bad` takes what no token
+    # does), and a token's column counts from the last newline before it
     tokens = []
     line = 1 + line_offset
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line_start = 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "ws":
+            value = m.group()
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + value.rfind("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+        elif kind != "comment":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -27,8 +27,9 @@ one fill and one power per distinct e, so that
 ``eta(1)^(1000)*eta(2)^(999)`` costs what the tree costs; a family atom
 alone is one fill.  A fill multiplies its whole theta products in by
 their sum sides and every other family factor by factor, and counts the
-steps of both.  When every such form has a fill past MAX_SLOT_STEPS,
-the map runs the recurrence instead, which counts its own steps:
+steps of both.  When every such form has a fill, or a power charged as
+the power recurrence charges it, past MAX_SLOT_STEPS, the map runs the
+recurrence instead, which counts its own steps:
 ``G2(1/2)*G2(1)`` at order 6000, which no theta group covers, is one
 fill of 2.7*10^7 steps or 1.8*10^7 steps of the recurrence.  A folding
 factor times an ``Add``/``Sub`` whose terms all fold distributes into
@@ -60,9 +61,10 @@ subtree is exact below the order it is asked for.
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
 enters for its whole batch) every evaluation goes through one
 :class:`SharedEvaluations` cache keyed on the exact ``(node, order)`` pair.
-Nodes are frozen dataclasses that compare by structure and hash once, so
-the same subexpression in two identities is expanded once.  Only nodes
-that occur at least twice in the batch are stored.  The unit part of
+Nodes are immutable records (:class:`~qident.blocks.Record`) that
+compare by structure, as one stored tuple of their fields, and hash
+once, so the same subexpression in two identities is expanded once.
+Only nodes that occur at least twice in the batch are stored.  The unit part of
 every folded map is stored too, keyed on the map and its bound, so maps
 that differ only in constant and shift (the six ``thm31`` right sides
 are scaled sums of two) are filled once.  Every entry is held until the
@@ -75,24 +77,23 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import blocks, series
 from . import lambert as lam
-from .blocks import ThetaSpec
+from .blocks import Record, ThetaSpec
 from .field import ONE, AlgebraicNumber
 from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
 
 _FR = Fraction
 
 
-class Node:
+class Node(Record):
     """Base of all identity-expression nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_depth",)
 
     def evaluate(self, order) -> PuiseuxSeries:
         """This node's series, guaranteed below `order`."""
@@ -108,16 +109,6 @@ class Node:
         """Structural estimate of the leading exponent."""
         raise NotImplementedError
 
-    def __hash__(self):
-        # The hash of the node's class and fields, computed once: the
-        # dataclass hash would rehash the whole subtree on every call.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((type(self).__name__,
-                      *(getattr(self, f) for f in self.__dataclass_fields__)))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def fold(self) -> Optional["Fold"]:
         """This tree's product form if it folds (see :class:`Fold`), else
         None.  Not kept: a batch would hold one map per node."""
@@ -125,30 +116,20 @@ class Node:
 
     def depth(self) -> int:
         """Levels of the tree under this node, 1 for a leaf; computed once,
-        so a tree built bottom up is measured one level at a time.  Fields
-        are read by name: `vars` would give every node a dict of its own."""
+        so a tree built bottom up is measured one level at a time."""
         d = getattr(self, "_depth", None)
         if d is None:
-            fields = (getattr(self, f) for f in self.__dataclass_fields__)
-            d = 1 + max((v.depth() for v in fields if isinstance(v, Node)),
+            d = 1 + max((v.depth() for v in self._key if isinstance(v, Node)),
                         default=0)
             object.__setattr__(self, "_depth", d)
         return d
 
 
-def _node(cls):
-    """Make `cls` a frozen dataclass that compares by structure and keeps
-    the hash of :meth:`Node.__hash__`."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Node.__hash__
-    return cls
-
-
 # -- leaves ----------------------------------------------------------------
 
 
-@_node
 class QPow(Node):
+    __slots__ = ()
     exponent: Fraction
 
     def _evaluate(self, order):
@@ -162,8 +143,8 @@ class QPow(Node):
         return Fold(ONE, self.exponent, {})
 
 
-@_node
 class Const(Node):
+    __slots__ = ()
     value: AlgebraicNumber
 
     def _evaluate(self, order):
@@ -184,8 +165,7 @@ def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
     return PuiseuxSeries._make(s.m, s.den, s.d, s.slots, trunc)
 
 
-@dataclass(frozen=True)
-class Primitive:
+class Primitive(NamedTuple):
     """One named series of the DSL, taking exactly one argument.
 
     `kind` names the argument: "r" (a substitution exponent q -> q^r),
@@ -270,10 +250,10 @@ PRIMITIVES: dict[str, Primitive] = {
 }
 
 
-@_node
 class Prim(Node):
     """A named primitive series from :data:`PRIMITIVES` at its argument."""
 
+    __slots__ = ()
     name: str
     arg: object
 
@@ -290,8 +270,8 @@ class Prim(Node):
 # -- composites ----------------------------------------------------------
 
 
-@_node
 class Add(Node):
+    __slots__ = ()
     left: Node
     right: Node
 
@@ -302,8 +282,8 @@ class Add(Node):
         return min(self.left.hint(), self.right.hint())
 
 
-@_node
 class Sub(Node):
+    __slots__ = ()
     left: Node
     right: Node
 
@@ -314,8 +294,8 @@ class Sub(Node):
         return min(self.left.hint(), self.right.hint())
 
 
-@_node
 class Mul(Node):
+    __slots__ = ()
     left: Node
     right: Node
 
@@ -345,11 +325,11 @@ class Mul(Node):
         return None if right is None else _times(left, right)
 
 
-@_node
 class Pow(Node):
     """base ** r for a rational r; unless r is an integer the base's
     leading coefficient must be exactly 1."""
 
+    __slots__ = ()
     base: Node
     r: Fraction
 
@@ -380,10 +360,10 @@ class Pow(Node):
                     {spec: r * e for spec, e in base.powers.items()} if r else {})
 
 
-@_node
 class Subst(Node):
     """q -> q^r applied to a whole subexpression."""
 
+    __slots__ = ()
     base: Node
     r: Fraction
 
@@ -454,8 +434,8 @@ def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
     is one run of :func:`_logd`.  Any other map is expanded in the form
     :func:`_fills` picks, the plans of :func:`~qident.blocks.plan_fill`
     filled, raised to powers and multiplied, unless every form it offers
-    has a fill past MAX_SLOT_STEPS; then it too goes to :func:`_logd`,
-    which counts its own steps.  A plan counts a theta group by the
+    has a fill or a power past MAX_SLOT_STEPS; then it too goes to
+    :func:`_logd`, which counts its own steps.  A plan counts a theta group by the
     passes of its sum side, so a map of theta functions and eta powers
     fills at orders where one pass a factor would be refused:
     ``eta(1)*eta(2)`` below q^7000 is 1.1*10^6 steps of its fill.
@@ -475,19 +455,20 @@ def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
 def _fills(powers: dict, unit: Fraction) -> Optional[list]:
     """(r, plan) pairs whose :func:`~qident.blocks.fill` below `unit`,
     each raised to r, multiply to the exponent map `powers`, or None when
-    every form has a fill past MAX_SLOT_STEPS.  :func:`_unit_product` asks
-    only for maps whose powers are all integers or all equal.
+    every form has a fill or a power past MAX_SLOT_STEPS.
+    :func:`_unit_product` asks only for maps whose powers are all integers
+    or all equal.
 
     Either one fill of the integer powers e*D/g raised to g/D, D the lcm
     of the powers' denominators and g the gcd of the e*D, or one fill per
     distinct power e of its families, raised to e.  The first enters each
     factor or theta group |e|*D/g times, the second once, but adds a power
     per fill and a product (one packed multiplication, not counted).
-    Counting a fill by its plan's steps and a power as the n^2/2 steps of
-    a dense loop on n slots, the form with fewer steps is taken, the
-    single fill on a tie, unless it has a fill past MAX_SLOT_STEPS and
-    the other has none.  The second form is planned only when the first
-    is past the cap or takes more steps than the second's powers alone.
+    Counting a fill by its plan's steps and a power by :func:`_power_steps`,
+    the form with fewer steps is taken, the single fill on a tie, unless
+    it has a fill or a power past MAX_SLOT_STEPS and the other has none.
+    The second form is planned only when the first is past the cap or
+    takes more steps than the second's powers alone.
     """
     den = math.lcm(*(e.denominator for e in powers.values()))
     g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
@@ -500,19 +481,30 @@ def _fills(powers: dict, unit: Fraction) -> Optional[list]:
     def steps(fills):
         over = work = 0
         for r, plan in fills:
-            over |= plan.steps > series.MAX_SLOT_STEPS
-            work += plan.steps + (plan.n * plan.n // 2 if r != 1 else 0)
+            power = _power_steps(r, plan.n) if r != 1 else 0
+            over |= max(plan.steps, power) > series.MAX_SLOT_STEPS
+            work += plan.steps + power
         return over, work
 
     over, work = steps(fills)
     # the second form raises each fill of a power other than 1, on at
     # least ceil(unit) slots, so it is planned only when it could win
-    least = sum(e != 1 for e in by_power) * (math.ceil(unit) ** 2 // 2)
+    least = sum(_power_steps(e, math.ceil(unit)) for e in by_power if e != 1)
     if len(by_power) > 1 and (over or work > least):
         split = [(e, blocks.plan_fill(families, unit)) for e, families in by_power.items()]
         (over, _), fills = min(((over, work), fills), (steps(split), split),
                                key=lambda scored: scored[0])
     return None if over else fills
+
+
+def _power_steps(r: Fraction, n: int) -> int:
+    """The steps :meth:`~qident.series.PuiseuxSeries._power` is charged,
+    at most, for raising a fill on n slots to r: n^2/2 plain steps, each
+    weighted, as the power recurrence weighs it, by ceil((n - 1) *
+    log2(D^2) / 64) 64-bit words (at least 1), D the denominator of r,
+    for the scale D^2 its values carry per slot."""
+    weight = max(1, math.ceil((n - 1) * math.log2(r.denominator ** 2) / 64))
+    return weight * (n * n // 2)
 
 
 def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
@@ -611,7 +603,7 @@ def _occurrences(node: Node) -> Iterator[Node]:
     while stack:
         n = stack.pop()
         yield n
-        stack.extend(v for v in vars(n).values() if isinstance(v, Node))
+        stack.extend(v for v in n._key if isinstance(v, Node))
 
 
 class SharedEvaluations:

@@ -12,10 +12,9 @@ product form like the other family atoms of :mod:`qident.expr`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import PochSpec
+from .blocks import PochSpec, Record
 from .series import MAX_SLOT_STEPS, PuiseuxSeries, _fr, check_steps, dense_slots
 
 _FR = Fraction
@@ -62,8 +61,7 @@ def legendre_symbol(m: int, p: int) -> int:
     return _euler_criterion(m, p)
 
 
-@dataclass(frozen=True)
-class LambertSpec:
+class LambertSpec(Record):
     """sum over m >= 1, m = residue (mod modulus) of
     w(m) * sum_i c_i q^{a_i m} / (1 - q^{b m}).
 
@@ -72,26 +70,30 @@ class LambertSpec:
     (w = (m | legendre_p)).
     """
 
+    __slots__ = ()
     modulus: int
     residue: int
     numerators: tuple[tuple[int, int], ...]
     denom_exponent: int
-    weight: str = "unit"
-    legendre_p: int = 0
+    weight: str
+    legendre_p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(map(tuple, self.numerators)))
-        if self.modulus < 1 or not 0 <= self.residue < self.modulus:
+    def __init__(self, modulus, residue, numerators, denom_exponent,
+                 weight="unit", legendre_p=0):
+        numerators = tuple(map(tuple, numerators))
+        if modulus < 1 or not 0 <= residue < modulus:
             raise ValueError("need modulus >= 1 and 0 <= residue < modulus")
-        if self.denom_exponent < 1:
+        if denom_exponent < 1:
             raise ValueError("denominator exponent must be positive")
-        for c, a in self.numerators:
+        for c, a in numerators:
             if c not in (1, -1) or a < 1:
                 raise ValueError("numerators must be (+-1, positive exponent)")
-        if self.weight not in ("unit", "linear", "legendre"):
-            raise ValueError(f"unknown weight {self.weight!r}")
-        if self.weight == "legendre":
-            _check_odd_prime(self.legendre_p)
+        if weight not in ("unit", "linear", "legendre"):
+            raise ValueError(f"unknown weight {weight!r}")
+        if weight == "legendre":
+            _check_odd_prime(legendre_p)
+        super().__init__(modulus, residue, numerators, denom_exponent,
+                         weight, legendre_p)
 
     def leading_exponent(self) -> int:
         """a_min * m for the least m of the class with a nonzero weight.
@@ -113,19 +115,22 @@ def _lambert_progressions(spec: LambertSpec, n: int):
     of nonzero weight w(m) gives, per numerator (c_i, a_i), the tail
     c_i w(m) (q^{a_i m} + q^{a_i m + b m} + ...).
     """
-    a_min = min(a for _, a in spec.numerators)
-    m = spec.residue if spec.residue >= 1 else spec.modulus
+    # fields read once: each read of a record field is a call
+    modulus, numerators, b, weight = (spec.modulus, spec.numerators,
+                                      spec.denom_exponent, spec.weight)
+    a_min = min(a for _, a in numerators)
+    m = spec.residue if spec.residue >= 1 else modulus
     while a_min * m < n:
-        if spec.weight == "unit":
+        if weight == "unit":
             w = 1
-        elif spec.weight == "linear":
+        elif weight == "linear":
             w = m
         else:
             w = _euler_criterion(m, spec.legendre_p)
         if w:
-            for c, a in spec.numerators:
-                yield a * m, spec.denom_exponent * m, c * w
-        m += spec.modulus
+            for c, a in numerators:
+                yield a * m, b * m, c * w
+        m += modulus
 
 
 def _progression_sum(progressions, low, n, den, order, what) -> PuiseuxSeries:
@@ -162,22 +167,21 @@ def lambert_sum(spec: LambertSpec, order) -> PuiseuxSeries:
                             0, n, 1, order, "Lambert sum")
 
 
-@dataclass(frozen=True)
-class BilateralSpec:
+class BilateralSpec(Record):
     """sum_j z^j / (1 - x q^j) at x = q^x_exp, z = q^z_exp, base q^base."""
 
+    __slots__ = ()
     base: Fraction
     x_exp: Fraction
     z_exp: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _fr(self.base))
-        object.__setattr__(self, "x_exp", _fr(self.x_exp))
-        object.__setattr__(self, "z_exp", _fr(self.z_exp))
-        if not 0 < self.x_exp < self.base:
+    def __init__(self, base, x_exp, z_exp):
+        base, x_exp, z_exp = _fr(base), _fr(x_exp), _fr(z_exp)
+        if not 0 < x_exp < base:
             raise ValueError("need 0 < x exponent < base exponent")
-        if not 0 < self.z_exp < self.base:
+        if not 0 < z_exp < base:
             raise ValueError("need 0 < z exponent < base exponent")
+        super().__init__(base, x_exp, z_exp)
 
 
 def _summand(s, alpha, beta, j):

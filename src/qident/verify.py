@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
+import gc
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expr import Node, evaluate_to_order, shared_evaluations
 from .field import AlgebraicNumber
@@ -25,8 +24,7 @@ INSUFFICIENT = "insufficient_precision"
 _MINUS_ONE = AlgebraicNumber(-1)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """A catalog entry: two expression trees expected to agree as series.
 
     `sign_tolerant` entries are certified up to a global sign: the engine
@@ -42,8 +40,7 @@ class Identity:
     sign_tolerant: bool = False
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     paper_ref: str
     order: Fraction
@@ -63,6 +60,11 @@ def verify(identity: Identity, order=None) -> VerificationReport:
     sign-tolerant entries — `verified_with_sign_flip` when lhs == -rhs
     exactly; otherwise `mismatch` with the smallest differing exponent.
     Evaluation failures surface as `insufficient_precision`.
+
+    The cyclic garbage collector is paused while the identity expands,
+    as :mod:`timeit` pauses it, and restored as it was found, so that
+    `elapsed_ms` times the expansion and not a collection of what earlier
+    work left; a collection that is due runs once the clock has stopped.
     """
     order = _fr(order) if order is not None else identity.default_order
     t0 = time.perf_counter()
@@ -73,6 +75,8 @@ def verify(identity: Identity, order=None) -> VerificationReport:
             identity.id, identity.paper_ref, order, status, sign, mm, elapsed
         )
 
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         lhs = evaluate_to_order(identity.lhs, order)
         rhs = evaluate_to_order(identity.rhs, order)
@@ -88,6 +92,9 @@ def verify(identity: Identity, order=None) -> VerificationReport:
         # all evaluation failures (too few terms, a root without unit
         # leading coefficient, division by an identically-zero side)
         return report(INSUFFICIENT, None, None)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def verify_many(identities, order=None) -> list[VerificationReport]:
@@ -113,6 +120,8 @@ def report_json(reports) -> bytes:
     serialized as 0 so that repeated runs are byte-identical (wall-clock
     timings stay on the human-readable output).
     """
+    import json  # only the --json report needs it
+
     payload = []
     for r in reports:
         mm = None

@@ -510,3 +510,28 @@ class TestReportJson:
         assert entry["first_mismatch"] == {
             "exponent": "0", "lhs": "1+0*sqrt2", "rhs": "2+0*sqrt2",
         }
+
+
+class TestSetUp:
+    def test_the_cli_and_catalog_import_no_record_or_report_machinery(self):
+        # a fresh interpreter, as every `qident` call starts: dataclasses,
+        # difflib and json cost set-up time that only a misspelt id or a
+        # JSON report needs
+        import os
+        import subprocess
+        import sys
+
+        import qident
+
+        src = pathlib.Path(qident.__file__).resolve().parents[1]
+        code = ("import sys\nimport qident.cli\nsys.modules['qident.catalog'].catalog()\n"
+                "print(sorted(m for m in ('dataclasses', 'difflib', 'json') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        for path in (src / "qident").glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert "from dataclasses" not in text and "import dataclasses" not in text, path

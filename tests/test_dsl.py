@@ -4,6 +4,7 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qident.blocks import PochSpec, ThetaSpec
 from qident.catalog import catalog
@@ -20,7 +21,7 @@ from qident.dsl import (
     render_identity,
 )
 from qident.expr import (
-    PRIMITIVES, Const, Mul, Pow, Prim, QPow, Sub, Subst,
+    PRIMITIVES, Add, Const, Mul, Pow, Prim, QPow, Sub, Subst,
     evaluate_to_order,
 )
 from qident.field import AlgebraicNumber as A
@@ -319,3 +320,156 @@ class TestPrimitives:
         readme = pathlib.Path(__file__).parents[1] / "README.md"
         assert atom_table() in qident.dsl.__doc__
         assert atom_table() in readme.read_text(encoding="utf-8")
+
+
+def oracle_tokenize(text, line_offset=0):
+    """The tokenizer as a loop of anchored matches, one position at a
+    time, kept as the reference for the one-scan `_tokenize`."""
+    tokens = []
+    line = 1 + line_offset
+    col = 1
+    pos = 0
+    while pos < len(text):
+        m = qident.dsl._TOKEN_RE.match(text, pos)
+        if m is None or m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text, line_offset):
+    try:
+        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
+                for t in tokenize(text, line_offset)]
+    except ParseError as err:
+        return ("error", err.line, err.column, err.reason)
+
+
+# pieces of DSL text and of what is not: newlines, tabs, carriage returns
+# and other whitespace, comments, stray ASCII and non-ASCII characters (a
+# Unicode digit is a digit to the pattern)
+TOKEN_PIECES = st.sampled_from(
+    ["eta", "q", "sqrt2", "f", "G1", "x9", "12", "0", "٣", "+", "-", "*",
+     "/", "^", "(", ")", ",", "=", "==", " ", "  ", "\t", "\n", "\n\n", " \n\t",
+     "\r\n", "\x0c", " ", "# note", "#", "# a\n", "@", "$", "é", ";",
+     ".", "!"])
+
+
+class TestTokenizer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TOKEN_PIECES, max_size=40).map("".join) | st.text(max_size=40),
+           st.integers(0, 60))
+    def test_one_scan_matches_the_loop(self, text, line_offset):
+        assert (_tokens_or_error(qident.dsl._tokenize, text, line_offset)
+                == _tokens_or_error(oracle_tokenize, text, line_offset))
+
+    def test_the_catalog_text_tokenizes_as_the_loop_does(self):
+        text = "\n".join(f"{render(idy.lhs)} == {render(idy.rhs)}  # {idy.id}"
+                         for idy in catalog())
+        assert (_tokens_or_error(qident.dsl._tokenize, text, 3)
+                == _tokens_or_error(oracle_tokenize, text, 3))
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("eta(8) @ 2", 1, 8),
+        ("phi(1)\n\t  $", 2, 4),
+        ("# c\n\n  eta(1)é", 3, 9),
+    ])
+    def test_a_stray_character_is_placed(self, text, line, column):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+X, Y = QPow(F(1)), Prim("eta", F(2))
+
+
+class TestRecords:
+    def test_nodes_compare_by_class_and_fields(self):
+        assert Mul(X, Y) == Mul(QPow(F(1)), Prim("eta", F(2)))
+        assert hash(Mul(X, Y)) == hash(Mul(QPow(F(1)), Prim("eta", F(2))))
+        assert Add(X, Y) != Sub(X, Y) and Sub(X, Y) != Add(X, Y)
+        assert Mul(X, Y) != Mul(Y, X)
+        assert Pow(X, F(2)) != Subst(X, F(2))
+        assert Mul(X, Y) != (X, Y) and (X, Y) != Mul(X, Y)
+        assert len({Add(X, Y), Sub(X, Y), Add(X, Y)}) == 2
+
+    def test_specs_normalize_their_fields(self):
+        spec = PochSpec(-1, 1, 1)
+        assert spec == PochSpec(-1, F(1), F(1))
+        assert hash(spec) == hash(PochSpec(-1, F(1), F(1)))
+        assert type(spec.offset) is F and type(ThetaSpec(1, 1, 2, 3).b) is F
+        assert LambertSpec(2, 1, [[1, 1]], 8).numerators == ((1, 1),)
+        assert BilateralSpec(2, 1, 1) == BilateralSpec(F(2), F(1), F(1))
+
+    @pytest.mark.parametrize("spec, fields", [
+        (PochSpec(-1, 1, 1), (-1, F(1), F(1))),
+        (ThetaSpec(1, -1, 1, 2), (1, -1, F(1), F(2))),
+        (BilateralSpec(2, 1, 1), (F(2), F(1), F(1))),
+        (LambertSpec(2, 1, ((1, 1),), 8), (2, 1, ((1, 1),), 8, "unit", 0)),
+    ])
+    def test_a_spec_never_equals_a_plain_tuple(self, spec, fields):
+        assert spec != fields and fields != spec
+        assert not spec == fields
+
+    @pytest.mark.parametrize("record, field", [
+        (Add(X, Y), "left"), (QPow(F(1)), "exponent"), (Prim("eta", F(1)), "arg"),
+        (PochSpec(-1, 1, 1), "sign"), (ThetaSpec(1, 1, 1, 1), "a"),
+        (BilateralSpec(2, 1, 1), "base"), (LambertSpec(2, 1, ((1, 1),), 8), "weight"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) == before
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PochSpec(0, 1, 1), "sign must be +1 or -1"),
+        (lambda: PochSpec(1, 0, 1), "offset and step must be positive"),
+        (lambda: PochSpec(1, 1, F(-1, 2)), "offset and step must be positive"),
+        (lambda: ThetaSpec(1, 2, 1, 1), "signs must be +1 or -1"),
+        (lambda: ThetaSpec(1, 1, 1, 0), "theta arguments need positive exponents"),
+        (lambda: LambertSpec(0, 0, ((1, 1),), 1),
+         "need modulus >= 1 and 0 <= residue < modulus"),
+        (lambda: LambertSpec(2, 2, ((1, 1),), 1),
+         "need modulus >= 1 and 0 <= residue < modulus"),
+        (lambda: LambertSpec(2, 1, ((1, 1),), 0), "denominator exponent must be positive"),
+        (lambda: LambertSpec(2, 1, ((2, 1),), 1),
+         "numerators must be (+-1, positive exponent)"),
+        (lambda: LambertSpec(2, 1, ((1, 1),), 1, "square"), "unknown weight 'square'"),
+        (lambda: LambertSpec(2, 1, ((1, 1),), 1, "legendre", 9),
+         "legendre(p) needs an odd prime p below"),
+        (lambda: BilateralSpec(2, 2, 1), "need 0 < x exponent < base exponent"),
+        (lambda: BilateralSpec(2, 1, 0), "need 0 < z exponent < base exponent"),
+    ])
+    def test_bad_fields_keep_their_messages(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value).startswith(message)
+
+    def test_repr_names_the_fields(self):
+        assert repr(PochSpec(-1, 1, 2)) == (
+            "PochSpec(sign=-1, offset=Fraction(1, 1), step=Fraction(2, 1))")
+        assert repr(Pow(QPow(F(1, 2)), F(-1))) == (
+            "Pow(base=QPow(exponent=Fraction(1, 2)), r=Fraction(-1, 1))")
+
+    def test_records_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        node = parse_expression("eta(8)/poch(-,2,2) + lambert(4,1,+1,2)")
+        for record in (node, PochSpec(-1, 1, 2), LambertSpec(2, 1, ((1, 1),), 8)):
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.deepcopy(record) == record

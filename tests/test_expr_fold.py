@@ -313,10 +313,18 @@ def both_forms_scored(powers, unit):
         forms.append([(e, blocks.plan_fill(families, unit))
                       for e, families in by_power.items()])
 
+    def power(r, n):
+        # n^2/2 steps of the power recurrence, each as many words as the
+        # scale D^2 a slot gives its last value, D the denominator of r
+        if r == 1:
+            return 0
+        bits = (n - 1) * 2 * math.log2(r.denominator)
+        return max(1, math.ceil(bits / 64)) * (n * n // 2)
+
     def steps(fills):
-        over = any(plan.steps > series_mod.MAX_SLOT_STEPS for _, plan in fills)
-        return over, sum(plan.steps + (plan.n * plan.n // 2 if r != 1 else 0)
-                         for r, plan in fills)
+        over = any(max(plan.steps, power(r, plan.n)) > series_mod.MAX_SLOT_STEPS
+                   for r, plan in fills)
+        return over, sum(plan.steps + power(r, plan.n) for r, plan in fills)
 
     (over, _), fills = min(((steps(form), form) for form in forms),
                            key=lambda scored: scored[0])
@@ -446,6 +454,9 @@ class TestBudgets:
     @example([("G2(1)", 6), ("G2(1/2)", 5)], 300, None)
     @example([("eta(1)", 1000), ("eta(2)", 999)], 300, None)
     @example([("G2(1/2)", 2), ("G2(1)", 1)], 100, 12349)
+    @example([("f(-q^1,-q^2)", F(1, 2)), ("eta(1)", F(1, 2))], 1000, None)
+    @example([("f(-q^1,-q^2)", F(1, 2)), ("eta(1)", F(1, 2))], 1500, None)
+    @example([("eta(1)", F(1, 3)), ("eta(2)", F(1, 3))], 300, 10**5)
     def test_the_second_form_is_planned_only_when_it_could_win(self, atoms, unit, cap):
         # _fills takes the form that scoring both forms, fully planned,
         # takes, under the step cap or a lower one
@@ -483,6 +494,28 @@ class TestBudgets:
         assert result.exit_code == code
         assert what in result.output
         assert code == 0 or time.perf_counter() - t0 < 2
+
+    def test_a_root_past_the_steps_runs_the_recurrence_instead(self, monkeypatch):
+        # f(-q,-q^2)^(1/2)*eta(1)^(1/2) = q^(1/48) (q;q)_inf: below q^1500
+        # its one fill is within the cap, but the square root of that fill
+        # weighs each of its 1.1*10^6 steps by 47 words (1499 slots times
+        # the 2 bits of the scale 2^2), past the cap that the power
+        # recurrence would refuse it by, so the map runs the log-derivative
+        # recurrence
+        node = parse_expression("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)")
+        fold = node.fold()
+        unit = F(1500) - fold.shift
+        assert expr._fills(fold.powers, unit) is None
+        want = expr._logd(fold.powers, unit).shift(fold.shift)
+
+        def refuse(*args):
+            raise AssertionError("power recurrence")
+
+        monkeypatch.setattr(P, "_power", refuse)
+        got = evaluate_to_order(node, 1500)
+        assert got == want
+        euler = evaluate_to_order(parse_expression("eta(1)*q^(-1/48)"), 1500)
+        assert got.first_mismatch(euler, 1500) is None
 
     def test_a_huge_power_is_raised_not_filled(self):
         # 146 powers of 10^30: the family is filled once and raised, and its

@@ -2,7 +2,6 @@
 entry at a time, one expansion per distinct (node, order), and nothing
 kept once the batch is over."""
 
-import dataclasses
 import gc
 import threading
 import weakref
@@ -72,7 +71,7 @@ def builds(monkeypatch):
             counts[name, arg, F(order)] += 1
             return inner(arg, order)
         monkeypatch.setitem(expr.PRIMITIVES, name,
-                            dataclasses.replace(prim, build=build))
+                            prim._replace(build=build))
     return counts
 
 
@@ -173,8 +172,8 @@ class TestLifetime:
             other.join()
             return build(arg, order)
 
-        monkeypatch.setitem(expr.PRIMITIVES, "H", dataclasses.replace(
-            expr.PRIMITIVES["H"], build=look))
+        monkeypatch.setitem(expr.PRIMITIVES, "H",
+                            expr.PRIMITIVES["H"]._replace(build=look))
         verify_many([get("hcf-plus")])
         assert seen[0] is not None and seen[1] is None  # not in another thread
         assert expr._SHARED.get() is None
@@ -235,3 +234,42 @@ class TestLifetime:
         assert len(caches) == 2
         assert [ref() for ref in caches] == [None, None]
 
+
+class TestCollector:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_paused_while_an_identity_expands(self, collecting, monkeypatch):
+        seen = []
+        inner = expr.PRIMITIVES["H"].build
+
+        def look(arg, order):
+            seen.append(gc.isenabled())
+            return inner(arg, order)
+
+        monkeypatch.setitem(expr.PRIMITIVES, "H",
+                            expr.PRIMITIVES["H"]._replace(build=look))
+        assert verify(get("hcf-plus")).ok()
+        assert verify_many([get("hcf-plus"), get("hcf-plus")])[1].ok()
+        assert seen and not any(seen)
+        assert gc.isenabled() is collecting
+
+    def test_restored_when_the_expansion_raises(self, collecting):
+        lhs, rhs = parse_identity("phi(1/999983)*phi(1/999979) == phi(1)")
+        with pytest.raises(SlotBudgetError):
+            verify(Identity("huge", lhs, rhs, F(10)))
+        assert gc.isenabled() is collecting
+        with pytest.raises(SlotBudgetError):
+            verify_many([get("hcf-plus"), Identity("huge", lhs, rhs, F(10))], F(10))
+        assert gc.isenabled() is collecting
+
+    def test_a_failed_expansion_is_reported_with_the_collector_restored(self, collecting):
+        # a root of a series whose leading coefficient is not 1 fails
+        # inside the expansion, and its report is made before the restore
+        lhs, rhs = parse_identity("(2*phi(1))^(1/2) == phi(1)")
+        assert verify(Identity("root", lhs, rhs, F(10))).status == "insufficient_precision"
+        assert gc.isenabled() is collecting
