@@ -10,7 +10,6 @@ from .backend import KERNEL_BACKEND
 from .blocks import (
     PochSpec,
     ThetaSpec,
-    gamma_k,
     sine_ratio_table,
     theta1_normalized,
     theta_sum,
@@ -43,7 +42,7 @@ __all__ = [
     "PuiseuxSeries", "Mismatch",
     "InsufficientPrecisionError", "LeadingCoefficientError", "SlotBudgetError",
     "PochSpec", "ThetaSpec",
-    "theta_sum", "gamma_k", "sine_ratio_table", "theta1_normalized",
+    "theta_sum", "sine_ratio_table", "theta1_normalized",
     "CFEvaluation", "eval_general_cf", "eval_h_cf", "eval_i_cf",
     "LambertSpec", "BilateralSpec", "legendre_symbol", "lambert_sum",
     "bilateral_1psi1_lhs",

@@ -2,10 +2,10 @@
 
 Everything here produces a :class:`~qident.series.PuiseuxSeries` or the
 Pochhammer families of one: products and quotients of q-Pochhammer
-symbols, the two-variable theta function f as a bilateral sum, the
-trinomial products G_1 and G_3, exact sine-ratio tables, the normalized
-theta_1 specializations, and the families of f (by the triple product),
-of eta, of G_2 and of the continued-fraction product sides h and i.
+symbols, the two-variable theta function f as a bilateral sum, exact
+sine-ratio tables, the normalized theta_1 specializations, and the
+families of f (by the triple product), of eta, of G_2 and of the
+continued-fraction product sides h and i.
 
 Each DSL atom of :data:`qident.expr.PRIMITIVES` has one builder.  The
 Pochhammer-family atoms (eta, poch, f, H, I, G2, and psi11rhs, whose
@@ -13,20 +13,22 @@ families come from :mod:`qident.lambert`) take their families from
 :func:`_triple_product` and the ``*_families`` lists here, the rescaling
 q -> q^r already in the specs (eta(1/2) is (q^(1/2); q^(1/2))_inf), and
 are filled in product form.  phi(r) and psi(r) are the theta sums
-f(q^r, q^r) and f(q^r, q^3r).  Only G_1 and G_3 are built at q: their
-atoms expand :func:`gamma_k` to order/r and apply
-:meth:`~qident.series.PuiseuxSeries.substitute`.
+f(q^r, q^r) and f(q^r, q^3r).  G_1 and G_3 have no builder here: by
+Jacobi's product for theta_1, G_k(q) (q; q)_inf is
+:func:`theta1_normalized`, so :mod:`~qident.expr` builds G_1 as that sum
+times the fill of (q; q)_inf^-1 at q and substitutes q -> q^r, and G_3
+as G_1 with sqrt2 negated.
 
 Every product or quotient of Pochhammer families -- those atoms and the
 fills of their folded products and powers -- is filled by
 :func:`poch_quotient` on one int that packs all the slots (Kronecker
 substitution, as in :mod:`qident.backend`), with no series product, no
-inverse and no Fraction per intermediate slot; :func:`gamma_k` fills G_1
-on a packed pair the same way.  The whole theta products among a fill's
-positive powers (:func:`_theta_groups`) enter by their sum sides: by
-Jacobi's triple product (G. E. Andrews, *The Theory of Partitions*,
-1976, Thm 2.8) the families (s*q^A; q^D)(s*q^(D-A); q^D)(q^D; q^D) are
-f(s*q^A, s*q^(D-A)) = sum_j +-q^e(j), and the six of a mixed-sign f are
+inverse and no Fraction per intermediate slot.  The whole theta products
+among a fill's positive powers (:func:`_theta_groups`) enter by their
+sum sides: by Jacobi's triple product (G. E. Andrews, *The Theory of
+Partitions*, 1976, Thm 2.8) the families
+(s*q^A; q^D)(s*q^(D-A); q^D)(q^D; q^D) are f(s*q^A, s*q^(D-A)) =
+sum_j +-q^e(j), and the six of a mixed-sign f are
 one f too; by Euler's pentagonal theorem (ibid., Thm 1.6) (q^D; q^D) is
 f(-q^D, -q^2D).  Each sum has about 2*sqrt(2n/P) terms below slot n, P
 the period of its exponents e(j) >= P*|j|(|j| - 1)/2, and multiplying
@@ -200,14 +202,13 @@ def _fill_bytes(families, n, groups=()) -> int:
     smaller of the two (:func:`_log_majorant`), so no fill is wider than
     its factors alone would make it.
 
-    The weight is |power| for a Pochhammer family; :func:`gamma_k` bounds
-    1 + sqrt2*y + y^2 by (1 + y)^2.  The bound is minimized over
-    x = 1 - 2^-t, t = 1 .. bit_length(n); the optimum lies near
-    1 - x ~ n^(-1/2).  In floats x is exact and 1 - x^e >= 1 - x >= 1/(2n),
-    so the bound errs by a relative 2n * 2^-53 or so, far below a bit for
-    n <= MAX_DENSE_SLOTS.  Its bits plus _MARGIN and a sign bit, rounded up
-    to whole bytes, hold every |c_k| below 2^(8w - 1), as
-    :func:`~qident.backend.unpack` needs.
+    The weight is |power| for a Pochhammer family.  The bound is
+    minimized over x = 1 - 2^-t, t = 1 .. bit_length(n); the optimum lies
+    near 1 - x ~ n^(-1/2).  In floats x is exact and
+    1 - x^e >= 1 - x >= 1/(2n), so the bound errs by a relative
+    2n * 2^-53 or so, far below a bit for n <= MAX_DENSE_SLOTS.  Its bits
+    plus _MARGIN and a sign bit, rounded up to whole bytes, hold every
+    |c_k| below 2^(8w - 1), as :func:`~qident.backend.unpack` needs.
     """
     best = math.inf
     for t in range(1, n.bit_length() + 1):
@@ -527,55 +528,16 @@ def i_families(r) -> list:
             + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1))
 
 
-def gamma_k(k: int, order) -> PuiseuxSeries:
-    """G_k(q) = prod_{n>=1} (1 + beta_k q^n + q^{2n}) for k = 1, 3, factors
-    below order.
-
-    G_2(q) = (-q^2; q^2)_inf is one Pochhammer family, :func:`g2_families`,
-    and has no builder here.  G_1 has
-    coefficients in Z[sqrt2] (beta_1 = -sqrt2), so its expansion runs on
-    a pair (R, I) of integers packed as in :func:`poch_quotient`, for
-    R + I*sqrt2: the factor m multiplies by 1 - sqrt2*y + y^2, y = X^m,
-    as R' = R - 2(I << s) + (R << 2s) and I' = I - (R << s) + (I << 2s)
-    with s = 8w*m, each shift taking only the slots that stay below n.
-    G_3 is G_1 under sqrt2 -> -sqrt2, which maps beta_1
-    to beta_3: G_1 with its sqrt2 part negated.
-    """
-    if k not in (1, 3):
-        raise ValueError("gamma_k builds G_k for k = 1 or 3")
-    order = _fr(order)
-    if order <= 0:
-        return PuiseuxSeries.zero(order)
-    # factor m, at slot m < n, visits n - m slots
-    n = dense_slots(order, lambda n: n * (n - 1) // 2)
-    # in the norm |r| + sqrt2*|i|, each factor is at most
-    # 1 + sqrt2 y + y^2 <= (1 + y)^2 coefficientwise
-    w = _fill_bytes([(2, 1, 1, False)], n)
-    check_words(2 * -(-n * w // 8), f"expansion over {n} dense coefficient slots")
-    bits = 8 * w
-    mask = (1 << bits * n) - 1
-    r, i = 1, 0
-    for m in range(1, n):
-        s = bits * m
-        lo1 = mask >> s
-        lo2 = lo1 >> s
-        r, i = (r - ((i & lo1) << s + 1) + ((r & lo2) << 2 * s),
-                i - ((r & lo1) << s) + ((i & lo2) << 2 * s))
-    rp = backend.unpack(r, w, n)
-    ip = backend.unpack(i, w, n)
-    if k == 3:
-        ip = [-y for y in ip]
-    return PuiseuxSeries.from_slots(0, 1, rp, ip, order)
-
-
 def sine_ratio_table(k: int, count: int) -> list[tuple[int, int]]:
     """r_j = sin((2j+1)k*pi/8) / sin(k*pi/8) for j < count, as integer
     pairs (x, y) = x + y*sqrt2.
 
     r_0 = 1, r_1 = 1 + t*sqrt2 and r_{j+1} = t*sqrt2*r_j - r_{j-1}, where
     t*sqrt2 = 2cos(2k*pi/8) is sqrt2, 0, -sqrt2 for k = 1, 2, 3, so every
-    ratio lies in Z[sqrt2].
+    ratio lies in Z[sqrt2]; any other k is refused.
     """
+    if k not in BETA:
+        raise ValueError("sine-ratio index must be 1, 2 or 3")
     t = -int(BETA[k].irr)
     values = [(1, 0), (1, t)]
     while len(values) < count:
@@ -605,8 +567,9 @@ def theta1_normalized(k: int, order) -> PuiseuxSeries:
 
     Equals sum_{j>=0} (-1)^j r_j q^{j(j+1)/2} with the exact sine ratios,
     none of which is 0; by the product expansion it must match
-    (q;q)_inf * G_k(q).  Its term bound counts as slots against
-    MAX_DENSE_SLOTS, as :func:`theta_sum`'s does.
+    (q;q)_inf * G_k(q), and the table at 3 is the table at 1 with sqrt2
+    negated.  k outside 1..3 raises ValueError.  Its term bound counts as
+    slots against MAX_DENSE_SLOTS, as :func:`theta_sum`'s does.
     """
     order = _fr(order)
     # j(j+1)/2 < order needs j^2 < 2*order

@@ -49,9 +49,11 @@ base to ``order + (1 - r) * hint(base)``, but never below
 ``x/y`` is the product ``Mul(x, Pow(y, -1))``: the numerator is padded
 to ``order + hint(y)`` and the divisor to ``order - hint(x) +
 2*hint(y)``, the extra ``hint(y)`` being what inversion consumes.
-``G1(r)`` and ``G3(r)`` are their block at q, expanded to order/r and
-taken through q -> q^r by the same substitution as ``subst``; ``phi(r)``
-and ``psi(r)`` are theta sums with r in their spec.  Hints are exact
+``G1(r)`` is its sum side at q, ``T1N(1)`` times the unit part of
+(q; q)_inf^-1 below order/r (Jacobi's product for theta_1), taken
+through q -> q^r by the same substitution as ``subst``; ``G3(r)`` is
+``G1(r)`` with sqrt2 negated; ``phi(r)`` and ``psi(r)`` are theta sums
+with r in their spec.  Hints are exact
 unless a subtraction cancels a leading term inside a denominator or a
 power, which no built-in identity does; :func:`evaluate_to_order`
 re-runs with a larger target (at most 3 retries) if a result still
@@ -83,11 +85,12 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import blocks, series
 from . import lambert as lam
-from .blocks import Record, ThetaSpec
+from .blocks import PochSpec, Record, ThetaSpec
 from .field import ONE, AlgebraicNumber
 from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
 
 _FR = Fraction
+_QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
 
 
 class Node(Record):
@@ -190,10 +193,26 @@ class Primitive(NamedTuple):
             return Fold(ONE, self.hint(arg), _merge({}, self.families(arg)))
 
 
-def _rescaled(name: str, *args):
-    """The build of G1(r) or G3(r): ``blocks.<name>(*args, order)`` expands
-    the series at q, and q -> q^r takes it to the atom's argument."""
-    return lambda r, order: getattr(blocks, name)(*args, _fr(order) / r).substitute(r)
+def _g1(r, order) -> PuiseuxSeries:
+    """G1(r) below `order`: by Jacobi's product for theta_1, G_1(q) is
+    T1N(1) (q; q)_inf^-1, and q -> q^r takes that product below order/r to
+    the atom's argument.  The inverse is the unit part of its exponent
+    map, so a batch fills it once."""
+    o = _fr(order) / r
+    if o <= 0:
+        return PuiseuxSeries.zero(order)
+    inverse = _expand(Fold(ONE, _FR(0), {_QQ: _FR(-1)}), o)
+    return (blocks.theta1_normalized(1, o) * inverse).substitute(r)
+
+
+def _g3(r, order) -> PuiseuxSeries:
+    """G3(r) below `order`: G1(r) with sqrt2 negated, as T1N(3) is T1N(1)
+    with sqrt2 negated.  G1(r) is evaluated as a node, so a batch that
+    repeats it builds its product once."""
+    g1 = Prim("G1", r).evaluate(order)
+    return PuiseuxSeries._make(g1.m, g1.den, g1.d,
+                               {k: (x, -y) for k, (x, y) in g1.slots.items()},
+                               g1.trunc)
 
 
 def _family(kind, meaning, families, hint=lambda arg: _FR(0)):
@@ -223,11 +242,11 @@ PRIMITIVES: dict[str, Primitive] = {
                  blocks.h_families, lambda r: r / 2),
     "I": _family("r", "order-four fraction product side `i(q^r)`",
                  blocks.i_families),
-    "G1": Primitive("r", _rescaled("gamma_k", 1),
+    "G1": Primitive("r", _g1,
                     "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`"),
     "G2": _family("r", "`prod_{n>=1} (1 + q^(2rn))`",
                   blocks.g2_families),
-    "G3": Primitive("r", _rescaled("gamma_k", 3),
+    "G3": Primitive("r", _g3,
                     "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`"),
     "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
                      "`theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))`"),

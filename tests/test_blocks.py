@@ -16,7 +16,6 @@ from qident.blocks import (
     ThetaSpec,
     _triple_product,
     b_table_series,
-    gamma_k,
     poch_quotient,
     sine_ratio_table,
     theta1_normalized,
@@ -27,7 +26,7 @@ from qident.dsl import parse_expression
 from qident.expr import PRIMITIVES, Prim, evaluate_to_order
 from qident.field import ONE, SQRT2, AlgebraicNumber as A
 from qident.lambert import BilateralSpec, product_families
-from qident.series import PuiseuxSeries as P
+from qident.series import PuiseuxSeries as P, SlotBudgetError
 from qident.verify import verify_many
 
 QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
@@ -636,19 +635,19 @@ class TestGamma:
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_gamma1_first_terms(self):
-        s = gamma_k(1, 10)
+        s = atom("G1", 1, 10)
         assert s.coefficient(0) == ONE
         assert s.coefficient(1) == -SQRT2
         assert s.coefficient(2) == A(1, -1)
 
     def test_product_collapses(self):
-        lhs = gamma_k(1, 24) * atom("G2", 1, 24) * gamma_k(3, 24)
+        lhs = atom("G1", 1, 24) * atom("G2", 1, 24) * atom("G3", 1, 24)
         rhs = poch(PochSpec(-1, 8, 8), 24) / poch(PochSpec(-1, 2, 2), 24)
         assert lhs.first_mismatch(rhs, 24) is None
 
     def test_scaled_argument(self):
         direct = oracle_gamma_k(1, 10, F(1, 2))
-        via_subst = gamma_k(1, 20).substitute(F(1, 2))
+        via_subst = atom("G1", 1, 20).substitute(F(1, 2))
         assert direct.first_mismatch(via_subst, 10) is None
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -659,15 +658,29 @@ class TestGamma:
                 fields(oracle_gamma_k(k, order, r))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([1, 3]), st.builds(F, st.integers(-2, 600), st.sampled_from([1, 2])))
-    def test_packed_fill_matches_the_per_slot_loop(self, k, order):
-        assert fields(gamma_k(k, order)) == fields(oracle_gamma_k(k, order))
+    @given(st.sampled_from([1, 3]), st.sampled_from([1, F(1, 2), F(2, 3)]),
+           st.builds(F, st.integers(-2, 600), st.sampled_from([1, 2])))
+    def test_packed_fill_matches_the_per_slot_loop(self, k, r, order):
+        # T1N(1) times the packed fill of 1/(q;q), substituted, and for G3
+        # conjugated, against one pass per factor with r threaded through
+        assert fields(atom(f"G{k}", r, order)) == \
+            fields(oracle_gamma_k(k, order, r))
 
-    def test_k_outside_1_to_3_is_refused(self):
-        # G_2 is a family atom, not a gamma_k build
-        for k in (2, 4):
-            with pytest.raises(ValueError, match="k = 1 or 3"):
-                gamma_k(k, 10)
+    @pytest.mark.parametrize("r", [1, F(1, 2), 2, F(2, 3), F(1, 7)])
+    def test_g3_is_g1_conjugated(self, r):
+        for order in [-1, 0, F(1, 3), 1, F(7, 3), 24, F(97, 2), 200]:
+            g1, g3 = atom("G1", r, order), atom("G3", r, order)
+            assert fields(g3) == fields(g1)[:3] + (
+                [(k, (x, -y)) for k, (x, y) in g1.slots.items()], g1.trunc)
+
+    def test_refused_by_its_slots_before_any_fill(self, monkeypatch):
+        # 1/(q;q) below q^6400 is n(n-1)/2 = 20,476,800 steps as a fill and
+        # as a recurrence, past MAX_SLOT_STEPS, so nothing is filled
+        fills = []
+        monkeypatch.setattr(blocks, "fill", lambda plan: fills.append(plan))
+        with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
+            atom("G3", 1, 6400)
+        assert fills == []
 
 
 def exact_fill_bits(families, n):
@@ -689,9 +702,6 @@ def exact_fill_bits(families, n):
                     log_m += weight * ((1 + xf).ln() - zeta2 / (2 * step * lx))
             values.append((log_m - (n - 1) * lx) / Decimal(2).ln())
         return min(values)
-
-
-G1_FAMILIES = [(2, 1, 1, False)]
 
 
 class TestFillWidth:
@@ -730,7 +740,7 @@ class TestFillWidth:
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
 
-    def test_psi11rhs_and_g1(self, widths):
+    def test_psi11rhs(self, widths):
         # the whole 1psi1 quotient in one fill; the atom fills its square
         # root and squares it, as its powers 2 and -2 share the factor 2
         spec = BilateralSpec(1, F(1, 4), F(1, 2))
@@ -739,10 +749,6 @@ class TestFillWidth:
         assert poch_quotient(product_families(spec), 400) == want
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
-        want = oracle_gamma_k(1, 2000)
-        assert gamma_k(1, 2000) == want
-        bits = max(abs(x).bit_length() for v in want.slots.values() for x in v)
-        assert want.d == 1 and 8 * widths[-1] > bits + 1
 
     @pytest.mark.parametrize(
         "families",
@@ -750,9 +756,9 @@ class TestFillWidth:
             [(24, 1, 1, False)],
             [(24, 1, 1, True)],
             [(1, 1, 4, False), (1, 3, 4, False), (2, 2, 4, True)],
-            G1_FAMILIES,
+            [(2, 1, 1, False)],
         ],
-        ids=["qq^24", "qq^-24", "i", "G1"],
+        ids=["qq^24", "qq^-24", "i", "(-q;q)^2"],
     )
     def test_width_keeps_the_margin_over_the_exact_bound(self, families):
         # the float search may stop early, so its bound is at least the
@@ -990,7 +996,10 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
     monkeypatch.setattr(blocks, "_fill_bytes", spy)
     entries = {idy.id: idy for idy in catalog()}
     verify_many(list(entries.values()), 48)
-    assert len(seen) == 54  # 50 Pochhammer fills and 4 G_k fills
+    # every fill is a Pochhammer fill: 50 for the family atoms and folded
+    # trees, and 1/(q;q) below q^96 for G1(1/2) and G3(1/2); G1(1) and
+    # G3(1) share the 1/(q;q) below q^48 of an eta(1)^(-1) on a right side
+    assert len(seen) == 51
     assert all(w <= factors for w, factors in seen)
     for name, width in (("thm44-ii", 7), ("psi11-spec-a", 3)):
         seen.clear()
@@ -1063,6 +1072,13 @@ class TestTheta1Normalized:
     def test_constant_term_is_one(self):
         for k in (1, 2, 3):
             assert theta1_normalized(k, 5).coefficient(0) == ONE
+
+    def test_k_outside_1_to_3_is_refused(self):
+        for k in (0, 4, -1):
+            with pytest.raises(ValueError, match="1, 2 or 3"):
+                theta1_normalized(k, 10)
+            with pytest.raises(ValueError, match="1, 2 or 3"):
+                sine_ratio_table(k, 10)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_the_oracle(self, k):

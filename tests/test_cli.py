@@ -268,6 +268,13 @@ class TestDumpCommand:
         assert "steps, more than the limit" in result.output
         assert time.perf_counter() - t0 < 5
 
+    def test_g1_past_the_step_cap_exit_2(self, runner):
+        # 1/(q;q) below q^6400 is n(n-1)/2 steps as a fill and as a
+        # recurrence; below q^6325 it is 19,999,650 and fills
+        result = runner.invoke(main, ["dump", "G1(1)", "--order", "6400"])
+        assert result.exit_code == 2
+        assert "6400 dense coefficient slots needs 20476800 steps" in result.output
+
     def test_packed_product_past_the_word_cap_exit_2(self, runner):
         # 100,001 steps, within the step cap, but the packed product pads
         # each of its 199,999 slots to the width of 10^2000: 833 bytes,

@@ -13,11 +13,11 @@ from qident.blocks import (
     ThetaSpec,
     _triple_product,
     g2_families,
-    gamma_k,
     i_families,
     poch_quotient,
     theta_sum,
 )
+from qident.expr import PRIMITIVES
 from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, lambert_sum
 from qident.series import (
     MAX_DENSE_SLOTS,
@@ -27,6 +27,7 @@ from qident.series import (
     PuiseuxSeries as P,
     SlotBudgetError,
 )
+from test_blocks import oracle_gamma_k
 
 
 def geometric(order):
@@ -420,7 +421,7 @@ class TestRecurrencesMatchOracle:
 
     @example(P({0: A(F(1, 3), F(1, 101)), F(1, 2): A(F(2, 999983)),
                 F(3, 2): A(1, F(1, 2**7))}, 5))
-    @example(gamma_k(3, 24).substitute(F(1, 2)).scale(A(F(-2, 9), F(1, 101))))
+    @example(oracle_gamma_k(3, 12, F(1, 2)).scale(A(F(-2, 9), F(1, 101))))
     @settings(max_examples=150, deadline=None)
     @given(wide_series())
     def test_inverse(self, s):
@@ -605,7 +606,7 @@ class TestRecurrenceHotPath:
         ids=["inverse", "nth_root", "pow_3/4", "pow_-2"],
     )
     def test_field_calls_linear_in_slots(self, field_calls, op, oracle):
-        s = gamma_k(1, 192).substitute(F(1, 2))  # unit series, 192 slots, 190 terms
+        s = oracle_gamma_k(1, 96, F(1, 2))  # unit series, 192 slots, 190 terms
         slots = 192
         expected = op(s)
         assert field_calls[0] <= slots
@@ -622,7 +623,7 @@ class TestSlotBudget:
         with pytest.raises(SlotBudgetError):
             poch_quotient([(PochSpec(-1, F(1, 10**9), 1), 1)], 1)
         with pytest.raises(SlotBudgetError):
-            gamma_k(1, MAX_DENSE_SLOTS + 1)
+            PRIMITIVES["G1"].build(F(1), MAX_DENSE_SLOTS + 1)
 
     def test_inverse_and_root(self):
         s = P({0: 1, F(1, 10**7): 1}, 1)
@@ -659,8 +660,9 @@ class TestSlotBudget:
             # the pass of each term q^e, e > 0, visits 10 - e slots,
             # 9 + 8 + 5 + 3
             (lambda: poch_quotient([(PochSpec(-1, 1, 1), 1)], 10), 25),
-            # factors at slots 1..9 of 10 visit 9 + 8 + ... + 1 slots
-            (lambda: gamma_k(1, 10), 45),
+            # 1/(q;q)_inf to q^10: the divisors at slots 1..9 of 10 visit
+            # 9 + 8 + ... + 1 slots
+            (lambda: poch_quotient([(PochSpec(-1, 1, 1), -1)], 10), 45),
             # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
             (lambda: poch_quotient([(PochSpec(1, F(3, 2), 1), 1)], 4), 9),
             # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7 is the sum

@@ -78,20 +78,22 @@ def builds(monkeypatch):
 class TestSharing:
     def test_gamma_blocks_built_once_for_thm31(self, monkeypatch):
         calls = Counter()
-        gamma_k = blocks.gamma_k
+        theta1_normalized = blocks.theta1_normalized
 
         def spy(k, order):
             calls[k, order] += 1
-            return gamma_k(k, order)
+            return theta1_normalized(k, order)
 
-        monkeypatch.setattr(blocks, "gamma_k", spy)
+        monkeypatch.setattr(blocks, "theta1_normalized", spy)
         verify_many(THM31)
-        # G1(1/2) and G3(1/2) to q^20 are G1 and G3 to q^40, substituted
-        assert calls == {(1, 40): 1, (3, 40): 1}
+        # G1(1/2) to q^20 is T1N(1)/(q;q) to q^40, substituted, and G3(1/2)
+        # is G1(1/2) conjugated, so one sum serves both
+        assert calls == {(1, 40): 1}
         calls.clear()
         for idy in THM31:
             verify(idy)
-        assert sum(calls.values()) == 24
+        # on its own each entry builds its two G1(1/2) and two G3(1/2)
+        assert calls == {(1, 40): 24}
 
     @pytest.mark.parametrize("order", [F(24), None])
     def test_every_block_built_once_per_argument_and_order(self, builds, order):
