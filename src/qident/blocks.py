@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 from . import backend, series
 from .field import SQRT2, AlgebraicNumber
-from .series import PuiseuxSeries, _fr, check_words, dense_slots
+from .series import PuiseuxSeries, _fr, check_steps, check_words, dense_slots
 
 _FR = Fraction
 
@@ -425,10 +425,12 @@ def fill(plan: FillPlan) -> PuiseuxSeries:
     """
     if plan.order <= 0:
         return PuiseuxSeries.zero(plan.order)
-    n = dense_slots(plan.n, lambda n: plan.steps)
+    n = dense_slots(plan.n)
+    what = f"expansion over {n} dense coefficient slots"
+    check_steps(plan.steps, what)
     w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in plan.rest],
                     n, plan.groups)
-    check_words(-(-n * w // 8), f"expansion over {n} dense coefficient slots")
+    check_words(-(-n * w // 8), what)
     bits = 8 * w
     size = bits * n
     mask = (1 << size) - 1

@@ -24,8 +24,8 @@ from .catalog import catalog
 from .cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
 from .dsl import ParseError, parse_expression, parse_identity_file
 from .expr import evaluate_to_order
-from .series import InsufficientPrecisionError, LeadingCoefficientError, SlotBudgetError
-from .verify import Identity, report_json, verify, verify_many
+from .series import SlotBudgetError
+from .verify import EVALUATION_FAILURES, Identity, report_json, verify, verify_many
 
 # Named series for `dump`, each short for a DSL expression.
 _DUMP_BLOCKS = {"qq": "poch(-,1,1)", "phi": "phi(1)", "psi": "psi(1)", "gamma1": "G1(1)",
@@ -166,8 +166,7 @@ def dump_cmd(ctx, block, order_text):
             f"{block!r} is not a named block ({', '.join(_DUMP_BLOCKS)}) "
             f"and does not parse as an expression: {exc}"
         )
-    except (InsufficientPrecisionError, LeadingCoefficientError,
-            ZeroDivisionError) as exc:
+    except EVALUATION_FAILURES as exc:
         click.echo(f"evaluation failed: {exc}", err=True)
         ctx.exit(1)
     click.echo("\n".join(_dump_lines(series.truncated(order))))

@@ -30,11 +30,12 @@ their sum sides and every other family factor by factor, and counts the
 steps of both.  When every such form has a fill, or a power charged as
 the power recurrence charges it, past MAX_SLOT_STEPS, the map runs the
 recurrence instead, which counts its own steps:
-``G2(1/2)*G2(1)`` at order 6000, which no theta group covers, is one
-fill of 2.7*10^7 steps or 1.8*10^7 steps of the recurrence.  A folding
-factor times an ``Add``/``Sub`` whose terms all fold distributes into
-one map per term when the terms are no more than the family atoms the
-tree would expand one by one.  Everything else is evaluated node by
+``G2(1/2)*poch(-,1,2)`` at order 6000, which no theta group covers,
+would be one fill of 2.7*10^7 steps, and is the recurrence's sieve, as
+every coefficient of the derivative cancels (the product is 1).  A
+folding factor times an ``Add``/``Sub`` whose terms all fold distributes
+into one map per term when the terms are no more than the family atoms
+the tree would expand one by one.  Everything else is evaluated node by
 node, where a power is the power recurrence of
 :meth:`~qident.series.PuiseuxSeries._power` unless it is a small
 positive power with fewer products than unit terms, which is a product
@@ -66,17 +67,17 @@ enters for its whole batch) every evaluation goes through one
 Nodes are immutable records (:class:`~qident.blocks.Record`) that
 compare by structure, as one stored tuple of their fields, and hash
 once, so the same subexpression in two identities is expanded once.
-Only nodes that occur at least twice in the batch are stored.  The unit part of
-every folded map is stored too, keyed on the map and its bound, so maps
-that differ only in constant and shift (the six ``thm31`` right sides
-are scaled sums of two) are filled once.  Every entry is held until the
+Only nodes met at least twice by a walk that does not re-enter a node
+it has met are stored: the nodes that can be asked for again.  The unit
+part of every folded map is stored too, keyed on the map and its bound,
+so maps that differ only in constant and shift (the six ``thm31`` right
+sides are scaled sums of two) are filled once.  Every entry is held until the
 block exits.  Outside that block nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -483,9 +484,11 @@ def _fills(powers: dict, unit: Fraction) -> Optional[list]:
     distinct power e of its families, raised to e.  The first enters each
     factor or theta group |e|*D/g times, the second once, but adds a power
     per fill and a product (one packed multiplication, not counted).
-    Counting a fill by its plan's steps and a power by :func:`_power_steps`,
-    the form with fewer steps is taken, the single fill on a tie, unless
-    it has a fill or a power past MAX_SLOT_STEPS and the other has none.
+    Counting a fill by its plan's steps and a power r on n slots as
+    :func:`~qident.series.power_steps` charges n^2/2 steps at the scale
+    den(r)^2, the form with fewer steps is taken, the single fill on a
+    tie, unless it has a fill or a power past MAX_SLOT_STEPS and the
+    other has none.
     The second form is planned only when the first is past the cap or
     takes more steps than the second's powers alone.
     """
@@ -497,33 +500,26 @@ def _fills(powers: dict, unit: Fraction) -> Optional[list]:
     for spec, e in powers.items():
         by_power.setdefault(e, []).append((spec, 1))
 
+    def power(r, n):
+        return 0 if r == 1 else series.power_steps(n, r.denominator ** 2, n * n // 2)
+
     def steps(fills):
         over = work = 0
         for r, plan in fills:
-            power = _power_steps(r, plan.n) if r != 1 else 0
-            over |= max(plan.steps, power) > series.MAX_SLOT_STEPS
-            work += plan.steps + power
+            p = power(r, plan.n)
+            over |= max(plan.steps, p) > series.MAX_SLOT_STEPS
+            work += plan.steps + p
         return over, work
 
     over, work = steps(fills)
     # the second form raises each fill of a power other than 1, on at
     # least ceil(unit) slots, so it is planned only when it could win
-    least = sum(_power_steps(e, math.ceil(unit)) for e in by_power if e != 1)
+    least = sum(power(e, math.ceil(unit)) for e in by_power)
     if len(by_power) > 1 and (over or work > least):
         split = [(e, blocks.plan_fill(families, unit)) for e, families in by_power.items()]
         (over, _), fills = min(((over, work), fills), (steps(split), split),
                                key=lambda scored: scored[0])
     return None if over else fills
-
-
-def _power_steps(r: Fraction, n: int) -> int:
-    """The steps :meth:`~qident.series.PuiseuxSeries._power` is charged,
-    at most, for raising a fill on n slots to r: n^2/2 plain steps, each
-    weighted, as the power recurrence weighs it, by ceil((n - 1) *
-    log2(D^2) / 64) 64-bit words (at least 1), D the denominator of r,
-    for the scale D^2 its values carry per slot."""
-    weight = max(1, math.ceil((n - 1) * math.log2(r.denominator ** 2) / 64))
-    return weight * (n * n // 2)
 
 
 def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
@@ -628,16 +624,27 @@ def _occurrences(node: Node) -> Iterator[Node]:
 class SharedEvaluations:
     """Evaluation results shared across the expression trees of one batch.
 
-    One count over the batch's trees finds the nodes that occur at least
-    twice.  Each such node's result is stored under ``(node, order)`` and
-    held until the :func:`shared_evaluations` block exits; a node that
-    occurs once is evaluated directly.  `products` holds the unit part of
-    every exponent map :func:`_expand` fills, under (map, bound), as long.
+    One walk over the batch's trees, which enters a node's children only
+    the first time it meets the node, finds the nodes it meets at least
+    twice: the only ones that can be asked for again, since an occurrence
+    inside a stored parent is answered by the parent.  Each such node's
+    result is stored under ``(node, order)`` and held until the
+    :func:`shared_evaluations` block exits; any other node is evaluated
+    directly.  `products` holds the unit part of every exponent map
+    :func:`_expand` fills, under (map, bound), as long.
     """
 
     def __init__(self, roots):
-        counts = Counter(n for root in roots for n in _occurrences(root))
-        self.repeated = {n for n, c in counts.items() if c > 1}
+        seen: set[Node] = set()
+        self.repeated: set[Node] = set()
+        stack = list(roots)
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                self.repeated.add(n)
+            else:
+                seen.add(n)
+                stack.extend(v for v in n._key if isinstance(v, Node))
         self.entries: dict[tuple[Node, Fraction], PuiseuxSeries] = {}
         self.products: dict[tuple[frozenset, Fraction], PuiseuxSeries] = {}
 

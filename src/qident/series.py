@@ -80,12 +80,8 @@ class SlotBudgetError(ValueError):
     :data:`MAX_SLOT_STEPS` steps."""
 
 
-def dense_slots(span, steps=None) -> int:
-    """ceil(span) slots, checked against the budgets before any allocation.
-
-    `steps`, if given, maps the slot count to the number of inner-loop
-    steps that fill the array, which must not exceed MAX_SLOT_STEPS.
-    """
+def dense_slots(span) -> int:
+    """ceil(span) slots, checked against MAX_DENSE_SLOTS before allocation."""
     n = math.ceil(span)
     if n > MAX_DENSE_SLOTS:
         raise SlotBudgetError(
@@ -93,8 +89,6 @@ def dense_slots(span, steps=None) -> int:
             f"limit of {MAX_DENSE_SLOTS}; lower the order or the exponent "
             "denominators"
         )
-    if steps is not None:
-        check_steps(steps(n), f"expansion over {n} dense coefficient slots")
     return n
 
 
@@ -111,14 +105,23 @@ def check_steps(work, what) -> None:
         )
 
 
+def power_steps(slots, scale, steps) -> int:
+    """The charge of `steps` inner steps of the power recurrence over
+    `slots` slots whose values carry the factor `scale` a slot: each step
+    counts ceil(B / 64) steps (at least 1), B = (slots - 1) * log2(scale)
+    the bits the scale alone gives the last value, so a fine grid with a
+    large scale is refused even when its plain step count is small."""
+    return max(1, math.ceil((slots - 1) * math.log2(scale) / 64)) * steps
+
+
 def check_words(words, what) -> None:
     """Refuse integers of `words` 64-bit words in all past MAX_DENSE_SLOTS,
     as many as the slot cap allows values of one word.
 
     A packed product or fill pads every slot to its widest value, so its
     memory follows words, not slots; callers count `words` before the
-    integers are built, except the power recurrence, which tallies them
-    as it runs.
+    integers are built, except the power recurrence and the
+    log-derivative recurrence, which tally them as they run.
     """
     if words > MAX_DENSE_SLOTS:
         raise SlotBudgetError(
@@ -564,12 +567,10 @@ class PuiseuxSeries:
         for the nonzero u_j, 0 < j < nout, ascending in j.
 
         The recurrence over the nout slots is checked against the budgets
-        before its arrays are allocated: each of its inner steps counts as
-        ceil(B / 64) steps (at least 1), B = (nout - 1) * log2(scale) the
-        bits the scale alone gives the last value, so a fine grid with a
-        large scale is refused even when its plain step count is small.
-        Growth that comes from the exponent or the unit coefficients shows
-        only as the values are made; :meth:`_power` weighs it as it runs.
+        before its arrays are allocated, its steps charged by
+        :func:`power_steps`.  Growth that comes from the exponent or the
+        unit coefficients shows only as the values are made; :meth:`_power`
+        weighs it as it runs.
         """
         m, den = self.m, self.den
         nout = dense_slots((self.trunc - m) * den)
@@ -595,8 +596,7 @@ class PuiseuxSeries:
                 need = max(need, -(-v // j))
             scale *= p**need
         scale *= lcm_den  # the cofactor free of the trial primes
-        check_steps(max(1, math.ceil((nout - 1) * math.log2(scale) / 64))
-                    * sum(nout - j for j, *_ in fracs),
+        check_steps(power_steps(nout, scale, sum(nout - j for j, *_ in fracs)),
                     f"expansion over {nout} dense coefficient slots")
         units = []
         for j, r, i, d in fracs:

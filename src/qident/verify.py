@@ -23,6 +23,10 @@ INSUFFICIENT = "insufficient_precision"
 
 _MINUS_ONE = AlgebraicNumber(-1)
 
+# too few terms, a root without unit leading coefficient, a zero divisor
+EVALUATION_FAILURES = (InsufficientPrecisionError, LeadingCoefficientError,
+                       ZeroDivisionError)
+
 
 class Identity(NamedTuple):
     """A catalog entry: two expression trees expected to agree as series.
@@ -87,10 +91,7 @@ def verify(identity: Identity, order=None) -> VerificationReport:
             if lhs.first_mismatch(rhs.scale(_MINUS_ONE), order) is None:
                 return report(SIGN_FLIP, -1, None)
         return report(MISMATCH, None, mm)
-    except (InsufficientPrecisionError, LeadingCoefficientError,
-            ZeroDivisionError):
-        # all evaluation failures (too few terms, a root without unit
-        # leading coefficient, division by an identically-zero side)
+    except EVALUATION_FAILURES:
         return report(INSUFFICIENT, None, None)
     finally:
         if collecting:

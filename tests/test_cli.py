@@ -3,16 +3,18 @@
 import json
 import pathlib
 import time
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
+from qident import cli
 from qident.catalog import catalog
 from qident.cli import main
-from qident.dsl import MAX_NESTING, MAX_TREE_DEPTH, parse_expression
+from qident.dsl import MAX_NESTING, MAX_TREE_DEPTH, parse_expression, parse_identity
 from qident.expr import evaluate_to_order
 from qident.field import AlgebraicNumber as A
-from qident.verify import report_json, verify, verify_many
+from qident.verify import Identity, report_json, verify, verify_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -106,6 +108,33 @@ class TestExitCodeContract:
         result = runner.invoke(main, ["parse", str(bad)])
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
+
+    def test_false_catalog_entry_is_one(self, runner, monkeypatch):
+        lhs, rhs = parse_identity("phi(1) == 2*phi(1)")
+        monkeypatch.setattr(cli, "catalog",
+                            lambda: [Identity("wrong", lhs, rhs, F(8))])
+        result = runner.invoke(main, ["verify", "all"])
+        assert result.exit_code == 1
+        assert result.output == "wrong: MISMATCH at q^0: lhs 1+0*sqrt2 != rhs 2+0*sqrt2\n"
+
+    def test_failed_evaluation_in_a_file_is_one(self, runner, tmp_path):
+        path = tmp_path / "fails.qid"
+        path.write_text("(2*eta(1))^(1/2) == eta(1)\neta(1) == eta(1)\n")
+        result = runner.invoke(main, ["parse", str(path)])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[0] == "fails:1: INSUFFICIENT PRECISION (evaluation failed)"
+        assert lines[1].startswith("fails:2: verified (+1) to q^20")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("(2*eta(1))^(1/2)", "power 1/2 needs leading coefficient exactly 1"),
+        ("1/(q^(1) - q^(1))", "negative power of the zero series"),
+    ])
+    def test_failed_dump_evaluation_is_one(self, runner, expr, message):
+        result = runner.invoke(main, ["dump", expr])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"evaluation failed: {message}\n"
 
     def test_parse_error_is_two(self, runner, tmp_path):
         bad = tmp_path / "broken.qid"

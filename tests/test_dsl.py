@@ -158,6 +158,24 @@ class TestErrors:
             parse_expression(text)
         assert (err.value.line, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("text, message, column", [
+        ("eta(1", "expected ')' (input ended)", 5),
+        ("eta(1) eta(2)", "unexpected trailing input 'eta'", 8),
+        ("q^(x)", "expected a rational number", 4),
+        ("f(q^1,+q^2)", "expected a sign (+ or -)", 3),
+        ("f(+x,+q^2)", "expected q^exponent in theta argument", 4),
+        ("root(eta(1),0)", "root index must be >= 1", 1),
+        ("subst(eta(1),-1)", "substitution exponent must be positive", 1),
+        ("eta(-1)", "substitution exponent must be positive", 5),
+        ("T1N(4)", "index must be 1, 2 or 3", 5),
+        ("lambert(2,1,8)", "expected signed exponents like +1-3", 13),
+        ("lambert(2,1,+1,8,w)", "expected weight 'm' or 'legendre(p)'", 18),
+    ])
+    def test_malformed_argument_placed(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert (err.value.reason, err.value.line, err.value.column) == (message, 1, column)
+
     def test_constant_division_by_zero(self):
         # a literal "1/0" is caught earlier as a malformed rational; the
         # fold path needs the zero to arrive as its own constant

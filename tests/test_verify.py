@@ -29,6 +29,19 @@ def _one_by_one(batch, order=None):
     return _verdicts([verify(idy, order) for idy in batch])
 
 
+def _meetings(roots):
+    """How often a walk of the trees `roots` meets each node when it
+    enters the children of a node only the first time it meets it."""
+    met = Counter()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        met[node] += 1
+        if met[node] == 1:
+            stack.extend(v for v in node._key if isinstance(v, expr.Node))
+    return met
+
+
 class TestSameReports:
     @pytest.mark.parametrize("order", [F(8), F(24), None])
     def test_whole_catalog(self, order):
@@ -196,10 +209,15 @@ class TestLifetime:
         class Recording(expr.SharedEvaluations):
             def __init__(self, roots):
                 super().__init__(roots)
-                self.occurrences = Counter(
-                    n for root in roots for n in expr._occurrences(root))
+                self.occurrences = _meetings(roots)
                 self.evaluated = Counter()
+                self.looked_up = set()
                 caches.append(self)
+
+            def evaluate(self, node, order):
+                if (node, F(order)) in self.entries:
+                    self.looked_up.add((node, F(order)))
+                return super().evaluate(node, order)
 
         for cls in (expr.Add, expr.Sub, expr.Mul, expr.Pow, expr.Subst,
                     expr.Prim, expr.QPow, expr.Const):
@@ -213,11 +231,13 @@ class TestLifetime:
         monkeypatch.setattr(expr, "SharedEvaluations", Recording)
         verify_many(catalog(), F(24))
         verify_many(THM31 + THM31)
+        verify_many(THM31, F(96))
         for cache in caches:
             assert cache.entries
             assert set(cache.evaluated.values()) == {1}
             assert set(cache.evaluated) == set(cache.entries)
             assert all(cache.occurrences[n] >= 2 for n, _ in cache.entries)
+        assert caches[-1].looked_up == set(caches[-1].entries)
 
     def test_cache_released_when_the_batch_ends(self, monkeypatch):
         caches = []

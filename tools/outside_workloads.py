@@ -4,11 +4,11 @@
 
 For each EXPR@ORDER and each tree, in fresh interpreters: the exit code
 and whole-process wall time of `qident dump EXPR --order ORDER`, and the
-best of N in-process evaluations (skipped when the dump exits 2).  The
-two dumps' standard output and error are hashed and compared.  Prints
-one JSON object, each input mapped to "old -> new; output same" (or
-"differs"), as the `outside_workloads` tables of the BENCH_*.json files
-record them.
+best of N in-process evaluations (skipped when the dump fails: exit 2 is
+a refusal, exit 1 an evaluation that raises).  The two dumps' standard
+output and error are hashed and compared.  Prints one JSON object, each
+input mapped to "old -> new; output same" (or "differs"), as the
+`outside_workloads` tables of the BENCH_*.json files record them.
 """
 
 import argparse
@@ -40,7 +40,7 @@ def run(src, expr, order, runs):
     t = time.perf_counter()
     done = subprocess.run(dump, env=env, capture_output=True)
     row = f"exit {done.returncode}, whole process {time.perf_counter() - t:.2f} s"
-    if done.returncode != 2:
+    if done.returncode == 0:
         out = subprocess.run([sys.executable, "-c", TIMED, expr, order, str(runs)],
                              env=env, capture_output=True, text=True, check=True)
         row += f", in-process best {float(out.stdout):.4f} s"
