@@ -10,54 +10,42 @@ continued-fraction product sides h and i.
 Each DSL atom of :data:`qident.expr.PRIMITIVES` has one builder.  The
 Pochhammer-family atoms (eta, poch, f, H, I, G2, and psi11rhs, whose
 families come from :mod:`qident.lambert`) take their families from
-:func:`_triple_product` and the ``*_families`` lists here, the rescaling
-q -> q^r already in the specs (eta(1/2) is (q^(1/2); q^(1/2))_inf), and
-are filled in product form.  phi(r) and psi(r) are the theta sums
+:func:`theta_families` and the other ``*_families`` lists here, the
+rescaling q -> q^r already in the specs (eta(1/2) is
+(q^(1/2); q^(1/2))_inf).  phi(r) and psi(r) are the theta sums
 f(q^r, q^r) and f(q^r, q^3r).  G_1 and G_3 have no builder here: by
 Jacobi's product for theta_1, G_k(q) (q; q)_inf is
 :func:`theta1_normalized`, so :mod:`~qident.expr` builds G_1 as that sum
-times the fill of (q; q)_inf^-1 at q and substitutes q -> q^r, and G_3
-as G_1 with sqrt2 negated.
+times the expansion of (q; q)_inf^-1 at q and substitutes q -> q^r, and
+G_3 as G_1 with sqrt2 negated.
 
-Every product or quotient of Pochhammer families -- those atoms and the
-fills of their folded products and powers -- is filled by
-:func:`poch_quotient` on one int that packs all the slots (Kronecker
-substitution, as in :mod:`qident.backend`), with no series product, no
-inverse and no Fraction per intermediate slot.  The whole theta products
-among a fill's positive powers (:func:`_theta_groups`) enter by their
-sum sides: by Jacobi's triple product (G. E. Andrews, *The Theory of
-Partitions*, 1976, Thm 2.8) the families
-(s*q^A; q^D)(s*q^(D-A); q^D)(q^D; q^D) are f(s*q^A, s*q^(D-A)) =
-sum_j +-q^e(j), and the six of a mixed-sign f are
-one f too; by Euler's pentagonal theorem (ibid., Thm 1.6) (q^D; q^D) is
-f(-q^D, -q^2D).  Each sum has about 2*sqrt(2n/P) terms below slot n, P
-the period of its exponents e(j) >= P*|j|(|j| - 1)/2, and multiplying
-by it is one shifted add a term, where its three families take about
-3n/P shift-and-add passes, one a factor; the families the groups leave
-take one pass a factor and a few a divisor.  :func:`plan_fill` works out
-the groups, their terms and the steps once per fill, before it runs.
-The sums (theta sums, theta_1 specializations, B tables) count their
-exponents on an integer grid and their coefficients as integer pairs
-x + y*sqrt2, and every builder hands the canonical slot form to the
-series directly.
-
-A packed fill's slot width comes from a closed-form majorant of its
-coefficients (:func:`_fill_bytes`), which bounds each factor (1 +- y) by
-(1 + y), and each theta group by its sum side where that is smaller: a
-group adds a term in sqrt(1/-log x) to the log of the majorant where its
-factors would add one in 1/-log x, so (q; q)_inf below q^4000 packs 2
-bytes a slot, not 22.
+Exponent maps.  :func:`expand_map` is the one place that decides how an
+exponent map {PochSpec: power} -- a family atom's, or a tree's that
+:mod:`~qident.expr` folds -- is expanded: by the :func:`fill` of each
+plan :func:`_fills` picks, raised to its power, or by the recurrence on
+its logarithmic derivative (:func:`_logd`, on the coefficients
+:func:`_sieve` finds).  A fill packs all its slots into one int
+(Kronecker substitution, as in :mod:`qident.backend`), with no series
+product, no inverse and no Fraction per intermediate slot.  The whole
+theta products among its positive powers (:func:`_theta_groups`) enter
+by their sum sides, and its slot width comes from a closed-form majorant
+of its coefficients (:func:`_fill_bytes`), so (q; q)_inf below q^4000
+packs 2 bytes a slot, not 22.  The sums (theta sums, theta_1
+specializations, B tables) count their exponents on an integer grid and
+their coefficients as integer pairs x + y*sqrt2, and every builder hands
+the canonical slot form to the series directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from . import backend, series
 from .field import SQRT2, AlgebraicNumber
-from .series import PuiseuxSeries, _fr, check_steps, check_words, dense_slots
+from .series import PuiseuxSeries, _fr, check_steps, check_words, dense_slots, power_steps
 
 _FR = Fraction
 
@@ -268,7 +256,7 @@ def _theta_groups(grid):
     f(s*X^A, s*X^(D-A)) by Jacobi's triple product (G. E. Andrews, *The
     Theory of Partitions*, 1976, Thm 2.8), period D.  The six families
     (s, A, D)(-s, A+h, D)(-s, h-A, D)(s, D-A, D)(1, h, D)(-1, D, D) of a
-    mixed-sign :func:`_triple_product` over step D = 2h are
+    mixed-sign :func:`theta_families` over step D = 2h are
     f(s*X^A, -s*X^(h-A)), period h, and are matched first.  A (-1, D, D)
     left over is (X^D; X^D)_inf = f(-X^D, -X^2D) by Euler's pentagonal
     theorem (ibid., Thm 1.6), period 3D.  A group's power is the least
@@ -346,7 +334,7 @@ def _steps(grid, n) -> int:
 
 
 class FillPlan(NamedTuple):
-    """One :func:`poch_quotient` fill below `order`, worked out before it
+    """One :func:`fill` below `order`, worked out before it
     runs: `n` slots on the grid 1/`den`, the theta `groups` (power, s1, s2,
     a, b) with the `terms` (e, c), 0 < e < n, of each one's sum side, the
     families (sign, first, step, power) left to fill pass by pass, and the
@@ -383,12 +371,6 @@ def plan_fill(families, order) -> FillPlan:
     return FillPlan(order, den, n, groups, terms, [f for f in rest if f[3]], steps)
 
 
-def poch_quotient(families, order) -> PuiseuxSeries:
-    """prod of (spec)_inf ** power over the (PochSpec, power) pairs, below
-    `order`: the :func:`fill` of their :func:`plan_fill`."""
-    return fill(plan_fill(families, order))
-
-
 def fill(plan: FillPlan) -> PuiseuxSeries:
     """The product that `plan` describes, below its order.
 
@@ -398,11 +380,7 @@ def fill(plan: FillPlan) -> PuiseuxSeries:
     slot, and the fill runs modulo 2^(8wn): X -> 2^(8w) maps
     Z[X]/(X^n) to Z/2^(8wn) as a ring homomorphism, so intermediate
     slots may wrap, and only the final coefficients must fit a signed
-    slot, which the width of :func:`_fill_bytes` guarantees: a majorant
-    of the families, in which the whole theta products count by their
-    sum sides (Jacobi's triple product and Euler's pentagonal theorem),
-    so a fill of theta functions and eta powers packs coefficients of a
-    few bits in slots of a byte or two.
+    slot, which the width of :func:`_fill_bytes` guarantees.
 
     Each theta group (:func:`_theta_groups`) multiplies c by its sum side
     below X^n, once per unit of its power: the pass c + sum c*X^e over its
@@ -462,6 +440,179 @@ def fill(plan: FillPlan) -> PuiseuxSeries:
     return PuiseuxSeries.from_slots(0, plan.den, backend.unpack(c, w, n), None, plan.order)
 
 
+def expand_map(powers: dict, unit: Fraction) -> PuiseuxSeries:
+    """The product of the families of the exponent map `powers`
+    ({PochSpec: Fraction}), each to its power, below `unit`.
+
+    An empty map is 1, and a bound at or below 0 the zero series.  A map
+    with two or more distinct powers, one of them not an integer -- both
+    ``thm31`` maps, ``H(1)^(1/2)`` -- is one run of :func:`_logd`: n steps
+    per nonzero coefficient of the derivative whatever the powers, and,
+    for an integral product, values no wider than its coefficients.  Any
+    other map -- integer powers, or one power shared by all its families
+    -- is the product of the fills of the form :func:`_fills` picks, each
+    raised to its power: ``eta(1)^(24)`` is one fill raised to 24,
+    ``eta(1)^(1000)*eta(2)^(999)`` two fills raised apart, as the tree
+    raises them, and a family atom one fill.  When every form has a fill,
+    or a power charged as the power recurrence charges it, past
+    MAX_SLOT_STEPS, the map runs :func:`_logd` instead, which counts its
+    own steps: ``G2(1/2)*poch(-,1,2)`` at order 6000, which no theta group
+    covers, would be one fill of 2.7*10^7 steps, and is the sieve alone,
+    as every coefficient of the derivative cancels (the product is 1).
+    """
+    if unit <= 0:
+        return PuiseuxSeries.zero(unit)
+    if not powers:
+        return PuiseuxSeries.one(unit)
+    mixed = (len(set(powers.values())) > 1
+             and any(e.denominator > 1 for e in powers.values()))
+    fills = None if mixed else _fills(powers, unit)
+    if fills is None:
+        return _logd(powers, unit)
+    return reduce(PuiseuxSeries.__mul__, (fill(plan) ** r for r, plan in fills))
+
+
+def _fills(powers: dict, unit: Fraction):
+    """(r, plan) pairs whose :func:`fill` below `unit`, each raised to r,
+    multiply to the exponent map `powers`, or None when every form has a
+    fill or a power past MAX_SLOT_STEPS.  :func:`expand_map` asks only for
+    maps whose powers are all integers or all equal.
+
+    Either one fill of the integer powers e*D/g raised to g/D, D the lcm
+    of the powers' denominators and g the gcd of the e*D, or one fill per
+    distinct power e of its families, raised to e.  The first enters each
+    factor or theta group |e|*D/g times, the second once, but adds a power
+    per fill and a product (one packed multiplication, not counted).
+    Counting a fill by its plan's steps and a power r on n slots as
+    :func:`~qident.series.power_steps` charges n^2/2 steps at the scale
+    den(r)^2, the form with fewer steps is taken, the single fill on a
+    tie, unless it has a fill or a power past MAX_SLOT_STEPS and the
+    other has none.
+    The second form is planned only when the first is past the cap or
+    takes more steps than the second's powers alone.
+    """
+    den = math.lcm(*(e.denominator for e in powers.values()))
+    g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
+    fills = [(_FR(g, den), plan_fill(
+        [(spec, int(e * den) // g) for spec, e in powers.items()], unit))]
+    by_power: dict = {}
+    for spec, e in powers.items():
+        by_power.setdefault(e, []).append((spec, 1))
+
+    def power(r, n):
+        return 0 if r == 1 else power_steps(n, r.denominator ** 2, n * n // 2)
+
+    def steps(fills):
+        over = work = 0
+        for r, plan in fills:
+            p = power(r, plan.n)
+            over |= max(plan.steps, p) > series.MAX_SLOT_STEPS
+            work += plan.steps + p
+        return over, work
+
+    over, work = steps(fills)
+    # the second form raises each fill of a power other than 1, on at
+    # least ceil(unit) slots, so it is planned only when it could win
+    least = sum(power(e, math.ceil(unit)) for e in by_power)
+    if len(by_power) > 1 and (over or work > least):
+        split = [(e, plan_fill(families, unit)) for e, families in by_power.items()]
+        (over, _), fills = min(((over, work), fills), (steps(split), split),
+                               key=lambda scored: scored[0])
+    return None if over else fills
+
+
+_LOGD = "log-derivative recurrence over {} dense coefficient slots"
+
+
+def _sieve(powers: dict, unit: Fraction) -> tuple:
+    """(den, lcd, c): the logarithmic derivative of the exponent map
+    `powers` below `unit`, on the families' common grid t = q^(1/den).
+
+    f = prod (spec)^e has t*f' = C*f for C = sum_k c_k t^k, and a factor
+    (1 + s*t^x) of a family with power e adds -e*x*(-s)^m to c_(m*x) for
+    every m >= 1: a sieve of sum_x (n-1)//x steps over the factors x < n,
+    checked before it runs.  `c` lists lcd*c_k for the n slots k < n, lcd
+    the lcm of the powers' denominators, so every entry is an int.
+    """
+    den, grid = _grid(powers.items())
+    n = dense_slots(unit * den)
+    lcd = math.lcm(*(e.denominator for *_, e in grid))
+    grid = [(sign, range(first, n, step), int(e * lcd)) for sign, first, step, e in grid]
+    check_steps(sum((n - 1) // x for _, xs, _ in grid for x in xs), _LOGD.format(n))
+    c = [0] * n
+    for sign, xs, e in grid:
+        for x in xs:
+            v = -e * x
+            if sign < 0:
+                for k in range(x, n, x):
+                    c[k] += v
+            else:  # (-1)^m: +e*x at the odd multiples, -e*x at the even
+                for k in range(x, n, 2 * x):
+                    c[k] -= v
+                for k in range(2 * x, n, 2 * x):
+                    c[k] += v
+    return den, lcd, c
+
+
+def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
+    """The exponent map `powers` below `unit` by one recurrence on its
+    logarithmic derivative.
+
+    With the c_k of :func:`_sieve`, N*f_N = sum_k c_k f_(N-k) (Andrews,
+    *q-Series*, CBMS 66, 1986) costs n steps per nonzero c_k, whatever the
+    powers.  The loop runs on plain ints F_N = Q*f_N over one common
+    denominator Q: it starts at 1 and rises, rescaling the earlier slots,
+    only when the division by N*lcd leaves a remainder, so an integral
+    product keeps Q = 1 and values no wider than its coefficients.
+
+    The recurrence's steps, sum(n - k) over the nonzero c_k, are checked
+    before its loop.  As the loop runs, its values may outgrow a word,
+    through Q or through large powers, so each step is also charged as it
+    is made, once per 64-bit word of the widest c_k times the words of the
+    value it reads (bounded by the widest value so far and by all the
+    words held), and each rescaling once per slot it rescales, against the
+    same cap; with one-word values and Q = 1 the charge is at most the
+    plain count.  The words held are tallied too, and checked like the
+    power recurrence's.
+    """
+    den, lcd, c = _sieve(powers, unit)
+    n = len(c)
+    what = _LOGD.format(n)
+    units = [(k, ck) for k, ck in enumerate(c) if ck]
+    check_steps(sum(n - k for k, _ in units), what)
+    cw = max((_words(ck) for _, ck in units), default=0)
+    f = [0] * n
+    f[0] = q = held = width = 1
+    live = work = 0
+    for k in range(1, n):
+        while live < len(units) and units[live][0] <= k:
+            live += 1
+        s = sum([ck * f[k - j] for j, ck in units[:live]])
+        # the words this slot's products read: at most `width` each, and
+        # at most `held` in all
+        work += cw * min(live * width, held)
+        kd = k * lcd
+        f[k], rem = divmod(s, kd)
+        if rem:
+            r = kd // math.gcd(s, kd)
+            q *= r
+            f[:k] = [x * r for x in f[:k]]
+            f[k] = s * r // kd
+            words = [_words(x) for x in f[:k]]
+            held, width = sum(words), max(words)
+            work += k
+        check_steps(work, what)
+        held += _words(f[k])
+        width = max(width, _words(f[k]))
+        check_words(held, what)
+    return PuiseuxSeries.from_slots(0, den, f, None, unit, q)
+
+
+def _words(x: int) -> int:
+    """The 64-bit words of |x|, 0 for 0."""
+    return (x.bit_length() + 63) // 64
+
+
 def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     """Bilateral sum of gamma^{j(j+1)/2} delta^{j(j-1)/2} below `order`,
     by :func:`_theta_terms`.
@@ -497,7 +648,7 @@ def _triple_parts(s1, s2, a, b) -> list:
             (-s2, b + st, 2 * st), (1, st, 2 * st), (-1, 2 * st, 2 * st)]
 
 
-def _triple_product(spec: ThetaSpec, power: int) -> list:
+def theta_families(spec: ThetaSpec, power: int = 1) -> list:
     """f(spec) as Pochhammer families (-g; gd)(-d; gd)(gd; gd), each to
     `power` (:func:`_triple_parts`)."""
     return [(PochSpec(*part), power)
@@ -518,16 +669,16 @@ def h_families(r) -> list:
     """h(q^r) = q^{r/2} f(-q^r, -q^{7r}) / f(-q^{3r}, -q^{5r}) as Pochhammer
     families, the divisor's with power -1; their common (q^{8r}; q^{8r})
     cancels in the fill."""
-    return (_triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
-            + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1))
+    return (theta_families(ThetaSpec(-1, -1, r, 7 * r), 1)
+            + theta_families(ThetaSpec(-1, -1, 3 * r, 5 * r), -1))
 
 
 def i_families(r) -> list:
     """i(q^r) = f(-q^r, -q^{3r}) / f(-q^{2r}, -q^{2r}) as Pochhammer
     families, as for :func:`h_families`; the common (q^{4r}; q^{4r})
     cancels."""
-    return (_triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
-            + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1))
+    return (theta_families(ThetaSpec(-1, -1, r, 3 * r), 1)
+            + theta_families(ThetaSpec(-1, -1, 2 * r, 2 * r), -1))
 
 
 def sine_ratio_table(k: int, count: int) -> list[tuple[int, int]]:

@@ -26,6 +26,7 @@ from .dsl import ParseError, parse_expression, parse_identity_file
 from .expr import evaluate_to_order
 from .series import SlotBudgetError
 from .verify import EVALUATION_FAILURES, Identity, report_json, verify, verify_many
+from .verify import MISMATCH, SIGN_FLIP, VERIFIED
 
 # Named series for `dump`, each short for a DSL expression.
 _DUMP_BLOCKS = {"qq": "poch(-,1,1)", "phi": "phi(1)", "psi": "psi(1)", "gamma1": "G1(1)",
@@ -76,12 +77,12 @@ def _dump_lines(s) -> Iterator[str]:
 
 
 def _describe(report) -> str:
-    if report.status == "verified":
+    if report.status == VERIFIED:
         return f"verified (+1) to q^{report.order} [{report.elapsed_ms:.0f} ms]"
-    if report.status == "verified_with_sign_flip":
+    if report.status == SIGN_FLIP:
         return (f"verified with sign flip (-1) to q^{report.order} "
                 f"[{report.elapsed_ms:.0f} ms]")
-    if report.status == "mismatch":
+    if report.status == MISMATCH:
         mm = report.first_mismatch
         return (f"MISMATCH at q^{mm.exponent}: lhs {_text(mm.exponent, mm.lhs)} "
                 f"!= rhs {_text(mm.exponent, mm.rhs)}")

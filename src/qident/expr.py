@@ -1,7 +1,7 @@
 """Expression trees over series-valued primitives, and their evaluation.
 
-Each node evaluates to a :class:`~qident.series.PuiseuxSeries` at a
-requested guarantee order.
+Each node evaluates to a :class:`PuiseuxSeries` at a requested
+guarantee order.
 
 Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``,
 ``I``, ``G2`` and ``psi11rhs`` -- are products of Pochhammer families
@@ -11,35 +11,16 @@ the rescaling q -> q^r already in the specs.  A ``Mul``/``Pow`` subtree
 whose leaves are family atoms, nonzero constants and powers of q folds
 into a :class:`Fold`: a constant, a shift q^s and one exponent map
 ``{PochSpec: Fraction}``.  A power of a subtree whose constant is not 1
-does not fold.  The map's unit part below order - s
-(:func:`_unit_product`) is expanded along one of two paths.  A map with
-two or more distinct powers, one of them not an integer -- both
-``thm31`` maps, ``H(1)^(1/2)`` -- is one run of the recurrence on its
-logarithmic derivative (:func:`_logd`): n steps per nonzero
-coefficient of the derivative whatever the powers, and, for an integral
-product, values no wider than its coefficients.  Any other map --
-integer powers, or one power shared by all its families -- is filled by
-:func:`~qident.blocks.poch_quotient` in the form :func:`_fills` picks:
-one fill of the integer powers e*D/g and one power g/D, D the lcm of the
-powers' denominators and g the gcd of the e*D, so ``eta(1)^(24)`` is one
-fill raised to 24, or, when that single fill would take more steps,
-one fill and one power per distinct e, so that
-``eta(1)^(1000)*eta(2)^(999)`` costs what the tree costs; a family atom
-alone is one fill.  A fill multiplies its whole theta products in by
-their sum sides and every other family factor by factor, and counts the
-steps of both.  When every such form has a fill, or a power charged as
-the power recurrence charges it, past MAX_SLOT_STEPS, the map runs the
-recurrence instead, which counts its own steps:
-``G2(1/2)*poch(-,1,2)`` at order 6000, which no theta group covers,
-would be one fill of 2.7*10^7 steps, and is the recurrence's sieve, as
-every coefficient of the derivative cancels (the product is 1).  A
-folding factor times an ``Add``/``Sub`` whose terms all fold distributes
-into one map per term when the terms are no more than the family atoms
-the tree would expand one by one.  Everything else is evaluated node by
-node, where a power is the power recurrence of
-:meth:`~qident.series.PuiseuxSeries._power` unless it is a small
-positive power with fewer products than unit terms, which is a product
-(see :meth:`~qident.series.PuiseuxSeries.__pow__`).
+does not fold.  The map's unit part below order - s is
+:func:`~qident.blocks.expand_map` of the map, which says how a map is
+expanded: by fills, powers of them, or the recurrence on its
+logarithmic derivative.  A folding factor times an ``Add``/``Sub`` whose
+terms all fold distributes into one map per term when the terms are no
+more than the family atoms the tree would expand one by one.  Everything
+else is evaluated node by node, where a power is the power recurrence of
+:meth:`PuiseuxSeries._power` unless it is a small positive power with
+fewer products than unit terms, which is a product (see
+:meth:`PuiseuxSeries.__pow__`).
 
 Node by node, evaluation propagates per-node targets top down: a product
 pads each factor by the co-factor's structural leading exponent
@@ -77,14 +58,13 @@ block exits.  Outside that block nothing is cached.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import blocks, series
+from . import blocks
 from . import lambert as lam
 from .blocks import PochSpec, Record, ThetaSpec
 from .field import ONE, AlgebraicNumber
@@ -179,7 +159,7 @@ class Primitive(NamedTuple):
     is its line in the DSL atom table and `hint(arg)` its structural
     leading exponent.  A family atom (:func:`_family`) also lists its
     Pochhammer families: `families(arg)` gives the (PochSpec, power)
-    pairs whose product, times q^hint(arg), is the series.
+    pairs whose product is the series divided by q^hint(arg).
     """
 
     kind: str
@@ -232,7 +212,7 @@ PRIMITIVES: dict[str, Primitive] = {
     "poch": _family("poch", "`prod_{j>=0} (1 + sign q^(a+jb))`",
                     lambda s: [(s, 1)]),
     "f": _family("theta", "theta `f(sign q^a, sign q^b)`, triple-product form",
-                 lambda s: blocks._triple_product(s, 1)),
+                 blocks.theta_families),
     "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
                       "the same theta function as a bilateral sum"),
     "phi": Primitive("r", lambda r, o: blocks.theta_sum(ThetaSpec(1, 1, r, r), o),
@@ -431,174 +411,19 @@ def _expand(fold: Fold, order) -> PuiseuxSeries:
     """The series of `fold` below `order`.
 
     Its unit part, the product of the families below order - shift, is
-    filled as :func:`_fills` says.  Inside :func:`shared_evaluations` the
-    unit part is stored under its exponent map and bound, so products
-    that differ only in constant and shift are filled once.
+    :func:`~qident.blocks.expand_map` of its map.  Inside
+    :func:`shared_evaluations` it is stored under its map and bound, so
+    products that differ only in constant and shift are expanded once.
     """
     unit = _fr(order) - fold.shift
     shared = _SHARED.get()
     key = (frozenset(fold.powers.items()), unit)
     s = None if shared is None else shared.products.get(key)
     if s is None:
-        s = _unit_product(fold.powers, unit)
+        s = blocks.expand_map(fold.powers, unit)
         if shared is not None:
             shared.products[key] = s
     return s.scale(fold.const).shift(fold.shift)
-
-
-def _unit_product(powers: dict, unit: Fraction) -> PuiseuxSeries:
-    """The product of the families of `powers`, each to its power, below
-    `unit`.
-
-    A map with two or more distinct powers, one of them not an integer,
-    is one run of :func:`_logd`.  Any other map is expanded in the form
-    :func:`_fills` picks, the plans of :func:`~qident.blocks.plan_fill`
-    filled, raised to powers and multiplied, unless every form it offers
-    has a fill or a power past MAX_SLOT_STEPS; then it too goes to
-    :func:`_logd`, which counts its own steps.  A plan counts a theta group by the
-    passes of its sum side, so a map of theta functions and eta powers
-    fills at orders where one pass a factor would be refused:
-    ``eta(1)*eta(2)`` below q^7000 is 1.1*10^6 steps of its fill.
-    """
-    if unit <= 0:
-        return PuiseuxSeries.zero(unit)
-    if not powers:
-        return PuiseuxSeries.one(unit)
-    mixed = (len(set(powers.values())) > 1
-             and any(e.denominator > 1 for e in powers.values()))
-    fills = None if mixed else _fills(powers, unit)
-    if fills is None:
-        return _logd(powers, unit)
-    return reduce(PuiseuxSeries.__mul__, (blocks.fill(plan) ** r for r, plan in fills))
-
-
-def _fills(powers: dict, unit: Fraction) -> Optional[list]:
-    """(r, plan) pairs whose :func:`~qident.blocks.fill` below `unit`,
-    each raised to r, multiply to the exponent map `powers`, or None when
-    every form has a fill or a power past MAX_SLOT_STEPS.
-    :func:`_unit_product` asks only for maps whose powers are all integers
-    or all equal.
-
-    Either one fill of the integer powers e*D/g raised to g/D, D the lcm
-    of the powers' denominators and g the gcd of the e*D, or one fill per
-    distinct power e of its families, raised to e.  The first enters each
-    factor or theta group |e|*D/g times, the second once, but adds a power
-    per fill and a product (one packed multiplication, not counted).
-    Counting a fill by its plan's steps and a power r on n slots as
-    :func:`~qident.series.power_steps` charges n^2/2 steps at the scale
-    den(r)^2, the form with fewer steps is taken, the single fill on a
-    tie, unless it has a fill or a power past MAX_SLOT_STEPS and the
-    other has none.
-    The second form is planned only when the first is past the cap or
-    takes more steps than the second's powers alone.
-    """
-    den = math.lcm(*(e.denominator for e in powers.values()))
-    g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
-    fills = [(_FR(g, den), blocks.plan_fill(
-        [(spec, int(e * den) // g) for spec, e in powers.items()], unit))]
-    by_power: dict = {}
-    for spec, e in powers.items():
-        by_power.setdefault(e, []).append((spec, 1))
-
-    def power(r, n):
-        return 0 if r == 1 else series.power_steps(n, r.denominator ** 2, n * n // 2)
-
-    def steps(fills):
-        over = work = 0
-        for r, plan in fills:
-            p = power(r, plan.n)
-            over |= max(plan.steps, p) > series.MAX_SLOT_STEPS
-            work += plan.steps + p
-        return over, work
-
-    over, work = steps(fills)
-    # the second form raises each fill of a power other than 1, on at
-    # least ceil(unit) slots, so it is planned only when it could win
-    least = sum(power(e, math.ceil(unit)) for e in by_power)
-    if len(by_power) > 1 and (over or work > least):
-        split = [(e, blocks.plan_fill(families, unit)) for e, families in by_power.items()]
-        (over, _), fills = min(((over, work), fills), (steps(split), split),
-                               key=lambda scored: scored[0])
-    return None if over else fills
-
-
-def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
-    """The exponent map `powers` below `unit` by one recurrence on its
-    logarithmic derivative.
-
-    On the families' common grid t = q^(1/den), f = prod (spec)^e has
-    t*f' = C*f for C = sum_k c_k t^k, and a factor (1 + s*t^x) of a family
-    with power e adds -e*x*(-s)^m to c_(m*x) for every m >= 1: a sieve of
-    sum_x (n-1)//x steps over the factors x < n.  Then N*f_N =
-    sum_k c_k f_(N-k) (Andrews, *q-Series*, CBMS 66, 1986) costs n steps
-    per nonzero c_k, whatever the powers.  With D the lcm of the powers'
-    denominators every D*c_k is an integer, and the loop runs on plain
-    ints F_N = Q*f_N over one common denominator Q: it starts at 1 and
-    rises, rescaling the earlier slots, only when the division by N*D
-    leaves a remainder, so an integral product keeps Q = 1 and values no
-    wider than its coefficients.
-
-    The sieve's steps are checked before it runs and the recurrence's,
-    sum(n - k) over the nonzero c_k, before its loop.  As the loop runs,
-    its values may outgrow a word, through Q or through large powers, so
-    each step is also charged as it is made, once per 64-bit word of the
-    widest c_k times the words of the value it reads (bounded by the
-    widest value so far and by all the words held), and each rescaling
-    once per slot it rescales, against the same cap; with one-word values
-    and Q = 1 the charge is at most the plain count.  The words held are tallied
-    too, and checked like the power recurrence's.
-    """
-    den, grid = blocks._grid(powers.items())
-    n = series.dense_slots(unit * den)
-    what = f"log-derivative recurrence over {n} dense coefficient slots"
-    lcd = math.lcm(*(e.denominator for *_, e in grid))
-    grid = [(sign, range(first, n, step), int(e * lcd)) for sign, first, step, e in grid]
-    series.check_steps(sum((n - 1) // x for _, xs, _ in grid for x in xs), what)
-    c = [0] * n
-    for sign, xs, e in grid:
-        for x in xs:
-            v = -e * x
-            if sign < 0:
-                for k in range(x, n, x):
-                    c[k] += v
-            else:  # (-1)^m: +e*x at the odd multiples, -e*x at the even
-                for k in range(x, n, 2 * x):
-                    c[k] -= v
-                for k in range(2 * x, n, 2 * x):
-                    c[k] += v
-    units = [(k, ck) for k, ck in enumerate(c) if ck]
-    series.check_steps(sum(n - k for k, _ in units), what)
-    cw = max((_words(ck) for _, ck in units), default=0)
-    f = [0] * n
-    f[0] = q = held = width = 1
-    live = work = 0
-    for k in range(1, n):
-        while live < len(units) and units[live][0] <= k:
-            live += 1
-        s = sum([ck * f[k - j] for j, ck in units[:live]])
-        # the words this slot's products read: at most `width` each, and
-        # at most `held` in all
-        work += cw * min(live * width, held)
-        kd = k * lcd
-        f[k], rem = divmod(s, kd)
-        if rem:
-            r = kd // math.gcd(s, kd)
-            q *= r
-            f[:k] = [x * r for x in f[:k]]
-            f[k] = s * r // kd
-            words = [_words(x) for x in f[:k]]
-            held, width = sum(words), max(words)
-            work += k
-        series.check_steps(work, what)
-        held += _words(f[k])
-        width = max(width, _words(f[k]))
-        series.check_words(held, what)
-    return PuiseuxSeries.from_slots(0, den, f, None, unit, q)
-
-
-def _words(x: int) -> int:
-    """The 64-bit words of |x|, 0 for 0."""
-    return (x.bit_length() + 63) // 64
 
 
 def _terms(node: Node, sign=1) -> Optional[list]:

@@ -153,10 +153,15 @@ class AlgebraicNumber:
 
     # -- text form -----------------------------------------------------
 
-    def render(self) -> str:
-        """Canonical text form ``a+b*sqrt2`` (rationals as ``p/q``)."""
-        sign = "-" if self.irr < 0 else "+"
-        return f"{self.rat}{sign}{abs(self.irr)}*sqrt2"
+    def render(self, digits=str) -> str:
+        """Canonical text form ``a+b*sqrt2`` (rationals as ``p/q``), each
+        integer written by `digits`; ``str`` raises ValueError past the
+        interpreter's limit on digits."""
+        def part(x: Fraction) -> str:
+            den = "" if x.denominator == 1 else f"/{digits(x.denominator)}"
+            return digits(x.numerator) + den
+
+        return f"{part(self.rat)}{'-' if self.irr < 0 else '+'}{part(abs(self.irr))}*sqrt2"
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraicNumber":

@@ -140,8 +140,8 @@ def _progression_sum(progressions, low, n, den, order, what) -> PuiseuxSeries:
     call, heads and steps on the grid 1/den.  Slot e - low of one int array
     holds the coefficient of q^(e/den) for low <= e < n, the grid exponents
     below `order`.  Every term is one slot update, counted before the loop
-    as one step, as a slot visit of :func:`~qident.blocks.poch_quotient`
-    is: the array is dense, so its slot count already bounds the memory.
+    as one step, as a slot visit of :func:`~qident.blocks.fill` is: the
+    array is dense, so its slot count already bounds the memory.
     The count stops as soon as it passes MAX_SLOT_STEPS, so a refusal
     comes without walking the remaining progressions.
     """

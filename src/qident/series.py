@@ -60,7 +60,7 @@ MAX_DENSE_SLOTS = 1_000_000
 # updates): the slot cap bounds memory, this bounds time.  Every loop past
 # either budget stops with SlotBudgetError; none falls back to another path
 # once refused (an exponent map whose fills would all pass the step cap
-# takes its recurrence instead before any fill, see expr._unit_product).
+# takes its recurrence instead before any fill, see blocks.expand_map).
 MAX_SLOT_STEPS = 20_000_000
 
 

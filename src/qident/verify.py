@@ -129,8 +129,8 @@ def report_json(reports) -> bytes:
         if r.first_mismatch is not None:
             mm = {
                 "exponent": str(r.first_mismatch.exponent),
-                "lhs": r.first_mismatch.lhs.render(),
-                "rhs": r.first_mismatch.rhs.render(),
+                "lhs": r.first_mismatch.lhs.render(_digits),
+                "rhs": r.first_mismatch.rhs.render(_digits),
             }
         payload.append(
             {
@@ -144,3 +144,16 @@ def report_json(reports) -> bytes:
             }
         )
     return json.dumps(payload, indent=2).encode("utf-8")
+
+
+def _digits(x: int) -> str:
+    """str(x) for an x of any length: a long x is written half by half,
+    so no str() call meets the interpreter's limit on digits (640 at the
+    least)."""
+    if x < 0:
+        return "-" + _digits(-x)
+    if x.bit_length() <= 1600:  # at most 482 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(x, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)

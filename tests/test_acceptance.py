@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from qident.blocks import PochSpec, ThetaSpec, b_table_series, poch_quotient, theta_sum
+from qident.blocks import PochSpec, ThetaSpec, b_table_series, fill, plan_fill, theta_sum
 from qident.catalog import B_TABLE_PERIOD, TRIPLE_PRODUCT_SEED, catalog
 from qident.cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
 from qident.expr import PRIMITIVES
@@ -156,7 +156,7 @@ def test_criterion_09_partition_and_pentagonal_oracles():
     for part in range(1, n_max + 1):
         for n in range(part, n_max + 1):
             counts[n] += counts[n - part]
-    inv = poch_quotient([(PochSpec(-1, 1, 1), 1)], n_max + 1) ** -1
+    inv = fill(plan_fill([(PochSpec(-1, 1, 1), 1)], n_max + 1)) ** -1
     for n in range(n_max + 1):
         assert inv.coefficient(n) == A(counts[n]), n
 
@@ -168,7 +168,7 @@ def test_criterion_09_partition_and_pentagonal_oracles():
             if n < 100:
                 support.add(n)
         k += 1
-    qq = poch_quotient([(PochSpec(-1, 1, 1), 1)], 100)
+    qq = fill(plan_fill([(PochSpec(-1, 1, 1), 1)], 100))
     got = {int(e): c for e, c in qq.items()}
     assert set(got) == support
     assert all(c in (A(1), A(-1)) for c in got.values())

@@ -14,11 +14,12 @@ from qident.blocks import (
     BETA,
     PochSpec,
     ThetaSpec,
-    _triple_product,
     b_table_series,
-    poch_quotient,
+    fill,
+    plan_fill,
     sine_ratio_table,
     theta1_normalized,
+    theta_families,
     theta_sum,
 )
 from qident.catalog import catalog
@@ -248,7 +249,7 @@ def oracle_gamma_k(k, order, r=1):
 
 def poch(spec, order):
     """One Pochhammer family, (spec) below `order`, as its own fill."""
-    return poch_quotient([(spec, 1)], order)
+    return fill(plan_fill([(spec, 1)], order))
 
 
 # -- oracle: each atom at q^r built a second way ---------------------------
@@ -261,20 +262,20 @@ def threaded_eta(m, order):
 
 def threaded_h(r, order):
     r = F(r)
-    return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, r, 7 * r), 1)
-        + _triple_product(ThetaSpec(-1, -1, 3 * r, 5 * r), -1),
+    return fill(plan_fill(
+        theta_families(ThetaSpec(-1, -1, r, 7 * r), 1)
+        + theta_families(ThetaSpec(-1, -1, 3 * r, 5 * r), -1),
         F(order) - r / 2,
-    ).shift(r / 2)
+    )).shift(r / 2)
 
 
 def threaded_i(r, order):
     r = F(r)
-    return poch_quotient(
-        _triple_product(ThetaSpec(-1, -1, r, 3 * r), 1)
-        + _triple_product(ThetaSpec(-1, -1, 2 * r, 2 * r), -1),
+    return fill(plan_fill(
+        theta_families(ThetaSpec(-1, -1, r, 3 * r), 1)
+        + theta_families(ThetaSpec(-1, -1, 2 * r, 2 * r), -1),
         order,
-    )
+    ))
 
 
 def at_q(spec):
@@ -342,7 +343,7 @@ def assert_same(got, want):
 
 
 class TestBuilderMatchesOracle:
-    """poch_quotient, and every block built on it, against the old path."""
+    """fill, and every block built on it, against the old path."""
 
     # divisions by factors at slots on both sides of sqrt(n), n the slot
     # count: many short blocks of off slots below, few long ones above,
@@ -357,7 +358,7 @@ class TestBuilderMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(families(), orders)
     def test_factor_lists(self, fams, order):
-        assert_same(poch_quotient(fams, order), oracle_quotient(fams, order))
+        assert_same(fill(plan_fill(fams, order)), oracle_quotient(fams, order))
 
     @settings(max_examples=40, deadline=None)
     @given(theta_specs(), orders)
@@ -388,7 +389,7 @@ class TestBuilderMatchesOracle:
                   grid_exponent()),
         st.integers(-4, 4)), min_size=1, max_size=6), orders)
     def test_packed_fill_matches_the_slice_fill(self, fams, order):
-        assert fields(poch_quotient(fams, order)) == fields(oracle_fill(fams, order))
+        assert fields(fill(plan_fill(fams, order))) == fields(oracle_fill(fams, order))
 
     def test_one_family_is_pochhammer(self):
         spec = PochSpec(1, F(2, 3), F(3, 2))
@@ -396,7 +397,7 @@ class TestBuilderMatchesOracle:
 
     def test_cancelled_families_leave_one(self):
         spec = PochSpec(-1, 1, 2)
-        assert poch_quotient([(spec, 1), (spec, -1)], 10) == P.one(10)
+        assert fill(plan_fill([(spec, 1), (spec, -1)], 10)) == P.one(10)
 
 
 class TestRescaledAtoms:
@@ -725,10 +726,10 @@ class TestFillWidth:
             ([(QQ, 24)], 400, 0),
             ([(QQ, -24)], 400, 0),
             ([(PochSpec(1, 1, 1), 24)], 400, 0),
-            (_triple_product(ThetaSpec(-1, -1, 1, 7), 1)
-             + _triple_product(ThetaSpec(-1, -1, 3, 5), -1), 400, F(1, 2)),
-            (_triple_product(ThetaSpec(-1, -1, 1, 3), 1)
-             + _triple_product(ThetaSpec(-1, -1, 2, 2), -1), 400, 0),
+            (theta_families(ThetaSpec(-1, -1, 1, 7), 1)
+             + theta_families(ThetaSpec(-1, -1, 3, 5), -1), 400, F(1, 2)),
+            (theta_families(ThetaSpec(-1, -1, 1, 3), 1)
+             + theta_families(ThetaSpec(-1, -1, 2, 2), -1), 400, 0),
         ],
         ids=["qq^24", "qq^-24", "-q;q^24", "h", "i"],
     )
@@ -736,7 +737,7 @@ class TestFillWidth:
                                                      order, shift):
         # what the H(1) and I(1) atoms fill; H below order - 1/2 before its shift
         want = oracle_fill(families, F(order) - shift)
-        assert poch_quotient(families, F(order) - shift) == want
+        assert fill(plan_fill(families, F(order) - shift)) == want
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
 
@@ -746,7 +747,7 @@ class TestFillWidth:
         spec = BilateralSpec(1, F(1, 4), F(1, 2))
         want = oracle_psi11rhs(spec, 400)
         assert atom("psi11rhs", spec, 400) == want
-        assert poch_quotient(product_families(spec), 400) == want
+        assert fill(plan_fill(product_families(spec), 400)) == want
         bits = max(abs(r).bit_length() for r, _ in want.slots.values())
         assert want.d == 1 and 8 * widths[-1] > bits + 1
 
@@ -770,7 +771,7 @@ class TestFillWidth:
 
 
 def filled_with_width(families, order):
-    """poch_quotient(families, order) and the slot width it filled at."""
+    """fill(plan_fill(families, order)) and the slot width it filled at."""
     seen = []
     fill_bytes = blocks._fill_bytes
 
@@ -780,7 +781,7 @@ def filled_with_width(families, order):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blocks, "_fill_bytes", spy)
-        got = poch_quotient(families, order)
+        got = fill(plan_fill(families, order))
     return got, seen[-1]
 
 
@@ -797,7 +798,7 @@ def width_grid_families(draw):
         kind = draw(st.sampled_from(["f", "f", "eta", "poch", "H", "I", "psi11"]))
         p = draw(st.integers(-2, 3))
         if kind == "f":
-            parts = _triple_product(ThetaSpec(draw(signs), draw(signs),
+            parts = theta_families(ThetaSpec(draw(signs), draw(signs),
                                               draw(unit), draw(unit)), p)
         elif kind == "eta":
             parts = [(spec, p) for spec, _ in blocks.eta_families(draw(unit))]
@@ -822,10 +823,10 @@ class TestThetaGroupWidths:
     @example((1, [(QQ, 1)]), 300)
     @example((1, [(QQ, 3)]), 300)
     @example((1, [(PochSpec(1, 1, 1), 3)]), 300)
-    @example((1, _triple_product(ThetaSpec(1, -1, 1, 1), 3)), 300)
-    @example((1, _triple_product(ThetaSpec(1, 1, 1, 1), 3)
-              + _triple_product(ThetaSpec(-1, -1, 1, 3), -2)), 300)
-    @example((2, _triple_product(ThetaSpec(1, 1, F(1, 2), F(1, 2)), 2)
+    @example((1, theta_families(ThetaSpec(1, -1, 1, 1), 3)), 300)
+    @example((1, theta_families(ThetaSpec(1, 1, 1, 1), 3)
+              + theta_families(ThetaSpec(-1, -1, 1, 3), -2)), 300)
+    @example((2, theta_families(ThetaSpec(1, 1, F(1, 2), F(1, 2)), 2)
               + [(PochSpec(-1, 1, 1), 1)]), 150)
     @settings(max_examples=150, deadline=None)
     @given(width_grid_families(), st.integers(1, 300))
@@ -844,8 +845,8 @@ class TestThetaGroupWidths:
         [
             ([(QQ, 1)], 4000, 2),
             ([(QQ, 3)], 2000, 3),
-            (_triple_product(ThetaSpec(1, -1, 1, 1), 1), 5000, 2),
-            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), 1000, 2),
+            (theta_families(ThetaSpec(1, -1, 1, 1), 1), 5000, 2),
+            (theta_families(ThetaSpec(1, -1, 1, 2), 2), 1000, 2),
         ],
         ids=["eta", "eta^3", "f(q,-q)", "f(q,-q^2)^2"],
     )
@@ -870,7 +871,7 @@ class TestThetaGroupWidths:
             ([(-1, 1, 4, 3), (-1, 3, 4, 3), (-1, 4, 4, 4)],
              [(3, -1, -1, 1, 3), (1, -1, -1, 4, 8)], 0),
             # f(q, -q^2): six families over step 6, period 3
-            (_triple_product(ThetaSpec(1, -1, 1, 2), 2), [(2, 1, -1, 1, 2)], 0),
+            (theta_families(ThetaSpec(1, -1, 1, 2), 2), [(2, 1, -1, 1, 2)], 0),
             # (-q^4; q^4) is no core, and divisors join no group
             ([(1, 1, 4, 1), (1, 3, 4, 1), (1, 4, 4, 1)], [], 3),
             ([(1, 4, 4, 2)], [], 2),
@@ -904,7 +905,7 @@ def group_maps(draw):
         kind = draw(st.sampled_from(["f", "f", "eta", "poch"]))
         if kind == "f":
             spec = ThetaSpec(draw(signs), draw(signs), draw(unit), draw(unit))
-            out += _triple_product(spec, draw(st.integers(-1, 3)))
+            out += theta_families(spec, draw(st.integers(-1, 3)))
         elif kind == "eta":
             d = draw(unit)
             out.append((PochSpec(-1, d, d), draw(st.integers(1, 4))))
@@ -915,10 +916,10 @@ def group_maps(draw):
 
 
 @example((1, [(QQ, 4)]), 120)
-@example((1, _triple_product(ThetaSpec(1, -1, 1, 1), 2) + [(QQ, 1)]), 120)
-@example((2, _triple_product(ThetaSpec(-1, 1, F(1, 2), F(3, 2)), 3)
+@example((1, theta_families(ThetaSpec(1, -1, 1, 1), 2) + [(QQ, 1)]), 120)
+@example((2, theta_families(ThetaSpec(-1, 1, F(1, 2), F(3, 2)), 3)
           + [(PochSpec(1, F(1, 2), 1), 2), (QQ, -1)]), 120)
-@example((3, _triple_product(ThetaSpec(1, 1, F(2, 3), F(2, 3)), 1)
+@example((3, theta_families(ThetaSpec(1, 1, F(2, 3), F(2, 3)), 1)
           + [(PochSpec(-1, F(1, 3), F(1, 3)), 2)]), 1)
 @settings(max_examples=200, deadline=None)
 @given(group_maps(), st.integers(1, 120))
@@ -927,7 +928,7 @@ def test_group_passes_match_the_pass_per_factor_fill(grid_families, m):
     # terms of every sum side
     g, fams = grid_families
     order = F(m, g)
-    assert fields(poch_quotient(fams, order)) == fields(oracle_pass_fill(fams, order))
+    assert fields(fill(plan_fill(fams, order))) == fields(oracle_pass_fill(fams, order))
 
 
 def theta_group_kinds():
@@ -939,7 +940,7 @@ def theta_group_kinds():
     for s1, s2 in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
         for a, b in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (1, 5), (2, 2)):
             spec = ThetaSpec(s1, s2, a, b)
-            kinds.append((f"f({s1}q^{a},{s2}q^{b})", _triple_product(spec, 1), spec))
+            kinds.append((f"f({s1}q^{a},{s2}q^{b})", theta_families(spec, 1), spec))
     return kinds
 
 

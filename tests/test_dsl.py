@@ -4,7 +4,7 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident.blocks import PochSpec, ThetaSpec
 from qident.catalog import catalog
@@ -283,6 +283,82 @@ class TestRoundTrip:
     def test_assorted_expressions(self, text):
         node = parse_expression(text)
         assert parse_expression(render(node)) == node
+
+
+# random trees over every primitive, built as the parser builds them: an
+# operation between two constants and an integer power of a constant fold
+# at parse time, and a power 1 is its base, so the builders keep the base
+POSITIVE = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+SIGN = st.sampled_from([1, -1])
+
+
+@st.composite
+def lambert_specs(draw):
+    modulus = draw(st.integers(1, 8))
+    weight = draw(st.sampled_from(["unit", "linear", "legendre"]))
+    return LambertSpec(modulus, draw(st.integers(0, modulus - 1)),
+                       draw(st.lists(st.tuples(SIGN, st.integers(1, 9)),
+                                     min_size=1, max_size=3)),
+                       draw(st.integers(1, 9)), weight,
+                       draw(st.sampled_from([3, 5, 7, 13])) if weight == "legendre" else 0)
+
+
+@st.composite
+def bilateral_specs(draw, product):
+    # 0 < alpha, beta < s, and alpha + beta < s for the product side
+    s, i = draw(POSITIVE), draw(st.integers(1, 6 if product else 7))
+    j = draw(st.integers(1, 7 - i if product else 7))
+    return BilateralSpec(s, s * F(i, 8), s * F(j, 8))
+
+
+ARGUMENTS = {
+    "r": POSITIVE,
+    "k": st.integers(1, 3),
+    "poch": st.builds(PochSpec, SIGN, POSITIVE, POSITIVE),
+    "theta": st.builds(ThetaSpec, SIGN, SIGN, POSITIVE, POSITIVE),
+    "lambert": lambert_specs(),
+    "bilateral": bilateral_specs(False),
+    "bilateral_product": bilateral_specs(True),
+}
+ATOMS = st.sampled_from(list(PRIMITIVES)).flatmap(
+    lambda name: st.builds(Prim, st.just(name), ARGUMENTS[PRIMITIVES[name].kind]))
+RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+CONSTANTS = st.builds(lambda a, b: Const(A(a, b)), RATIONALS,
+                      st.builds(F, st.integers(-3, 3), st.integers(1, 2)))
+
+
+def _operation(op, left, right):
+    return left if isinstance(left, Const) and isinstance(right, Const) else op(left, right)
+
+
+def _power(base, r):
+    keep = r == 1 or isinstance(base, Const) and r.denominator == 1
+    return base if keep else Pow(base, r)
+
+
+ALL_TREES = st.recursive(
+    st.one_of(ATOMS, CONSTANTS, st.builds(QPow, RATIONALS)),
+    lambda inner: st.one_of(
+        st.builds(_operation, st.sampled_from([Add, Sub, Mul]), inner, inner),
+        st.builds(_power, inner, st.just(F(-1)) | RATIONALS),  # -1: a division
+        st.builds(Subst, inner, POSITIVE)),
+    max_leaves=8,
+)
+
+
+class TestRandomRoundTrip:
+    def test_every_primitive_is_drawn(self):
+        assert {prim.kind for prim in PRIMITIVES.values()} <= set(ARGUMENTS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ALL_TREES)
+    @example(Mul(Const(A(3)), Pow(Pow(Const(A(4)), F(1, 2)), F(-1))))  # 3/(4^(1/2))
+    def test_render_parse_render_is_the_same_text(self, node):
+        assert node.depth() <= MAX_TREE_DEPTH
+        text = render(node)
+        parsed = parse_expression(text)
+        assert render(parsed) == text
+        assert parsed == node
 
 
 class TestPowPadding:

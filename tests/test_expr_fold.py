@@ -196,13 +196,13 @@ class TestNamedTrees:
     ])
     def test_maps_expanded(self, monkeypatch, texts, maps):
         filled = []
-        unit_product = expr._unit_product
+        expand_map = blocks.expand_map
 
         def spy(powers, unit):
             filled.append(unit)
-            return unit_product(powers, unit)
+            return expand_map(powers, unit)
 
-        monkeypatch.setattr(expr, "_unit_product", spy)
+        monkeypatch.setattr(blocks, "expand_map", spy)
         ids = {idy.id: idy.rhs for idy in THM31}
         nodes = [ids[t] if t in ids else parse_expression(t) for t in texts]
         with shared_evaluations(nodes):
@@ -230,9 +230,9 @@ def oracle_forms(powers):
 def assert_logd(powers, unit):
     """`_logd` equals each form of :func:`oracle_forms`, its fills raised
     and multiplied; returns its series."""
-    got = expr._logd(powers, unit)
+    got = blocks._logd(powers, unit)
     for fills in oracle_forms(powers):
-        want = reduce(P.__mul__, (blocks.poch_quotient(families, unit) ** r
+        want = reduce(P.__mul__, (blocks.fill(blocks.plan_fill(families, unit)) ** r
                                   for r, families in fills))
         assert got == want
     return got
@@ -276,6 +276,19 @@ class TestLogDerivative:
         got = assert_logd(fold_of("f(-q^1,-q^2)^(1/2)*eta(1)^(-1/2)").powers, F(50))
         assert got == P.one(50)
 
+    def test_the_sieve_of_qq_is_minus_the_divisor_sums(self):
+        # t*f'/f for f = (q;q)_inf is -sum_k sigma(k) q^k
+        den, lcd, c = blocks._sieve({PochSpec(-1, 1, 1): F(1)}, F(200))
+        assert (den, lcd, len(c), c[0]) == (1, 1, 200, 0)
+        for k in range(1, 200):
+            assert c[k] == -sum(d for d in range(1, k + 1) if k % d == 0), k
+
+    def test_the_sieve_of_a_map_that_cancels_is_zero(self):
+        # f(-q,-q^2) = (q;q)_inf by Euler's pentagonal theorem
+        den, lcd, c = blocks._sieve(fold_of("f(-q^1,-q^2)*eta(1)^(-1)").powers, F(100))
+        assert (den, lcd, len(c)) == (1, 1, 100)
+        assert not any(c)
+
     @pytest.mark.parametrize("order", [F(24), F(96)])
     def test_the_thm31_maps_stay_integral(self, order):
         # Q rises only at a remainder, which leaves a coefficient that is
@@ -300,7 +313,7 @@ class TestLogDerivative:
 
 
 def both_forms_scored(powers, unit):
-    """The form of expr._fills with both forms planned and scored: one
+    """The form of blocks._fills with both forms planned and scored: one
     fill of the powers over their gcd, or one fill per distinct power."""
     den = math.lcm(*(e.denominator for e in powers.values()))
     g = math.gcd(*(e.numerator * (den // e.denominator) for e in powers.values()))
@@ -353,13 +366,13 @@ class TestBudgets:
         # it agrees with the tree
         fold = fold_of("eta(1)*eta(2)")
         unit = F(6000) - fold.shift
-        want = expr._logd(fold.powers, unit)
+        want = blocks._logd(fold.powers, unit)
 
         def refuse(*args):
             raise AssertionError("recurrence")
 
-        monkeypatch.setattr(expr, "_logd", refuse)
-        assert expr._unit_product(fold.powers, unit) == want
+        monkeypatch.setattr(blocks, "_logd", refuse)
+        assert blocks.expand_map(fold.powers, unit) == want
         node = parse_expression("eta(1)*eta(2)")
         got = evaluate_to_order(node, 7000)
         assert got.first_mismatch(tree(node, 7000), 7000) is None
@@ -395,7 +408,7 @@ class TestBudgets:
         def check_words(*args):
             raise AssertionError("the loop started")
 
-        monkeypatch.setattr(series_mod, "check_words", check_words)
+        monkeypatch.setattr(blocks, "check_words", check_words)
         monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", 4949)
         with pytest.raises(SlotBudgetError,
                            match="log-derivative recurrence over 100 .* 4950 steps"):
@@ -408,10 +421,10 @@ class TestBudgets:
         powers = fold_of("f(-q^1,-q^2)^(1/2)*eta(1)^(-1/2)").powers
         sieve = 2 * sum(49 // x for x in range(1, 50))
         monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", sieve)
-        assert expr._logd(powers, F(50)) == P.one(50)
+        assert blocks._logd(powers, F(50)) == P.one(50)
         monkeypatch.setattr(series_mod, "MAX_SLOT_STEPS", sieve - 1)
         with pytest.raises(SlotBudgetError, match=f"log-derivative recurrence .* {sieve} steps"):
-            expr._logd(powers, F(50))
+            blocks._logd(powers, F(50))
 
     def test_the_recurrence_word_count_is_exact(self, monkeypatch):
         # eta(1)^(1/97)*eta(2)^(1/89) below q^200: 200 slots over a common
@@ -445,7 +458,7 @@ class TestBudgets:
         got = evaluate_to_order(node, 100)
         assert got.first_mismatch(want, 100) is None
         with pytest.raises(SlotBudgetError, match="steps"):
-            blocks.poch_quotient(families, F(100))
+            blocks.fill(blocks.plan_fill(families, F(100)))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(LOGD_ATOMS, st.integers(-4, 6).filter(bool)),
@@ -469,7 +482,7 @@ class TestBudgets:
         with pytest.MonkeyPatch.context() as mp:
             if cap:
                 mp.setattr(series_mod, "MAX_SLOT_STEPS", cap)
-            assert expr._fills(powers, F(unit)) == both_forms_scored(powers, F(unit))
+            assert blocks._fills(powers, F(unit)) == both_forms_scored(powers, F(unit))
 
     @pytest.mark.parametrize("text, order, code, what", [
         # large powers of two families: filled apart and raised, as the
@@ -505,8 +518,8 @@ class TestBudgets:
         node = parse_expression("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)")
         fold = node.fold()
         unit = F(1500) - fold.shift
-        assert expr._fills(fold.powers, unit) is None
-        want = expr._logd(fold.powers, unit).shift(fold.shift)
+        assert blocks._fills(fold.powers, unit) is None
+        want = blocks._logd(fold.powers, unit).shift(fold.shift)
 
         def refuse(*args):
             raise AssertionError("power recurrence")

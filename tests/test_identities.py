@@ -21,8 +21,8 @@ class TestEvaluation:
     def test_eta_quotient_equals_poch_quotient(self):
         node = parse_expression("q^(-1/4)*eta(8)/eta(2)")
         got = evaluate_to_order(node, 24)
-        want = blocks.poch_quotient([(blocks.PochSpec(-1, 8, 8), 1),
-                                     (blocks.PochSpec(-1, 2, 2), -1)], 24)
+        want = blocks.fill(blocks.plan_fill([(blocks.PochSpec(-1, 8, 8), 1),
+                                     (blocks.PochSpec(-1, 2, 2), -1)], 24))
         assert got.first_mismatch(want, 24) is None
 
     def test_root_of_unit_series(self):

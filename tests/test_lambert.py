@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.blocks import PochSpec, poch_quotient
+from qident.blocks import PochSpec, fill, plan_fill
 from qident.expr import Prim
 from qident.field import AlgebraicNumber as A
 from qident.lambert import (
@@ -273,10 +273,10 @@ class TestBilateral:
         rhs = psi11rhs(BilateralSpec(16, 8, 2), 40)
         num = den = None
         for off in (10, 6, 16, 16):
-            p = poch_quotient([(PochSpec(-1, off, 16), 1)], 40)
+            p = fill(plan_fill([(PochSpec(-1, off, 16), 1)], 40))
             num = p if num is None else num * p
         for off in (8, 8, 2, 14):
-            p = poch_quotient([(PochSpec(-1, off, 16), 1)], 40)
+            p = fill(plan_fill([(PochSpec(-1, off, 16), 1)], 40))
             den = p if den is None else den * p
         assert rhs.first_mismatch(num / den, 40) is None
 

@@ -11,10 +11,11 @@ from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import (
     PochSpec,
     ThetaSpec,
-    _triple_product,
+    fill,
     g2_families,
     i_families,
-    poch_quotient,
+    plan_fill,
+    theta_families,
     theta_sum,
 )
 from qident.expr import PRIMITIVES
@@ -338,7 +339,7 @@ class TestMul:
         # eta(1) = q^(1/24) (q;q)_inf: its offsets lie on the integer grid,
         # so its square to q^(241/24) convolves 10 slots, not the 239 of
         # the exponents' 1/24 grid
-        a = poch_quotient([(PochSpec(-1, 1, 1), 1)], F(239, 24)).shift(F(1, 24))
+        a = fill(plan_fill([(PochSpec(-1, 1, 1), 1)], F(239, 24))).shift(F(1, 24))
         slots = []
         kernel = backend.convolve_rational
 
@@ -621,7 +622,7 @@ class TestSlotBudget:
     def test_block_expansions(self):
         assert issubclass(SlotBudgetError, ValueError)
         with pytest.raises(SlotBudgetError):
-            poch_quotient([(PochSpec(-1, F(1, 10**9), 1), 1)], 1)
+            fill(plan_fill([(PochSpec(-1, F(1, 10**9), 1), 1)], 1))
         with pytest.raises(SlotBudgetError):
             PRIMITIVES["G1"].build(F(1), MAX_DENSE_SLOTS + 1)
 
@@ -637,9 +638,9 @@ class TestSlotBudget:
         # inner steps is more than MAX_SLOT_STEPS: (q; q^2)_inf is no theta
         # group, so its 10,000 factors take 10^8 steps
         with pytest.raises(SlotBudgetError, match="steps"):
-            poch_quotient([(PochSpec(-1, 1, 2), 1)], 20000)
+            fill(plan_fill([(PochSpec(-1, 1, 2), 1)], 20000))
         with pytest.raises(SlotBudgetError, match="steps"):
-            poch_quotient(g2_families(1), 20000)
+            fill(plan_fill(g2_families(1), 20000))
         s = P({F(j * j, 1000): 1 for j in range(100)}, 500)
         assert sum(500_000 - j * j for j in range(1, 100)) > MAX_SLOT_STEPS
         with pytest.raises(SlotBudgetError, match="steps"):
@@ -659,27 +660,27 @@ class TestSlotBudget:
             # (q;q)_inf to q^10 is Euler's sum 1 - q - q^2 + q^5 + q^7 - ...:
             # the pass of each term q^e, e > 0, visits 10 - e slots,
             # 9 + 8 + 5 + 3
-            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 1)], 10), 25),
+            (lambda: fill(plan_fill([(PochSpec(-1, 1, 1), 1)], 10)), 25),
             # 1/(q;q)_inf to q^10: the divisors at slots 1..9 of 10 visit
             # 9 + 8 + ... + 1 slots
-            (lambda: poch_quotient([(PochSpec(-1, 1, 1), -1)], 10), 45),
+            (lambda: fill(plan_fill([(PochSpec(-1, 1, 1), -1)], 10)), 45),
             # factors at half-slots 3, 5, 7 of 8 visit 5 + 3 + 1
-            (lambda: poch_quotient([(PochSpec(1, F(3, 2), 1), 1)], 4), 9),
+            (lambda: fill(plan_fill([(PochSpec(1, F(3, 2), 1), 1)], 4)), 9),
             # f(q, q^2) = (-q;q^3)(-q^2;q^3)(q^3;q^3) to q^7 is the sum
             # 1 + q + q^2 + q^5 + ...: 6 + 5 + 2
-            (lambda: poch_quotient(_triple_product(ThetaSpec(1, 1, 1, 2), 1), 7), 13),
+            (lambda: fill(plan_fill(theta_families(ThetaSpec(1, 1, 1, 2), 1), 7)), 13),
             # f(q, -q) to q^10 is 1 - 2q^4 + ...: the terms j = 1 and -1
             # cancel at q^1, those of j = 2 and -2 merge at q^4 and those of
             # j = 3 and -3 cancel at q^9, so one pass of 6 slot visits
             pytest.param(
-                lambda: poch_quotient(_triple_product(ThetaSpec(1, -1, 1, 1), 1), 10), 6,
+                lambda: fill(plan_fill(theta_families(ThetaSpec(1, -1, 1, 1), 1), 10)), 6,
                 id="f(q,-q)-6"),
             # (q;q)_inf^2 (-q;q^2)_inf to q^6: two passes of 5 + 4 + 1 for
             # the group, and the factors at slots 1, 3, 5 left: 5 + 3 + 1
-            (lambda: poch_quotient([(PochSpec(-1, 1, 1), 2), (PochSpec(1, 1, 2), 1)], 6), 29),
+            (lambda: fill(plan_fill([(PochSpec(-1, 1, 1), 2), (PochSpec(1, 1, 2), 1)], 6)), 29),
             # i(q) to q^9 = (q;q^4)(q^3;q^4) / (q^2;q^4)^2 once (q^4;q^4)
             # cancels: 8+4 + 6+2 for the products, 2*(7+3) for the divisions
-            (lambda: poch_quotient(i_families(1), 9), 40),
+            (lambda: fill(plan_fill(i_families(1), 9)), 40),
             # (1 + q)(1 + q^2) to q^10: both slots of the first factor meet
             # all 3 slots of the second
             (lambda: P({0: 1, 1: 1}, 10) * P({0: 1, 2: 1}, 10), 6),

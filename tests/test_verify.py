@@ -3,6 +3,8 @@ entry at a time, one expansion per distinct (node, order), and nothing
 kept once the batch is over."""
 
 import gc
+import json
+import math
 import threading
 import weakref
 from collections import Counter
@@ -15,7 +17,7 @@ from qident.catalog import catalog, get
 from qident.dsl import parse_identity
 from qident.expr import Add, Mul, Pow, Prim, QPow
 from qident.series import SlotBudgetError
-from qident.verify import Identity, verify, verify_many
+from qident.verify import MISMATCH, Identity, report_json, verify, verify_many
 
 THM31 = [idy for idy in catalog() if idy.id.startswith("thm31-")]
 
@@ -73,6 +75,26 @@ class TestSameReports:
             ("verified_with_sign_flip", -1), ("verified_with_sign_flip", -1),
             ("verified", 1)]
         assert _verdicts(reports) == _one_by_one(batch, F(20))
+
+
+class TestReportJson:
+    def test_a_mismatch_past_the_digit_limit_is_written_in_full(self):
+        # both coefficients of q^199 are about binom(10^30, 199), some 5600
+        # digits, more than str() writes under the default limit
+        n = 10**30
+        lhs, rhs = parse_identity(f"(1+q^(1))^({n}) == (1+q^(1))^({n}) + q^(199)")
+        reports = verify_many([Identity("long", lhs, rhs, F(200))])
+        assert reports[0].status == MISMATCH
+        mm = json.loads(report_json(reports))[0]["first_mismatch"]
+        assert mm["exponent"] == "199"
+        want = math.comb(n, 199)
+        for side, value in (("lhs", want), ("rhs", want + 1)):
+            digits, irr = mm[side].split("+")
+            assert irr == "0*sqrt2" and len(digits) > 4300
+            read = 0  # int(digits), 400 digits at a time
+            for i in range(0, len(digits), 400):
+                read = read * 10**len(digits[i:i + 400]) + int(digits[i:i + 400])
+            assert read == value
 
 
 @pytest.fixture()
