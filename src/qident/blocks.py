@@ -397,9 +397,9 @@ def fill(plan: FillPlan) -> PuiseuxSeries:
     so c is reduced modulo 2^(8wn) once a group pass, and once as it is
     unpacked.
 
-    The plan's steps (n - e slot visits a pass) are checked before
-    anything is built, and the packed integer's 64-bit words against
-    MAX_DENSE_SLOTS.
+    The plan's steps (n - e slot visits a group term or a factor, none for
+    a division's doubling passes) are checked before anything is built,
+    and the packed integer's 64-bit words against MAX_DENSE_SLOTS.
     """
     if plan.order <= 0:
         return PuiseuxSeries.zero(plan.order)

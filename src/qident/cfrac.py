@@ -30,8 +30,7 @@ class CFEvaluation(NamedTuple):
     tiny_denominator: bool = False
 
 
-def _lentz(b0, a_fn, b_fn, tol, max_depth, transform=lambda v: v,
-           residual_trace=None):
+def _lentz(b0, a_fn, b_fn, tol, max_depth, transform=lambda v: v):
     """Modified Lentz iteration for b0 + K(a_n / b_n).
 
     Convergence is measured on `transform` of the running convergent
@@ -63,8 +62,6 @@ def _lentz(b0, a_fn, b_fn, tol, max_depth, transform=lambda v: v,
         residual = abs(out - out_prev)
         out_prev = out
         depth = n
-        if residual_trace is not None:
-            residual_trace.append(residual)
         if residual <= tol:
             return CFEvaluation(out, depth, True, residual, flagged)
     return CFEvaluation(out_prev, depth, False, residual, flagged)
@@ -103,8 +100,7 @@ def gcf_product_value(k: float, l: float, q: float, factors: int = 200) -> float
     return num / den
 
 
-def eval_h_cf(q: float, tol: float = 1e-12, max_depth: int = 500,
-              residual_trace=None) -> CFEvaluation:
+def eval_h_cf(q: float, tol: float = 1e-12, max_depth: int = 500) -> CFEvaluation:
     """q^{1/2} / (1 + q + q^2/(1 + q^3 + q^4/(1 + q^5 + ...))).
 
     Partial numerators q^{2n}, partial denominators 1 + q^{2n+1}.
@@ -119,12 +115,10 @@ def eval_h_cf(q: float, tol: float = 1e-12, max_depth: int = 500,
         tol,
         max_depth,
         transform=lambda v: sq / v,
-        residual_trace=residual_trace,
     )
 
 
-def eval_i_cf(q: float, tol: float = 1e-12, max_depth: int = 500,
-              residual_trace=None) -> CFEvaluation:
+def eval_i_cf(q: float, tol: float = 1e-12, max_depth: int = 500) -> CFEvaluation:
     """1 / (1 + q/(1 + (q^2+q)/(1 + q^3/(1 + (q^4+q^2)/(1 + ...))))).
 
     Partial numerators alternate q^{2t-1} and q^{2t} + q^t; all partial
@@ -146,5 +140,4 @@ def eval_i_cf(q: float, tol: float = 1e-12, max_depth: int = 500,
         tol,
         max_depth,
         transform=lambda v: 1.0 / v,
-        residual_trace=residual_trace,
     )

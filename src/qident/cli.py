@@ -13,12 +13,12 @@ configuration is by flags; no environment variables.
 
 from __future__ import annotations
 
+import argparse
 import math
 import pathlib
+import re
+import sys
 from fractions import Fraction
-from typing import Iterator
-
-import click
 
 from .catalog import catalog
 from .cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
@@ -31,29 +31,34 @@ from .verify import MISMATCH, SIGN_FLIP, VERIFIED
 # Named series for `dump`, each short for a DSL expression.
 _DUMP_BLOCKS = {"qq": "poch(-,1,1)", "phi": "phi(1)", "psi": "psi(1)", "gamma1": "G1(1)",
                 "gamma2": "G2(1)", "gamma3": "G3(1)", "h": "H(1)", "i": "I(1)"}
+# a negative number that argparse would take for an option
+_NEGATIVE = re.compile(r"-(inf|infinity|nan|[0-9.]+(e[-+]?[0-9]+)?)", re.IGNORECASE)
+
+
+class UsageError(Exception):
+    """Bad input on the command line: exit 2 with the message."""
 
 
 def _parse_order(text: str) -> Fraction:
     try:
         order = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"order must be a rational like 24 or 49/2, got {text!r}")
+        raise UsageError(f"order must be a rational like 24 or 49/2, got {text!r}")
     if order <= 0:
-        raise click.UsageError("order must be positive")
+        raise UsageError("order must be positive")
     return order
 
 
 def _text(exponent, c) -> str:
-    """The coefficient `c` of q^exponent as text; a part with more digits
-    than the interpreter prints is a usage error."""
+    """The coefficient `c` of q^exponent as text, or a usage error past the digit limit."""
     try:
         return c.render()
     except ValueError as exc:
         raise _too_long(exponent, exc)
 
 
-def _too_long(exponent, exc) -> click.UsageError:
-    return click.UsageError(f"the coefficient of q^{exponent} is too long to print: {exc}")
+def _too_long(exponent, exc) -> UsageError:
+    return UsageError(f"the coefficient of q^{exponent} is too long to print: {exc}")
 
 
 def _ratio(a: int, b: int) -> str:
@@ -62,7 +67,7 @@ def _ratio(a: int, b: int) -> str:
     return str(a // g) if b == g else f"{a // g}/{b // g}"
 
 
-def _dump_lines(s) -> Iterator[str]:
+def _dump_lines(s):
     """One "exponent<TAB>a+b*sqrt2" line per term of `s`, the text of its
     exponent Fraction and its coefficient's render, made from the slot
     integers with one gcd per exponent and per coefficient part."""
@@ -89,154 +94,162 @@ def _describe(report) -> str:
     return "INSUFFICIENT PRECISION (evaluation failed)"
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        # an order or exponent grid too large to expand is a usage error
-        try:
-            return super().invoke(ctx)
-        except SlotBudgetError as exc:
-            raise click.UsageError(str(exc), ctx)
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact q-series identity verification."""
-
-
-@main.command("list")
-def list_cmd():
+def list_cmd(args) -> int:
     """List catalog identity ids with their reference tags."""
     for idy in catalog():
-        click.echo(f"{idy.id:26s} order {str(idy.default_order):>4s}  {idy.paper_ref}")
+        print(f"{idy.id:26s} order {str(idy.default_order):>4s}  {idy.paper_ref}")
+    return 0
 
 
-@main.command("verify")
-@click.argument("ids", nargs=-1, required=True)
-@click.option("--order", "order_text", default=None,
-              help="Override the expansion order (rational, e.g. 24 or 49/2).")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report array.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None,
-              help="Also write the JSON report to this path.")
-@click.pass_context
-def verify_cmd(ctx, ids, order_text, as_json, output):
+def verify_cmd(args) -> int:
     """Verify catalog identities ('all' or explicit ids)."""
-    order = _parse_order(order_text) if order_text else None
-    if len(ids) == 1 and ids[0] == "all":
-        selected = list(catalog())
-    else:
-        by_id = {idy.id: idy for idy in catalog()}
-        selected = []
-        for ident in ids:
-            if ident not in by_id:
-                import difflib  # only a misspelt id needs it
-
-                near = difflib.get_close_matches(ident, by_id, n=3)
-                hint = f"; did you mean {', '.join(near)}?" if near else ""
-                raise click.UsageError(f"unknown identity id {ident!r}{hint}")
-            selected.append(by_id[ident])
+    if args.output and pathlib.Path(args.output).is_dir():
+        raise UsageError(f"Invalid value for '--output': File {args.output!r} is a directory.")
+    order = _parse_order(args.order) if args.order else None
+    by_id = {idy.id: idy for idy in catalog()}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown and args.ids != ["all"]:
+        import difflib  # only a misspelt id needs it
+        near = difflib.get_close_matches(unknown[0], by_id, n=3)
+        hint = f"; did you mean {', '.join(near)}?" if near else ""
+        raise UsageError(f"unknown identity id {unknown[0]!r}{hint}")
+    selected = list(by_id.values()) if args.ids == ["all"] else [by_id[i] for i in args.ids]
     reports = verify_many(selected, order)
-    payload = report_json(reports) if as_json or output else None
-    if as_json:
-        click.echo(payload.decode("utf-8"))
+    payload = report_json(reports) if args.json or args.output else None
+    if args.json:
+        print(payload.decode("utf-8"))
     else:
         for r in reports:
-            click.echo(f"{r.id}: {_describe(r)}")
-    if output:
-        pathlib.Path(output).write_bytes(payload)
-    if any(not r.ok() for r in reports):
-        ctx.exit(1)
+            print(f"{r.id}: {_describe(r)}", flush=True)
+    if args.output:
+        pathlib.Path(args.output).write_bytes(payload)
+    return 0 if all(r.ok() for r in reports) else 1
 
 
-@main.command("dump")
-@click.argument("block")
-@click.option("--order", "order_text", default="32",
-              help="Expansion order (rational).")
-@click.pass_context
-def dump_cmd(ctx, block, order_text):
+def dump_cmd(args) -> int:
     """Dump series coefficients: one 'exponent<TAB>a+b*sqrt2' line per term.
 
     BLOCK is a named series (qq, phi, psi, gamma1..3, h, i) or a DSL
     expression such as 'eta(8)/eta(2)'.
     """
-    order = _parse_order(order_text)
+    order = _parse_order(args.order)
     try:
-        node = parse_expression(_DUMP_BLOCKS.get(block, block))
+        node = parse_expression(_DUMP_BLOCKS.get(args.block, args.block))
         series = evaluate_to_order(node, order)
     except ParseError as exc:
-        raise click.UsageError(
-            f"{block!r} is not a named block ({', '.join(_DUMP_BLOCKS)}) "
-            f"and does not parse as an expression: {exc}"
-        )
+        raise UsageError(f"{args.block!r} is not a named block ({', '.join(_DUMP_BLOCKS)}) "
+                         f"and does not parse as an expression: {exc}")
     except EVALUATION_FAILURES as exc:
-        click.echo(f"evaluation failed: {exc}", err=True)
-        ctx.exit(1)
-    click.echo("\n".join(_dump_lines(series.truncated(order))))
+        print(f"evaluation failed: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(_dump_lines(series.truncated(order))))
+    return 0
 
 
-@main.command("cf")
-@click.argument("kind", type=click.Choice(["h", "i", "gcf"]))
-@click.option("--q", "q_values", type=float, multiple=True, required=True,
-              help="Evaluation point(s) in (0, 1); repeatable.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-depth", type=click.IntRange(min=1), default=400,
-              show_default=True)
-@click.option("--k", "k_param", type=float, default=None,
-              help="First parameter (gcf only).")
-@click.option("--l", "l_param", type=float, default=None,
-              help="Second parameter (gcf only).")
-@click.option("--series-order", type=click.IntRange(min=1), default=64,
-              show_default=True,
-              help="Truncation order of the reference series.")
-def cf_cmd(kind, q_values, tol, max_depth, k_param, l_param, series_order):
+def cf_cmd(args) -> int:
     """Continued-fraction values against the product/series side."""
-    if not tol >= 0:  # NaN too
-        raise click.BadParameter("must be a non-negative number",
-                                 param_hint="'--tol'")
-    if kind == "gcf":
-        if k_param is None or l_param is None:
-            raise click.UsageError("gcf needs --k and --l")
-        reference = lambda q: gcf_product_value(k_param, l_param, q)
-        evaluate = lambda q: eval_general_cf(k_param, l_param, q, tol, max_depth)
+    for name, value in (("--max-depth", args.max_depth), ("--series-order", args.series_order)):
+        if value < 1:
+            raise UsageError(f"Invalid value for {name!r}: {value} is not in the range x>=1.")
+    if not args.tol >= 0:  # NaN too
+        raise UsageError("Invalid value for '--tol': must be a non-negative number")
+    if args.kind == "gcf":
+        if args.k is None or args.l is None:
+            raise UsageError("gcf needs --k and --l")
+        reference = lambda q: gcf_product_value(args.k, args.l, q)
+        evaluate = lambda q: eval_general_cf(args.k, args.l, q, args.tol, args.max_depth)
     else:
-        reference = evaluate_to_order(parse_expression(_DUMP_BLOCKS[kind]),
-                                      series_order).evaluate
-        evaluate = ((lambda q: eval_h_cf(q, tol, max_depth)) if kind == "h"
-                    else (lambda q: eval_i_cf(q, tol, max_depth)))
+        reference = evaluate_to_order(parse_expression(_DUMP_BLOCKS[args.kind]),
+                                      args.series_order).evaluate
+        cf = eval_h_cf if args.kind == "h" else eval_i_cf
+        evaluate = lambda q: cf(q, args.tol, args.max_depth)
     try:  # a q or a (k, l) outside the fraction's domain is a usage error
-        rows = [(q, evaluate(q), reference(q)) for q in q_values]
+        rows = [(q, evaluate(q), reference(q)) for q in args.q]
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(f"{'q':>8s} {'cf_value':>20s} {'series_value':>20s} "
-               f"{'|diff|':>10s} {'depth':>5s}")
+        raise UsageError(str(exc))
+    print(f"{'q':>8s} {'cf_value':>20s} {'series_value':>20s} "
+          f"{'|diff|':>10s} {'depth':>5s}")
     for q, ev, ref in rows:
         flag = "" if ev.converged else "  (not converged)"
-        click.echo(f"{q:8.4f} {ev.value:20.14f} {ref:20.14f} "
-                   f"{abs(ev.value - ref):10.2e} {ev.depth_used:5d}{flag}")
+        print(f"{q:8.4f} {ev.value:20.14f} {ref:20.14f} "
+              f"{abs(ev.value - ref):10.2e} {ev.depth_used:5d}{flag}")
+    return 0
 
 
-@main.command("parse")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--order", "order_text", default="20", show_default=True,
-              help="Expansion order for the checks.")
-@click.pass_context
-def parse_cmd(ctx, path, order_text):
+def parse_cmd(args) -> int:
     """Parse a DSL file (one identity per line) and verify each."""
-    order = _parse_order(order_text)
+    path = pathlib.Path(args.path)
+    if not path.is_file():
+        state = "is a directory" if path.is_dir() else "does not exist"
+        raise UsageError(f"Invalid value for 'PATH': File {args.path!r} {state}.")
+    order = _parse_order(args.order)
     try:
-        parsed = parse_identity_file(pathlib.Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, ParseError) as exc:
-        click.echo(f"{path}: {exc}", err=True)
-        ctx.exit(2)
-    stem = pathlib.Path(path).stem
+        parsed = parse_identity_file(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:  # unreadable, not UTF-8, or bad DSL
+        print(f"{args.path}: {exc}", file=sys.stderr)
+        return 2
     failed = False
     for lineno, lhs, rhs in parsed:
-        idy = Identity(f"{stem}:{lineno}", lhs, rhs, order)
-        r = verify(idy)
-        click.echo(f"{idy.id}: {_describe(r)}")
+        r = verify(Identity(f"{path.stem}:{lineno}", lhs, rhs, order))
+        print(f"{r.id}: {_describe(r)}", flush=True)
         failed = failed or not r.ok()
-    if failed:
-        ctx.exit(1)
+    return 1 if failed else 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser("qident", description="Exact q-series identity verification.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__.split("\n")[0], description=run.__doc__)
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument
+
+    command("list", list_cmd)
+    arg = command("verify", verify_cmd)
+    arg("ids", nargs="+", metavar="IDS")
+    arg("--order", help="Override the expansion order (rational, e.g. 24 or 49/2).")
+    arg("--json", action="store_true", help="Emit a JSON report array.")
+    arg("--output", help="Also write the JSON report to this path.")
+    arg = command("dump", dump_cmd)
+    arg("block", metavar="BLOCK")
+    arg("--order", default="32", help="Expansion order (rational).")
+    arg = command("cf", cf_cmd)
+    arg("kind", choices=["h", "i", "gcf"], metavar="KIND", help="h, i or gcf.")
+    arg("--q", type=float, action="append", required=True, help="A point in (0, 1); repeatable.")
+    arg("--tol", type=float, default=1e-10, help="Convergence tolerance (default: %(default)s).")
+    arg("--max-depth", type=int, default=400,
+        help="Most partial quotients to take (default: %(default)s).")
+    arg("--k", type=float, help="First parameter (gcf only).")
+    arg("--l", type=float, help="Second parameter (gcf only).")
+    arg("--series-order", type=int, default=64, help="Reference order (default: %(default)s).")
+    arg = command("parse", parse_cmd)
+    arg("path", metavar="PATH")
+    arg("--order", default="20", help="Expansion order for the checks (default: %(default)s).")
+    return parser
+
+
+def _joined(argv) -> list:
+    """`argv` with each negative number joined to the option before it:
+    argparse reads `--tol -1e-10` as two options, since it takes only a
+    plain decimal such as -0.5 for a number."""
+    out = []
+    for arg in argv:
+        if out and out[-1][:2] == "--" and "=" not in out[-1] and _NEGATIVE.fullmatch(arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv=None) -> None:
+    """Run `qident ARGV` (default sys.argv[1:]) and exit with its code."""
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    try:
+        sys.exit(args.run(args))
+    except (UsageError, SlotBudgetError) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":
-    main(prog_name="qident")
+    main()

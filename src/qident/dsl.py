@@ -87,19 +87,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
-    # one scan: every character starts a match (`bad` takes what no token
-    # does), and a token's column counts from the last newline before it
+def _tokenize(text: str, line_offset: int = 0) -> list[tuple]:
+    # (kind, text, line, column) tuples, in one scan: every character starts
+    # a match (`bad` takes what no token does), and a token's column counts
+    # from the last newline before it
     tokens = []
     line = 1 + line_offset
     line_start = 0
@@ -115,8 +106,8 @@ def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
             raise ParseError(f"unexpected character {m.group()!r}",
                              line, m.start() - line_start + 1)
         elif kind != "comment":
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -128,49 +119,45 @@ class Parser:
 
     # -- token plumbing -------------------------------------------------
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def _next(self) -> _Token:
+    def _next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def _error(self, message: str, tok: _Token = None):
+    def _error(self, message: str, tok: tuple = None):
         tok = tok or self._peek()
-        if tok.kind == "eof" and self.pos > 0:
+        if tok[0] == "eof" and self.pos > 0:
             # anchor end-of-input errors at the last real token
             prev = self.tokens[self.pos - 1]
-            raise ParseError(f"{message} (input ended)", prev.line, prev.col)
-        raise ParseError(message, tok.line, tok.col)
+            raise ParseError(f"{message} (input ended)", *prev[2:])
+        raise ParseError(message, *tok[2:])
 
-    def _expect(self, text: str) -> _Token:
+    def _expect(self, text: str) -> tuple:
         tok = self._peek()
-        if tok.text != text:
-            self._error(f"expected {text!r}, found {tok.text!r}" if tok.text
+        if tok[1] != text:
+            self._error(f"expected {text!r}, found {tok[1]!r}" if tok[1]
                         else f"expected {text!r}")
         return self._next()
 
     def _at(self, text: str) -> bool:
-        return self._peek().text == text
+        return self._peek()[1] == text
 
     # -- grammar --------------------------------------------------------
 
     def parse_identity(self) -> tuple[Node, Node]:
         lhs = self._expr()
         self._expect("==")
-        rhs = self._expr()
-        tok = self._peek()
-        if tok.kind != "eof":
-            self._error(f"unexpected trailing input {tok.text!r}")
-        return lhs, rhs
+        return lhs, self.parse_expression()
 
     def parse_expression(self) -> Node:
         node = self._expr()
         tok = self._peek()
-        if tok.kind != "eof":
-            self._error(f"unexpected trailing input {tok.text!r}")
+        if tok[0] != "eof":
+            self._error(f"unexpected trailing input {tok[1]!r}")
         return node
 
     def _expr(self) -> Node:
@@ -180,7 +167,7 @@ class Parser:
                         self.tokens[self.pos - 1])
         self.nesting += 1
         node = self._term()
-        while self._peek().text in ("+", "-"):
+        while self._peek()[1] in ("+", "-"):
             tok = self._next()
             node = self._shallow(self._fold(tok, node, self._term()), tok)
         self.nesting -= 1
@@ -188,15 +175,15 @@ class Parser:
 
     def _term(self) -> Node:
         node = self._factor()
-        while self._peek().text in ("*", "/"):
+        while self._peek()[1] in ("*", "/"):
             tok = self._next()
             node = self._shallow(self._fold(tok, node, self._factor()), tok)
         return node
 
-    def _fold(self, tok: _Token, left: Node, right: Node) -> Node:
+    def _fold(self, tok: tuple, left: Node, right: Node) -> Node:
         """left op right for the operator `tok`; a division x/y is
         Mul(x, Pow(y, -1))."""
-        op = tok.text
+        op = tok[1]
         if isinstance(left, Const) and isinstance(right, Const):
             if op == "/" and not right.value:
                 self._error("division by zero in constant expression")
@@ -207,7 +194,7 @@ class Parser:
             return Mul(left, Pow(right, _FR(-1)))
         return {"+": Add, "-": Sub, "*": Mul}[op](left, right)
 
-    def _shallow(self, node: Node, tok: _Token) -> Node:
+    def _shallow(self, node: Node, tok: tuple) -> Node:
         """`node`, refused at `tok` if its tree is too deep to evaluate."""
         if node.depth() > MAX_TREE_DEPTH:
             self._error(f"more than {MAX_TREE_DEPTH} levels of nested "
@@ -239,7 +226,7 @@ class Parser:
             self._error(f"constant too long to print: more than {limit} digits", tok)
         return self._const(v ** n, tok)
 
-    def _const(self, value: AlgebraicNumber, tok: _Token) -> Const:
+    def _const(self, value: AlgebraicNumber, tok: tuple) -> Const:
         """Const(value), refused at `tok` when it is too long to print."""
         try:
             value.render()
@@ -249,16 +236,16 @@ class Parser:
 
     def _atom(self) -> Node:
         tok = self._peek()
-        if tok.text == "(":
+        if tok[1] == "(":
             self._next()
             node = self._expr()
             self._expect(")")
             return node
-        if tok.text == "-" or tok.kind == "int":
+        if tok[1] == "-" or tok[0] == "int":
             return Const(AlgebraicNumber(self._rational()))
-        if tok.kind != "name":
+        if tok[0] != "name":
             self._error("expected an operand")
-        name = self._next().text
+        name = self._next()[1]
         if name == "q":
             self._expect("^")
             self._expect("(")
@@ -293,7 +280,7 @@ class Parser:
         den = 1
         # '/' is a fraction bar only when an integer follows; otherwise it
         # belongs to the enclosing term as a division operator
-        if self._at("/") and self.tokens[self.pos + 1].kind == "int":
+        if self._at("/") and self.tokens[self.pos + 1][0] == "int":
             self._next()
             dtok = self._peek()
             den = self._int()
@@ -305,19 +292,19 @@ class Parser:
     def _int(self, what: str = "an integer") -> int:
         """The value of the next token, which must be an integer literal."""
         tok = self._peek()
-        if tok.kind != "int":
+        if tok[0] != "int":
             self._error(f"expected {what}")
         self._next()
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # past the interpreter's limit on digits
-            self._error(f"integer literal of {len(tok.text)} digits is too "
+            self._error(f"integer literal of {len(tok[1])} digits is too "
                         "long", tok)
 
     def _sign(self) -> int:
-        if self._peek().text not in ("+", "-"):
+        if self._peek()[1] not in ("+", "-"):
             self._error("expected a sign (+ or -)")
-        return 1 if self._next().text == "+" else -1
+        return 1 if self._next()[1] == "+" else -1
 
     def _theta_arg(self) -> tuple[int, Fraction]:
         sign = self._sign()
@@ -388,7 +375,7 @@ class Parser:
         residue = self._int()
         self._expect(",")
         numerators = []
-        while self._peek().text in ("+", "-"):
+        while self._peek()[1] in ("+", "-"):
             sign = self._sign()
             numerators.append((sign, self._int()))
         if not numerators:
@@ -399,10 +386,10 @@ class Parser:
         if self._at(","):
             self._next()
             wtok = self._peek()
-            if wtok.kind != "name" or wtok.text not in ("m", "legendre"):
+            if wtok[0] != "name" or wtok[1] not in ("m", "legendre"):
                 self._error("expected weight 'm' or 'legendre(p)'")
             self._next()
-            if wtok.text == "m":
+            if wtok[1] == "m":
                 weight = "linear"
             else:
                 weight = "legendre"

@@ -35,12 +35,12 @@ to ``order + hint(y)`` and the divisor to ``order - hint(x) +
 (q; q)_inf^-1 below order/r (Jacobi's product for theta_1), taken
 through q -> q^r by the same substitution as ``subst``; ``G3(r)`` is
 ``G1(r)`` with sqrt2 negated; ``phi(r)`` and ``psi(r)`` are theta sums
-with r in their spec.  Hints are exact
-unless a subtraction cancels a leading term inside a denominator or a
-power, which no built-in identity does; :func:`evaluate_to_order`
-re-runs with a larger target (at most 3 retries) if a result still
-falls short.  A folded
-subtree is exact below the order it is asked for.
+with r in their spec.  Hints are exact unless a subtraction cancels a
+leading term inside a denominator or a power, which no built-in identity
+does: such a power asks its base again from the bound it came back zero
+below, and :func:`evaluate_to_order` re-runs with a larger target if a
+result still falls short (at most 3 retries each).  A folded subtree is
+exact below the order it is asked for.
 
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
 enters for its whole batch) every evaluation goes through one
@@ -344,7 +344,12 @@ class Pow(Node):
         if not self.r:
             return PuiseuxSeries.one(max(order, _FR(1)))
         h = self.base.hint()
-        return self.base.evaluate(max(order + (1 - self.r) * h, h + 1)) ** self.r
+        for _ in range(_MAX_RETRIES + 1):
+            base = self.base.evaluate(max(order + (1 - self.r) * h, h + 1))
+            if base or self.r > 0 and self.r.denominator == 1:
+                break
+            h = base.trunc  # zero below it by cancellation: the leading term is at or past it
+        return base ** self.r
 
     def hint(self):
         return self.r * self.base.hint()

@@ -6,7 +6,6 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from click.testing import CliRunner
 
 from qident import cli
 from qident.catalog import catalog
@@ -17,11 +16,6 @@ from qident.field import AlgebraicNumber as A
 from qident.verify import Identity, report_json, verify, verify_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 class TestVerifyCommand:

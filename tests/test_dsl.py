@@ -26,7 +26,8 @@ from qident.expr import (
 )
 from qident.field import AlgebraicNumber as A
 from qident.lambert import BilateralSpec, LambertSpec
-from qident.verify import Identity, verify, verify_many
+from qident.series import SlotBudgetError
+from qident.verify import EVALUATION_FAILURES, Identity, verify, verify_many
 
 
 class TestGrammar:
@@ -359,6 +360,25 @@ class TestRandomRoundTrip:
         parsed = parse_expression(text)
         assert render(parsed) == text
         assert parsed == node
+
+
+class TestTruncationOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(ALL_TREES, st.sampled_from([F(1, 2), F(1), F(7, 3), F(5), F(12)]),
+           st.sampled_from([F(1, 3), F(1), F(4)]))
+    # a root and an inverse of a difference whose leading terms cancel: asked
+    # below q^1, the base is zero, and its leading term at q^1 is needed
+    @example(Pow(Sub(Prim("phi", F(1)), Prim("poch", PochSpec(1, F(1), F(1)))), F(1, 2)),
+             F(1, 2), F(1))
+    @example(Pow(Sub(Prim("phi", F(1)), Prim("phi", F(2))), F(-1)), F(1, 2), F(1))
+    def test_a_deeper_expansion_truncates_to_the_shallower(self, node, n, k):
+        # whenever the expansion to n + k succeeds, the one to n does too,
+        # and it is the deeper one cut at n
+        try:
+            deep = evaluate_to_order(node, n + k)
+        except (SlotBudgetError, *EVALUATION_FAILURES):
+            return
+        assert evaluate_to_order(node, n).truncated(n) == deep.truncated(n)
 
 
 class TestPowPadding:

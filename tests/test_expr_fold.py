@@ -8,7 +8,6 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from qident import backend, blocks, expr
@@ -501,9 +500,9 @@ class TestBudgets:
         ("(eta(1)*eta(2))^(1/2)", "6000", 2, "steps"),
         ("eta(1/1000)*eta(1/999)", "2", 2, "dense coefficient slots"),
     ])
-    def test_cli(self, text, order, code, what):
+    def test_cli(self, runner, text, order, code, what):
         t0 = time.perf_counter()
-        result = CliRunner().invoke(main, ["dump", text, "--order", order])
+        result = runner.invoke(main, ["dump", text, "--order", order])
         assert result.exit_code == code
         assert what in result.output
         assert code == 0 or time.perf_counter() - t0 < 2
@@ -530,13 +529,13 @@ class TestBudgets:
         euler = evaluate_to_order(parse_expression("eta(1)*q^(-1/48)"), 1500)
         assert got.first_mismatch(euler, 1500) is None
 
-    def test_a_huge_power_is_raised_not_filled(self):
+    def test_a_huge_power_is_raised_not_filled(self, runner):
         # 146 powers of 10^30: the family is filled once and raised, and its
         # coefficient of q^1 is too long to print, as on the tree
         text = "poch(-,1,1)"
         for _ in range(146):
             text = f"({text})^(1{'0' * 30})"
-        result = CliRunner().invoke(main, ["dump", f"{text}*poch(-,1,2)", "--order", "10"])
+        result = runner.invoke(main, ["dump", f"{text}*poch(-,1,2)", "--order", "10"])
         assert result.exit_code == 2
         assert "the coefficient of q^1 is too long to print" in result.output
 

@@ -1,37 +1,60 @@
-"""Check that two source trees print the same reports and dumps.
+"""Check that two source trees print the same output for every subcommand.
 
     python tools/same_reports.py OLD_SRC NEW_SRC
 
-Runs `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and
-192 and at each entry's default order, and `qident dump` of the eight
-named blocks at order 32 (the golden dumps under tests/golden), once on
-each tree in a fresh interpreter.  Prints one line per command: "identical"
-when the exit code, standard output and standard error all agree, else
-"differs".  Exits 1 if any command differs, 0 otherwise.
+Runs, once on each tree in a fresh interpreter:
+- `qident list`;
+- `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
+  and at each entry's default order;
+- `qident dump` of the eight named blocks at order 32 (the golden dumps
+  under tests/golden);
+- `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
+  l = 0.1, q = 0.2;
+- `qident parse` of a file holding the README's two DSL examples and one
+  false identity, so the exit-1 path runs too.
+Timings printed as "[N ms]" are masked before comparing.  Prints one line
+per command: "identical" when the exit code, standard output and standard
+error all agree, else "differs".  Exits 1 if any command differs, 0
+otherwise.
 """
 
 import argparse
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 ORDERS = ["1/2", "1", "7/3", "24", "48", "96", "192", None]  # None: the default
 BLOCKS = ["qq", "phi", "psi", "gamma1", "gamma2", "gamma3", "h", "i"]
+CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
+      ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
+PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
+              "G1(1)*G2(1)*G3(1) == q^(-1/4)*eta(8)/eta(2)\n"
+              "phi(1) == 2*phi(1)\n")
+TIMING = re.compile(rb"\[\d+ ms\]")
 
 
-def commands():
+def commands(parse_path):
+    yield ["list"]
     for order in ORDERS:
         yield ["verify", "all", "--json"] + ([] if order is None else ["--order", order])
     for block in BLOCKS:
         yield ["dump", block, "--order", "32"]
+    for args in CF:
+        yield ["cf", *args]
+    yield ["parse", parse_path]
 
 
 def run(src, args):
-    """(exit code, stdout, stderr) of `qident ARGS` on the tree `src`."""
+    """(exit code, stdout, stderr) of `qident ARGS` on the tree `src`, with
+    timings masked."""
     done = subprocess.run(
         [sys.executable, "-c", "from qident.cli import main; main()", *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True)
-    return done.returncode, done.stdout, done.stderr
+    return (done.returncode, TIMING.sub(b"[N ms]", done.stdout),
+            TIMING.sub(b"[N ms]", done.stderr))
 
 
 def main():
@@ -40,11 +63,14 @@ def main():
     ap.add_argument("new_src")
     args = ap.parse_args()
     differ = 0
-    for cmd in commands():
-        old, new = run(args.old_src, cmd), run(args.new_src, cmd)
-        differ += old != new
-        verdict = "identical" if old == new else f"differs (exit {old[0]} -> {new[0]})"
-        print(f"qident {' '.join(cmd)}: {verdict}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "readme.qid")
+        path.write_text(PARSE_TEXT, encoding="utf-8")
+        for cmd in commands(str(path)):
+            old, new = run(args.old_src, cmd), run(args.new_src, cmd)
+            differ += old != new
+            verdict = "identical" if old == new else f"differs (exit {old[0]} -> {new[0]})"
+            print(f"qident {' '.join(cmd)}: {verdict}")
     sys.exit(1 if differ else 0)
 
 
