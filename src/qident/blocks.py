@@ -39,6 +39,7 @@ the canonical slot form to the series directly.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
@@ -446,9 +447,10 @@ def expand_map(powers: dict, unit: Fraction) -> PuiseuxSeries:
 
     An empty map is 1, and a bound at or below 0 the zero series.  A map
     with two or more distinct powers, one of them not an integer -- both
-    ``thm31`` maps, ``H(1)^(1/2)`` -- is one run of :func:`_logd`: n steps
-    per nonzero coefficient of the derivative whatever the powers, and,
-    for an integral product, values no wider than its coefficients.  Any
+    ``thm31`` maps, ``H(1)^(1/2)`` -- is one run of :func:`_logd`: for an
+    integral product, packed products of values no wider than its
+    coefficients, and from a first slot that is not an integer on, n steps
+    per nonzero coefficient of the derivative whatever the powers.  Any
     other map -- integer powers, or one power shared by all its families
     -- is the product of the fills of the form :func:`_fills` picks, each
     raised to its power: ``eta(1)^(24)`` is one fill raised to 24,
@@ -522,6 +524,7 @@ def _fills(powers: dict, unit: Fraction):
 
 
 _LOGD = "log-derivative recurrence over {} dense coefficient slots"
+_BLOCK = 32  # the base block of _logd's online sums, a power of 2
 
 
 def _sieve(powers: dict, unit: Fraction) -> tuple:
@@ -559,21 +562,27 @@ def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
     logarithmic derivative.
 
     With the c_k of :func:`_sieve`, N*f_N = sum_k c_k f_(N-k) (Andrews,
-    *q-Series*, CBMS 66, 1986) costs n steps per nonzero c_k, whatever the
-    powers.  The loop runs on plain ints F_N = Q*f_N over one common
+    *q-Series*, CBMS 66, 1986), on plain ints F_N = Q*f_N over one common
     denominator Q: it starts at 1 and rises, rescaling the earlier slots,
     only when the division by N*lcd leaves a remainder, so an integral
-    product keeps Q = 1 and values no wider than its coefficients.
+    product keeps Q = 1 and values no wider than its coefficients.  While
+    Q is 1 the sums are online (J. van der Hoeven, "Relax, but don't be too
+    lazy", J. Symbolic Comput. 34, 2002), O(M(n) log n): a slot takes the
+    terms of its aligned block of _BLOCK slots by one dot product and the
+    rest from `acc`, to which each finished block [e - s, e), s = lowbit(e)
+    >= _BLOCK, adds its terms for [e, e + s) by one packed product.  From
+    the first remainder on (that slot's sum is complete), each slot is the
+    plain sum over the nonzero c_k, n steps per nonzero c_k.
 
-    The recurrence's steps, sum(n - k) over the nonzero c_k, are checked
-    before its loop.  As the loop runs, its values may outgrow a word,
-    through Q or through large powers, so each step is also charged as it
-    is made, once per 64-bit word of the widest c_k times the words of the
+    The plain sums' steps, sum(n - k) over the nonzero c_k, are checked
+    before the loop.  As it runs, its values may outgrow a word, through Q
+    or through large powers, so each slot is also charged as the plain sum
+    makes it, once per 64-bit word of the widest c_k times the words of the
     value it reads (bounded by the widest value so far and by all the
     words held), and each rescaling once per slot it rescales, against the
     same cap; with one-word values and Q = 1 the charge is at most the
     plain count.  The words held are tallied too, and checked like the
-    power recurrence's.
+    power recurrence's, and so are a packed product's before it runs.
     """
     den, lcd, c = _sieve(powers, unit)
     n = len(c)
@@ -584,16 +593,20 @@ def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
     f = [0] * n
     f[0] = q = held = width = 1
     live = work = 0
+    acc = [0] * n  # None once Q rises
     for k in range(1, n):
         while live < len(units) and units[live][0] <= k:
             live += 1
-        s = sum([ck * f[k - j] for j, ck in units[:live]])
-        # the words this slot's products read: at most `width` each, and
+        b = k - k % _BLOCK  # the slot's aligned block starts at b
+        s = (sum([ck * f[k - j] for j, ck in units[:live]]) if acc is None
+             else acc[k] + sum(map(operator.mul, f[b:k], c[k - b:0:-1])))
+        # the words this slot's plain sum reads: at most `width` each, and
         # at most `held` in all
         work += cw * min(live * width, held)
         kd = k * lcd
         f[k], rem = divmod(s, kd)
         if rem:
+            acc = None
             r = kd // math.gcd(s, kd)
             q *= r
             f[:k] = [x * r for x in f[:k]]
@@ -605,6 +618,15 @@ def _logd(powers: dict, unit: Fraction) -> PuiseuxSeries:
         held += _words(f[k])
         width = max(width, _words(f[k]))
         check_words(held, what)
+        e, size = k + 1, (k + 1) & ~k  # size: the lowest set bit of e
+        if acc is not None and size >= _BLOCK and e < n:
+            ra, rc = f[e - size:e], c[:min(2 * size, n - e + size)]
+            w = backend.product_bytes(max(map(abs, ra)).bit_length(),
+                                      max(map(abs, rc)).bit_length(), size)
+            check_words(-(-(size + len(rc) - 1) * w // 8), what)
+            out = backend.convolve_rational(ra, rc, len(rc))
+            for t, x in enumerate(out[size:], e):
+                acc[t] += x
     return PuiseuxSeries.from_slots(0, den, f, None, unit, q)
 
 

@@ -20,7 +20,10 @@ more than the family atoms the tree would expand one by one.  Everything
 else is evaluated node by node, where a power is the power recurrence of
 :meth:`PuiseuxSeries._power` unless it is a small positive power with
 fewer products than unit terms, which is a product (see
-:meth:`PuiseuxSeries.__pow__`).
+:meth:`PuiseuxSeries.__pow__`).  A product that neither folds nor
+distributes applies its nonzero ``Const`` and ``QPow`` factors, exact at
+every order, last by ``scale`` and ``shift``: its other factors along its
+left chain are one node, its core, asked for at the order less the shift.
 
 Node by node, evaluation propagates per-node targets top down: a product
 pads each factor by the co-factor's structural leading exponent
@@ -48,12 +51,14 @@ enters for its whole batch) every evaluation goes through one
 Nodes are immutable records (:class:`~qident.blocks.Record`) that
 compare by structure, as one stored tuple of their fields, and hash
 once, so the same subexpression in two identities is expanded once.
-Only nodes met at least twice by a walk that does not re-enter a node
-it has met are stored: the nodes that can be asked for again.  The unit
-part of every folded map is stored too, keyed on the map and its bound,
-so maps that differ only in constant and shift (the six ``thm31`` right
-sides are scaled sums of two) are filled once.  Every entry is held until the
-block exits.  Outside that block nothing is cached.
+Only nodes met at least twice by a walk through what evaluation asks for
+(:meth:`Node.asks`: a product's core, the ``G1(r)`` of ``G3(r)``), which
+does not re-enter a node it has met, are stored: the nodes that can be
+asked for again.  The unit part of every folded map is stored too, keyed
+on the map and its bound, so maps that differ only in constant and shift
+(the six ``thm31`` right sides are scaled sums of two) are filled once.
+Every entry is held until the block exits.  Outside that block nothing
+is cached.
 """
 
 from __future__ import annotations
@@ -97,6 +102,10 @@ class Node(Record):
         """This tree's product form if it folds (see :class:`Fold`), else
         None.  Not kept: a batch would hold one map per node."""
         return None
+
+    def asks(self) -> tuple:
+        """The nodes this node's evaluation asks for: by default its children."""
+        return tuple(v for v in self._key if isinstance(v, Node))
 
     def depth(self) -> int:
         """Levels of the tree under this node, 1 for a leaf; computed once,
@@ -188,8 +197,8 @@ def _g1(r, order) -> PuiseuxSeries:
 
 def _g3(r, order) -> PuiseuxSeries:
     """G3(r) below `order`: G1(r) with sqrt2 negated, as T1N(3) is T1N(1)
-    with sqrt2 negated.  G1(r) is evaluated as a node, so a batch that
-    repeats it builds its product once."""
+    with sqrt2 negated.  G1(r) is evaluated as a node that the batch walk
+    meets (:meth:`Prim.asks`), so a batch builds its product once."""
     g1 = Prim("G1", r).evaluate(order)
     return PuiseuxSeries._make(g1.m, g1.den, g1.d,
                                {k: (x, -y) for k, (x, y) in g1.slots.items()},
@@ -242,7 +251,8 @@ PRIMITIVES: dict[str, Primitive] = {
         lambda s: _FR(s.leading_exponent())),
     "psi11lhs": Primitive(
         "bilateral", lambda s, o: lam.bilateral_1psi1_lhs(s, o),
-        "1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s`"),
+        "1psi1 sum `sum_j z^j/(1 - x q^j)`, `x = q^alpha`, `z = q^beta`, base `q^s`",
+        lambda s: min(_FR(0), s.base - s.x_exp - s.z_exp)),  # the j = -1 term
     "psi11rhs": _family(
         "bilateral_product",
         "1psi1 product side of the same sum, for `alpha + beta < s`",
@@ -265,6 +275,9 @@ class Prim(Node):
 
     def fold(self):
         return PRIMITIVES[self.name].fold(self.arg)
+
+    def asks(self):
+        return (Prim("G1", self.arg),) if self.name == "G3" else ()
 
 
 # -- composites ----------------------------------------------------------
@@ -313,11 +326,38 @@ class Mul(Node):
                     isinstance(n, Prim) for n in _occurrences(self)):
                 return reduce(PuiseuxSeries.__add__, (
                     _expand(_times(common, t, sign), order) for sign, t in terms))
+        const, shift, core = self._split()
+        if core is not self:
+            return core.evaluate(order - shift).scale(const).shift(shift)
         lh, rh = self.left.hint(), self.right.hint()
         return self.left.evaluate(order - rh) * self.right.evaluate(order - lh)
 
     def hint(self):
         return self.left.hint() + self.right.hint()
+
+    def _split(self):
+        """(const, shift, core): the nonzero Const factors along the left
+        chain of this product multiplied, its QPow exponents summed, and the
+        product of its other factors in order; or (1, 0, self) when it has
+        no such factor, or no other."""
+        factors, node = [], self
+        while isinstance(node, Mul):
+            factors[:0], node = [node.right], node.left
+        const, shift, rest = ONE, _FR(0), []
+        for x in [node] + factors:
+            if isinstance(x, QPow):
+                shift += x.exponent
+            elif isinstance(x, Const) and x.value:
+                const = const * x.value
+            else:
+                rest.append(x)
+        if not rest or len(rest) > len(factors):
+            return ONE, _FR(0), self
+        return const, shift, reduce(Mul, rest)
+
+    def asks(self):
+        core = self._split()[2]
+        return super().asks() if core is self else (core,)
 
     def fold(self):
         left = self.left.fold()
@@ -454,10 +494,11 @@ def _occurrences(node: Node) -> Iterator[Node]:
 class SharedEvaluations:
     """Evaluation results shared across the expression trees of one batch.
 
-    One walk over the batch's trees, which enters a node's children only
-    the first time it meets the node, finds the nodes it meets at least
-    twice: the only ones that can be asked for again, since an occurrence
-    inside a stored parent is answered by the parent.  Each such node's
+    One walk over the batch's trees, which enters the nodes a node's
+    evaluation asks for (:meth:`Node.asks`) only the first time it meets
+    the node, finds the nodes it meets at least twice: the only ones that
+    can be asked for again, since an occurrence inside a stored parent is
+    answered by the parent.  Each such node's
     result is stored under ``(node, order)`` and held until the
     :func:`shared_evaluations` block exits; any other node is evaluated
     directly.  `products` holds the unit part of every exponent map
@@ -474,7 +515,7 @@ class SharedEvaluations:
                 self.repeated.add(n)
             else:
                 seen.add(n)
-                stack.extend(v for v in n._key if isinstance(v, Node))
+                stack.extend(n.asks())
         self.entries: dict[tuple[Node, Fraction], PuiseuxSeries] = {}
         self.products: dict[tuple[frozenset, Fraction], PuiseuxSeries] = {}
 

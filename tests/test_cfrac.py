@@ -79,14 +79,16 @@ def test_sample_grid_within_1e9(q):
 
 
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.2, 0.3])
-def test_residual_nonincreasing_beyond_depth_10(q):
-    # observed property on the sample grid: the residual at each depth from
-    # 10 to 40 (a run at tol=0 stops early only once a residual is 0, where
-    # the check stops) is monotone once the iteration has settled, ignoring
-    # values at the float noise floor
+def test_residual_nonincreasing_to_depth_9(q):
+    # observed property on the sample grid: at tol=0 the residual at depths
+    # 1 to 9 never rises until it reaches the float noise floor; every run
+    # starts well above that floor (5.1e-4 for h at q = 0.05, 2.3e-1 for i
+    # at q = 0.3) and is 0 by depth 9, so the check runs over the whole
+    # descent
     for evaluator in (eval_h_cf, eval_i_cf):
-        tail = [evaluator(q, tol=0.0, max_depth=d).residual for d in range(10, 41)]
-        for a, b in zip(tail, tail[1:]):
+        residuals = [evaluator(q, tol=0.0, max_depth=d).residual for d in range(1, 10)]
+        assert residuals[0] > 1e-4 and residuals[-1] == 0
+        for a, b in zip(residuals, residuals[1:]):
             if a <= 1e-14:
                 break
             assert b <= a

@@ -26,7 +26,7 @@ from qident.expr import (
 )
 from qident.field import AlgebraicNumber as A
 from qident.lambert import BilateralSpec, LambertSpec
-from qident.series import SlotBudgetError
+from qident.series import PuiseuxSeries, SlotBudgetError
 from qident.verify import EVALUATION_FAILURES, Identity, verify, verify_many
 
 
@@ -362,6 +362,54 @@ class TestRandomRoundTrip:
         assert parsed == node
 
 
+PSI11_LOW = BilateralSpec(9, F(9, 4), F(63, 8))  # s - alpha - beta = -9/8
+
+
+def _one_pass(node, order, scalars=True):
+    """(series, dense products) of one evaluation of `node` at `order`;
+    without `scalars`, every product is dense, Const and QPow factors too,
+    as before products applied them by scale and shift."""
+    count = [0]
+    dense = PuiseuxSeries._mul_dense
+
+    def spy(*args):
+        count[0] += 1
+        return dense(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PuiseuxSeries, "_mul_dense", spy)
+        if not scalars:
+            mp.setattr(Mul, "_split", lambda self: (A(1), F(0), self))
+        return node.evaluate(order), count[0]
+
+
+class TestScalarFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(ALL_TREES, st.sampled_from([F(1, 2), F(1), F(7, 3), F(5), F(12)]))
+    @example(parse_expression("(1+sqrt2)*G1(1/2)*G3(1/2)^(2)"), F(12))
+    @example(parse_expression("q^(1/2)*phi(1)*sqrt2*psi(2)*q^(-3)"), F(5))
+    @example(parse_expression("2*(phi(1) - q^(1))/(q^(1/2)*psi(4))"), F(7, 3))
+    def test_scalars_applied_last_match_the_dense_product(self, node, order):
+        # equal below the order, a bound never lower, never more products
+        try:
+            want, dense = _one_pass(node, order, scalars=False)
+        except (SlotBudgetError, *EVALUATION_FAILURES):
+            return
+        got, fewer = _one_pass(node, order)
+        assert got.trunc >= want.trunc
+        below = min(order, want.trunc)
+        assert got.truncated(below) == want.truncated(below)
+        assert fewer <= dense
+
+    def test_the_core_is_the_product_of_the_other_factors(self):
+        node = parse_expression("(1+sqrt2)*G1(1/2)*q^(2)*G3(1/2)^(2)")
+        assert node._split() == (A(1, 1), F(2),
+                                 parse_expression("G1(1/2)*G3(1/2)^(2)"))
+        for text in ("G1(1/2)*G3(1/2)^(2)", "0*G1(1)", "2*q^(1)"):
+            node = parse_expression(text)
+            assert node._split()[2] is node
+
+
 class TestTruncationOracle:
     @settings(max_examples=400, deadline=None)
     @given(ALL_TREES, st.sampled_from([F(1, 2), F(1), F(7, 3), F(5), F(12)]),
@@ -371,6 +419,13 @@ class TestTruncationOracle:
     @example(Pow(Sub(Prim("phi", F(1)), Prim("poch", PochSpec(1, F(1), F(1)))), F(1, 2)),
              F(1, 2), F(1))
     @example(Pow(Sub(Prim("phi", F(1)), Prim("phi", F(2))), F(-1)), F(1, 2), F(1))
+    # a 1psi1 sum with s < alpha + beta starts at q^(s - alpha - beta); with
+    # a hint of 0 its co-factor was asked too little, and no padded retry
+    # lifts a factor clamped at its own leading term
+    @example(Mul(QPow(F(0)), Mul(Prim("btable", 1), Prim("psi11lhs", PSI11_LOW))),
+             F(1), F(1))
+    @example(Mul(Mul(Prim("btable", 1), Prim("psi11lhs", PSI11_LOW)),
+                 Pow(Prim("phi", F(1)), F(-1))), F(1), F(1))
     def test_a_deeper_expansion_truncates_to_the_shallower(self, node, n, k):
         # whenever the expansion to n + k succeeds, the one to n does too,
         # and it is the deeper one cut at n

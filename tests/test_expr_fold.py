@@ -241,6 +241,68 @@ def fold_of(text):
     return parse_expression(text).fold()
 
 
+def quadratic_logd(powers, unit, check_steps, check_words):
+    """The recurrence of `blocks._logd` slot by slot, each slot by the plain
+    sum over the nonzero c_k: its loop before it was blocked, kept as the
+    oracle of the blocked loop, with the same charges."""
+    den, lcd, c = blocks._sieve(powers, unit)
+    n = len(c)
+    units = [(k, ck) for k, ck in enumerate(c) if ck]
+    check_steps(sum(n - k for k, _ in units), None)
+    cw = max((blocks._words(ck) for _, ck in units), default=0)
+    f = [0] * n
+    f[0] = q = held = width = 1
+    live = work = 0
+    for k in range(1, n):
+        while live < len(units) and units[live][0] <= k:
+            live += 1
+        s = sum([ck * f[k - j] for j, ck in units[:live]])
+        work += cw * min(live * width, held)
+        kd = k * lcd
+        f[k], rem = divmod(s, kd)
+        if rem:
+            r = kd // math.gcd(s, kd)
+            q *= r
+            f[:k] = [x * r for x in f[:k]]
+            f[k] = s * r // kd
+            words = [blocks._words(x) for x in f[:k]]
+            held, width = sum(words), max(words)
+            work += k
+        check_steps(work, None)
+        held += blocks._words(f[k])
+        width = max(width, blocks._words(f[k]))
+        check_words(held, None)
+    return P.from_slots(0, den, f, None, unit, q)
+
+
+def assert_blocked(powers, unit):
+    """`blocks._logd` equals :func:`quadratic_logd` and makes the same step
+    and word checks in the same order, and each of its packed products
+    right after one more word check; returns (series, products)."""
+    want_calls, got_calls = [], []
+    want = quadratic_logd(powers, unit, lambda work, _: want_calls.append(("steps", work)),
+                          lambda words, _: want_calls.append(("words", words)))
+    convolve = backend.convolve_rational
+
+    def product(*args):
+        got_calls.append(("product",))
+        return convolve(*args)
+
+    den, lcd, c = blocks._sieve(powers, unit)  # its own check goes unrecorded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "_sieve", lambda *args: (den, lcd, c))
+        mp.setattr(blocks, "check_steps", lambda work, _: got_calls.append(("steps", work)))
+        mp.setattr(blocks, "check_words", lambda words, _: got_calls.append(("words", words)))
+        mp.setattr(backend, "convolve_rational", product)
+        got = blocks._logd(powers, unit)
+    assert got == want
+    products = [i for i, call in enumerate(got_calls) if call == ("product",)]
+    assert all(got_calls[i - 1][0] == got_calls[i - 2][0] == "words" for i in products)
+    dropped = {j for i in products for j in (i - 1, i)}
+    assert [call for i, call in enumerate(got_calls) if i not in dropped] == want_calls
+    return got, len(products)
+
+
 # atoms of every family kind, with grids of den 1, 2 and 6
 LOGD_ATOMS = st.sampled_from(
     ["eta(1)", "eta(2)", "eta(1/2)", "eta(3/2)", "H(1)", "I(1)", "I(1/2)", "G2(1)",
@@ -306,6 +368,47 @@ class TestLogDerivative:
 
         monkeypatch.setattr(P, "_power", refuse)
         assert all(r.ok() for r in verify_many(THM31, 96))
+
+
+class TestBlockedRecurrence:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(LOGD_ATOMS, LOGD_POWERS), min_size=1, max_size=4),
+           st.sampled_from([F(5), F(37, 3), F(24), F(64)]))
+    @example([("eta(1)", F(1, 97)), ("eta(2)", F(1, 89))], F(64))
+    @example([("f(-q^1,-q^2)", F(1, 2)), ("eta(1)", F(-1, 2))], F(64))
+    def test_random_maps_match_the_quadratic_loop(self, atoms, unit):
+        powers = {}
+        for text, e in atoms:
+            powers = expr._merge(powers, ((spec, p * e) for spec, p
+                                          in fold_of(text).powers.items()))
+        if powers:
+            assert_blocked(powers, unit)
+
+    @pytest.mark.parametrize("order", [F(24), F(48), F(96), F(192), F(384)])
+    def test_the_thm31_maps_match_the_quadratic_loop(self, order):
+        pref = "eta(4)^(1/2)*eta(1)^(1/4)*eta(8)/(eta(1/2)*eta(2)^(3/4))"
+        for rest in ("H(1)^(1/2)*I(1)^(1/4)", "I(1)^(1/4)/H(1)^(1/2)"):
+            fold = fold_of(f"{pref}*{rest}")
+            unit = order - fold.shift
+            got, products = assert_blocked(fold.powers, unit)
+            # one product after each block of 32 slots but the last
+            n = len(blocks._sieve(fold.powers, unit)[2])
+            assert got.d == 1 and products == len(range(32, n, 32)) > 0
+
+    def test_q_rising_at_the_first_slot_makes_no_product(self):
+        got, products = assert_blocked(
+            fold_of("eta(1)^(1/97)*eta(2)^(1/89)").powers, F(200))
+        assert got.d > 1 and products == 0
+
+    @pytest.mark.parametrize("text, unit, made", [
+        # 1 - q^40/2 - ... from the root: the first remainder is at slot 40,
+        # after the product of slots 0-31; at 100, after three
+        ("eta(1)*poch(-,40,40)^(1/2)", F(120), 1),
+        ("poch(-,100,100)^(1/2)*eta(1)*eta(2)^(-1)", F(200), 3),
+    ])
+    def test_q_rising_late_goes_on_by_the_plain_sum(self, text, unit, made):
+        got, products = assert_blocked(fold_of(text).powers, unit)
+        assert got.d > 1 and products == made
 
 
 # -- budgets and retries -----------------------------------------------------

@@ -16,7 +16,7 @@ from qident import blocks, expr
 from qident.catalog import catalog, get
 from qident.dsl import parse_identity
 from qident.expr import Add, Mul, Pow, Prim, QPow
-from qident.series import SlotBudgetError
+from qident.series import PuiseuxSeries, SlotBudgetError
 from qident.verify import MISMATCH, Identity, report_json, verify, verify_many
 
 THM31 = [idy for idy in catalog() if idy.id.startswith("thm31-")]
@@ -33,14 +33,16 @@ def _one_by_one(batch, order=None):
 
 def _meetings(roots):
     """How often a walk of the trees `roots` meets each node when it
-    enters the children of a node only the first time it meets it."""
+    enters the nodes a node's evaluation asks for (`Node.asks`: its
+    children, the core of a product with scalar factors, G1(r) for G3(r))
+    only the first time it meets the node."""
     met = Counter()
     stack = list(roots)
     while stack:
         node = stack.pop()
         met[node] += 1
         if met[node] == 1:
-            stack.extend(v for v in node._key if isinstance(v, expr.Node))
+            stack.extend(node.asks())
     return met
 
 
@@ -195,6 +197,40 @@ class TestIntegerGrid:
         assert {r.status for r in reports} <= {"verified",
                                                "verified_with_sign_flip"}
         assert counts[0] == counts[1] > 0
+
+
+class TestWork:
+    @pytest.mark.parametrize("batch, order, products", [
+        # the squares of G1(1/2) and G3(1/2), the two cubic products and
+        # G1(1/2)'s (q;q)^-1 times T1N(1); the constants of thm31-iii..vi
+        # scale the products thm31-i and -ii made
+        (THM31, F(96), 5),
+        (catalog(), F(48), 31),
+    ])
+    def test_dense_products(self, monkeypatch, batch, order, products):
+        made = []
+        dense = PuiseuxSeries._mul_dense
+
+        def spy(*args):
+            made.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(PuiseuxSeries, "_mul_dense", spy)
+        assert all(r.ok() for r in verify_many(batch, order))
+        assert len(made) == products
+
+    def test_g3_reuses_the_g1_of_the_batch(self, monkeypatch):
+        # G3(1) is G1(1) with sqrt2 negated, and prodK has both
+        made = []
+        theta1 = blocks.theta1_normalized
+
+        def spy(k, order):
+            made.append((k, order))
+            return theta1(k, order)
+
+        monkeypatch.setattr(blocks, "theta1_normalized", spy)
+        assert verify_many([get("prodK")], F(48))[0].ok()
+        assert made == [(1, F(48))]
 
 
 class TestLifetime:

@@ -7,7 +7,10 @@ Runs, once on each tree in a fresh interpreter:
 - `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
   and at each entry's default order;
 - `qident dump` of the eight named blocks at order 32 (the golden dumps
-  under tests/golden);
+  under tests/golden), and of three expressions: an integral exponent map
+  whose log-derivative recurrence runs blocked at 1500, a map whose
+  common denominator rises at the first slot at 300, and a product with
+  a constant factor at 96;
 - `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
   l = 0.1, q = 0.2;
 - `qident parse` of a file holding the README's two DSL examples and one
@@ -28,6 +31,9 @@ import tempfile
 
 ORDERS = ["1/2", "1", "7/3", "24", "48", "96", "192", None]  # None: the default
 BLOCKS = ["qq", "phi", "psi", "gamma1", "gamma2", "gamma3", "h", "i"]
+EXPRESSIONS = [("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)", "1500"),
+               ("eta(1)^(1/97)*eta(2)^(1/89)", "300"),
+               ("(1+sqrt2)*G1(1/2)*G3(1/2)^(2)", "96")]
 CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
       ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
 PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
@@ -42,6 +48,8 @@ def commands(parse_path):
         yield ["verify", "all", "--json"] + ([] if order is None else ["--order", order])
     for block in BLOCKS:
         yield ["dump", block, "--order", "32"]
+    for text, order in EXPRESSIONS:
+        yield ["dump", text, "--order", order]
     for args in CF:
         yield ["cf", *args]
     yield ["parse", parse_path]
