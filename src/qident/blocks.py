@@ -24,13 +24,15 @@ exponent map {PochSpec: power} -- a family atom's, or a tree's that
 :mod:`~qident.expr` folds -- is expanded: by the :func:`fill` of each
 plan :func:`_fills` picks, raised to its power, or by the recurrence on
 its logarithmic derivative (:func:`_logd`, on the coefficients
-:func:`_sieve` finds).  A fill packs all its slots into one int
-(Kronecker substitution, as in :mod:`qident.backend`), with no series
-product, no inverse and no Fraction per intermediate slot.  The whole
-theta products among its positive powers (:func:`_theta_groups`) enter
-by their sum sides, and its slot width comes from a closed-form majorant
-of its coefficients (:func:`_fill_bytes`), so (q; q)_inf below q^4000
-packs 2 bytes a slot, not 22.  The sums (theta sums, theta_1
+:func:`_sieve` finds).  The whole theta products among a fill's positive
+powers (:func:`_theta_groups`) enter by their sum sides, and a fill that
+is one such product to power 1 -- (q; q)_inf, f(q, -q^2) -- is its sum
+side, charged the steps its passes would make.  Any other fill packs all its
+slots into one int (Kronecker substitution, as in :mod:`qident.backend`),
+with no series product, no inverse and no Fraction per intermediate
+slot, and its slot width comes from a closed-form majorant of its
+coefficients (:func:`_fill_bytes`), so (q; q)_inf (q^2; q^2)_inf below
+q^4000 packs 3 bytes a slot, not 27.  The sums (theta sums, theta_1
 specializations, B tables) count their exponents on an integer grid and
 their coefficients as integer pairs x + y*sqrt2, and every builder hands
 the canonical slot form to the series directly.
@@ -339,9 +341,10 @@ class FillPlan(NamedTuple):
     runs: `n` slots on the grid 1/`den`, the theta `groups` (power, s1, s2,
     a, b) with the `terms` (e, c), 0 < e < n, of each one's sum side, the
     families (sign, first, step, power) left to fill pass by pass, and the
-    `steps` of every pass.  Past MAX_DENSE_SLOTS no group is matched and
-    every family is left, so the plan costs O(families) whatever `order`,
-    and the fill refuses it by its slots."""
+    `steps` of every pass.  With one group to power 1 and no family left,
+    1 and the group's terms are the fill itself.  Past MAX_DENSE_SLOTS no
+    group is matched and every family is left, so the plan costs
+    O(families) whatever `order`, and the fill refuses it by its slots."""
 
     order: Fraction
     den: int
@@ -400,13 +403,22 @@ def fill(plan: FillPlan) -> PuiseuxSeries:
 
     The plan's steps (n - e slot visits a group term or a factor, none for
     a division's doubling passes) are checked before anything is built,
-    and the packed integer's 64-bit words against MAX_DENSE_SLOTS.
+    and the packed integer's 64-bit words against MAX_DENSE_SLOTS.  A fill
+    that is one theta group to power 1, with no family left, is its sum
+    side, 1 plus the group's terms, with no width, packed integer or
+    unpacking; its slots and steps are checked first, as any fill's.  Its
+    words could not be refused: at MAX_DENSE_SLOTS slots every kind of
+    group packs 2 bytes a slot, 250,000 words.
     """
     if plan.order <= 0:
         return PuiseuxSeries.zero(plan.order)
     n = dense_slots(plan.n)
     what = f"expansion over {n} dense coefficient slots"
     check_steps(plan.steps, what)
+    if not plan.rest and len(plan.groups) == 1 and plan.groups[0][0] == 1:
+        slots = {0: (1, 0)}
+        slots.update((e, (c, 0)) for e, c in plan.terms[0])
+        return PuiseuxSeries._reduced(_FR(0), plan.den, 1, slots, plan.order)
     w = _fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in plan.rest],
                     n, plan.groups)
     check_words(-(-n * w // 8), what)

@@ -462,12 +462,13 @@ def _expand(fold: Fold, order) -> PuiseuxSeries:
     """
     unit = _fr(order) - fold.shift
     shared = _SHARED.get()
-    key = (frozenset(fold.powers.items()), unit)
-    s = None if shared is None else shared.products.get(key)
-    if s is None:
+    if shared is None:
         s = blocks.expand_map(fold.powers, unit)
-        if shared is not None:
-            shared.products[key] = s
+    else:
+        key = (frozenset(fold.powers.items()), unit)
+        s = shared.products.get(key)
+        if s is None:
+            s = shared.products[key] = blocks.expand_map(fold.powers, unit)
     return s.scale(fold.const).shift(fold.shift)
 
 

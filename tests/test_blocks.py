@@ -428,7 +428,7 @@ class TestPochhammer:
             assert c == A(expected[n])
 
     def test_euler_pentagonal_to_order_20000(self):
-        # 230 passes of Euler's sum, where one pass a factor took 2*10^8
+        # the 230 terms of Euler's sum, where one pass a factor took 2*10^8
         # steps and was refused
         got = {int(e): int(c.rat) for e, c in poch(QQ, 20000).items()}
         assert got == pentagonal_numbers(20000)
@@ -771,18 +771,13 @@ class TestFillWidth:
 
 
 def filled_with_width(families, order):
-    """fill(plan_fill(families, order)) and the slot width it filled at."""
-    seen = []
-    fill_bytes = blocks._fill_bytes
-
-    def spy(*args):
-        seen.append(fill_bytes(*args))
-        return seen[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blocks, "_fill_bytes", spy)
-        got = fill(plan_fill(families, order))
-    return got, seen[-1]
+    """fill(plan_fill(families, order)) and the slot width of its packed
+    form, as fill works it out from the plan; a fill that is one theta
+    group to power 1 returns its sum side without packing it."""
+    plan = plan_fill(families, order)
+    w = blocks._fill_bytes([(abs(p), first, step, p < 0) for _, first, step, p in plan.rest],
+                           plan.n, plan.groups)
+    return fill(plan), w
 
 
 @st.composite
@@ -967,6 +962,25 @@ def test_group_terms_are_the_theta_sum(name, families, spec):
 
 @pytest.mark.parametrize("name, families, spec", theta_group_kinds(),
                          ids=[k[0] for k in theta_group_kinds()])
+def test_one_group_fill_is_its_sum_side(name, families, spec, monkeypatch):
+    # a fill that is one theta group to power 1 returns the group's sum
+    # side: the theta sum, the pass-per-factor fill, and no slot width
+    # worked out, no packed integer unpacked
+    calls = []
+    for module, attr in ((blocks, "_fill_bytes"), (backend, "unpack")):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *args, attr=attr, real=real: calls.append(attr) or real(*args))
+    for n in range(1, 301):
+        got = fill(plan_fill(families, n))
+        assert calls == [], n
+        assert fields(got) == fields(theta_sum(spec, n))
+        assert fields(got) == fields(oracle_pass_fill(families, n))
+        calls.clear()  # the pass-per-factor fill packs
+
+
+@pytest.mark.parametrize("name, families, spec", theta_group_kinds(),
+                         ids=[k[0] for k in theta_group_kinds()])
 def test_group_term_bounds_the_sum_side(name, families, spec):
     # the term a group adds to log M(x), the least of its sum side's and
     # its factors', is at least log of its sum side sum |c|*x^e below n,
@@ -985,8 +999,8 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
     # every fill of `verify all --order 48` packs no wider than the
     # majorant of its factors alone would make it, thm44-ii's and
     # psi11-spec-a's included
-    seen = []
-    fill_bytes = blocks._fill_bytes
+    fills, seen = [], []
+    fill_bytes, real_fill = blocks._fill_bytes, blocks.fill
 
     def spy(families, n, groups=()):
         factors = [(p, first, step, False) for p, *g in groups
@@ -994,7 +1008,12 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
         seen.append((fill_bytes(families, n, groups), fill_bytes(families + factors, n)))
         return seen[-1][0]
 
+    def fill_spy(plan):
+        fills.append(plan)
+        return real_fill(plan)
+
     monkeypatch.setattr(blocks, "_fill_bytes", spy)
+    monkeypatch.setattr(blocks, "fill", fill_spy)
     entries = {idy.id: idy for idy in catalog()}
     verify_many(list(entries.values()), 48)
     # every fill is a Pochhammer fill: 49 for the family atoms and folded
@@ -1002,8 +1021,10 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
     # G3(1) share the 1/(q;q) below q^48 of an eta(1)^(-1) on a right side.
     # comb-3113's right side, its constant and q^(1/24) applied last,
     # distributes over its difference, and the map of its second term is
-    # diff-313's right side's, filled once
-    assert len(seen) == 50
+    # diff-313's right side's, filled once.  The 31 fills that are one
+    # theta group to power 1 are their sum sides; the other 19 pack
+    assert len(fills) == 50
+    assert len(seen) == 19
     assert all(w <= factors for w, factors in seen)
     for name, width in (("thm44-ii", 7), ("psi11-spec-a", 3)):
         seen.clear()

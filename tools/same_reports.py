@@ -7,14 +7,18 @@ Runs, once on each tree in a fresh interpreter:
 - `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
   and at each entry's default order;
 - `qident dump` of the eight named blocks at order 32 (the golden dumps
-  under tests/golden), and of three expressions: an integral exponent map
+  under tests/golden), and of seven expressions: an integral exponent map
   whose log-derivative recurrence runs blocked at 1500, a map whose
-  common denominator rises at the first slot at 300, and a product with
-  a constant factor at 96;
+  common denominator rises at the first slot at 300, a product with a
+  constant factor at 96, three fills that are one theta group to power 1
+  and so their sum sides (a mixed-sign f at 200, eta(1) at 4000, and the
+  fill of f that the tree squares at 200), and two that pack: a group to
+  power 2 beside an eta at 200, and the quotient H(1) at 96;
 - `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
   l = 0.1, q = 0.2;
-- `qident parse` of a file holding the README's two DSL examples and one
-  false identity, so the exit-1 path runs too.
+- `qident parse` of a file holding the README's two DSL examples, one
+  false identity and two theta-rule lines, the second off by q^3, so the
+  exit-1 path runs too.
 Timings printed as "[N ms]" are masked before comparing.  Prints one line
 per command: "identical" when the exit code, standard output and standard
 error all agree, else "differs".  Exits 1 if any command differs, 0
@@ -33,12 +37,19 @@ ORDERS = ["1/2", "1", "7/3", "24", "48", "96", "192", None]  # None: the default
 BLOCKS = ["qq", "phi", "psi", "gamma1", "gamma2", "gamma3", "h", "i"]
 EXPRESSIONS = [("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)", "1500"),
                ("eta(1)^(1/97)*eta(2)^(1/89)", "300"),
-               ("(1+sqrt2)*G1(1/2)*G3(1/2)^(2)", "96")]
+               ("(1+sqrt2)*G1(1/2)*G3(1/2)^(2)", "96"),
+               ("f(+q^(1/2),-q^(1/2))", "200"),
+               ("eta(1)", "4000"),
+               ("f(+q^(1),+q^(2))^(2)", "200"),
+               ("f(+q^(1),+q^(2))^(2)*eta(1)", "200"),
+               ("H(1)", "96")]
 CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
       ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
 PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
               "G1(1)*G2(1)*G3(1) == q^(-1/4)*eta(8)/eta(2)\n"
-              "phi(1) == 2*phi(1)\n")
+              "phi(1) == 2*phi(1)\n"
+              "fsum(+q^(1/2),-q^(3/2)) == f(+q^(1/2),-q^(3/2))\n"
+              "f(-q^(1),-q^(2)) == f(+q^(5),+q^(7)) - q^(1)*f(+q^(1),+q^(11)) + q^(3)\n")
 TIMING = re.compile(rb"\[\d+ ms\]")
 
 
