@@ -15,9 +15,8 @@ rescaling q -> q^r already in the specs (eta(1/2) is
 (q^(1/2); q^(1/2))_inf).  phi(r) and psi(r) are the theta sums
 f(q^r, q^r) and f(q^r, q^3r).  G_1 and G_3 have no builder here: by
 Jacobi's product for theta_1, G_k(q) (q; q)_inf is
-:func:`theta1_normalized`, so :mod:`~qident.expr` builds G_1 as that sum
-times the expansion of (q; q)_inf^-1 at q and substitutes q -> q^r, and
-G_3 as G_1 with sqrt2 negated.
+:func:`theta1_normalized`, which :mod:`~qident.expr` folds at q^r beside
+the map {(q^r; q^r)_inf: -1} of G_k(q^r).
 
 Exponent maps.  :func:`expand_map` is the one place that decides how an
 exponent map {PochSpec: power} -- a family atom's, or a tree's that

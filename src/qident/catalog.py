@@ -10,9 +10,13 @@ Catalog notes: the product of the three theta_1 special values
 has no entry of its own.  Dividing it by 8 q^{3/8} sin(pi/8) sin(2pi/8)
 sin(3pi/8) (q;q)^3 reduces it to `prodK`, so it is covered exactly by the
 trio {theta1-norm-1/2/3, prodK} plus the numeric sine-product check in
-the test suite.  `theta1-norm-1`/`-3` hold by construction (G1 is built as
-T1N(1)/(q;q), G3 as its sqrt2-conjugate), so the trio's content is
-`theta1-norm-2` and `prodK`; the tests check G1's and G3's product side.
+the test suite.  Entries that hold by construction: `theta1-norm-1`/`-3`,
+whose right side folds to T1N(k) over an empty map (so the trio's content
+is `theta1-norm-2` and `prodK`), and `f-sum-vs-prod` and the 20
+`triple-product-rand-*`, whose two sides are the same theta sum terms, as
+the fill of one theta group is its sum side.  The tests check G1's and
+G3's product side, and the triple product by multiplying its Pochhammer
+factors one pass at a time (`oracle_theta_product`, `oracle_pass_fill`).
 """
 
 from __future__ import annotations

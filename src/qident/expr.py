@@ -4,20 +4,25 @@ Each node evaluates to a :class:`PuiseuxSeries` at a requested
 guarantee order.
 
 Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``,
-``I``, ``G2`` and ``psi11rhs`` -- are products of Pochhammer families
-(through Jacobi's triple product and Ramanujan's 1psi1 summation); each
-takes its families from :mod:`~qident.blocks` or :mod:`~qident.lambert`,
-the rescaling q -> q^r already in the specs.  A ``Mul``/``Pow`` subtree
-whose leaves are family atoms, nonzero constants and powers of q folds
-into a :class:`Fold`: a constant, a shift q^s and one exponent map
-``{PochSpec: Fraction}``.  A power of a subtree whose constant is not 1
-does not fold.  The map's unit part below order - s is
-:func:`~qident.blocks.expand_map` of the map, which says how a map is
+``I``, ``G1``, ``G2``, ``G3`` and ``psi11rhs`` -- are products of
+Pochhammer families (through Jacobi's triple product and Ramanujan's
+1psi1 summation); each takes its families from :mod:`~qident.blocks` or
+:mod:`~qident.lambert`, the rescaling q -> q^r already in the specs.
+``G1(r)`` and ``G3(r)`` are also the only atoms with a sum factor: by
+Jacobi's product for theta_1, G_k(q) (q; q)_inf is the sparse sum
+``T1N(k)``, so G_k(q^r) is T1N(k) at q^r over (q^r; q^r)_inf.  A
+``Mul``/``Pow`` subtree whose leaves are family atoms, nonzero constants
+and powers of q folds into a :class:`Fold`: a constant, a shift q^s, one
+exponent map ``{PochSpec: Fraction}`` and the theta_1 sums beside it.  A
+power of a subtree whose constant is not 1, or of one with sums unless
+it is a positive integer, does not fold.  The unit part below order - s
+is :func:`~qident.blocks.expand_map` of the map, which says how a map is
 expanded: by fills, powers of them, or the recurrence on its
-logarithmic derivative.  A folding factor times an ``Add``/``Sub`` whose
-terms all fold distributes into one map per term when the terms are no
-more than the family atoms the tree would expand one by one.  Everything
-else is evaluated node by node, where a power is the power recurrence of
+logarithmic derivative, times the product of the sums.  A folding
+factor times an ``Add``/``Sub`` whose terms all fold distributes into one
+fold per term when the terms are no more than the family atoms the tree
+would expand one by one.  Everything else is evaluated node by node,
+where a power is the power recurrence of
 :meth:`PuiseuxSeries._power` unless it is a small positive power with
 fewer products than unit terms, which is a product (see
 :meth:`PuiseuxSeries.__pow__`).  A product that neither folds nor
@@ -34,16 +39,13 @@ base to ``order + (1 - r) * hint(base)``, but never below
 ``x/y`` is the product ``Mul(x, Pow(y, -1))``: the numerator is padded
 to ``order + hint(y)`` and the divisor to ``order - hint(x) +
 2*hint(y)``, the extra ``hint(y)`` being what inversion consumes.
-``G1(r)`` is its sum side at q, ``T1N(1)`` times the unit part of
-(q; q)_inf^-1 below order/r (Jacobi's product for theta_1), taken
-through q -> q^r by the same substitution as ``subst``; ``G3(r)`` is
-``G1(r)`` with sqrt2 negated; ``phi(r)`` and ``psi(r)`` are theta sums
-with r in their spec.  Hints are exact unless a subtraction cancels a
-leading term inside a denominator or a power, which no built-in identity
-does: such a power asks its base again from the bound it came back zero
-below, and :func:`evaluate_to_order` re-runs with a larger target if a
-result still falls short (at most 3 retries each).  A folded subtree is
-exact below the order it is asked for.
+``phi(r)`` and ``psi(r)`` are theta sums with r in their spec.  Hints
+are exact unless a subtraction cancels a leading term inside a
+denominator or a power, which no built-in identity does: such a power
+asks its base again from the bound it came back zero below, and
+:func:`evaluate_to_order` re-runs with a larger target if a result
+still falls short (at most 3 retries each).  A folded subtree is exact
+below the order it is asked for.
 
 Inside :func:`shared_evaluations` (which :func:`~qident.verify.verify_many`
 enters for its whole batch) every evaluation goes through one
@@ -52,11 +54,12 @@ Nodes are immutable records (:class:`~qident.blocks.Record`) that
 compare by structure, as one stored tuple of their fields, and hash
 once, so the same subexpression in two identities is expanded once.
 Only nodes met at least twice by a walk through what evaluation asks for
-(:meth:`Node.asks`: a product's core, the ``G1(r)`` of ``G3(r)``), which
+(:meth:`Node.asks`: a node's children, or a product's core), which
 does not re-enter a node it has met, are stored: the nodes that can be
-asked for again.  The unit part of every folded map is stored too, keyed
-on the map and its bound, so maps that differ only in constant and shift
-(the six ``thm31`` right sides are scaled sums of two) are filled once.
+asked for again.  The unit part of every fold, keyed on its map, sums
+and bound, is stored too, as are its map's and each sum's alone: the six
+``thm31`` right sides, scaled sums of two folds, expand two, and the two
+terms of their left sides fill one map.
 Every entry is held until the block exits.  Outside that block nothing
 is cached.
 """
@@ -76,7 +79,6 @@ from .field import ONE, AlgebraicNumber
 from .series import InsufficientPrecisionError, PuiseuxSeries, _fr
 
 _FR = Fraction
-_QQ = PochSpec(-1, 1, 1)  # (q; q)_inf
 
 
 class Node(Record):
@@ -133,7 +135,7 @@ class QPow(Node):
         return self.exponent
 
     def fold(self):
-        return Fold(ONE, self.exponent, {})
+        return Fold(ONE, self.exponent, {}, {})
 
 
 class Const(Node):
@@ -147,7 +149,7 @@ class Const(Node):
         return _FR(0)
 
     def fold(self):
-        return Fold(self.value, _FR(0), {}) if self.value else None
+        return Fold(self.value, _FR(0), {}, {}) if self.value else None
 
 
 def _polynomial(s: PuiseuxSeries, order) -> PuiseuxSeries:
@@ -166,9 +168,10 @@ class Primitive(NamedTuple):
     "bilateral", or "bilateral_product" (a bilateral spec with
     alpha + beta < s).  `build(arg, order)` expands the series, `meaning`
     is its line in the DSL atom table and `hint(arg)` its structural
-    leading exponent.  A family atom (:func:`_family`) also lists its
-    Pochhammer families: `families(arg)` gives the (PochSpec, power)
-    pairs whose product is the series divided by q^hint(arg).
+    leading exponent.  A family atom (:func:`_family`) also gives its
+    product form: `families(arg)` the (PochSpec, power) pairs and
+    `sums(arg)` the theta_1 sums {(k, r): power} (:class:`Fold`) whose
+    product is the series divided by q^hint(arg).
     """
 
     kind: str
@@ -176,40 +179,20 @@ class Primitive(NamedTuple):
     meaning: str
     hint: Callable[[object], Fraction] = lambda arg: _FR(0)
     families: Optional[Callable[[object], list]] = None
+    sums: Callable[[object], dict] = lambda arg: {}
 
     def fold(self, arg) -> Optional["Fold"]:
         """The product form of this atom at `arg`, None unless a family atom."""
         if self.families is not None:
-            return Fold(ONE, self.hint(arg), _merge({}, self.families(arg)))
+            return Fold(ONE, self.hint(arg), _merge({}, self.families(arg)),
+                        self.sums(arg))
 
 
-def _g1(r, order) -> PuiseuxSeries:
-    """G1(r) below `order`: by Jacobi's product for theta_1, G_1(q) is
-    T1N(1) (q; q)_inf^-1, and q -> q^r takes that product below order/r to
-    the atom's argument.  The inverse is the unit part of its exponent
-    map, so a batch fills it once."""
-    o = _fr(order) / r
-    if o <= 0:
-        return PuiseuxSeries.zero(order)
-    inverse = _expand(Fold(ONE, _FR(0), {_QQ: _FR(-1)}), o)
-    return (blocks.theta1_normalized(1, o) * inverse).substitute(r)
-
-
-def _g3(r, order) -> PuiseuxSeries:
-    """G3(r) below `order`: G1(r) with sqrt2 negated, as T1N(3) is T1N(1)
-    with sqrt2 negated.  G1(r) is evaluated as a node that the batch walk
-    meets (:meth:`Prim.asks`), so a batch builds its product once."""
-    g1 = Prim("G1", r).evaluate(order)
-    return PuiseuxSeries._make(g1.m, g1.den, g1.d,
-                               {k: (x, -y) for k, (x, y) in g1.slots.items()},
-                               g1.trunc)
-
-
-def _family(kind, meaning, families, hint=lambda arg: _FR(0)):
-    """A primitive that is q^hint(arg) times the product of its
-    Pochhammer families, built in product form like any folded tree."""
+def _family(kind, meaning, families, hint=lambda arg: _FR(0), sums=lambda arg: {}):
+    """A primitive that is q^hint(arg) times its Pochhammer families and
+    theta_1 sums, built in product form like any folded tree."""
     prim = Primitive(kind, lambda arg, order: _expand(prim.fold(arg), order),
-                     meaning, hint, families)
+                     meaning, hint, families, sums)
     return prim
 
 
@@ -232,12 +215,12 @@ PRIMITIVES: dict[str, Primitive] = {
                  blocks.h_families, lambda r: r / 2),
     "I": _family("r", "order-four fraction product side `i(q^r)`",
                  blocks.i_families),
-    "G1": Primitive("r", _g1,
-                    "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`"),
+    "G1": _family("r", "`prod_{n>=1} (1 - sqrt2 q^(rn) + q^(2rn))`",
+                  lambda r: [(PochSpec(-1, r, r), -1)], sums=lambda r: {(1, r): 1}),
     "G2": _family("r", "`prod_{n>=1} (1 + q^(2rn))`",
                   blocks.g2_families),
-    "G3": Primitive("r", _g3,
-                    "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`"),
+    "G3": _family("r", "`prod_{n>=1} (1 + sqrt2 q^(rn) + q^(2rn))`",
+                  lambda r: [(PochSpec(-1, r, r), -1)], sums=lambda r: {(3, r): 1}),
     "T1N": Primitive("k", lambda k, o: blocks.theta1_normalized(k, o),
                      "`theta_1(k pi/8) / (2 q^(1/8) sin(k pi/8))`"),
     "btable": Primitive("k", lambda k, o: _polynomial(blocks.b_table_series(k, 32), o),
@@ -275,9 +258,6 @@ class Prim(Node):
 
     def fold(self):
         return PRIMITIVES[self.name].fold(self.arg)
-
-    def asks(self):
-        return (Prim("G1", self.arg),) if self.name == "G3" else ()
 
 
 # -- composites ----------------------------------------------------------
@@ -397,12 +377,15 @@ class Pow(Node):
     def fold(self):
         # a constant other than 1 stays on the tree: its root may not exist,
         # and c**r for a large integer r would be computed before any budget
-        # is checked, where the power recurrence stops at its word cap
+        # is checked, where the power recurrence stops at its word cap; only
+        # a positive integer power keeps a sum a product of sums
         base, r = self.base.fold(), self.r
-        if base is None or base.const != ONE:
+        if base is None or base.const != ONE or base.sums and (
+                r <= 0 or r.denominator > 1):
             return None
         return Fold(ONE, r * base.shift,
-                    {spec: r * e for spec, e in base.powers.items()} if r else {})
+                    {spec: r * e for spec, e in base.powers.items()} if r else {},
+                    {key: int(r) * p for key, p in base.sums.items()})
 
 
 class Subst(Node):
@@ -423,19 +406,22 @@ class Subst(Node):
 
 
 class Fold(NamedTuple):
-    """const * q^shift * prod_spec (spec)^power over `powers`: the product
-    form of a Mul/Pow tree whose leaves are family atoms, nonzero constants
-    and powers of q.  `powers` maps each :class:`~qident.blocks.PochSpec`
-    to its nonzero rational power."""
+    """const * q^shift * prod_spec (spec)^power over `powers` * prod
+    T1N(k)(q^r)^p over `sums`: the product form of a Mul/Pow tree whose
+    leaves are family atoms, nonzero constants and powers of q.  `powers`
+    maps each :class:`~qident.blocks.PochSpec` to its nonzero rational
+    power, `sums` each (k, r) to the positive integer power p of the
+    sparse sum T1N(k) (:func:`~qident.blocks.theta1_normalized`)."""
 
     const: AlgebraicNumber
     shift: Fraction
     powers: dict
+    sums: dict
 
 
 def _merge(powers: dict, pairs) -> dict:
-    """The exponent map `powers` times the (PochSpec, power) `pairs`:
-    powers of equal specs add, and zero powers drop out."""
+    """The map `powers` times the (key, power) `pairs`, a PochSpec's or a
+    sum's: powers of equal keys add, and zero powers drop out."""
     out = dict(powers)
     for spec, e in pairs:
         e += out.pop(spec, 0)
@@ -449,27 +435,38 @@ def _times(a: Fold, b: Fold, sign=1) -> Fold:
     # field products are slow, and most constants are the ONE of an atom
     const = a.const if b.const is ONE else b.const if a.const is ONE else a.const * b.const
     return Fold(const if sign > 0 else -const, a.shift + b.shift,
-                _merge(a.powers, b.powers.items()))
+                _merge(a.powers, b.powers.items()), _merge(a.sums, b.sums.items()))
 
 
 def _expand(fold: Fold, order) -> PuiseuxSeries:
-    """The series of `fold` below `order`.
-
-    Its unit part, the product of the families below order - shift, is
-    :func:`~qident.blocks.expand_map` of its map.  Inside
-    :func:`shared_evaluations` it is stored under its map and bound, so
-    products that differ only in constant and shift are expanded once.
-    """
+    """The series of `fold` below `order`: its :func:`_unit`, scaled and shifted."""
     unit = _fr(order) - fold.shift
+    return _unit(fold.powers, fold.sums, unit).scale(fold.const).shift(fold.shift)
+
+
+def _unit(powers: dict, sums: dict, unit: Fraction) -> PuiseuxSeries:
+    """:func:`~qident.blocks.expand_map` of `powers` below `unit` times the
+    narrow product of `sums`, each T1N(k) below unit/r at q^r to its power;
+    stored in a batch with the map alone and each sum alone."""
     shared = _SHARED.get()
-    if shared is None:
-        s = blocks.expand_map(fold.powers, unit)
+    if shared is not None:  # keyed only in a batch: the key costs microseconds
+        key = (frozenset(powers.items()), frozenset(sums.items()), unit)
+        if key in shared.products:
+            return shared.products[key]
+    if not sums or unit <= 0:
+        s = blocks.expand_map(powers, unit)
+    elif not powers and list(sums.values()) == [1]:
+        (k, r), = sums
+        s = blocks.theta1_normalized(k, unit / r).substitute(r)
     else:
-        key = (frozenset(fold.powers.items()), unit)
-        s = shared.products.get(key)
-        if s is None:
-            s = shared.products[key] = blocks.expand_map(fold.powers, unit)
-    return s.scale(fold.const).shift(fold.shift)
+        # the map first, so that its refusals come first
+        m = _unit(powers, {}, unit)
+        s = reduce(PuiseuxSeries.__mul__, (
+            _unit({}, {ks: 1}, unit) ** p for ks, p in sums.items()))
+        s = m * s if powers else s
+    if shared is not None:
+        shared.products[key] = s
+    return s
 
 
 def _terms(node: Node, sign=1) -> Optional[list]:
@@ -499,11 +496,10 @@ class SharedEvaluations:
     evaluation asks for (:meth:`Node.asks`) only the first time it meets
     the node, finds the nodes it meets at least twice: the only ones that
     can be asked for again, since an occurrence inside a stored parent is
-    answered by the parent.  Each such node's
-    result is stored under ``(node, order)`` and held until the
-    :func:`shared_evaluations` block exits; any other node is evaluated
-    directly.  `products` holds the unit part of every exponent map
-    :func:`_expand` fills, under (map, bound), as long.
+    answered by the parent.  Each such node's result is stored under
+    ``(node, order)`` and held until the :func:`shared_evaluations` block
+    exits; any other node is evaluated directly.  `products` holds every unit part :func:`_unit` makes,
+    under (map, sums, bound), as long.
     """
 
     def __init__(self, roots):
@@ -518,7 +514,7 @@ class SharedEvaluations:
                 seen.add(n)
                 stack.extend(n.asks())
         self.entries: dict[tuple[Node, Fraction], PuiseuxSeries] = {}
-        self.products: dict[tuple[frozenset, Fraction], PuiseuxSeries] = {}
+        self.products: dict[tuple[frozenset, frozenset, Fraction], PuiseuxSeries] = {}
 
     def evaluate(self, node: Node, order) -> PuiseuxSeries:
         if node not in self.repeated:

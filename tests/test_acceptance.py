@@ -9,13 +9,16 @@ import random
 import time
 from fractions import Fraction as F
 
-from qident.blocks import PochSpec, ThetaSpec, b_table_series, fill, plan_fill, theta_sum
+from qident.blocks import (
+    PochSpec, ThetaSpec, b_table_series, fill, plan_fill, theta_families, theta_sum,
+)
 from qident.catalog import B_TABLE_PERIOD, TRIPLE_PRODUCT_SEED, catalog
 from qident.cfrac import eval_general_cf, eval_h_cf, eval_i_cf, gcf_product_value
 from qident.expr import PRIMITIVES
 from qident.field import AlgebraicNumber as A
 from qident.lambert import BilateralSpec, LambertSpec, bilateral_1psi1_lhs, lambert_sum
 from qident.verify import report_json, verify
+from test_blocks import oracle_pass_fill
 
 SECTION4_IDS = (
     "e1-thm41", "e2-cor42", "thm43-i", "thm43-ii", "thm43-iii",
@@ -70,6 +73,11 @@ def test_criterion_03_triple_product_20_seeded_specs():
         spec = ThetaSpec(1 if s1 == "+" else -1, 1 if s2 == "+" else -1, a, b)
         assert theta_sum(spec, 24).first_mismatch(
             PRIMITIVES["f"].build(spec, 24), 24
+        ) is None, spec
+        # the f atom's fill is the sum side itself: the product side is the
+        # fill with one pass per Pochhammer factor
+        assert theta_sum(spec, 24).first_mismatch(
+            oracle_pass_fill(theta_families(spec), 24), 24
         ) is None, spec
     _passed(3, "sum and product theta forms agree exactly, 20 seeded specs, order 24")
 

@@ -509,6 +509,10 @@ class TestTheta:
     @given(theta_specs(max_units=4), st.sampled_from([24, 48]))
     def test_triple_product_property(self, spec, order):
         assert_same(theta_sum(spec, order), atom("f", spec, order))
+        # the f atom's fill is the sum side itself since theta groups fill
+        # by their sums: the product side is one pass per factor
+        assert_same(theta_sum(spec, order),
+                    oracle_pass_fill(theta_families(spec), order))
 
     def test_product_form_as_explicit_pochhammers(self):
         # f(-q,-q^7) = (q;q^8)(q^7;q^8)(q^8;q^8)
@@ -662,8 +666,8 @@ class TestGamma:
     @given(st.sampled_from([1, 3]), st.sampled_from([1, F(1, 2), F(2, 3)]),
            st.builds(F, st.integers(-2, 600), st.sampled_from([1, 2])))
     def test_packed_fill_matches_the_per_slot_loop(self, k, r, order):
-        # T1N(1) times the packed fill of 1/(q;q), substituted, and for G3
-        # conjugated, against one pass per factor with r threaded through
+        # T1N(k) at q^r times the fill of 1/(q^r;q^r), against one pass per
+        # factor with r threaded through
         assert fields(atom(f"G{k}", r, order)) == \
             fields(oracle_gamma_k(k, order, r))
 
@@ -1016,9 +1020,10 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
     monkeypatch.setattr(blocks, "fill", fill_spy)
     entries = {idy.id: idy for idy in catalog()}
     verify_many(list(entries.values()), 48)
-    # every fill is a Pochhammer fill: 49 for the family atoms and folded
-    # trees, and 1/(q;q) below q^96 for G1(1/2) and G3(1/2); G1(1) and
-    # G3(1) share the 1/(q;q) below q^48 of an eta(1)^(-1) on a right side.
+    # every fill is a Pochhammer fill of a family atom or a folded tree:
+    # the map (q^(1/2);q^(1/2))^-3 of the thm31 left sides is the fill of
+    # its inverse, cubed, and G1(1) and G3(1) share the 1/(q;q) below q^48
+    # of an eta(1)^(-1) on a right side.
     # comb-3113's right side, its constant and q^(1/24) applied last,
     # distributes over its difference, and the map of its second term is
     # diff-313's right side's, filled once.  The 31 fills that are one

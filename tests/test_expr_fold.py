@@ -27,6 +27,7 @@ from qident.series import (
     InsufficientPrecisionError, LeadingCoefficientError, PuiseuxSeries as P,
     SlotBudgetError,
 )
+from test_blocks import oracle_gamma_k
 
 THM31 = [idy for idy in catalog() if idy.id.startswith("thm31-")]
 FAILURES = (InsufficientPrecisionError, LeadingCoefficientError, ZeroDivisionError)
@@ -98,7 +99,7 @@ SIGNS = st.sampled_from([1, -1])
 # 1psi1 product sides: 0 < alpha, beta and alpha + beta < s
 PSI11 = st.builds(lambda a, b, c: BilateralSpec(a + b + c, a, b), HALVES, HALVES, HALVES)
 FAMILY_ATOMS = st.one_of(
-    st.builds(Prim, st.sampled_from(["eta", "H", "I", "G2"]), R),
+    st.builds(Prim, st.sampled_from(["eta", "H", "I", "G1", "G2", "G3"]), R),
     st.builds(Prim, st.just("poch"), st.builds(PochSpec, SIGNS, HALVES, HALVES)),
     st.builds(Prim, st.just("f"),
               st.builds(ThetaSpec, SIGNS, SIGNS, HALVES, HALVES)),
@@ -208,6 +209,61 @@ class TestNamedTrees:
             for node in nodes:
                 evaluate_to_order(node, F(48))
         assert len(filled) == maps
+
+
+# -- G_1 and G_3: theta_1 sums beside the map ----------------------------------
+
+G_R = st.sampled_from([F(1), F(1, 2), F(2), F(2, 3)])
+
+
+def oracle_g(r, a, b, order):
+    """G1(q^r)^a G3(q^r)^b below `order`, each G_k by one pass per factor."""
+    out = P.one(max(F(order), F(1)))
+    for k, p in ((1, a), (3, b)):
+        for _ in range(p):
+            out = out * oracle_gamma_k(k, order, r)
+    return out
+
+
+class TestGammaFold:
+    @settings(max_examples=40, deadline=None)
+    @given(G_R, st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from([None, "G2", "eta", "poch"]),
+           st.builds(F, st.integers(1, 400), st.just(2)))  # 1/2 to 200
+    @example(F(2, 3), 3, 3, "eta", F(200))
+    def test_products_match_the_per_factor_loop(self, r, a, b, other, order):
+        node = Mul(Pow(Prim("G1", r), F(a)), Pow(Prim("G3", r), F(b)))
+        want = oracle_g(r, a, b, order)
+        if other is not None:
+            x = (Prim("poch", PochSpec(-1, 1, 1)) if other == "poch"
+                 else Prim(other, r))
+            node = Mul(node, x)
+            want = oracle_g(r, a, b, order - x.hint()) * tree(x, order)
+        got = evaluate_to_order(node, order)
+        assert got.trunc >= order and want.trunc >= order
+        assert got.first_mismatch(want, order) is None
+
+    @pytest.mark.parametrize("r", [F(1), F(1, 2), F(2), F(2, 3)])
+    def test_a_positive_integer_power_folds_beside_the_map(self, r):
+        node = Mul(Pow(Prim("G1", r), F(2)), Prim("G3", r))
+        assert node.fold() == expr.Fold(
+            ONE, F(0), {PochSpec(-1, r, r): F(-3)}, {(1, r): 2, (3, r): 1})
+
+    @pytest.mark.parametrize("r", [F(1), F(1, 2), F(2), F(2, 3)])
+    def test_other_powers_do_not_fold(self, r):
+        g1, g3 = Prim("G1", r), Prim("G3", r)
+        cases = [
+            (Pow(g1, F(1, 2)), lambda o: oracle_g(r, 1, 0, o) ** F(1, 2)),
+            (Pow(g3, F(-1)), lambda o: oracle_g(r, 0, 1, o) ** -1),
+            (Mul(g1, Pow(g3, F(-1))),
+             lambda o: oracle_g(r, 1, 0, o) * oracle_g(r, 0, 1, o) ** -1),
+        ]
+        for node, oracle in cases:
+            assert node.fold() is None
+            for order in (F(1, 3), F(24), F(97, 2)):
+                got = evaluate_to_order(node, order)
+                assert got.trunc >= order
+                assert got.first_mismatch(oracle(order), order) is None
 
 
 # -- the log-derivative recurrence against the fills ---------------------------

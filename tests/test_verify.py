@@ -34,8 +34,8 @@ def _one_by_one(batch, order=None):
 def _meetings(roots):
     """How often a walk of the trees `roots` meets each node when it
     enters the nodes a node's evaluation asks for (`Node.asks`: its
-    children, the core of a product with scalar factors, G1(r) for G3(r))
-    only the first time it meets the node."""
+    children, or the core of a product with scalar factors) only the
+    first time it meets the node."""
     met = Counter()
     stack = list(roots)
     while stack:
@@ -123,14 +123,14 @@ class TestSharing:
 
         monkeypatch.setattr(blocks, "theta1_normalized", spy)
         verify_many(THM31)
-        # G1(1/2) to q^20 is T1N(1)/(q;q) to q^40, substituted, and G3(1/2)
-        # is G1(1/2) conjugated, so one sum serves both
-        assert calls == {(1, 40): 1}
+        # G1(1/2) and G3(1/2) to q^20 fold to T1N(1) and T1N(3) to q^40,
+        # substituted, over one map; each sum is built once per batch
+        assert calls == {(1, 40): 1, (3, 40): 1}
         calls.clear()
         for idy in THM31:
             verify(idy)
-        # on its own each entry builds its two G1(1/2) and two G3(1/2)
-        assert calls == {(1, 40): 24}
+        # on its own each entry builds both sums for each of its two terms
+        assert calls == {(1, 40): 12, (3, 40): 12}
 
     @pytest.mark.parametrize("order", [F(24), None])
     def test_every_block_built_once_per_argument_and_order(self, builds, order):
@@ -201,11 +201,15 @@ class TestIntegerGrid:
 
 class TestWork:
     @pytest.mark.parametrize("batch, order, products", [
-        # the squares of G1(1/2) and G3(1/2), the two cubic products and
-        # G1(1/2)'s (q;q)^-1 times T1N(1); the constants of thm31-iii..vi
-        # scale the products thm31-i and -ii made
-        (THM31, F(96), 5),
-        (catalog(), F(48), 31),
+        # thm31's two left terms fold to T1N(1)^a T1N(3)^b over one map,
+        # (q^(1/2);q^(1/2))^-3: its fill's cube (2), and per term the square
+        # of one sum, its product with the other and the map times that (3
+        # each), the new products being narrow ones; thm31-iii..vi scale
+        # what thm31-i and -ii made.  In the catalog theta1-norm-1 and -3,
+        # whose right sides fold to T1N(k) over an empty map, make none,
+        # G1(1) and G3(1) one each and prodK three
+        (THM31, F(96), 8),
+        (catalog(), F(48), 34),
     ])
     def test_dense_products(self, monkeypatch, batch, order, products):
         made = []
@@ -219,8 +223,8 @@ class TestWork:
         assert all(r.ok() for r in verify_many(batch, order))
         assert len(made) == products
 
-    def test_g3_reuses_the_g1_of_the_batch(self, monkeypatch):
-        # G3(1) is G1(1) with sqrt2 negated, and prodK has both
+    def test_each_theta1_sum_built_once_for_prodk(self, monkeypatch):
+        # G1(1)*G2(1)*G3(1) folds to T1N(1)*T1N(3) over one map
         made = []
         theta1 = blocks.theta1_normalized
 
@@ -230,7 +234,7 @@ class TestWork:
 
         monkeypatch.setattr(blocks, "theta1_normalized", spy)
         assert verify_many([get("prodK")], F(48))[0].ok()
-        assert made == [(1, F(48))]
+        assert sorted(made) == [(1, F(48)), (3, F(48))]
 
 
 class TestLifetime:

@@ -7,13 +7,16 @@ Runs, once on each tree in a fresh interpreter:
 - `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
   and at each entry's default order;
 - `qident dump` of the eight named blocks at order 32 (the golden dumps
-  under tests/golden), and of seven expressions: an integral exponent map
-  whose log-derivative recurrence runs blocked at 1500, a map whose
+  under tests/golden), and of twelve expressions: an integral exponent
+  map whose log-derivative recurrence runs blocked at 1500, a map whose
   common denominator rises at the first slot at 300, a product with a
   constant factor at 96, three fills that are one theta group to power 1
   and so their sum sides (a mixed-sign f at 200, eta(1) at 4000, and the
-  fill of f that the tree squares at 200), and two that pack: a group to
-  power 2 beside an eta at 200, and the quotient H(1) at 96;
+  fill of f that the tree squares at 200), two that pack (a group to
+  power 2 beside an eta at 200, and the quotient H(1) at 96), and four
+  products of G_k: two that fold, their theta_1 sums times one map
+  (G1 G2 G3 at 200, and G1(1/3)^3 eta(1) at 96), and two that do not,
+  being a root of a product and a quotient (both at 48);
 - `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
   l = 0.1, q = 0.2;
 - `qident parse` of a file holding the README's two DSL examples, one
@@ -42,7 +45,11 @@ EXPRESSIONS = [("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)", "1500"),
                ("eta(1)", "4000"),
                ("f(+q^(1),+q^(2))^(2)", "200"),
                ("f(+q^(1),+q^(2))^(2)*eta(1)", "200"),
-               ("H(1)", "96")]
+               ("H(1)", "96"),
+               ("G1(1)*G2(1)*G3(1)", "200"),
+               ("G1(1/3)^(3)*eta(1)", "96"),
+               ("(G1(1)*G3(1))^(1/2)", "48"),
+               ("G1(1)^(2)/G3(1)", "48")]
 CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
       ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
 PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
