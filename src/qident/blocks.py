@@ -8,12 +8,14 @@ families of f (by the triple product), of eta, of G_2 and of the
 continued-fraction product sides h and i.
 
 Each DSL atom of :data:`qident.expr.PRIMITIVES` has one builder.  The
-Pochhammer-family atoms (eta, poch, f, H, I, G2, and psi11rhs, whose
-families come from :mod:`qident.lambert`) take their families from
-:func:`theta_families` and the other ``*_families`` lists here, the
-rescaling q -> q^r already in the specs (eta(1/2) is
-(q^(1/2); q^(1/2))_inf).  phi(r) and psi(r) are the theta sums
-f(q^r, q^r) and f(q^r, q^3r).  G_1 and G_3 have no builder here: by
+Pochhammer-family atoms (eta, poch, H, I, G2, and psi11rhs, whose
+families come from :mod:`qident.lambert`) take their families from the
+``*_families`` lists here, the rescaling q -> q^r already in the specs
+(eta(1/2) is (q^(1/2); q^(1/2))_inf).  phi(r) and psi(r) are the theta
+sums f(q^r, q^r) and f(q^r, q^3r), and :mod:`~qident.expr` folds the
+atom f(spec) as its theta sum :func:`theta_sum`, taking its
+triple-product families (:func:`theta_families`) only under a power
+other than a positive integer.  G_1 and G_3 have no builder here: by
 Jacobi's product for theta_1, G_k(q) (q; q)_inf is
 :func:`theta1_normalized`, which :mod:`~qident.expr` folds at q^r beside
 the map {(q^r; q^r)_inf: -1} of G_k(q^r).
@@ -25,8 +27,9 @@ plan :func:`_fills` picks, raised to its power, or by the recurrence on
 its logarithmic derivative (:func:`_logd`, on the coefficients
 :func:`_sieve` finds).  The whole theta products among a fill's positive
 powers (:func:`_theta_groups`) enter by their sum sides, and a fill that
-is one such product to power 1 -- (q; q)_inf, f(q, -q^2) -- is its sum
-side, charged the steps its passes would make.  Any other fill packs all its
+is one such product to power 1 -- (q; q)_inf, or f(q, -q^2)'s families
+under a root -- is its sum side, charged the steps its passes would
+make.  Any other fill packs all its
 slots into one int (Kronecker substitution, as in :mod:`qident.backend`),
 with no series product, no inverse and no Fraction per intermediate
 slot, and its slot width comes from a closed-form majorant of its

@@ -13,8 +13,8 @@ trio {theta1-norm-1/2/3, prodK} plus the numeric sine-product check in
 the test suite.  Entries that hold by construction: `theta1-norm-1`/`-3`,
 whose right side folds to T1N(k) over an empty map (so the trio's content
 is `theta1-norm-2` and `prodK`), and `f-sum-vs-prod` and the 20
-`triple-product-rand-*`, whose two sides are the same theta sum terms, as
-the fill of one theta group is its sum side.  The tests check G1's and
+`triple-product-rand-*`, whose two sides are the same theta sum, as an
+f atom folds as its sum side.  The tests check G1's and
 G3's product side, and the triple product by multiplying its Pochhammer
 factors one pass at a time (`oracle_theta_product`, `oracle_pass_fill`).
 """

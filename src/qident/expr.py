@@ -8,17 +8,23 @@ Product form.  The family atoms -- ``eta``, ``poch``, ``f``, ``H``,
 Pochhammer families (through Jacobi's triple product and Ramanujan's
 1psi1 summation); each takes its families from :mod:`~qident.blocks` or
 :mod:`~qident.lambert`, the rescaling q -> q^r already in the specs.
-``G1(r)`` and ``G3(r)`` are also the only atoms with a sum factor: by
-Jacobi's product for theta_1, G_k(q) (q; q)_inf is the sparse sum
-``T1N(k)``, so G_k(q^r) is T1N(k) at q^r over (q^r; q^r)_inf.  A
-``Mul``/``Pow`` subtree whose leaves are family atoms, nonzero constants
-and powers of q folds into a :class:`Fold`: a constant, a shift q^s, one
-exponent map ``{PochSpec: Fraction}`` and the theta_1 sums beside it.  A
-power of a subtree whose constant is not 1, or of one with sums unless
-it is a positive integer, does not fold.  The unit part below order - s
-is :func:`~qident.blocks.expand_map` of the map, which says how a map is
+Three of them fold with a sparse sum factor.  ``f(spec)`` is its theta
+sum (:func:`~qident.blocks.theta_sum`) over an empty map, the sum side
+of the triple product.  By Jacobi's product for theta_1, G_k(q)
+(q; q)_inf is the sparse sum ``T1N(k)``, so ``G1(r)`` and ``G3(r)`` are
+T1N(1) and T1N(3) at q^r over (q^r; q^r)_inf.  A ``Mul``/``Pow`` subtree
+whose leaves are family atoms, nonzero constants and powers of q folds
+into a :class:`Fold`: a constant, a shift q^s, one exponent map
+``{PochSpec: Fraction}`` and the sums beside it.  A power of a subtree
+whose constant is not 1 does not fold.  Under a power other than a
+positive integer, each theta sum enters the map as its triple-product
+families (:func:`~qident.blocks.theta_families`), and a subtree with a
+theta_1 sum does not fold: a sum to a power is a product of sums only
+for a positive integer power.  The unit part below order - s is
+:func:`~qident.blocks.expand_map` of the map, which says how a map is
 expanded: by fills, powers of them, or the recurrence on its
-logarithmic derivative, times the product of the sums.  A folding
+logarithmic derivative, times the product of the sums; a lone sum to
+power 1 is that sum alone, built with no fill.  A folding
 factor times an ``Add``/``Sub`` whose terms all fold distributes into one
 fold per term when the terms are no more than the family atoms the tree
 would expand one by one.  Everything else is evaluated node by node,
@@ -170,8 +176,9 @@ class Primitive(NamedTuple):
     is its line in the DSL atom table and `hint(arg)` its structural
     leading exponent.  A family atom (:func:`_family`) also gives its
     product form: `families(arg)` the (PochSpec, power) pairs and
-    `sums(arg)` the theta_1 sums {(k, r): power} (:class:`Fold`) whose
-    product is the series divided by q^hint(arg).
+    `sums(arg)` the sparse sums {key: power} (:class:`Fold`) whose
+    product is the series divided by q^hint(arg); ``f`` is one theta sum
+    and no family.
     """
 
     kind: str
@@ -190,7 +197,7 @@ class Primitive(NamedTuple):
 
 def _family(kind, meaning, families, hint=lambda arg: _FR(0), sums=lambda arg: {}):
     """A primitive that is q^hint(arg) times its Pochhammer families and
-    theta_1 sums, built in product form like any folded tree."""
+    sparse sums, built in product form like any folded tree."""
     prim = Primitive(kind, lambda arg, order: _expand(prim.fold(arg), order),
                      meaning, hint, families, sums)
     return prim
@@ -204,7 +211,7 @@ PRIMITIVES: dict[str, Primitive] = {
     "poch": _family("poch", "`prod_{j>=0} (1 + sign q^(a+jb))`",
                     lambda s: [(s, 1)]),
     "f": _family("theta", "theta `f(sign q^a, sign q^b)`, triple-product form",
-                 blocks.theta_families),
+                 lambda s: [], sums=lambda s: {s: 1}),
     "fsum": Primitive("theta", lambda s, o: blocks.theta_sum(s, o),
                       "the same theta function as a bilateral sum"),
     "phi": Primitive("r", lambda r, o: blocks.theta_sum(ThetaSpec(1, 1, r, r), o),
@@ -378,14 +385,22 @@ class Pow(Node):
         # a constant other than 1 stays on the tree: its root may not exist,
         # and c**r for a large integer r would be computed before any budget
         # is checked, where the power recurrence stops at its word cap; only
-        # a positive integer power keeps a sum a product of sums
+        # a positive integer power keeps a sum a product of sums, so under
+        # any other a theta sum enters the map as its families, and a tree
+        # with a theta_1 sum, which no PochSpec map expresses, does not fold
         base, r = self.base.fold(), self.r
-        if base is None or base.const != ONE or base.sums and (
-                r <= 0 or r.denominator > 1):
+        if base is None or base.const != ONE:
             return None
+        powers, sums = base.powers, base.sums
+        if sums and (r <= 0 or r.denominator > 1):
+            if not all(isinstance(key, ThetaSpec) for key in sums):
+                return None
+            powers, sums = _merge(powers, (
+                pair for spec, p in sums.items()
+                for pair in blocks.theta_families(spec, p))), {}
         return Fold(ONE, r * base.shift,
-                    {spec: r * e for spec, e in base.powers.items()} if r else {},
-                    {key: int(r) * p for key, p in base.sums.items()})
+                    {spec: r * e for spec, e in powers.items()} if r else {},
+                    {key: int(r) * p for key, p in sums.items()})
 
 
 class Subst(Node):
@@ -406,12 +421,14 @@ class Subst(Node):
 
 
 class Fold(NamedTuple):
-    """const * q^shift * prod_spec (spec)^power over `powers` * prod
-    T1N(k)(q^r)^p over `sums`: the product form of a Mul/Pow tree whose
-    leaves are family atoms, nonzero constants and powers of q.  `powers`
-    maps each :class:`~qident.blocks.PochSpec` to its nonzero rational
-    power, `sums` each (k, r) to the positive integer power p of the
-    sparse sum T1N(k) (:func:`~qident.blocks.theta1_normalized`)."""
+    """const * q^shift * prod_spec (spec)^power over `powers` * the
+    product of `sums`: the product form of a Mul/Pow tree whose leaves
+    are family atoms, nonzero constants and powers of q.  `powers` maps
+    each :class:`~qident.blocks.PochSpec` to its nonzero rational power.
+    `sums` maps each sparse sum to its positive integer power p: a
+    :class:`~qident.blocks.ThetaSpec` to the theta sum f(spec)
+    (:func:`~qident.blocks.theta_sum`), and a pair (k, r) to T1N(k) at
+    q^r (:func:`~qident.blocks.theta1_normalized`)."""
 
     const: AlgebraicNumber
     shift: Fraction
@@ -446,8 +463,9 @@ def _expand(fold: Fold, order) -> PuiseuxSeries:
 
 def _unit(powers: dict, sums: dict, unit: Fraction) -> PuiseuxSeries:
     """:func:`~qident.blocks.expand_map` of `powers` below `unit` times the
-    narrow product of `sums`, each T1N(k) below unit/r at q^r to its power;
-    stored in a batch with the map alone and each sum alone."""
+    narrow product of `sums`, each theta sum f(spec) below `unit` and each
+    T1N(k) below unit/r at q^r to its power; stored in a batch with the
+    map alone and each sum alone.  A lone sum to power 1 is the sum."""
     shared = _SHARED.get()
     if shared is not None:  # keyed only in a batch: the key costs microseconds
         key = (frozenset(powers.items()), frozenset(sums.items()), unit)
@@ -456,14 +474,18 @@ def _unit(powers: dict, sums: dict, unit: Fraction) -> PuiseuxSeries:
     if not sums or unit <= 0:
         s = blocks.expand_map(powers, unit)
     elif not powers and list(sums.values()) == [1]:
-        (k, r), = sums
-        s = blocks.theta1_normalized(k, unit / r).substitute(r)
+        (one,) = sums
+        if isinstance(one, ThetaSpec):
+            s = blocks.theta_sum(one, unit)
+        else:
+            k, r = one
+            s = blocks.theta1_normalized(k, unit / r).substitute(r)
     else:
         # the map first, so that its refusals come first
-        m = _unit(powers, {}, unit)
+        m = _unit(powers, {}, unit) if powers else None
         s = reduce(PuiseuxSeries.__mul__, (
             _unit({}, {ks: 1}, unit) ** p for ks, p in sums.items()))
-        s = m * s if powers else s
+        s = s if m is None else m * s
     if shared is not None:
         shared.products[key] = s
     return s

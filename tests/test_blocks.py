@@ -1023,13 +1023,14 @@ def test_no_catalog_fill_is_wider_than_its_factors_make_it(monkeypatch):
     # every fill is a Pochhammer fill of a family atom or a folded tree:
     # the map (q^(1/2);q^(1/2))^-3 of the thm31 left sides is the fill of
     # its inverse, cubed, and G1(1) and G3(1) share the 1/(q;q) below q^48
-    # of an eta(1)^(-1) on a right side.
-    # comb-3113's right side, its constant and q^(1/24) applied last,
-    # distributes over its difference, and the map of its second term is
-    # diff-313's right side's, filled once.  The 31 fills that are one
-    # theta group to power 1 are their sum sides; the other 19 pack
-    assert len(fills) == 50
-    assert len(seen) == 19
+    # of an eta(1)^(-1) on a right side.  An f atom folds as its theta
+    # sum and makes no fill: comb-3113's right side, its constant and
+    # q^(1/24) applied last, distributes over its difference, and each
+    # term is an f's sum times the map 1/(q;q) of diff-313's or sum-318's
+    # right side, filled once.  One fill, eta(1)'s, is one theta group to
+    # power 1 and so its sum side; the other 17 pack
+    assert len(fills) == 18
+    assert len(seen) == 17
     assert all(w <= factors for w, factors in seen)
     for name, width in (("thm44-ii", 7), ("psi11-spec-a", 3)):
         seen.clear()

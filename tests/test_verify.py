@@ -207,9 +207,13 @@ class TestWork:
         # each), the new products being narrow ones; thm31-iii..vi scale
         # what thm31-i and -ii made.  In the catalog theta1-norm-1 and -3,
         # whose right sides fold to T1N(k) over an empty map, make none,
-        # G1(1) and G3(1) one each and prodK three
+        # G1(1) and G3(1) one each and prodK three.  An f atom folds as its
+        # theta sum: lemma-f1's left side is the product of two sums, and
+        # the f(-q^a,-q^b)/eta(1) of diff-313's and sum-318's right sides
+        # each its sum times the map 1/(q;q), products that the two terms
+        # of comb-3113's right side share
         (THM31, F(96), 8),
-        (catalog(), F(48), 34),
+        (catalog(), F(48), 37),
     ])
     def test_dense_products(self, monkeypatch, batch, order, products):
         made = []

@@ -7,16 +7,20 @@ Runs, once on each tree in a fresh interpreter:
 - `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
   and at each entry's default order;
 - `qident dump` of the eight named blocks at order 32 (the golden dumps
-  under tests/golden), and of twelve expressions: an integral exponent
+  under tests/golden), and of seventeen expressions: an integral exponent
   map whose log-derivative recurrence runs blocked at 1500, a map whose
   common denominator rises at the first slot at 300, a product with a
-  constant factor at 96, three fills that are one theta group to power 1
-  and so their sum sides (a mixed-sign f at 200, eta(1) at 4000, and the
-  fill of f that the tree squares at 200), two that pack (a group to
-  power 2 beside an eta at 200, and the quotient H(1) at 96), and four
+  constant factor at 96, a mixed-sign f at 200 (its theta sum), eta(1)
+  at 4000 (a fill that is one theta group, so its sum side), the square
+  of an f at 200 alone and beside an eta, the quotient H(1) at 96, four
   products of G_k: two that fold, their theta_1 sums times one map
   (G1 G2 G3 at 200, and G1(1/3)^3 eta(1) at 96), and two that do not,
-  being a root of a product and a quotient (both at 48);
+  being a root of a product and a quotient (both at 48); and five
+  products with an f atom, which folds as its theta sum unless raised to
+  a power other than a positive integer: the inverse of an f at 1000
+  (its triple-product families), and the sum times a map (f/eta(1) at
+  3000, a mixed-sign f times eta(2)^3 at 1500), times a sum (the theta
+  factorization f(q,q^5)f(q^2,q^4) at 3000) and times G1 (at 1000);
 - `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
   l = 0.1, q = 0.2;
 - `qident parse` of a file holding the README's two DSL examples, one
@@ -49,7 +53,12 @@ EXPRESSIONS = [("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)", "1500"),
                ("G1(1)*G2(1)*G3(1)", "200"),
                ("G1(1/3)^(3)*eta(1)", "96"),
                ("(G1(1)*G3(1))^(1/2)", "48"),
-               ("G1(1)^(2)/G3(1)", "48")]
+               ("G1(1)^(2)/G3(1)", "48"),
+               ("f(+q^(1),+q^(2))^(-1)", "1000"),
+               ("f(-q^(1),-q^(2))/eta(1)", "3000"),
+               ("f(+q^(1),+q^(5))*f(+q^(2),+q^(4))", "3000"),
+               ("f(+q^(1),-q^(2))*eta(2)^(3)", "1500"),
+               ("f(+q^(1),+q^(3))*G1(1)", "1000")]
 CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
       ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
 PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
