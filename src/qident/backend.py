@@ -1,9 +1,12 @@
 """Convolution kernel: the truncated Cauchy product of two int arrays.
 
-It is the one product kernel.  Fractional parts are factored out by the
-caller, so it runs on plain (unbounded) ints, and a Z[sqrt2] product is
-assembled from up to three calls in
-:meth:`qident.series.PuiseuxSeries._mul_dense`.
+It is the kernel of every dense series product.  Fractional parts are
+factored out by the caller, so it runs on plain (unbounded) ints, and a
+Z[sqrt2] product is assembled from up to three calls in
+:meth:`qident.series.PuiseuxSeries._mul_packed`.  A product of operands
+with few nonzero terms skips it: each call touches every output slot,
+and :meth:`qident.series.PuiseuxSeries._mul_dense` multiplies such
+operands term pair by term pair instead.
 
 The kernel is Kronecker substitution (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic

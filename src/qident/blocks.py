@@ -649,6 +649,20 @@ def _words(x: int) -> int:
     return (x.bit_length() + 63) // 64
 
 
+def _theta_bounds(spec: ThetaSpec, order: Fraction) -> tuple:
+    """(den, a, b, n, terms) of f(spec) below `order`: the grid 1/den =
+    1/lcm(den spec.a, den spec.b), the exponents a = spec.a*den and b =
+    spec.b*den on it, the slot bound n = ceil(order*den) and the term
+    bound 2*isqrt(floor(2*order / (spec.a + spec.b))) + 3, in ints."""
+    an, ad = spec.a.numerator, spec.a.denominator
+    bn, bd = spec.b.numerator, spec.b.denominator
+    on, od = order.numerator, order.denominator
+    den = math.lcm(ad, bd)
+    a, b = an * (den // ad), bn * (den // bd)
+    terms = 2 * math.isqrt(max(0, 2 * on * den // (od * (a + b)))) + 3
+    return den, a, b, -(-on * den // od), terms
+
+
 def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     """Bilateral sum of gamma^{j(j+1)/2} delta^{j(j-1)/2} below `order`,
     by :func:`_theta_terms`.
@@ -660,10 +674,8 @@ def theta_sum(spec: ThetaSpec, order) -> PuiseuxSeries:
     than the cap still expands.
     """
     order = _fr(order)
-    terms = 2 * math.isqrt(max(0, math.floor(2 * order / (spec.a + spec.b)))) + 3
+    den, a, b, n, terms = _theta_bounds(spec, order)
     dense_slots(terms)
-    den = math.lcm(spec.a.denominator, spec.b.denominator)
-    a, b, n = int(spec.a * den), int(spec.b * den), math.ceil(order * den)
     return PuiseuxSeries._reduced(
         _FR(0), den, 1,
         {e: (c, 0) for e, c in _theta_terms(spec.sign1, spec.sign2, a, b, n)}, order)

@@ -28,11 +28,17 @@ integer arrays: :meth:`PuiseuxSeries._slots` spreads the slots over an
 array on a grid at least as fine, and :meth:`PuiseuxSeries.from_slots`
 takes such arrays back into the canonical form.
 
+A product takes one of two paths, after the same slot, step and word
+checks (:meth:`PuiseuxSeries._mul_dense`): the packed kernel of
+:mod:`qident.backend` on the slot arrays, or, when the operands have no
+more nonzero term pairs than the kernel calls touch output slots, the
+slot dicts term pair by term pair.  Both give the same canonical series.
+
 A power takes one of two paths (:meth:`PuiseuxSeries.__pow__`).  Every
 power -- inverses, roots, rational and integer powers -- is the power
 recurrence :meth:`PuiseuxSeries._power`, O(slots x unit terms), except
 that a small positive power (at most 8) with fewer products than unit
-terms is a product: binary powering by the packed product, whose cost
+terms is a product: binary powering by series products, whose cost
 does not grow with the unit terms.  So a dense base is squared in one
 product, while ``(1 + q)**3``, ``eta**24`` and ``(1 + q)**(10**30)``
 stay on the recurrence.
@@ -167,6 +173,11 @@ def _number(r: int, i: int, d: int) -> AlgebraicNumber:
 def _bits(s) -> int:
     """The bit length of the largest part of any slot of s."""
     return max(map(abs, chain.from_iterable(s.slots.values()))).bit_length()
+
+
+def _has_sqrt2(s) -> bool:
+    """Whether any slot of s has a nonzero sqrt2 part."""
+    return any(i for _, i in s.slots.values())
 
 
 def _common_grid(a, b) -> tuple[Fraction, int]:
@@ -462,21 +473,26 @@ class PuiseuxSeries:
     __rmul__ = __mul__
 
     def _mul_dense(self, other, trunc):
-        """Convolution of the two slot arrays on their common offset grid.
+        """The product on the two operands' common offset grid, by
+        :meth:`_mul_terms` when they have few term pairs, else by
+        :meth:`_mul_packed`.
 
-        Every product is built from rational convolutions of the nonzero
-        parts only: one when both factors are rational, two (AB and A'B
-        or AB') when one is, and three when neither is, by
-        (A + A'sqrt2)(B + B'sqrt2) = (AB + 2A'B')
-        + ((A + A')(B + B') - AB - A'B')sqrt2.
+        Raises SlotBudgetError, before either path runs, when the product
+        needs more than MAX_DENSE_SLOTS slots, more than MAX_SLOT_STEPS
+        inner steps (the sum over the nonzero slots i of the first array
+        of min(len(second), nout - i)) or a packed integer of more than
+        MAX_DENSE_SLOTS 64-bit words (the kernel's product: both arrays'
+        slots at :func:`~qident.backend.product_bytes` each).  The
+        lengths and bit sizes come from the slot dicts.  So the path
+        taken changes no admission: the term path is only the cheaper
+        route for a product the checks let through.
 
-        Raises SlotBudgetError, before any array is built, when the
-        product needs more than MAX_DENSE_SLOTS slots, more than
-        MAX_SLOT_STEPS inner steps (the sum over the nonzero slots i of the
-        first array of min(len(second), nout - i)) or a packed integer of
-        more than MAX_DENSE_SLOTS 64-bit words (the kernel's product: both
-        arrays' slots at :func:`~qident.backend.product_bytes` each).  The
-        lengths and bit sizes come from the slot dicts.
+        Each kernel call of the packed path touches every one of its nout
+        output slots in Python at least once, and the term path each
+        nonzero pair once, so the term path is taken when the pairs are
+        at most the packed path's calls times nout: 1 call for two
+        rational operands, 2 when one has a sqrt2 part and 3 when both
+        do.  Past 3 * nout pairs no operand is scanned for sqrt2 parts.
         """
         den = math.lcm(self.den, other.den)
         m1, m2 = self.m, other.m
@@ -495,8 +511,47 @@ class PuiseuxSeries:
         # one bit more for the sums A + A' of a three-call product
         w = backend.product_bytes(_bits(a) + 1, _bits(b) + 1, min(na, nb))
         check_words(-(-(na + nb - 1) * w // 8), what)
-        ra, ia, d1 = a._slots(den, nout)
-        rb, ib, d2 = b._slots(den, nout)
+        pairs = len(a.slots) * len(b.slots)
+        if pairs <= 3 * nout and (
+                pairs <= (1 + _has_sqrt2(a) + _has_sqrt2(b)) * nout):
+            return a._mul_terms(b, den, nout, trunc)
+        return a._mul_packed(b, den, nout, trunc)
+
+    def _mul_terms(self, other, den, nout, trunc):
+        """The product of two series without slots at nout or later on
+        the grid q^(m + k/den), term pair by term pair: each slot of self
+        meets the slots of `other` up to the first whose sum with it
+        reaches nout."""
+        f1, f2 = den // self.den, den // other.den
+        right = [(j * f2, r, i) for j, (r, i) in other.slots.items()]
+        acc = {}
+        get = acc.get
+        for k, (r1, i1) in self.slots.items():
+            k *= f1
+            for j, r2, i2 in right:
+                e = k + j
+                if e >= nout:
+                    break
+                r = r1 * r2 + 2 * i1 * i2
+                i = r1 * i2 + i1 * r2
+                cur = get(e)
+                acc[e] = (r, i) if cur is None else (cur[0] + r, cur[1] + i)
+        return PuiseuxSeries._reduced(
+            self.m + other.m, den, self.d * other.d,
+            {k: v for k, v in sorted(acc.items()) if v[0] or v[1]}, trunc)
+
+    def _mul_packed(self, other, den, nout, trunc):
+        """The product of two series without slots at nout or later on
+        the grid q^(m + k/den), by convolution of their slot arrays.
+
+        Every product is built from rational convolutions of the nonzero
+        parts only: one when both factors are rational, two (AB and A'B
+        or AB') when one is, and three when neither is, by
+        (A + A'sqrt2)(B + B'sqrt2) = (AB + 2A'B')
+        + ((A + A')(B + B') - AB - A'B')sqrt2.
+        """
+        ra, ia, d1 = self._slots(den, nout)
+        rb, ib, d2 = other._slots(den, nout)
         conv = backend.convolve_rational
         rc, ic = conv(ra, rb, nout), None
         if ia is not None and ib is not None:
@@ -507,7 +562,8 @@ class PuiseuxSeries:
             rc = [x + 2 * y for x, y in zip(rc, ii)]
         elif ia is not None or ib is not None:  # A'B or AB'
             ic = conv(ia or ra, ib or rb, nout)
-        return PuiseuxSeries.from_slots(m1 + m2, den, rc, ic, trunc, d1 * d2)
+        return PuiseuxSeries.from_slots(self.m + other.m, den, rc, ic, trunc,
+                                        d1 * d2)
 
     def __pow__(self, r):
         """self ** r for an int or Fraction r.  Any series to the power 0
@@ -519,8 +575,8 @@ class PuiseuxSeries:
         base's nonzero terms after its leading one, the powers are
         multiplied, each product under its own slot, step and word checks.
         The cap on a keeps the products' values small: the recurrence
-        multiplies its wide values by unit terms only, while a packed
-        product of values a times wider slows more than linearly
+        multiplies its wide values by unit terms only, while a product of
+        values a times wider slows more than linearly
         (``eta(1)`` filled to q^2000 and raised to 1000 takes over ten
         times as long by products).  Every other power -- inverses, roots,
         other rationals, and integers with a sparse base or a large

@@ -4,9 +4,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qident import backend, series as series_mod
+from qident import backend, blocks, series as series_mod
 from qident.field import ONE, SQRT2, ZERO, AlgebraicNumber as A
 from qident.blocks import (
     PochSpec,
@@ -254,6 +254,96 @@ def wide_series(draw, unit=False):
     return P({**terms, m: lead}, trunc)
 
 
+def both_paths(x, y):
+    """(term path, packed path) of x * y, each called on the operands as
+    `_mul_dense` hands them over."""
+    trunc = min(x.trunc + y.m, y.trunc + x.m)
+    den = math.lcm(x.den, y.den)
+    nout = math.ceil((trunc - x.m - y.m) * den)
+    a, b = x._kept(den, nout), y._kept(den, nout)
+    return (a._mul_terms(b, den, nout, trunc),
+            a._mul_packed(b, den, nout, trunc))
+
+
+# slot values: small, negative, and wider than 64 bits
+product_values = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+product_grids = st.sampled_from([1, 2, 3, 6])
+product_starts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def product_operand(draw, den, slots, sqrt2, d, span=None):
+    """The series sum (r + i*sqrt2)/d q^(m + k/den) over the given slots,
+    known below m + `span` (by default, past its last slot), with k = 0
+    and k = 1 among them so that den is its grid, every r nonzero, and
+    a nonzero sqrt2 part at slot 0 when `sqrt2`."""
+    m = draw(product_starts)
+    terms = {}
+    for k in slots:
+        r = draw(product_values) or 1
+        i = (draw(product_values) or int(k == 0)) if sqrt2 else 0
+        terms[m + F(k, den)] = A(F(r, d), F(i, d))
+    return P(terms, m + (F(max(slots) + 1, den) if span is None else span))
+
+
+def slot_sets(low, high, size=(0, 12)):
+    """Sets of slots holding 0 and 1, the others drawn from [low, high]."""
+    if high < low:
+        return st.just({0, 1})
+    return st.sets(st.integers(low, high), min_size=size[0],
+                   max_size=size[1]).map(lambda s: {0, 1} | s)
+
+
+@st.composite
+def product_pairs(draw):
+    """Two operands on mixed grids, rational or with sqrt2 parts, both cut
+    by one truncation; with a conjugate or a q -> -q partner the product
+    cancels: every sqrt2 part, or every odd slot."""
+    sa, sb = draw(st.booleans()), draw(st.booleans())
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    a = draw(product_operand(draw(product_grids), draw(slot_sets(2, 30)), sa, d))
+    partner = draw(st.sampled_from(["drawn", "conjugate", "alternate"]))
+    if partner == "drawn":
+        b = draw(product_operand(draw(product_grids), draw(slot_sets(2, 30)),
+                                 sb, d))
+    else:
+        flip = ((lambda k, r, i: (r, -i)) if partner == "conjugate"
+                else (lambda k, r, i: (-r, -i) if k % 2 else (r, i)))
+        m = draw(product_starts)
+        b = P._make(m, a.den, a.d, {k: flip(k, *v) for k, v in a.slots.items()},
+                    m + a.trunc - a.m)
+    cut = draw(st.sampled_from([F(1, 3), F(1, 2), F(1)]))
+    return (a.truncated(a.m + (a.trunc - a.m) * cut),
+            b.truncated(b.m + (b.trunc - b.m) * cut))
+
+
+@st.composite
+def boundary_pairs(draw):
+    """(a, b, excess): a and b on grids 1/da and 1/db whose product has
+    nout slots and exactly calls * nout + excess term pairs, excess in
+    {-1, 0, 1} and calls 1 plus the number of operands with a sqrt2
+    part."""
+    da, db = draw(product_grids), draw(product_grids)
+    den = math.lcm(da, db)
+    sa, sb = draw(st.booleans()), draw(st.booleans())
+    excess = draw(st.sampled_from([-1, 0, 1]))
+    nout = draw(st.integers(2, 120))
+    pairs = (1 + sa + sb) * nout + excess
+    # slot k of an operand on the grid 1/g lies below nout when k * den/g < nout
+    room_a, room_b = -(-nout * da // den), -(-nout * db // den)
+    counts = [(p, pairs // p) for p in range(2, room_a + 1)
+              if pairs % p == 0 and 2 <= pairs // p <= room_b]
+    assume(counts)
+    p, q = draw(st.sampled_from(counts))
+    d = draw(st.sampled_from([1, 3]))
+    span = F(nout, den)
+    a = draw(product_operand(da, draw(slot_sets(2, room_a - 1, (p - 2, p - 2))),
+                             sa, d, span))
+    b = draw(product_operand(db, draw(slot_sets(2, room_b - 1, (q - 2, q - 2))),
+                             sb, d, span))
+    return a, b, excess
+
+
 class TestMonomial:
     def test_single_term(self):
         s = P.monomial(A(0, 2), F(25, 24), 10)
@@ -354,34 +444,62 @@ class TestMul:
     def test_integer_powers_multiply_only_when_fewer_products(self, monkeypatch):
         # a small positive power with fewer products than unit terms is a
         # product: x has 3 unit terms and x ** 3 takes 2 (a square, then
-        # times x), each one kernel call on rational arrays; 1 + q has one
-        # unit term, so its cube runs the power recurrence and calls no
-        # kernel, and so does any power above 8, however dense the base
+        # times x); 1 + q has one unit term, so its cube runs the power
+        # recurrence and makes no product, and so does any power above 8,
+        # however dense the base
         x = P({F(1, 3): F(2, 3), F(1, 2): F(1, 5), 2: -4, F(7, 3): 3}, 6)
         want = oracle_mul(oracle_mul(x, x), x)
         calls = []
-        kernel = backend.convolve_rational
+        dense = P._mul_dense
 
-        def counting(ra, rb, nout):
-            calls.append(nout)
-            return kernel(ra, rb, nout)
+        def counting(*args):
+            calls.append(args)
+            return dense(*args)
 
-        monkeypatch.setattr(backend, "convolve_rational", counting)
+        monkeypatch.setattr(P, "_mul_dense", counting)
         assert x ** 3 == want
         assert len(calls) == 2
         calls.clear()
         assert P({0: 1, 1: 1}, 10) ** 3 == P({0: 1, 1: 3, 2: 3, 3: 1}, 10)
-        dense = geometric(12)
-        assert dense ** 9 == dense._power(9, 1)
+        dense_base = geometric(12)
+        assert dense_base ** 9 == dense_base._power(9, 1)
         assert calls == []
 
     def test_grid_past_the_slot_cap_is_refused(self):
         # four terms, but their common grid 1/(999983 * 1000003) puts
-        # about 10^12 slots below q^1: a product has no term-by-term path
+        # about 10^12 slots below q^1: the slot check runs before the term
+        # path is chosen, so a product of four term pairs is refused too
         a = P({0: 1, F(1, 999983): 1}, 1)
         b = P({0: 1, F(1, 1000003): 1}, 1)
         with pytest.raises(SlotBudgetError, match="dense coefficient slots"):
             a * b
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_pairs())
+    @example((P({0: 1, 1: -SQRT2, 2: ONE}, 3), P({0: 1, 1: SQRT2, 2: ONE}, 3)))
+    @example((P({0: 1, 1: 1, 3: 2**70}, 4), P({0: 1, 1: -1, 3: -2**70}, 4)))
+    def test_term_and_packed_paths_agree(self, pair):
+        a, b = pair
+        terms, packed = both_paths(a, b)
+        assert terms == packed == oracle_mul(a, b) == a * b
+
+    @settings(max_examples=200, deadline=None)
+    @given(boundary_pairs())
+    def test_products_at_the_routing_boundary(self, case):
+        # the term path takes at most calls * nout term pairs, the packed
+        # path one pair more, and both agree with the oracle
+        a, b, excess = case
+        taken = []
+        terms, packed = P._mul_terms, P._mul_packed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(P, "_mul_terms",
+                       lambda *args: taken.append("terms") or terms(*args))
+            mp.setattr(P, "_mul_packed",
+                       lambda *args: taken.append("packed") or packed(*args))
+            product = a * b
+        assert taken == ["terms" if excess <= 0 else "packed"]
+        assert product == oracle_mul(a, b)
+        assert both_paths(a, b) == (product, product)
 
 
 class TestInverse:
@@ -737,6 +855,29 @@ class TestSlotBudget:
         monkeypatch.setattr(P, "_slots", unbuilt)
         with pytest.raises(SlotBudgetError):
             a * a
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 10**6),
+           st.one_of(st.sampled_from([1, 2, 3, 7, 999983]),
+                     st.integers(1, 10**30)),
+           st.one_of(st.sampled_from([1, 2, 3, 7, 1000003]),
+                     st.integers(1, 10**30)),
+           st.one_of(st.fractions(min_value=-50, max_value=10**4),
+                     st.builds(F, st.integers(-10**40, 10**44),
+                               st.integers(1, 10**40))))
+    @example(1, 1, 999983, 1000003, F(10))
+    @example(3, 5, 2, 3, F(0))
+    @example(7, 11, 4, 9, F(-3, 2))
+    @example(1, 1, 1, 1, F(10**36 + 1, 10**30 + 1))
+    def test_theta_bounds_match_the_fraction_formulas(self, an, bn, ad, bd, order):
+        # the integer bounds of theta_sum equal the Fraction formulas they
+        # replaced, for orders at or below 0, with large denominators, and
+        # for exponents on coprime grids
+        spec = ThetaSpec(1, -1, F(an, ad), F(bn, bd))
+        den = math.lcm(spec.a.denominator, spec.b.denominator)
+        terms = 2 * math.isqrt(max(0, math.floor(2 * order / (spec.a + spec.b)))) + 3
+        assert blocks._theta_bounds(spec, order) == (
+            den, int(spec.a * den), int(spec.b * den), math.ceil(order * den), terms)
 
     def test_theta_sum_term_bound_is_exact(self, monkeypatch):
         # phi(q) to q^10: |j| - 1 <= isqrt(10) bounds its terms by 9, which

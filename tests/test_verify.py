@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qident import blocks, expr
+from qident import backend, blocks, expr
 from qident.catalog import catalog, get
 from qident.dsl import parse_identity
 from qident.expr import Add, Mul, Pow, Prim, QPow
@@ -226,6 +226,44 @@ class TestWork:
         monkeypatch.setattr(PuiseuxSeries, "_mul_dense", spy)
         assert all(r.ok() for r in verify_many(batch, order))
         assert len(made) == products
+
+    def test_theta_sum_products_call_no_kernel(self, monkeypatch):
+        # the factorization rule f(q^a,q^(a+2b)) f(q^b,q^(2a+b)) =
+        # f(q^a,q^b) psi(q^(a+b)) at a = 3/2, b = 2: each side a product of
+        # two theta sums of 11 to 21 terms on 400 slots, so fewer term pairs
+        # than slots
+        calls = []
+        kernel = backend.convolve_rational
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(backend, "convolve_rational", spy)
+        lhs, rhs = parse_identity(
+            "f(+q^(3/2),+q^(11/2))*f(+q^(2),+q^(5)) == f(+q^(3/2),+q^(2))*psi(7/2)")
+        assert verify(Identity("factorization", lhs, rhs, F(200))).ok()
+        assert calls == []
+
+    def test_dense_thm31_products_stay_on_the_kernel(self, monkeypatch):
+        # thm31 at 96 makes 8 products, four of them of two 192-slot series
+        paths = []
+
+        def spy(name):
+            method = getattr(PuiseuxSeries, name)
+
+            def traced(a, b, den, nout, trunc):
+                paths.append((name, len(a.slots), len(b.slots), nout))
+                return method(a, b, den, nout, trunc)
+
+            monkeypatch.setattr(PuiseuxSeries, name, traced)
+
+        spy("_mul_terms")
+        spy("_mul_packed")
+        assert all(r.ok() for r in verify_many(THM31, F(96)))
+        assert len(paths) == 8
+        assert [p for p in paths if p[1:] == (192, 192, 192)] == \
+            [("_mul_packed", 192, 192, 192)] * 4
 
     def test_each_theta1_sum_built_once_for_prodk(self, monkeypatch):
         # G1(1)*G2(1)*G3(1) folds to T1N(1)*T1N(3) over one map

@@ -7,7 +7,7 @@ Runs, once on each tree in a fresh interpreter:
 - `qident verify all --json` at the orders 1/2, 1, 7/3, 24, 48, 96 and 192
   and at each entry's default order;
 - `qident dump` of the eight named blocks at order 32 (the golden dumps
-  under tests/golden), and of seventeen expressions: an integral exponent
+  under tests/golden), and of twenty expressions: an integral exponent
   map whose log-derivative recurrence runs blocked at 1500, a map whose
   common denominator rises at the first slot at 300, a product with a
   constant factor at 96, a mixed-sign f at 200 (its theta sum), eta(1)
@@ -20,7 +20,11 @@ Runs, once on each tree in a fresh interpreter:
   a power other than a positive integer: the inverse of an f at 1000
   (its triple-product families), and the sum times a map (f/eta(1) at
   3000, a mixed-sign f times eta(2)^3 at 1500), times a sum (the theta
-  factorization f(q,q^5)f(q^2,q^4) at 3000) and times G1 (at 1000);
+  factorization f(q,q^5)f(q^2,q^4) at 3000) and times G1 (at 1000); and
+  three products of two sparse sums, two with no more term pairs than
+  slots, which multiply term by term (T1N(1)*T1N(3) at 200, sqrt2 parts
+  on both sides, and phi(1)*psi(4) at 2000), and one just past that
+  bound, which takes the packed kernel (phi(1)*psi(1) at 2000);
 - `qident cf` of h and i at q = 0.05 and 0.3, and of gcf at k = 0.3,
   l = 0.1, q = 0.2;
 - `qident parse` of a file holding the README's two DSL examples, one
@@ -58,7 +62,10 @@ EXPRESSIONS = [("f(-q^1,-q^2)^(1/2)*eta(1)^(1/2)", "1500"),
                ("f(-q^(1),-q^(2))/eta(1)", "3000"),
                ("f(+q^(1),+q^(5))*f(+q^(2),+q^(4))", "3000"),
                ("f(+q^(1),-q^(2))*eta(2)^(3)", "1500"),
-               ("f(+q^(1),+q^(3))*G1(1)", "1000")]
+               ("f(+q^(1),+q^(3))*G1(1)", "1000"),
+               ("T1N(1)*T1N(3)", "200"),
+               ("phi(1)*psi(4)", "2000"),
+               ("phi(1)*psi(1)", "2000")]
 CF = [["h", "--q", "0.05", "--q", "0.3"], ["i", "--q", "0.05", "--q", "0.3"],
       ["gcf", "--k", "0.3", "--l", "0.1", "--q", "0.2"]]
 PARSE_TEXT = ("1/H(1) + H(1) == phi(1)/(q^(1/2)*psi(4))\n"
